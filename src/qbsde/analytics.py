@@ -15,8 +15,8 @@ from scipy.stats import chi2, norm
 
 from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
-from .regression import BasisSpec, NodeRegression, pointwise_se
-from .scenarios import ScenarioBundle
+from .regression import BasisSpec, NodeRegression
+from .scenarios import ScenarioBundle, mean_se
 from .solver import SolutionField
 
 
@@ -42,13 +42,6 @@ class CheckReport:
             "se": float(self.se),
             "extra": dict(self.extra),
         }
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return m, se
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +147,7 @@ def apriori_bound(
             m_hat = np.maximum(m_hat, 1.0)
             x[:, i] = np.log(m_hat) / gamma + R[i]
             sigma2 = float(reg.residual_variance(target, m_hat)[0])
-            feats = basis.design(state, extra=feature)
-            x_se[:, i] = pointwise_se(sigma2, reg.xtx_pinv(), feats) / (gamma * m_hat)
+            x_se[:, i] = np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
     else:
         raise ValueError(f"unknown bound mode {mode!r}")
 
@@ -246,8 +238,8 @@ def norm_bound_checks(
         raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
 
     const = (p / (p - 1.0)) ** p
-    m_l1, se_l1 = _mean_se(lhs1)
-    m_r1, se_r1 = _mean_se(rhs1)
+    m_l1, se_l1 = mean_se(lhs1)
+    m_r1, se_r1 = mean_se(rhs1)
     se1 = math.hypot(se_l1, const * se_r1)
     margin1 = m_l1 - const * m_r1
     check1 = CheckReport(
@@ -260,9 +252,9 @@ def norm_bound_checks(
         extra={"lhs": m_l1, "rhs": const * m_r1, "constant": const, "lhs_se": se_l1, "rhs_se": se_r1},
     )
 
-    m_l2, se_l2 = _mean_se(lhs2)
+    m_l2, se_l2 = mean_se(lhs2)
     finite2 = bool(np.all(np.isfinite(rhs2)))
-    m_r2, se_r2 = _mean_se(rhs2) if finite2 else (float("inf"), float("inf"))
+    m_r2, se_r2 = mean_se(rhs2) if finite2 else (float("inf"), float("inf"))
     implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else float("nan"))
     check2 = CheckReport(
         name=f"norm_bound_martingale_p{p:g}",
@@ -419,9 +411,9 @@ def stability_metrics(
     mart = np.einsum("nkd,nkd,k->n", dz, dz, dt) + np.einsum("nkq,nkq,k->n", dzo, dzo, dt)
     mart_p = mart ** (p / 2.0)
 
-    h_m, h_se = _mean_se(hyp)
-    e_m, e_se = _mean_se(exp_sup)
-    m_m, m_se = _mean_se(mart_p)
+    h_m, h_se = mean_se(hyp)
+    e_m, e_se = mean_se(exp_sup)
+    m_m, m_se = mean_se(mart_p)
     return StabilityMetrics(
         p=p,
         hypothesis_mean=h_m,
@@ -470,7 +462,7 @@ def stochastic_exponential_mean(
     finite = vals[np.isfinite(vals)]
     if finite.size:
         with np.errstate(over="ignore"):
-            mean, se = _mean_se(finite)
+            mean, se = mean_se(finite)
     else:
         mean, se = float("inf"), float("inf")
     return ExpMartingaleEstimate(q=q, mean=mean, se=se, n_overflow=overflow, n_paths=bundle.n_paths)
@@ -539,7 +531,7 @@ def kazamaki_statistic(
             means.append(float("inf"))
             ses.append(float("inf"))
             continue
-        m, s = _mean_se(vals)
+        m, s = mean_se(vals)
         means.append(m)
         ses.append(s)
     sup_idx = int(np.argmax(means))

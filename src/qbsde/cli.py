@@ -13,16 +13,22 @@ from .errors import ConfigValidationError, QbsdeError
 from .experiments import bundled_configs, canonical_json, load_config, run_experiment
 
 
-def _cmd_run(args) -> int:
+def _load(path: str):
+    """The validated config, or None after printing why it cannot be loaded."""
     try:
-        config = load_config(args.config)
+        return load_config(path)
     except ConfigValidationError as exc:
-        print("config validation failed:", file=sys.stderr)
-        for path, msg in exc.errors:
-            print(f"  {path}: {msg}", file=sys.stderr)
-        return 2
+        print("invalid config:", file=sys.stderr)
+        for where, msg in exc.errors:
+            print(f"  {where}: {msg}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
+    return None
+
+
+def _cmd_run(args) -> int:
+    config = _load(args.config)
+    if config is None:
         return 2
     try:
         report = run_experiment(config, out_dir=args.out, n_paths=args.paths, seed=args.seed)
@@ -41,15 +47,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigValidationError as exc:
-        print("invalid config:", file=sys.stderr)
-        for path, msg in exc.errors:
-            print(f"  {path}: {msg}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    config = _load(args.config)
+    if config is None:
         return 2
     print(f"config {config.name!r} is valid (hash {config.config_hash()})")
     if args.show:

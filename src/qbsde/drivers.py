@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import UnknownDriverError
-from .scenarios import ScenarioBundle
+from .scenarios import ScenarioBundle, mean_se
 
 
 def _as_time_fn(value, dim: int | None = None) -> Callable[[float], np.ndarray | float]:
@@ -109,6 +109,8 @@ class DriverSpec:
 
     ``f(t, y, z, b)`` must be a pure function, vectorized over paths:
     y has shape (n,), z has shape (n, d), b is the d x d factor at time t.
+    ``options`` are the builtin constructor's options (empty for a custom
+    driver); they identify the driver in solution hashes.
     """
 
     name: str
@@ -118,6 +120,7 @@ class DriverSpec:
     depends_on_z: bool = True
     convex_in_z: bool = True
     dim_m: int | None = None
+    options: dict = field(default_factory=dict)
 
     def evaluate(self, bundle: ScenarioBundle, i: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         t = float(bundle.grid.nodes[i])
@@ -368,7 +371,8 @@ def make_builtin(name: str, options: dict | None = None) -> DriverSpec:
     """Construct a builtin driver by name with a fully populated ParamSet."""
     if name not in _REGISTRY:
         raise UnknownDriverError(f"unknown driver {name!r}; available: {list_builtins()}")
-    return _REGISTRY[name](dict(options or {}))
+    options = dict(options or {})
+    return dataclasses.replace(_REGISTRY[name](options), options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +553,5 @@ def exponential_moment_estimate(
     with np.errstate(over="ignore"):
         vals = np.exp(p * (np.abs(xi_vals) + a1))
     finite = bool(np.all(np.isfinite(vals)))
-    if finite:
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    else:
-        est, se = float("inf"), float("inf")
+    est, se = mean_se(vals) if finite else (float("inf"), float("inf"))
     return MomentReport(order=p, estimate=est, se=se, finite=finite, n_paths=bundle.n_paths)

@@ -8,9 +8,11 @@ from the timing block.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,7 +28,6 @@ from .drivers import (
     SamplingPlan,
     TerminalCondition,
     exponential_moment_estimate,
-    list_builtins,
     make_builtin,
     terminal_abs,
     terminal_affine,
@@ -127,7 +128,6 @@ _SCHEMA = {
                 "picard_tol": {"type": "number", "exclusiveMinimum": 0},
                 "picard_max": {"type": "integer", "minimum": 1},
                 "implicit": {"type": "boolean"},
-                "target_cap": {"type": ["number", "null"]},
                 "terminal_feature": {"type": "boolean"},
                 "se_batches": {"type": "integer", "minimum": 1},
             },
@@ -149,17 +149,7 @@ _SCHEMA = {
 }
 
 _SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "stream": 0, "mandatory_nodes": [], "clock": {"kind": "identity"}}
-_SOLVER_DEFAULTS = {
-    "degree": 3,
-    "basis_kind": "poly",
-    "bins": 24,
-    "picard_tol": 1e-10,
-    "picard_max": 50,
-    "implicit": True,
-    "target_cap": None,
-    "terminal_feature": True,
-    "se_batches": 8,
-}
+_SOLVER_DEFAULTS = {**dataclasses.asdict(SolverConfig()), "se_batches": 8}
 _OUTPUT_DEFAULTS = {"export_paths": 100}
 
 
@@ -246,37 +236,30 @@ def build_grid_for(config: ExperimentConfig):
     return build_grid(sc["T"], sc["steps"], mandatory)
 
 
+def build_clock(scenario: dict) -> ClockSpec:
+    c = scenario["clock"]
+    return ClockSpec(
+        kind=c.get("kind", "identity"),
+        rate=c.get("rate", 1.0),
+        times=tuple(c.get("times", ())),
+        values=tuple(c.get("values", ())),
+    )
+
+
 def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
     sc = config.scenario
-    clock_block = dict(sc["clock"])
-    clock = ClockSpec(
-        kind=clock_block.get("kind", "identity"),
-        rate=clock_block.get("rate", 1.0),
-        times=tuple(clock_block.get("times", ())),
-        values=tuple(clock_block.get("values", ())),
-    )
     return simulate_scenario(
         grid=build_grid_for(config),
         dim_m=sc["dim_m"],
         dim_orth=sc["dim_orth"],
         n_paths=sc["n_paths"],
-        clock=clock,
+        clock=build_clock(sc),
         source=RandomSource(seed=sc["seed"], stream=sc["stream"]),
     )
 
 
 def solver_config(config: ExperimentConfig) -> SolverConfig:
-    s = config.solver
-    return SolverConfig(
-        degree=s["degree"],
-        basis_kind=s["basis_kind"],
-        bins=s["bins"],
-        picard_tol=s["picard_tol"],
-        picard_max=s["picard_max"],
-        implicit=s["implicit"],
-        target_cap=s["target_cap"],
-        terminal_feature=s["terminal_feature"],
-    )
+    return SolverConfig(**{k: v for k, v in config.solver.items() if k != "se_batches"})
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -327,13 +310,11 @@ def validate_config(text: str) -> ExperimentConfig:
     except Exception as exc:
         errors.append(("terminal", str(exc)))
     try:
-        grid = build_grid_for(config)
+        grid, clock = build_grid_for(config), build_clock(scenario)
     except Exception as exc:
         errors.append(("scenario", str(exc)))
         grid = None
     if grid is not None:
-        clock = ClockSpec(kind=scenario["clock"].get("kind", "identity"), rate=scenario["clock"].get("rate", 1.0),
-                          times=tuple(scenario["clock"].get("times", ())), values=tuple(scenario["clock"].get("values", ())))
         d_a = np.diff(clock.at(grid.nodes))
         bb = driver.params.beta_bar * float(np.max(d_a))
         if bb >= 0.5:
@@ -375,8 +356,6 @@ def _check_block_errors(check: dict) -> list[tuple[str, str]]:
 
 def load_config(path_or_name: str) -> ExperimentConfig:
     """Load a config from a file path or the bundled catalogue by name."""
-    import os
-
     if os.path.exists(path_or_name):
         with open(path_or_name) as fh:
             return validate_config(fh.read())
@@ -459,21 +438,15 @@ def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     # (batch spread at machine precision) are judged on tol alone
     ok = gap <= tol and gap <= 3.0 * ctx.y0_se + 1e-12
     extra = {"expected_y0": expected, "y0": ctx.y0, "y0_se": ctx.y0_se}
-    if "z_mean" in check:
-        z_tol = float(check.get("z_tol", 0.05))
-        target = np.asarray(check["z_mean"], dtype=float)
-        z_bar = np.mean(ctx.field.z, axis=0)
-        z_gap = float(np.max(np.abs(z_bar - target[None, :])))
-        ok = ok and z_gap <= z_tol
-        extra["z_gap"] = z_gap
-        extra["z_tol"] = z_tol
-    if "z_orth_mean" in check:
-        z_tol = float(check.get("z_tol", 0.05))
-        target = np.asarray(check["z_orth_mean"], dtype=float)
-        z_bar = np.mean(ctx.field.z_orth, axis=0)
-        zo_gap = float(np.max(np.abs(z_bar - target[None, :])))
-        ok = ok and zo_gap <= z_tol
-        extra["z_orth_gap"] = zo_gap
+    z_blocks = (("z_mean", ctx.field.z, "z_gap"), ("z_orth_mean", ctx.field.z_orth, "z_orth_gap"))
+    for key, integrand, gap_key in z_blocks:
+        if key in check:
+            z_tol = float(check.get("z_tol", 0.05))
+            target = np.asarray(check[key], dtype=float)
+            z_gap = float(np.max(np.abs(np.mean(integrand, axis=0) - target[None, :])))
+            ok = ok and z_gap <= z_tol
+            extra[gap_key] = z_gap
+            extra["z_tol"] = z_tol
     return [
         analytics.CheckReport(
             name="anchor", passed=ok, margin=gap, tol=tol, n_paths=ctx.bundle.n_paths, se=ctx.y0_se, extra=extra
@@ -497,12 +470,7 @@ def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
         extra["expected_x0"] = float(check["x0"])
         extra["x0_gap"] = x0_gap
         passed = passed and x0_gap <= 3.0 * bound.x0_se + max(float(check.get("x0_tol", 0.0)), 1e-12)
-    return [
-        analytics.CheckReport(
-            name=report.name, passed=passed, margin=report.margin, tol=report.tol,
-            n_paths=report.n_paths, se=report.se, extra=extra,
-        )
-    ]
+    return [dataclasses.replace(report, passed=passed, extra=extra)]
 
 
 def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -533,12 +501,7 @@ def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport
         extra["y0_gap"] = gap
         extra["y0_gap_error"] = gerr
         passed = passed and gerr <= float(check.get("gap_tol", 1e-10))
-    return [
-        analytics.CheckReport(
-            name=report.name, passed=passed, margin=report.margin, tol=report.tol,
-            n_paths=report.n_paths, se=report.se, extra=extra,
-        )
-    ]
+    return [dataclasses.replace(report, passed=passed, extra=extra)]
 
 
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -704,11 +667,7 @@ def run_experiment(
             scenario["n_paths"] = int(n_paths)
         if seed is not None:
             scenario["seed"] = int(seed)
-        config = ExperimentConfig(
-            name=config.name, description=config.description, scenario=scenario,
-            driver=config.driver, terminal=config.terminal, solver=config.solver,
-            checks=config.checks, output=config.output,
-        )
+        config = dataclasses.replace(config, scenario=scenario)
 
     bundle = build_bundle(config)
     driver = build_driver(config.driver)
@@ -738,8 +697,6 @@ def run_experiment(
     )
 
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{config.name}.report.json"), "w") as fh:
             fh.write(canonical_json(report.to_dict()))

@@ -78,14 +78,20 @@ class BasisSpec:
         return design
 
     def _binned_design(self, w: np.ndarray) -> np.ndarray:
-        # cell edges from sample quantiles of the full cross-section; a
-        # degenerate (constant) state collapses to a single active cell
-        edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, self.bins + 1)[1:-1]))
-        idx = np.searchsorted(edges, w, side="right")
-        n_cells = edges.size + 1
+        idx, n_cells = _quantile_cells(w, self.bins)
         onehot = np.zeros((w.size, n_cells))
         onehot[np.arange(w.size), idx] = 1.0
         return np.concatenate([onehot, onehot * w[:, None]], axis=1)
+
+
+def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
+    """Cell index of every sample and the cell count.
+
+    Cell edges are sample quantiles of the full cross-section; a degenerate
+    (constant) state collapses to a single active cell.
+    """
+    edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, bins + 1)[1:-1]))
+    return np.searchsorted(edges, w, side="right"), edges.size + 1
 
 
 def make_regression(basis: BasisSpec, state: np.ndarray, extra: np.ndarray | None = None):
@@ -100,12 +106,21 @@ def make_regression(basis: BasisSpec, state: np.ndarray, extra: np.ndarray | Non
     return NodeRegression(basis.design(state, extra))
 
 
-class BinnedRegression:
+class _Projection:
+    """What both projection backends share: the residual variance of a fit."""
+
+    def residual_variance(self, targets: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+        t = np.asarray(targets, dtype=float).reshape(self.n_samples, -1)
+        f = np.asarray(fitted, dtype=float).reshape(self.n_samples, -1)
+        dof = max(self.n_samples - self.rank, 1)
+        return np.sum((t - f) ** 2, axis=0) / dof
+
+
+class BinnedRegression(_Projection):
     """Local least squares: intercept + slope within quantile cells of a scalar state.
 
-    The normal matrix is block-diagonal over cells, so fits cost O(n) and the
-    pseudo-inverse is assembled cell by cell in the column order used by
-    ``BasisSpec.design`` (all indicators first, then indicator * w).
+    The normal matrix is block-diagonal over cells, so fits cost O(n) and
+    each cell's 2 x 2 block is pseudo-inverted on its own.
     """
 
     def __init__(self, w: np.ndarray, bins: int):
@@ -114,10 +129,8 @@ class BinnedRegression:
             raise DegenerateBasisError("non-finite values in regression design")
         if w.size == 0:
             raise DegenerateBasisError("empty regression design")
-        edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, bins + 1)[1:-1]))
-        self._idx = np.searchsorted(edges, w, side="right")
+        self._idx, self.n_cells = _quantile_cells(w, bins)
         self._w = w
-        self.n_cells = edges.size + 1
         self.n_samples = w.size
         self.n_features = 2 * self.n_cells
 
@@ -150,29 +163,6 @@ class BinnedRegression:
             out[:, j] = coef[self._idx, 0] + coef[self._idx, 1] * self._w
         return out[:, 0] if squeeze else out
 
-    def residual_variance(self, targets: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-        t = np.asarray(targets, dtype=float).reshape(self.n_samples, -1)
-        f = np.asarray(fitted, dtype=float).reshape(self.n_samples, -1)
-        dof = max(self.n_samples - self.rank, 1)
-        return np.sum((t - f) ** 2, axis=0) / dof
-
-    def xtx_pinv(self) -> np.ndarray:
-        full = np.zeros((self.n_features, self.n_features))
-        C = self.n_cells
-        for k in range(C):
-            block = self._a_pinv[k]
-            full[k, k] = block[0, 0]
-            full[k, C + k] = block[0, 1]
-            full[C + k, k] = block[1, 0]
-            full[C + k, C + k] = block[1, 1]
-        return full
-
-    def pointwise_se(self, sigma2: float) -> np.ndarray:
-        """Standard error of the fitted value at the sample points, O(n)."""
-        p = self._a_pinv[self._idx]
-        quad = p[:, 0, 0] + 2.0 * p[:, 0, 1] * self._w + p[:, 1, 1] * self._w * self._w
-        return np.sqrt(np.maximum(sigma2 * quad, 0.0))
-
     def fit_variance(self, sigma2: float) -> np.ndarray:
         """Variance of the fitted value at the sample points."""
         p = self._a_pinv[self._idx]
@@ -180,7 +170,7 @@ class BinnedRegression:
         return np.maximum(sigma2 * quad, 0.0)
 
 
-class NodeRegression:
+class NodeRegression(_Projection):
     """Projection machinery for one time step, reusable across targets."""
 
     def __init__(self, design: np.ndarray):
@@ -191,15 +181,12 @@ class NodeRegression:
             raise DegenerateBasisError("non-finite values in regression design")
         scale = np.max(np.abs(design), axis=0)
         scale[scale == 0.0] = 1.0
-        u, s, vt = np.linalg.svd(design / scale, full_matrices=False)
+        u, s, _ = np.linalg.svd(design / scale, full_matrices=False)
         keep = s > SVD_RCOND * s[0] if s.size else np.zeros(0, dtype=bool)
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
-        self._scale = scale
         self._u = u[:, keep]
-        self._s = s[keep]
-        self._vt = vt[keep]
         self.n_samples, self.n_features = design.shape
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
@@ -212,18 +199,6 @@ class NodeRegression:
         fitted = self._u @ (self._u.T @ t)
         return fitted[:, 0] if squeeze else fitted
 
-    def residual_variance(self, targets: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-        t = np.asarray(targets, dtype=float).reshape(self.n_samples, -1)
-        f = np.asarray(fitted, dtype=float).reshape(self.n_samples, -1)
-        dof = max(self.n_samples - self.rank, 1)
-        return np.sum((t - f) ** 2, axis=0) / dof
-
-    def xtx_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of X^T X in the original (unscaled) coordinates."""
-        v = self._vt.T / self._s
-        inner = v @ v.T
-        return inner / np.outer(self._scale, self._scale)
-
     def leverage(self) -> np.ndarray:
         """Diagonal of the hat matrix at the sample points."""
         return np.einsum("ij,ij->i", self._u, self._u)
@@ -232,9 +207,3 @@ class NodeRegression:
         """Variance of the fitted value at the sample points."""
         return np.maximum(sigma2 * self.leverage(), 0.0)
 
-
-def pointwise_se(sigma2: float, xtx_pinv: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Standard error of the fitted value at given feature rows."""
-    f = np.atleast_2d(np.asarray(features, dtype=float))
-    quad = np.einsum("ij,jk,ik->i", f, xtx_pinv, f)
-    return np.sqrt(np.maximum(sigma2 * quad, 0.0))

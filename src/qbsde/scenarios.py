@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,14 @@ _CACHE_FORMAT_VERSION = 1
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error (zero for a single value)."""
+    values = np.asarray(values, dtype=float)
+    m = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return m, se
 
 
 @dataclass(frozen=True)
@@ -57,10 +66,6 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    @property
-    def max_step(self) -> float:
-        return float(np.max(self.dt))
-
     def key(self) -> str:
         return hashlib.sha256(self.nodes.tobytes()).hexdigest()[:16]
 
@@ -89,7 +94,7 @@ def build_grid(T: float, n_steps: int, mandatory: list[float] | None = None) -> 
         j = int(np.argmin([abs(t - m) for t in nodes]))
         if abs(nodes[j] - m) <= tol:
             # endpoints stay pinned at 0 and T
-            if 0 < j < len(nodes) - 1:
+            if 0.0 < nodes[j] < T:
                 nodes[j] = m
         else:
             nodes.append(m)
@@ -144,10 +149,6 @@ class ClockSpec:
         v = np.asarray(self.values[1:], dtype=float)
         return float(np.max(v / t))
 
-    def bound(self, T: float) -> float:
-        """Uniform bound K_A on [0, T]."""
-        return float(self.at(np.array([T]))[0])
-
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -158,9 +159,6 @@ class RandomSource:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream)))
-
-    def child(self, *tags: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream) + tags))
 
 
 @dataclass(frozen=True)
@@ -386,7 +384,7 @@ def load_scenario(path) -> ScenarioBundle:
             values=tuple(header["clock"]["values"]),
         )
         a_vals, factor = _factor_from_clock(grid, clock, header["dim_m"])
-        return ScenarioBundle(
+        bundle = ScenarioBundle(
             grid=grid,
             dim_m=header["dim_m"],
             dim_orth=header["dim_orth"],
@@ -398,3 +396,6 @@ def load_scenario(path) -> ScenarioBundle:
             n_paths=header["n_paths"],
             source=RandomSource(seed=header["seed"], stream=header["stream"]),
         )
+    if header.get("cache_key") != bundle.cache_key():
+        raise ValueError(f"scenario cache key {header.get('cache_key')} does not match the stored bundle")
+    return bundle

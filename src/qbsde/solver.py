@@ -20,6 +20,7 @@ construction, and reports monotonicity across levels.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import DriverSpec, ParamSet, TerminalCondition
-from .errors import CapacityError, SolverDivergenceError
-from .regression import BasisSpec, NodeRegression, make_regression, pointwise_se
-from .scenarios import ScenarioBundle
+from .drivers import DriverSpec, TerminalCondition
+from .errors import CapacityError, MomentFailureError, SolverDivergenceError
+from .regression import BasisSpec, NodeRegression, make_regression
+from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 24
 ORACLE_CAPACITY = 4_000_000_000
@@ -50,17 +51,13 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max: int = 50
     implicit: bool = True
-    target_cap: float | None = None
     terminal_feature: bool = True
-    store_diagnostics: bool = True
 
     def __post_init__(self):
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max < 1:
             raise ValueError("picard_max must be at least 1")
-        if self.target_cap is not None and self.target_cap <= 0:
-            raise ValueError("target_cap must be positive when set")
 
     @property
     def basis(self) -> BasisSpec:
@@ -115,13 +112,6 @@ class SolutionField:
         """Per-path running maximum of |Y| over all grid nodes."""
         return np.max(np.abs(self.y), axis=1)
 
-    def y_pointwise_se(self, node: int, rows=None) -> np.ndarray:
-        """Accumulated sampling standard error of the fitted Y at (node, rows)."""
-        rows = slice(None) if rows is None else rows
-        if self.diagnostics is None or node >= self.n_steps:
-            return np.zeros(self.y[rows, 0:1].shape[0])
-        return np.sqrt(self.diagnostics.y_var[rows, node])
-
     def to_csv(self, path, grid_nodes: np.ndarray, max_paths: int | None = None) -> None:
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
         K = self.n_steps
@@ -140,21 +130,42 @@ class SolutionField:
                     fh.write(",".join(row) + "\n")
 
 
+def _make_field(y, z, z_orth, dt, meta, diagnostics=None) -> SolutionField:
+    """SolutionField with the terminal quadratic variations of Z.M and N."""
+    return SolutionField(
+        y=y,
+        z=z,
+        z_orth=z_orth,
+        qv_zm=np.einsum("nkd,nkd,k->n", z, z, dt),
+        qv_n=np.einsum("nkq,nkq,k->n", z_orth, z_orth, dt),
+        meta=meta,
+        diagnostics=diagnostics,
+    )
+
+
 def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig, tag: str) -> str:
     payload = json.dumps(
         {
             "tag": tag,
             "bundle": bundle.cache_key(),
             "driver": driver.name,
+            "options": driver.options,
             "params": [driver.params.gamma, driver.params.beta, driver.params.beta_bar,
                        driver.params.beta_f, driver.params.c_A],
             "xi": xi.tag,
-            "solver": [config.degree, config.picard_tol, config.picard_max,
-                       config.implicit, config.target_cap, config.terminal_feature],
+            "solver": dataclasses.asdict(config),
         },
         sort_keys=True,
+        default=repr,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _increment_z(reg, resid, dm_i, dorth_i, scale):
+    """(Z, Z_orth) on one step: projections of resid * (dM, dW_orth), divided by scale."""
+    fitted = reg.fit(resid[:, None] * np.concatenate([dm_i, dorth_i], axis=1))
+    d = dm_i.shape[1]
+    return fitted[:, :d] / scale, fitted[:, d:] / scale
 
 
 def _picard_solve(ey, z, half_qv, driver, bundle, i, dA_i, config):
@@ -213,7 +224,7 @@ def solve_backward(
     z = np.zeros((n, K, d))
     z_orth = np.zeros((n, K, q))
     sigma2_y = np.zeros(K)
-    y_var = np.zeros((n, K + 1)) if config.store_diagnostics else None
+    y_var = np.zeros((n, K + 1))
     max_features = 0
 
     for i in range(K - 1, -1, -1):
@@ -221,16 +232,8 @@ def solve_backward(
         extra = feature_fn(state) if feature_fn is not None else None
         reg = make_regression(basis, state, extra)
         target = y[:, i + 1]
-        if config.target_cap is not None:
-            target = np.clip(target, -config.target_cap, config.target_cap)
         ey = reg.fit(target)
-        resid = target - ey
-
-        incr_targets = resid[:, None] * np.concatenate([dm[:, i, :], dorth[:, i, :]], axis=1)
-        fitted = reg.fit(incr_targets)
-        z[:, i, :] = fitted[:, :d] / dt[i]
-        if q:
-            z_orth[:, i, :] = fitted[:, d:] / dt[i]
+        z[:, i, :], z_orth[:, i, :] = _increment_z(reg, target - ey, dm[:, i, :], dorth[:, i, :], dt[i])
 
         half_qv = 0.5 * np.einsum("nq,nq->n", z_orth[:, i, :], z_orth[:, i, :]) * dt[i] if q else 0.0
         if dA[i] > 0:
@@ -238,32 +241,19 @@ def solve_backward(
         else:
             y[:, i] = ey + half_qv
 
-        if config.store_diagnostics:
-            sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
-            max_features = max(max_features, reg.n_features)
-            # first-order error propagation: this node's fit variance plus
-            # the smoothed variance inherited from later steps, amplified by
-            # the implicit-step contraction factor
-            inherited = np.maximum(reg.fit(y_var[:, i + 1]), 0.0)
-            amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
-            y_var[:, i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
+        sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
+        max_features = max(max_features, reg.n_features)
+        # first-order error propagation: this node's fit variance plus
+        # the smoothed variance inherited from later steps, amplified by
+        # the implicit-step contraction factor
+        inherited = np.maximum(reg.fit(y_var[:, i + 1]), 0.0)
+        amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
+        y_var[:, i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
 
-    diagnostics = None
-    if config.store_diagnostics:
-        diagnostics = SolverDiagnostics(
-            sigma2_y=sigma2_y,
-            y_var=y_var,
-            basis=basis,
-            max_features=max_features,
-        )
-    return SolutionField(
-        y=y,
-        z=z,
-        z_orth=z_orth,
-        qv_zm=np.einsum("nkd,nkd,k->n", z, z, dt),
-        qv_n=np.einsum("nkq,nkq,k->n", z_orth, z_orth, dt),
+    return _make_field(
+        y, z, z_orth, dt,
         meta={"solver": "regression", "config_hash": _config_hash(bundle, driver, xi, config, "regression")},
-        diagnostics=diagnostics,
+        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var, basis=basis, max_features=max_features),
     )
 
 
@@ -273,7 +263,6 @@ def y0_with_se(
     xi: TerminalCondition,
     config: SolverConfig | None = None,
     n_batches: int = 8,
-    solver=None,
 ) -> tuple[float, float, list[float]]:
     """Y_0 estimate with a standard error from disjoint path batches.
 
@@ -281,15 +270,13 @@ def y0_with_se(
     regression noise accumulated over all backward steps.
     """
     config = config or SolverConfig()
-    solver = solver or solve_backward
     k = max(1, min(n_batches, bundle.n_paths))
     edges = np.linspace(0, bundle.n_paths, k + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sub = bundle.slice_paths(int(lo), int(hi))
-        vals.append(solver(sub, driver, xi, config).y0)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+        vals.append(solve_backward(sub, driver, xi, config).y0)
+    mean, se = mean_se(vals)
     return mean, se, vals
 
 
@@ -334,7 +321,7 @@ class _OracleRun:
 
         y = np.empty(n)
         z = np.zeros((n, self.d)) if want_z else None
-        zo = np.zeros((n, self.q)) if self.q else None
+        zo = np.zeros((n, self.q))
         se = np.zeros(n) if want_se else None
         chunk = max(1, ORACLE_CHUNK_BUDGET // self.b)
         dt_i = float(self.bundle.dt[i])
@@ -410,34 +397,22 @@ def nested_mc_oracle(
 
     for i in range(K):
         states = bundle.state(i)
-        if np.all(states == states[0]):
-            yy, zz, oo, se = run.value(i, states[:1], want_z=True, want_se=True)
-            y[:, i] = yy[0]
-            z[:, i, :] = zz[0]
-            if q:
-                z_orth[:, i, :] = oo[0]
-            if i == 0:
-                y0_se = float(se[0])
-        else:
-            yy, zz, oo, _ = run.value(i, states, want_z=True)
-            y[:, i] = yy
-            z[:, i, :] = zz
-            if q:
-                z_orth[:, i, :] = oo
+        # a node where every path sits at one state is resimulated once
+        shared = bool(np.all(states == states[0]))
+        y[:, i], z[:, i, :], z_orth[:, i, :], se = run.value(
+            i, states[:1] if shared else states, want_z=True, want_se=shared
+        )
+        if i == 0 and shared:
+            y0_se = float(se[0])
 
-    return SolutionField(
-        y=y,
-        z=z,
-        z_orth=z_orth,
-        qv_zm=np.einsum("nkd,nkd,k->n", z, z, bundle.dt),
-        qv_n=np.einsum("nkq,nkq,k->n", z_orth, z_orth, bundle.dt),
+    return _make_field(
+        y, z, z_orth, bundle.dt,
         meta={
             "solver": "nested_mc",
             "branching": branching,
             "y0_se": y0_se,
             "config_hash": _config_hash(bundle, driver, xi, config, f"nested_mc:{branching}"),
         },
-        diagnostics=None,
     )
 
 
@@ -458,8 +433,6 @@ def exponential_transform_reference(
     conditional expectation is in closed form; otherwise e^{gamma xi} is
     projected on the solver's polynomial basis node by node.
     """
-    from .errors import MomentFailureError
-
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n, K, d, q = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m, bundle.dim_orth
@@ -492,23 +465,13 @@ def exponential_transform_reference(
             m_hat = reg.fit(u)
             if np.any(m_hat <= 0):
                 raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
-            resid = u - m_hat
-            fitted = reg.fit(resid[:, None] * np.concatenate([dm[:, i, :], dorth[:, i, :]], axis=1))
             y[:, i] = np.log(m_hat) / gamma
-            z[:, i, :] = fitted[:, :d] / (dt[i] * gamma * m_hat[:, None])
-            if q:
-                z_orth[:, i, :] = fitted[:, d:] / (dt[i] * gamma * m_hat[:, None])
+            z[:, i, :], z_orth[:, i, :] = _increment_z(
+                reg, u - m_hat, dm[:, i, :], dorth[:, i, :], dt[i] * gamma * m_hat[:, None]
+            )
         meta = {"solver": "exponential_transform", "closed_form": False}
 
-    return SolutionField(
-        y=np.ascontiguousarray(y),
-        z=np.ascontiguousarray(z),
-        z_orth=np.ascontiguousarray(z_orth),
-        qv_zm=np.einsum("nkd,nkd,k->n", z, z, bundle.dt),
-        qv_n=np.einsum("nkq,nkq,k->n", z_orth, z_orth, bundle.dt),
-        meta=meta,
-        diagnostics=None,
-    )
+    return _make_field(np.ascontiguousarray(y), np.ascontiguousarray(z), np.ascontiguousarray(z_orth), bundle.dt, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +501,6 @@ def _gated_driver(driver: DriverSpec, bundle: ScenarioBundle, level: float) -> t
     elif base_alpha is not None:
         gated_params["alpha_fn"] = lambda t: gate(t) * float(base_alpha(t))
 
-    import dataclasses
-
     gated = dataclasses.replace(
         driver,
         name=f"{driver.name}|gate<= {level:g}",
@@ -566,15 +527,11 @@ class TruncationLadder:
 
     levels: tuple[float, ...]
     fields: tuple[SolutionField, ...]
-    terminals: tuple[TerminalCondition, ...]
     alpha_l1: tuple[float, ...]
 
     def pointwise_se(self, level_index: int) -> np.ndarray:
         """Per-(path, node) accumulated standard error of one level's Y estimate."""
-        f = self.fields[level_index]
-        if f.diagnostics is None:
-            return np.zeros_like(f.y)
-        return np.sqrt(f.diagnostics.y_var)
+        return np.sqrt(self.fields[level_index].diagnostics.y_var)
 
     def monotonicity_report(self, tol: float = 0.0, use_se: bool = True) -> dict:
         """Fraction of (node, path) points violating y_n <= y_m + tol for n <= m.
@@ -619,7 +576,6 @@ def solve_ladder(
     """
     config = config or SolverConfig()
     fields = []
-    terminals = []
     alphas = []
     for level in levels:
         if level <= 0:
@@ -627,11 +583,9 @@ def solve_ladder(
         gated, a1 = _gated_driver(driver, bundle, float(level))
         xi_n = _truncated_terminal(xi, float(level))
         fields.append(solve_backward(bundle, gated, xi_n, config, feature_source=xi))
-        terminals.append(xi_n)
         alphas.append(a1)
     return TruncationLadder(
         levels=tuple(float(v) for v in levels),
         fields=tuple(fields),
-        terminals=tuple(terminals),
         alpha_l1=tuple(alphas),
     )

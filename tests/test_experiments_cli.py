@@ -174,12 +174,17 @@ class TestCli:
         assert proc.returncode == 0
         assert "tiny" in proc.stdout
 
-    def test_validate_bad_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("old, new, where", [
+        ("zero", "frob", "driver"),
+        ("seed: 1}", "seed: 1, clock: {kind: piecewise, times: [0.0], values: [0.0]}}", "scenario: "),
+    ], ids=["unknown-driver", "one-point-clock"])
+    def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
-        path.write_text(MINIMAL.replace("zero", "frob"))
+        path.write_text(MINIMAL.replace(old, new))
         proc = run_cli("validate", str(path))
         assert proc.returncode == 2
-        assert "driver" in proc.stderr
+        assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_pass_exit_0(self, tmp_path):
         path = tmp_path / "ok.yaml"

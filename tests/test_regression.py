@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbsde.errors import DegenerateBasisError
-from qbsde.regression import BasisSpec, BinnedRegression, NodeRegression, make_regression, pointwise_se
+from qbsde.regression import BasisSpec, BinnedRegression, NodeRegression, make_regression
 
 
 def test_poly_design_columns():
@@ -49,14 +49,13 @@ def test_pointwise_se_matches_sampling_spread(rng):
     # value at a fixed point should match the OLS formula
     state = rng.normal(size=(2000, 1))
     basis = BasisSpec(degree=2)
-    design = basis.design(state)
-    reg = NodeRegression(design)
+    reg = NodeRegression(basis.design(state))
     fits = []
     for _ in range(300):
         t = rng.normal(size=2000)
         fits.append(reg.fit(t)[0])
     sig2 = 1.0
-    se = pointwise_se(sig2, reg.xtx_pinv(), design[:1])[0]
+    se = np.sqrt(reg.fit_variance(sig2))[0]
     assert np.std(fits) == pytest.approx(se, rel=0.2)
 
 

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbsde as q
@@ -39,6 +39,7 @@ def test_grid_rejects_bad_arguments(bad):
     n=st.integers(1, 40),
     extra=st.lists(st.floats(0.0, 1.0), max_size=4),
 )
+@example(T=1.0, n=1, extra=[0.5, 0.9999999999999999])
 def test_grid_properties(T, n, extra):
     mandatory = [e * T for e in extra]
     grid = q.build_grid(T, n, mandatory)
@@ -167,7 +168,9 @@ def test_scenario_cache_roundtrip(tmp_path):
     assert loaded.cache_key() == b.cache_key()
 
 
-def test_cache_rejects_unknown_version(tmp_path):
+@pytest.mark.parametrize("key, value, match", [("format_version", 99, "version"), ("cache_key", "0" * 16, "cache key")],
+                         ids=["format_version", "cache_key"])
+def test_cache_rejects_unknown_version(tmp_path, key, value, match):
     import json
 
     b = q.simulate_scenario(q.build_grid(1.0, 3), 1, 0, 8, source=q.RandomSource(2))
@@ -175,11 +178,11 @@ def test_cache_rejects_unknown_version(tmp_path):
     q.save_scenario(b, path)
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
-        header["format_version"] = 99
+        header[key] = value
         arrays = {k: data[k] for k in data.files}
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match=match):
         q.load_scenario(path)
 
 

@@ -241,6 +241,16 @@ class TestOutputs:
         f2 = q.solve_backward(bundle_1d, drv, xi)
         assert f1.meta["config_hash"] == f2.meta["config_hash"]
 
+    def test_config_hash_covers_driver_options_and_basis(self):
+        bundle = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 2000, source=q.RandomSource(3))
+        xi = q.terminal_constant(0.0, 1)
+        by_n = {q.solve_backward(bundle, q.make_builtin("step_family", {"n": n}), xi).meta["config_hash"]
+                for n in (1, 2)}
+        by_basis = {q.solve_backward(bundle, q.make_builtin("zero"), xi,
+                                     q.SolverConfig(basis_kind=kind, terminal_feature=False)).meta["config_hash"]
+                    for kind in ("poly", "binned")}
+        assert len(by_n) == 2 and len(by_basis) == 2
+
     def test_y0_with_se_deterministic_problem(self, bundle_1d):
         y0, se, vals = q.y0_with_se(bundle_1d, q.make_builtin("constant", {"value": 1.0}),
                                     q.terminal_constant(0.0, 1))
