@@ -146,9 +146,13 @@ class TerminalCondition:
 
     def evaluate(self, terminal_state: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.fn(np.atleast_2d(terminal_state)), dtype=float)
+        self.require_finite(vals)
+        return vals
+
+    def require_finite(self, vals: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every value of xi is finite."""
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"terminal condition {self.tag!r} is not finite on every path")
-        return vals
 
 
 def terminal_constant(value: float, dim_state: int = 1) -> TerminalCondition:
@@ -160,13 +164,28 @@ def terminal_constant(value: float, dim_state: int = 1) -> TerminalCondition:
     )
 
 
+def _affine(a0: float, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a0 + s . a, summed column by column in the caller's float width.
+
+    Elementwise passes avoid BLAS: a BLAS product started from several
+    oracle worker threads oversubscribes the cores with BLAS threads, and
+    an einsum contraction over a short last axis is slow for d >= 2."""
+    if s.shape[1] != a.size:
+        raise ValueError(f"terminal slope has {a.size} entries, state has {s.shape[1]} columns")
+    a = a.astype(s.dtype, copy=False)
+    v = s[:, 0] * a[0]
+    for j in range(1, a.size):
+        v += s[:, j] * a[j]
+    return a0 + v
+
+
 def terminal_affine(intercept: float, slope) -> TerminalCondition:
     a0 = float(intercept)
     a = np.asarray(slope, dtype=float).ravel()
     # evaluating in the caller's float width keeps the resimulation oracle
     # in single precision end to end
     return TerminalCondition(
-        fn=lambda s: a0 + s @ a.astype(s.dtype, copy=False),
+        fn=lambda s: _affine(a0, a, s),
         tag=f"affine({a0}, {a.tolist()})",
         affine=(a0, a),
     )
@@ -176,7 +195,7 @@ def terminal_abs(intercept: float, slope) -> TerminalCondition:
     a0 = float(intercept)
     a = np.asarray(slope, dtype=float).ravel()
     return TerminalCondition(
-        fn=lambda s: np.abs(a0 + s @ a.astype(s.dtype, copy=False)),
+        fn=lambda s: np.abs(_affine(a0, a, s)),
         tag=f"abs({a0}, {a.tolist()})",
         affine=(a0, a),
         folded=True,

@@ -222,3 +222,20 @@ class TestMoments:
         xi = q.terminal_affine(0.1, [0.5])
         rep = q.exponential_moment_estimate(xi, ParamSet(gamma=1.0), bundle_1d, 1.5)
         assert rep.estimate >= 1.0
+
+
+class TestAffineTerminals:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), a0=st.floats(-2.0, 2.0), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    def test_matches_dot_product_in_caller_width(self, d, a0, dtype, data):
+        slope = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+        s = np.random.default_rng(d).standard_normal((50, d)).astype(dtype)
+        v = q.terminal_affine(a0, slope).fn(s)
+        assert v.dtype == dtype
+        assert np.allclose(v, a0 + s.astype(float) @ np.asarray(slope), rtol=1e-5, atol=1e-5)
+        assert np.array_equal(q.terminal_abs(a0, slope).fn(s), np.abs(v))
+
+    def test_slope_must_match_state(self):
+        with pytest.raises(ValueError, match="slope has 1 entries, state has 2"):
+            q.terminal_affine(0.0, [1.0]).fn(np.zeros((3, 2)))

@@ -1,10 +1,14 @@
 """Nested Monte Carlo oracle on tiny grids (the 3-step cross-checks against
 the regression solver run in the acceptance suite)."""
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
 import qbsde as q
+from qbsde import solver
 from qbsde.errors import CapacityError
 
 
@@ -47,13 +51,54 @@ def test_preconditions():
         q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1000, capacity=10**5)
 
 
-def test_reproducible_given_source():
-    b = small_bundle(2, 5)
+def test_reproducible_given_source(monkeypatch):
+    """Draws are keyed by tree position, so repeating, re-chunking or threading
+    the work reproduces the field bit for bit (a call-order seed moved Y0 by
+    0.002 on the first case)."""
     drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
-    f1 = q.nested_mc_oracle(b, drv, q.terminal_affine(0.0, [1.0]), branching=1000)
-    f2 = q.nested_mc_oracle(b, drv, q.terminal_affine(0.0, [1.0]), branching=1000)
-    assert np.array_equal(f1.y, f2.y)
-    assert np.array_equal(f1.z, f2.z)
+    for slope in ([1.0], [1.0, 0.5]):
+        b = q.simulate_scenario(q.build_grid(1.0, 2), 1, len(slope) - 1, 32, source=q.RandomSource(5))
+        xi = q.terminal_affine(0.0, slope)
+        fields = []
+        # 2^16 leaves: 16 first-level chunks spread over the pool; 2^20: one chunk
+        for budget in (1 << 16, 1 << 20):
+            for workers in (1, 2):
+                monkeypatch.setattr(solver, "ORACLE_CHUNK_BUDGET", budget)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, w=workers: set(range(w)))
+                fields.append(q.nested_mc_oracle(b, drv, xi, branching=1000))
+        ref = fields[0]
+        for field in fields[1:]:
+            assert np.array_equal(field.y, ref.y)
+            assert np.array_equal(field.z, ref.z)
+            assert np.array_equal(field.z_orth, ref.z_orth)
+            assert field.meta["y0_se"] == ref.meta["y0_se"]
+
+
+def test_root_nodes_draw_distinct_branches():
+    """The estimates at nodes 0 and 1 both resimulate node 1 to node 2; the
+    draws are keyed by the root node, so they never share branches."""
+    b = small_bundle(2, 5)
+    runs = [solver._OracleRun(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), 1000, q.SolverConfig(), root=i)
+            for i in (0, 1)]
+    assert not np.array_equal(runs[0]._normals(1, 0, 1), runs[1]._normals(1, 0, 1))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float32_overflow_of_terminal_raises():
+    """1e39 is finite in float64 but not in the oracle's float32 leaves."""
+    b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 4, source=q.RandomSource(7))
+    with pytest.raises(ValueError, match="not finite"):
+        q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_constant(1e39, 1), branching=1000)
+
+
+def test_progress_logged_per_root_node(caplog):
+    b = small_bundle(2, 5)
+    with caplog.at_level(logging.DEBUG, logger="qbsde.solver"):
+        q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), branching=1000)
+    lines = [r.getMessage() for r in caplog.records if r.name == "qbsde.solver"]
+    assert len(lines) == 2
+    assert lines[0].startswith("oracle node 0: 1 states, 1000000 leaves")
+    assert lines[1].startswith("oracle node 1: 32 states, 32000 leaves")
 
 
 def test_agreement_with_regression_on_two_steps():

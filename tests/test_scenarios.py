@@ -1,4 +1,6 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -166,6 +168,35 @@ def test_scenario_cache_roundtrip(tmp_path):
     assert np.array_equal(loaded.grid.nodes, b.grid.nodes)
     assert loaded.clock == b.clock
     assert loaded.cache_key() == b.cache_key()
+
+
+def _piecewise_clocks():
+    steps = st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
+    return steps.map(lambda incs: q.ClockSpec(
+        "piecewise",
+        times=tuple(np.concatenate([[0.0], np.cumsum([dt for dt, _ in incs])]).tolist()),
+        values=tuple(np.concatenate([[0.0], np.cumsum([da for _, da in incs])]).tolist()),
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    stream=st.integers(0, 1000),
+    steps=st.integers(1, 6),
+    dims=st.tuples(st.integers(1, 2), st.integers(0, 2)),
+    n_paths=st.integers(1, 16),
+    clock=st.one_of(st.just(q.ClockSpec()), st.floats(0.1, 4.0).map(lambda r: q.ClockSpec("scaled", rate=r)),
+                    _piecewise_clocks()),
+)
+def test_cache_roundtrip_keeps_key(seed, stream, steps, dims, n_paths, clock):
+    b = q.simulate_scenario(q.build_grid(1.0, steps), *dims, n_paths, clock=clock, source=q.RandomSource(seed, stream))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bundle.npz")
+        q.save_scenario(b, path)
+        loaded = q.load_scenario(path)
+    assert loaded.cache_key() == b.cache_key()
+    assert np.array_equal(loaded.m_paths, b.m_paths)
 
 
 @pytest.mark.parametrize("key, value, match", [("format_version", 99, "version"), ("cache_key", "0" * 16, "cache key")],

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbsde as q
 from qbsde.drivers import ParamSet
 from qbsde.errors import MomentFailureError, SolverDivergenceError
+from qbsde.solver import _config_hash
 
 
 def linear_driver(a, b0, alpha0=None):
@@ -257,3 +260,50 @@ class TestOutputs:
         assert y0 == pytest.approx(1.0, abs=1e-12)
         assert se < 1e-12
         assert len(vals) == 8
+
+
+# ---------------------------------------------------------------------------
+# content-addressed solution identities
+# ---------------------------------------------------------------------------
+
+_HASH_BUNDLE = q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, source=q.RandomSource(11))
+_HASH_XI = q.terminal_affine(0.0, [1.0])
+
+_SOLVER_FIELDS = {
+    "degree": st.integers(1, 6),
+    "basis_kind": st.sampled_from(["poly", "binned"]),
+    "bins": st.integers(2, 64),
+    "picard_tol": st.floats(1e-14, 1e-2),
+    "picard_max": st.integers(1, 100),
+    "implicit": st.booleans(),
+    "terminal_feature": st.booleans(),
+}
+
+_DRIVER_OPTIONS = {
+    "constant": ("value", st.floats(-10.0, 10.0)),
+    "step_family": ("n", st.floats(0.1, 10.0)),
+    "pure_quadratic": ("gamma", st.floats(0.1, 10.0)),
+}
+
+
+def _solver_hash(config, driver=None):
+    return _config_hash(_HASH_BUNDLE, driver or q.make_builtin("zero"), _HASH_XI, config, "regression")
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.builds(q.SolverConfig, **_SOLVER_FIELDS), name=st.sampled_from(sorted(_SOLVER_FIELDS)), data=st.data())
+def test_config_hash_separates_solver_configs(base, name, data):
+    other = dataclasses.replace(base, **{name: data.draw(_SOLVER_FIELDS[name])})
+    assert (_solver_hash(other) == _solver_hash(base)) == (other == base)
+
+
+@pytest.mark.parametrize("name", sorted(_DRIVER_OPTIONS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_hash_separates_driver_options(name, data):
+    key, values = _DRIVER_OPTIONS[name]
+    u = data.draw(values)
+    v = data.draw(values.filter(lambda x: x != u))
+    config = q.SolverConfig()
+    assert (_solver_hash(config, q.make_builtin(name, {key: u}))
+            != _solver_hash(config, q.make_builtin(name, {key: v})))
