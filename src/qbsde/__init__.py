@@ -68,9 +68,9 @@ from .scenarios import (
     build_grid,
     coarsen_bundle,
     load_scenario,
-    quadratic_variation,
     save_scenario,
     simulate_scenario,
+    stochastic_integral,
 )
 from .solver import (
     SolutionField,

@@ -16,7 +16,7 @@ from scipy.stats import chi2, norm
 from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
-from .scenarios import ScenarioBundle, mean_se
+from .scenarios import ScenarioBundle, mean_se, stochastic_integral
 from .solver import SolutionField
 
 
@@ -127,9 +127,8 @@ def apriori_bound(
             raise ValueError("closed-form bound needs an affine terminal condition")
         a0, a = xi.affine
         a = np.broadcast_to(np.asarray(a, dtype=float), (bundle.dim_m + bundle.dim_orth,))
-        states = np.concatenate([bundle.m_paths, bundle.orth_paths], axis=2)
         for i in range(K):
-            mean = a0 + states[:, i, :] @ a
+            mean = a0 + bundle.state(i) @ a
             var = float(a @ a) * (T - nodes[i])
             x[:, i] = np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
     elif mode == "regression":
@@ -232,7 +231,7 @@ def norm_bound_checks(
         lhs1 = np.exp(p * gamma * solution.sup_abs_y())
         rhs1 = np.exp(p * gamma * math.exp(bstar * T) * base)
         rhs2 = np.exp(4.0 * p * gamma * math.exp(bstar * T) * base)
-    lhs2 = (solution.qv_zm + solution.qv_n) ** (p / 2.0)
+    lhs2 = stochastic_integral(bundle, solution.integrand)[1] ** (p / 2.0)
 
     if not (np.all(np.isfinite(rhs1)) and np.all(np.isfinite(lhs1))):
         raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
@@ -392,7 +391,6 @@ def stability_metrics(
         raise GridMismatchError("stability metrics require fields on the same bundle")
     K = bundle.grid.n_steps
     dA = bundle.dA
-    dt = bundle.dt
 
     hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
     for i in range(K):
@@ -406,10 +404,7 @@ def stability_metrics(
     sup_gap = np.max(np.abs(solution_n.y - solution_0.y), axis=1)
     with np.errstate(over="ignore"):
         exp_sup = np.exp(p * sup_gap)
-    dz = solution_n.z - solution_0.z
-    dzo = solution_n.z_orth - solution_0.z_orth
-    mart = np.einsum("nkd,nkd,k->n", dz, dz, dt) + np.einsum("nkq,nkq,k->n", dzo, dzo, dt)
-    mart_p = mart ** (p / 2.0)
+    mart_p = stochastic_integral(bundle, solution_n.integrand - solution_0.integrand)[1] ** (p / 2.0)
 
     h_m, h_se = mean_se(hyp)
     e_m, e_se = mean_se(exp_sup)
@@ -452,10 +447,8 @@ def stochastic_exponential_mean(
     q: float,
 ) -> ExpMartingaleEstimate:
     """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
-    integral = np.einsum("nkd,nkd->n", solution.z, bundle.dm) + np.einsum(
-        "nkq,nkq->n", solution.z_orth, bundle.dorth
-    )
-    log_e = q * integral - 0.5 * q * q * (solution.qv_zm + solution.qv_n)
+    integral, qv = stochastic_integral(bundle, solution.integrand)
+    log_e = q * integral - 0.5 * q * q * qv
     with np.errstate(over="ignore"):
         vals = np.exp(log_e)
     overflow = int(np.count_nonzero(~np.isfinite(vals)))
@@ -512,14 +505,7 @@ def kazamaki_statistic(
     if nodes and (nodes[0] < 0 or nodes[-1] > K):
         raise ValueError("stopping nodes must be grid node indices")
 
-    incr = np.einsum("nkd,nkd->nk", solution.z, bundle.dm) + np.einsum("nkq,nkq->nk", solution.z_orth, bundle.dorth)
-    qv_incr = (
-        np.einsum("nkd,nkd->nk", solution.z, solution.z) + np.einsum("nkq,nkq->nk", solution.z_orth, solution.z_orth)
-    ) * bundle.dt[None, :]
-    mt = np.zeros((bundle.n_paths, K + 1))
-    qv = np.zeros((bundle.n_paths, K + 1))
-    np.cumsum(q_tilde * incr, axis=1, out=mt[:, 1:])
-    np.cumsum(q_tilde**2 * qv_incr, axis=1, out=qv[:, 1:])
+    mt, qv = stochastic_integral(bundle, q_tilde * solution.integrand, running=True)
 
     means, ses = [], []
     finite = True

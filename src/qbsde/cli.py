@@ -82,6 +82,12 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
+    if args.command == "run":
+        # a bad override exits 2 here, not with a traceback from the solver
+        if args.paths is not None and args.paths < 1:
+            p_run.error(f"--paths must be at least 1, got {args.paths}")
+        if args.seed is not None and args.seed < 0:
+            p_run.error(f"--seed must be at least 0, got {args.seed}")
     return args.func(args)
 
 

@@ -101,8 +101,8 @@ _SCHEMA = {
                 "dim_m": {"type": "integer", "minimum": 1},
                 "dim_orth": {"type": "integer", "minimum": 0},
                 "n_paths": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "stream": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
+                "stream": {"type": "integer", "minimum": 0},
                 "mandatory_nodes": {"type": "array", "items": {"type": "number"}},
                 "clock": {
                     "type": "object",

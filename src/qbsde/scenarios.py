@@ -10,6 +10,7 @@ factor.  Orthogonal noise is carried by extra independent Brownian components.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from .errors import CapacityError
 # Hard ceiling on n_paths * n_nodes * n_components for a single bundle.
 DEFAULT_CAPACITY = 200_000_000
 
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -163,33 +164,53 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """Simulated paths of the driving martingale and orthogonal noise on a grid.
+    """Simulated paths of the driving martingale M and the orthogonal noise W_orth on a grid.
 
-    ``m_paths`` has shape (n_paths, K+1, dim_m) with M_0 = 0;
-    ``orth_paths`` has shape (n_paths, K+1, dim_orth).
-    ``factor_b[i]`` is the factor matrix on step [t_i, t_{i+1}); the terminal
-    slot repeats the last step.  Bundles are immutable after construction.
+    ``states`` is the only stored copy of the paths: the (M, W_orth) values,
+    node-major, shape (K+1, n_paths, dim_m + dim_orth), with M_0 = W_orth_0 = 0.
+    ``state(i)`` is the contiguous view ``states[i]``; ``m_paths``
+    (n_paths, K+1, dim_m) and ``orth_paths`` (n_paths, K+1, dim_orth) are
+    read-only path-major views of it.  ``increments`` (K, n_paths,
+    dim_m + dim_orth) is a new array on every access.  ``clock_values`` and
+    ``factor_b`` are derived from ``clock`` on construction; ``factor_b[i]`` is
+    the factor matrix on step [t_i, t_{i+1}) and the terminal slot repeats the
+    last step.  ``first_path`` is the index, among the paths drawn from
+    ``source``, of the first path held, so a slice keeps its own identity.
+    Bundles are immutable after construction.
     """
 
     grid: TimeGrid
     dim_m: int
-    dim_orth: int
-    m_paths: np.ndarray
-    orth_paths: np.ndarray
+    states: np.ndarray
     clock: ClockSpec
-    clock_values: np.ndarray
-    factor_b: np.ndarray
-    n_paths: int
     source: RandomSource
+    first_path: int = 0
+    clock_values: np.ndarray = field(init=False, repr=False, compare=False)
+    factor_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        K = self.grid.n_steps
-        if self.m_paths.shape != (self.n_paths, K + 1, self.dim_m):
-            raise ValueError("m_paths shape mismatch")
-        if self.orth_paths.shape != (self.n_paths, K + 1, self.dim_orth):
-            raise ValueError("orth_paths shape mismatch")
-        for name in ("m_paths", "orth_paths", "clock_values", "factor_b"):
-            _freeze(getattr(self, name))
+        if self.states.ndim != 3 or self.states.shape[0] != self.grid.n_steps + 1 or self.states.shape[2] < self.dim_m:
+            raise ValueError(f"states shape {self.states.shape} does not match the grid and dim_m")
+        _freeze(self.states)
+        a_vals, factor = _factor_from_clock(self.grid, self.clock, self.dim_m)
+        object.__setattr__(self, "clock_values", _freeze(a_vals))
+        object.__setattr__(self, "factor_b", _freeze(factor))
+
+    @property
+    def n_paths(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def dim_orth(self) -> int:
+        return self.states.shape[2] - self.dim_m
+
+    @property
+    def m_paths(self) -> np.ndarray:
+        return self.states[:, :, : self.dim_m].transpose(1, 0, 2)
+
+    @property
+    def orth_paths(self) -> np.ndarray:
+        return self.states[:, :, self.dim_m :].transpose(1, 0, 2)
 
     @property
     def dt(self) -> np.ndarray:
@@ -200,42 +221,28 @@ class ScenarioBundle:
         return np.diff(self.clock_values)
 
     @property
-    def dm(self) -> np.ndarray:
-        """Driving increments, shape (n_paths, K, dim_m)."""
-        return np.diff(self.m_paths, axis=1)
-
-    @property
-    def dorth(self) -> np.ndarray:
-        return np.diff(self.orth_paths, axis=1)
+    def increments(self) -> np.ndarray:
+        """(dM, dW_orth) on every step, shape (K, n_paths, dim_m + dim_orth)."""
+        return np.diff(self.states, axis=0)
 
     def state(self, i: int) -> np.ndarray:
-        """Markov state at node i: concatenated (M, W_orth) values, (n_paths, dim_m+dim_orth)."""
-        return np.concatenate([self.m_paths[:, i, :], self.orth_paths[:, i, :]], axis=1)
+        """Markov state (M, W_orth) at node i, shape (n_paths, dim_m + dim_orth)."""
+        return self.states[i]
 
     @property
     def terminal_state(self) -> np.ndarray:
-        return self.state(self.grid.n_steps)
+        return self.states[-1]
 
     def slice_paths(self, lo: int, hi: int) -> "ScenarioBundle":
         """Read-only sub-bundle over a contiguous path block."""
-        return ScenarioBundle(
-            grid=self.grid,
-            dim_m=self.dim_m,
-            dim_orth=self.dim_orth,
-            m_paths=self.m_paths[lo:hi],
-            orth_paths=self.orth_paths[lo:hi],
-            clock=self.clock,
-            clock_values=self.clock_values,
-            factor_b=self.factor_b,
-            n_paths=hi - lo,
-            source=self.source,
-        )
+        return dataclasses.replace(self, states=self.states[:, lo:hi], first_path=self.first_path + lo)
 
     def cache_key(self) -> str:
         payload = json.dumps(
             {
                 "seed": self.source.seed,
                 "stream": self.source.stream,
+                "first_path": self.first_path,
                 "grid": self.grid.key(),
                 "dim_m": self.dim_m,
                 "dim_orth": self.dim_orth,
@@ -290,22 +297,9 @@ def simulate_scenario(
     rng = source.generator()
     incr = rng.standard_normal((n_paths, K, dim_m + dim_orth))
     incr *= np.sqrt(grid.dt)[None, :, None]
-    paths = np.zeros((n_paths, K + 1, dim_m + dim_orth))
-    np.cumsum(incr, axis=1, out=paths[:, 1:, :])
-
-    a_vals, factor = _factor_from_clock(grid, clock, dim_m)
-    return ScenarioBundle(
-        grid=grid,
-        dim_m=dim_m,
-        dim_orth=dim_orth,
-        m_paths=np.ascontiguousarray(paths[:, :, :dim_m]),
-        orth_paths=np.ascontiguousarray(paths[:, :, dim_m:]),
-        clock=clock,
-        clock_values=a_vals,
-        factor_b=factor,
-        n_paths=n_paths,
-        source=source,
-    )
+    states = np.zeros((K + 1, n_paths, dim_m + dim_orth))
+    np.cumsum(incr.transpose(1, 0, 2), axis=0, out=states[1:])
+    return ScenarioBundle(grid=grid, dim_m=dim_m, states=states, clock=clock, source=source)
 
 
 def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBundle:
@@ -314,35 +308,31 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
     Every coarse node must already be a node of the fine grid.
     """
     idx = np.array([bundle.grid.index_of(t) for t in coarse_grid.nodes])
-    a_vals, factor = _factor_from_clock(coarse_grid, bundle.clock, bundle.dim_m)
-    return ScenarioBundle(
-        grid=coarse_grid,
-        dim_m=bundle.dim_m,
-        dim_orth=bundle.dim_orth,
-        m_paths=np.ascontiguousarray(bundle.m_paths[:, idx, :]),
-        orth_paths=np.ascontiguousarray(bundle.orth_paths[:, idx, :]),
-        clock=bundle.clock,
-        clock_values=a_vals,
-        factor_b=factor,
-        n_paths=bundle.n_paths,
-        source=bundle.source,
-    )
+    return dataclasses.replace(bundle, grid=coarse_grid, states=bundle.states[idx])
 
 
-def quadratic_variation(bundle: ScenarioBundle, integrand: np.ndarray) -> np.ndarray:
-    """Discrete <Z.M>_T per path: sum_i z_i^T C z_i dt_i with C = I.
+def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete integral of an integrand against (M, W_orth) and its quadratic variation, per path.
 
-    ``integrand`` may be shaped (dim_m,), (K, dim_m) or (n_paths, K, dim_m).
+    The integral is sum_i zeta_i . (dM, dW_orth)_i and its quadratic
+    variation sum_i |zeta_i|^2 dt_i, the covariation of the noise being I dt.
+    ``integrand`` holds zeta on the steps [t_i, t_{i+1}), shaped
+    (dim_m + dim_orth,), (K, dim_m + dim_orth) or (n_paths, K, dim_m + dim_orth).
+    Returns two (n_paths,) arrays of terminal values, or with ``running`` two
+    (n_paths, K+1) arrays of the values at every node, starting from 0.
     """
+    n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]
     z = np.asarray(integrand, dtype=float)
-    K, d = bundle.grid.n_steps, bundle.dim_m
-    if z.ndim == 1:
-        z = np.broadcast_to(z, (bundle.n_paths, K, d))
-    elif z.ndim == 2:
-        z = np.broadcast_to(z[None, :, :], (bundle.n_paths, K, d))
-    if z.shape != (bundle.n_paths, K, d):
-        raise ValueError(f"integrand shape {np.asarray(integrand).shape} does not match bundle ({K} steps, dim {d})")
-    return np.einsum("pkd,pkd,k->p", z, z, bundle.dt)
+    if z.ndim > 3 or z.shape != (n, K, w)[3 - z.ndim :]:
+        raise ValueError(f"integrand shape {z.shape} does not match bundle ({n} paths, {K} steps, dim {w})")
+    z = np.broadcast_to(z, (n, K, w))
+    if not running:
+        return np.einsum("nkw,knw->n", z, bundle.increments), np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
+    integral = np.zeros((n, K + 1))
+    qv = np.zeros((n, K + 1))
+    np.cumsum(np.einsum("nkw,knw->nk", z, bundle.increments), axis=1, out=integral[:, 1:])
+    np.cumsum(np.einsum("nkw,nkw->nk", z, z) * bundle.dt, axis=1, out=qv[:, 1:])
+    return integral, qv
 
 
 def save_scenario(bundle: ScenarioBundle, path) -> None:
@@ -351,9 +341,8 @@ def save_scenario(bundle: ScenarioBundle, path) -> None:
         "format_version": _CACHE_FORMAT_VERSION,
         "seed": bundle.source.seed,
         "stream": bundle.source.stream,
+        "first_path": bundle.first_path,
         "dim_m": bundle.dim_m,
-        "dim_orth": bundle.dim_orth,
-        "n_paths": bundle.n_paths,
         "clock": {
             "kind": bundle.clock.kind,
             "rate": bundle.clock.rate,
@@ -366,8 +355,7 @@ def save_scenario(bundle: ScenarioBundle, path) -> None:
         path,
         header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
         nodes=bundle.grid.nodes,
-        m_paths=bundle.m_paths,
-        orth_paths=bundle.orth_paths,
+        states=bundle.states,
     )
 
 
@@ -376,25 +364,14 @@ def load_scenario(path) -> ScenarioBundle:
         header = json.loads(bytes(data["header"]).decode())
         if header.get("format_version") != _CACHE_FORMAT_VERSION:
             raise ValueError(f"unsupported scenario cache version {header.get('format_version')}")
-        grid = TimeGrid(data["nodes"])
-        clock = ClockSpec(
-            kind=header["clock"]["kind"],
-            rate=header["clock"]["rate"],
-            times=tuple(header["clock"]["times"]),
-            values=tuple(header["clock"]["values"]),
-        )
-        a_vals, factor = _factor_from_clock(grid, clock, header["dim_m"])
+        clock = header["clock"]
         bundle = ScenarioBundle(
-            grid=grid,
+            grid=TimeGrid(data["nodes"]),
             dim_m=header["dim_m"],
-            dim_orth=header["dim_orth"],
-            m_paths=data["m_paths"],
-            orth_paths=data["orth_paths"],
-            clock=clock,
-            clock_values=a_vals,
-            factor_b=factor,
-            n_paths=header["n_paths"],
+            states=data["states"],
+            clock=ClockSpec(clock["kind"], clock["rate"], tuple(clock["times"]), tuple(clock["values"])),
             source=RandomSource(seed=header["seed"], stream=header["stream"]),
+            first_path=header["first_path"],
         )
     if header.get("cache_key") != bundle.cache_key():
         raise ValueError(f"scenario cache key {header.get('cache_key')} does not match the stored bundle")

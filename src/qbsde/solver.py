@@ -90,19 +90,27 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Grid estimates of (Y, Z, N-integrand) plus terminal quadratic variations.
+    """Grid estimates of Y and of the integrand of the martingale part Z.M + N.
 
-    ``y`` has shape (n_paths, K+1); ``z`` and ``z_orth`` have shapes
-    (n_paths, K, dim) and hold the integrands on [t_i, t_{i+1}).
+    ``y`` has shape (n_paths, K+1).  ``integrand`` has shape
+    (n_paths, K, dim_m + dim_orth) and holds (Z, Z_orth) on [t_i, t_{i+1}),
+    where N = Z_orth.W_orth; it is the only stored copy of both.  ``z`` and
+    ``z_orth`` are views of its first ``dim_m`` and of its remaining columns.
     """
 
     y: np.ndarray
-    z: np.ndarray
-    z_orth: np.ndarray
-    qv_zm: np.ndarray
-    qv_n: np.ndarray
+    integrand: np.ndarray
+    dim_m: int
     meta: dict = field(default_factory=dict)
     diagnostics: SolverDiagnostics | None = None
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.integrand[:, :, : self.dim_m]
+
+    @property
+    def z_orth(self) -> np.ndarray:
+        return self.integrand[:, :, self.dim_m :]
 
     @property
     def n_paths(self) -> int:
@@ -123,32 +131,16 @@ class SolutionField:
     def to_csv(self, path, grid_nodes: np.ndarray, max_paths: int | None = None) -> None:
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
         K = self.n_steps
-        d = self.z.shape[2]
-        q = self.z_orth.shape[2]
-        header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(q)]
+        d, w = self.dim_m, self.integrand.shape[2]
+        header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(w - d)]
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for i in range(K + 1):
-                zi = self.z[:, min(i, K - 1), :]
-                oi = self.z_orth[:, min(i, K - 1), :]
+                zi = self.integrand[:, min(i, K - 1), :]
                 for p in range(n):
                     row = [str(i), f"{grid_nodes[i]:.12g}", str(p), f"{self.y[p, i]:.12g}"]
-                    row += [f"{zi[p, j]:.12g}" for j in range(d)]
-                    row += [f"{oi[p, j]:.12g}" for j in range(q)]
+                    row += [f"{v:.12g}" for v in zi[p]]
                     fh.write(",".join(row) + "\n")
-
-
-def _make_field(y, z, z_orth, dt, meta, diagnostics=None) -> SolutionField:
-    """SolutionField with the terminal quadratic variations of Z.M and N."""
-    return SolutionField(
-        y=y,
-        z=z,
-        z_orth=z_orth,
-        qv_zm=np.einsum("nkd,nkd,k->n", z, z, dt),
-        qv_n=np.einsum("nkq,nkq,k->n", z_orth, z_orth, dt),
-        meta=meta,
-        diagnostics=diagnostics,
-    )
 
 
 def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig, tag: str) -> str:
@@ -169,19 +161,19 @@ def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalConditi
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _increment_z(reg, resid, dm_i, dorth_i, scale):
-    """(Z, Z_orth) on one step: projections of resid * (dM, dW_orth), divided by scale."""
-    fitted = reg.fit(resid[:, None] * np.concatenate([dm_i, dorth_i], axis=1))
-    d = dm_i.shape[1]
-    return fitted[:, :d] / scale, fitted[:, d:] / scale
+def _solve_y(ey, zeta, driver, bundle, i, config):
+    """Y at node i: the fixed point y = ey + F(t_i, y, Z) dA_i + 1/2 |Z_orth|^2 dt_i, vectorized over paths.
 
-
-def _picard_solve(ey, z, half_qv, driver, bundle, i, dA_i, config):
-    """Fixed point y = ey + F(t_i, y, z) dA_i + half_qv, vectorized over paths."""
+    ``zeta`` is the step's integrand (Z, Z_orth), shape (n, dim_m + dim_orth);
+    the last term is N's half quadratic variation over the step.
+    """
+    z, z_orth = zeta[:, : bundle.dim_m], zeta[:, bundle.dim_m :]
+    half_qv = 0.5 * np.einsum("nq,nq->n", z_orth, z_orth) * bundle.dt[i] if bundle.dim_orth else 0.0
+    dA_i = bundle.dA[i]
+    if not dA_i > 0:
+        return ey + half_qv
     y = ey + driver.evaluate(bundle, i, ey, z) * dA_i + half_qv
-    if not driver.depends_on_y:
-        return y
-    if not config.implicit:
+    if not (driver.depends_on_y and config.implicit):
         return y
     last = np.inf
     for _ in range(config.picard_max):
@@ -220,17 +212,15 @@ def solve_backward(
             f"contraction constraint violated: beta_bar * max dA = {bb_max:.3g} >= 0.5; refine the grid"
         )
 
-    n, K, d, q = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m, bundle.dim_orth
+    n, K = bundle.n_paths, bundle.grid.n_steps
     dt = bundle.dt
-    dm = bundle.dm
-    dorth = bundle.dorth
+    dw = bundle.increments
     basis = config.basis
     feature_fn = (feature_source or xi).fn if config.terminal_feature else None
 
     y = np.empty((n, K + 1))
     y[:, K] = xi.evaluate(bundle.terminal_state)
-    z = np.zeros((n, K, d))
-    z_orth = np.zeros((n, K, q))
+    integrand = np.empty((n, K, dw.shape[2]))
     sigma2_y = np.zeros(K)
     y_var = np.zeros((n, K + 1))
     max_features = 0
@@ -241,13 +231,9 @@ def solve_backward(
         reg = make_regression(basis, state, extra)
         target = y[:, i + 1]
         ey = reg.fit(target)
-        z[:, i, :], z_orth[:, i, :] = _increment_z(reg, target - ey, dm[:, i, :], dorth[:, i, :], dt[i])
-
-        half_qv = 0.5 * np.einsum("nq,nq->n", z_orth[:, i, :], z_orth[:, i, :]) * dt[i] if q else 0.0
-        if dA[i] > 0:
-            y[:, i] = _picard_solve(ey, z[:, i, :], half_qv, driver, bundle, i, dA[i], config)
-        else:
-            y[:, i] = ey + half_qv
+        # (Z, Z_orth): projections of the centred target times the step's noise
+        integrand[:, i, :] = reg.fit((target - ey)[:, None] * dw[i]) / dt[i]
+        y[:, i] = _solve_y(ey, integrand[:, i, :], driver, bundle, i, config)
 
         sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
@@ -258,8 +244,8 @@ def solve_backward(
         amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
         y_var[:, i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
 
-    return _make_field(
-        y, z, z_orth, dt,
+    return SolutionField(
+        y, integrand, bundle.dim_m,
         meta={"solver": "regression", "config_hash": _config_hash(bundle, driver, xi, config, "regression")},
         diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var, basis=basis, max_features=max_features),
     )
@@ -307,8 +293,9 @@ class _OracleRun:
     are turned into successor states in place and recovered for the
     Z-reduction through the centering identity
     E[(v - vbar) (s + dW)] = E[(v - vbar) dW]; that reduction is one
-    (1 x b)(b x d) product per state, which BLAS keeps on the calling thread
-    and which is ten times faster than the equivalent einsum at d = 2.
+    (1 x b)(b x (dim_m + dim_orth)) product per state, which BLAS keeps on
+    the calling thread and which is ten times faster than the equivalent
+    einsum at two dimensions.
 
     Draws.  A root state's id is its path index (0 for a shared root), and
     the successors of state g have ids g * b + branch.  The normals of state
@@ -337,15 +324,14 @@ class _OracleRun:
         self.config = config
         self.root = root
         self.K = bundle.grid.n_steps
-        self.d = bundle.dim_m
-        self.q = bundle.dim_orth
+        self.w = bundle.dim_m + bundle.dim_orth
         self.sq_dt = np.sqrt(bundle.dt).astype(np.float32)
         self.block = max(1, _ORACLE_SEED_LEAVES // self.b)
         self.chunk = self.block * max(1, ORACLE_CHUNK_BUDGET // (self.block * self.b))
 
     def _normals(self, i: int, first: int, count: int) -> np.ndarray:
-        """Standard normals (count, b, d + q) for the states first, ..., first + count - 1 at node i."""
-        out = np.empty((count, self.b, self.d + self.q), dtype=np.float32)
+        """Standard normals (count, b, dim_m + dim_orth) for the states first, ..., first + count - 1 at node i."""
+        out = np.empty((count, self.b, self.w), dtype=np.float32)
         source = self.bundle.source
         for lo in range(0, count, self.block):
             key = (source.seed, source.stream, 7001, self.root, i, (first + lo) // self.block)
@@ -354,50 +340,40 @@ class _OracleRun:
         return out
 
     def value(self, i: int, states: np.ndarray, first: int, want_z: bool, want_se: bool = False, pool=None):
-        """Estimate (Y, Z, Z_orth, se) at node i for the given states, whose ids start at ``first``."""
+        """Estimate (Y, (Z, Z_orth), se) at node i for the given states, whose ids start at ``first``."""
         n = states.shape[0]
         if i == self.K:
-            return np.asarray(self.xi.fn(states), dtype=np.float32), None, None, None
+            return np.asarray(self.xi.fn(states), dtype=np.float32), None, None
 
         y = np.empty(n)
-        z = np.zeros((n, self.d)) if want_z else None
-        zo = np.zeros((n, self.q))
+        zeta = np.zeros((n, self.w)) if want_z else None
         se = np.zeros(n) if want_se else None
         dt_i = float(self.bundle.dt[i])
-        dA_i = float(self.bundle.dA[i])
         inner_z = self.driver.depends_on_z
-        need_z = want_z or inner_z
+        # Z_orth enters Y through N's quadratic variation
+        need_zeta = want_z or inner_z or self.bundle.dim_orth > 0
 
         def run_chunk(lo, hi, inner_pool):
             c = hi - lo
             succ = self._normals(i, first + lo, c)
             succ *= self.sq_dt[i]
             succ += states[lo:hi].astype(np.float32)[:, None, :]
-            v, _, _, _ = self.value(i + 1, succ.reshape(c * self.b, -1), (first + lo) * self.b, inner_z, pool=inner_pool)
+            v, _, _ = self.value(i + 1, succ.reshape(c * self.b, -1), (first + lo) * self.b, inner_z, pool=inner_pool)
             v = v.reshape(c, self.b)
             ey = v.mean(axis=1, dtype=np.float64)
             if i + 1 == self.K:
                 # a non-finite float32 leaf makes its state's float64 mean
                 # non-finite, and finite leaves cannot overflow that sum
                 self.xi.require_finite(ey)
-            if need_z or self.q or want_se:
+            if need_zeta or want_se:
                 dv = v - ey.astype(np.float32)[:, None]
-            if need_z:
-                ez = np.matmul(dv[:, None, :], succ[:, :, : self.d])[:, 0, :].astype(np.float64) / (self.b * dt_i)
+            if need_zeta:
+                ez = np.matmul(dv[:, None, :], succ)[:, 0, :].astype(np.float64) / (self.b * dt_i)
             else:
-                ez = np.zeros((c, self.d))
-            if self.q:
-                ezo = np.matmul(dv[:, None, :], succ[:, :, self.d :])[:, 0, :].astype(np.float64) / (self.b * dt_i)
-                half_qv = 0.5 * np.einsum("cq,cq->c", ezo, ezo) * dt_i
-                zo[lo:hi] = ezo
-            else:
-                half_qv = 0.0
-            if dA_i > 0:
-                y[lo:hi] = _picard_solve(ey, ez, half_qv, self.driver, self.bundle, i, dA_i, self.config)
-            else:
-                y[lo:hi] = ey + half_qv
+                ez = np.zeros((c, self.w))
+            y[lo:hi] = _solve_y(ey, ez, self.driver, self.bundle, i, self.config)
             if want_z:
-                z[lo:hi] = ez
+                zeta[lo:hi] = ez
             if want_se:
                 se[lo:hi] = v.std(axis=1, ddof=1, dtype=np.float64) / math.sqrt(self.b)
 
@@ -407,7 +383,7 @@ class _OracleRun:
         else:
             for lo, hi in spans:
                 run_chunk(lo, hi, pool)
-        return y, z, zo, se
+        return y, zeta, se
 
 
 def nested_mc_oracle(
@@ -423,6 +399,12 @@ def nested_mc_oracle(
     Conditional expectations at each node/path state come from fresh branches
     simulated out of that state instead of a cross-sectional regression;
     Y solves the same per-step fixed point as the regression scheme.
+
+    ``xi.fn`` runs on one worker thread per core at once, each call on a
+    block of about 2^16 float32 leaf states.  The builtin terminals make no
+    BLAS call; a custom terminal that does (``np.dot``, ``s @ a`` with a 2-D
+    state) starts BLAS threads inside every worker and oversubscribes the
+    cores unless BLAS is limited to one thread.
     """
     config = config or SolverConfig()
     if bundle.grid.nodes.size > 4:
@@ -436,10 +418,9 @@ def nested_mc_oracle(
     if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
 
-    n, K, d, q = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m, bundle.dim_orth
+    n, K = bundle.n_paths, bundle.grid.n_steps
     y = np.empty((n, K + 1))
-    z = np.zeros((n, K, d))
-    z_orth = np.zeros((n, K, q))
+    integrand = np.zeros((n, K, bundle.dim_m + bundle.dim_orth))
     y[:, K] = xi.evaluate(bundle.terminal_state)
     y0_se = 0.0
 
@@ -453,7 +434,7 @@ def nested_mc_oracle(
             roots = states[:1] if shared else states
             start = time.perf_counter()
             run = _OracleRun(bundle, driver, xi, branching, config, root=i)
-            y[:, i], z[:, i, :], z_orth[:, i, :], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
+            y[:, i], integrand[:, i, :], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
             seconds = time.perf_counter() - start
             leaves = roots.shape[0] * branching ** (K - i)
             _log.debug("oracle node %d: %d states, %d leaves in %.2f s (%.3g leaves/s)",
@@ -461,8 +442,8 @@ def nested_mc_oracle(
             if i == 0 and shared:
                 y0_se = float(se[0])
 
-    return _make_field(
-        y, z, z_orth, bundle.dt,
+    return SolutionField(
+        y, integrand, bundle.dim_m,
         meta={
             "solver": "nested_mc",
             "branching": branching,
@@ -491,18 +472,16 @@ def exponential_transform_reference(
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    n, K, d, q = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m, bundle.dim_orth
+    n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m + bundle.dim_orth
     nodes = bundle.grid.nodes
     T = bundle.grid.horizon
 
     if xi.affine is not None and not xi.folded:
         a0, a = xi.affine
-        a = np.broadcast_to(np.asarray(a, dtype=float), (d + q,))
-        states = np.concatenate([bundle.m_paths, bundle.orth_paths], axis=2)
+        a = np.broadcast_to(np.asarray(a, dtype=float), (w,))
         drift = 0.5 * gamma * float(a @ a) * (T - nodes)
-        y = a0 + states @ a + drift[None, :]
-        z = np.broadcast_to(a[:d], (n, K, d)).copy()
-        z_orth = np.broadcast_to(a[d:], (n, K, q)).copy()
+        y = (a0 + bundle.states @ a + drift[:, None]).T
+        integrand = np.broadcast_to(a, (n, K, w)).copy()
         meta = {"solver": "exponential_transform", "closed_form": True}
     else:
         with np.errstate(over="ignore"):
@@ -511,10 +490,9 @@ def exponential_transform_reference(
             raise MomentFailureError("exp(gamma * xi) overflows on some paths")
         basis = BasisSpec(degree=3)
         y = np.empty((n, K + 1))
-        z = np.zeros((n, K, d))
-        z_orth = np.zeros((n, K, q))
+        integrand = np.empty((n, K, w))
         y[:, K] = np.log(u) / gamma
-        dm, dorth, dt = bundle.dm, bundle.dorth, bundle.dt
+        dw, dt = bundle.increments, bundle.dt
         for i in range(K):
             state = bundle.state(i)
             reg = NodeRegression(basis.design(state, extra=xi.fn(state)))
@@ -522,12 +500,11 @@ def exponential_transform_reference(
             if np.any(m_hat <= 0):
                 raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
             y[:, i] = np.log(m_hat) / gamma
-            z[:, i, :], z_orth[:, i, :] = _increment_z(
-                reg, u - m_hat, dm[:, i, :], dorth[:, i, :], dt[i] * gamma * m_hat[:, None]
-            )
+            # Z = grad u / (gamma u): projections of (u - m) times the step's noise
+            integrand[:, i, :] = reg.fit((u - m_hat)[:, None] * dw[i]) / (dt[i] * gamma * m_hat[:, None])
         meta = {"solver": "exponential_transform", "closed_form": False}
 
-    return _make_field(np.ascontiguousarray(y), np.ascontiguousarray(z), np.ascontiguousarray(z_orth), bundle.dt, meta)
+    return SolutionField(np.ascontiguousarray(y), integrand, bundle.dim_m, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -230,13 +230,7 @@ class TestMeasureChange:
     def test_constant_integrand_unit_mean(self, bundle_1d, qq):
         # E(q c W) has unit mean for any constant integrand
         K, d = bundle_1d.grid.n_steps, bundle_1d.dim_m
-        field = q.SolutionField(
-            y=np.zeros((bundle_1d.n_paths, K + 1)),
-            z=np.full((bundle_1d.n_paths, K, d), 0.8),
-            z_orth=np.zeros((bundle_1d.n_paths, K, 0)),
-            qv_zm=q.quadratic_variation(bundle_1d, np.full(d, 0.8)),
-            qv_n=np.zeros(bundle_1d.n_paths),
-        )
+        field = q.SolutionField(np.zeros((bundle_1d.n_paths, K + 1)), np.full((bundle_1d.n_paths, K, d), 0.8), d)
         est = q.stochastic_exponential_mean(bundle_1d, field, q=qq)
         assert abs(est.mean - 1.0) <= 3.0 * est.se
 
@@ -246,31 +240,20 @@ class TestMeasureChange:
             rep = q.exp_martingale_check(bundle_1d, field, qq)
             assert rep.passed, (qq, rep)
 
-    def test_overflow_flagged(self, bundle_1d):
-        # synthetic field with an inconsistent bracket, so the exponent can
-        # actually reach overflow on some paths
-        K, d = bundle_1d.grid.n_steps, bundle_1d.dim_m
-        field = q.SolutionField(
-            y=np.zeros((bundle_1d.n_paths, K + 1)),
-            z=np.full((bundle_1d.n_paths, K, d), 500.0),
-            z_orth=np.zeros((bundle_1d.n_paths, K, 0)),
-            qv_zm=np.zeros(bundle_1d.n_paths),
-            qv_n=np.zeros(bundle_1d.n_paths),
-        )
-        est = q.stochastic_exponential_mean(bundle_1d, field, q=-3.0)
+    def test_overflow_flagged(self):
+        # zeta_i = dW_i / dt_i makes log E(zeta.W)_T = 1/2 sum dW_i^2 / dt_i,
+        # about K/2 = 1000 > log(max float) on every path
+        bundle = q.simulate_scenario(q.build_grid(1.0, 2000), 1, 0, 16, source=q.RandomSource(4))
+        zeta = (bundle.increments / bundle.dt[:, None, None]).transpose(1, 0, 2)
+        field = q.SolutionField(np.zeros((bundle.n_paths, bundle.grid.n_steps + 1)), zeta, 1)
+        est = q.stochastic_exponential_mean(bundle, field, q=1.0)
         assert est.n_overflow > 0
 
 
 class TestKazamaki:
     def unit_field(self, bundle):
         K, d = bundle.grid.n_steps, bundle.dim_m
-        return q.SolutionField(
-            y=np.zeros((bundle.n_paths, K + 1)),
-            z=np.ones((bundle.n_paths, K, d)),
-            z_orth=np.zeros((bundle.n_paths, K, 0)),
-            qv_zm=q.quadratic_variation(bundle, np.ones(d)),
-            qv_n=np.zeros(bundle.n_paths),
-        )
+        return q.SolutionField(np.zeros((bundle.n_paths, K + 1)), np.ones((bundle.n_paths, K, d)), d)
 
     def test_zero_martingale(self, bundle_1d):
         drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))

@@ -177,7 +177,9 @@ class TestCli:
     @pytest.mark.parametrize("old, new, where", [
         ("zero", "frob", "driver"),
         ("seed: 1}", "seed: 1, clock: {kind: piecewise, times: [0.0], values: [0.0]}}", "scenario: "),
-    ], ids=["unknown-driver", "one-point-clock"])
+        ("seed: 1}", "seed: -1}", "scenario.seed: "),
+        ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
+    ], ids=["unknown-driver", "one-point-clock", "negative-seed", "negative-stream"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))
@@ -201,6 +203,19 @@ class TestCli:
         proc = run_cli("run", str(path))
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+    @pytest.mark.parametrize("old, new, args, where", [
+        ("seed: 1}", "seed: 1, stream: -1}", (), "scenario.stream: "),
+        ("", "", ("--paths", "0"), "--paths"),
+        ("", "", ("--seed", "-1"), "--seed"),
+    ], ids=["negative-stream", "zero-paths", "negative-seed"])
+    def test_run_bad_input_exit_2(self, tmp_path, old, new, args, where):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace(old, new) if old else MINIMAL)
+        proc = run_cli("run", str(path), *args)
+        assert proc.returncode == 2
+        assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_run_with_overrides(self, tmp_path):
         path = tmp_path / "tiny.yaml"

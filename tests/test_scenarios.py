@@ -85,10 +85,9 @@ def test_terminal_moments_within_four_standard_errors():
 
 def test_orthogonal_noise_uncorrelated(bundle_orth):
     n = bundle_orth.n_paths
-    dm = bundle_orth.dm[:, :, 0]
-    do = bundle_orth.dorth[:, :, 0]
+    dw = bundle_orth.increments
     for i in range(bundle_orth.grid.n_steps):
-        corr = np.corrcoef(dm[:, i], do[:, i])[0, 1]
+        corr = np.corrcoef(dw[i, :, 0], dw[i, :, 1])[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
 
 
@@ -118,8 +117,8 @@ def test_refinement_consistency_by_coarsening():
     assert np.array_equal(coarse.m_paths, fine.m_paths[:, ::4, :])
     assert np.array_equal(coarse.orth_paths, fine.orth_paths[:, ::4, :])
     # ... so coarse increments are the summed fine increments (up to fp reassociation)
-    sums = fine.dm.reshape(300, 4, 4, 1).sum(axis=2)
-    assert np.allclose(coarse.dm, sums, atol=1e-12)
+    sums = fine.increments.reshape(4, 4, 300, 2).sum(axis=1)
+    assert np.allclose(coarse.increments, sums, atol=1e-12)
 
 
 def test_capacity_error():
@@ -133,28 +132,42 @@ def test_bundle_immutable(bundle_1d):
 
 
 class TestQuadraticVariation:
+    """``stochastic_integral``: the integral against (M, W_orth) and its quadratic variation."""
+
     def test_zero_integrand(self, bundle_1d):
-        assert np.array_equal(q.quadratic_variation(bundle_1d, np.zeros(1)), np.zeros(bundle_1d.n_paths))
+        integral, qv = q.stochastic_integral(bundle_1d, np.zeros(1))
+        assert np.array_equal(qv, np.zeros(bundle_1d.n_paths))
+        assert np.array_equal(integral, np.zeros(bundle_1d.n_paths))
 
     def test_unit_integrand_equals_horizon(self, bundle_1d):
-        qv = q.quadratic_variation(bundle_1d, np.ones(1))
+        integral, qv = q.stochastic_integral(bundle_1d, np.ones(1))
         assert np.allclose(qv, 1.0)
+        assert np.allclose(integral, bundle_1d.terminal_state[:, 0], atol=1e-12)
 
     def test_two_components(self):
         b = q.simulate_scenario(q.build_grid(2.0, 8), 2, 0, 10, source=q.RandomSource(3))
-        qv = q.quadratic_variation(b, np.array([1.0, 1.0]))
+        qv = q.stochastic_integral(b, np.array([1.0, 1.0]))[1]
         assert np.allclose(qv, 4.0)
 
     def test_dimension_mismatch(self, bundle_1d):
         with pytest.raises(ValueError):
-            q.quadratic_variation(bundle_1d, np.ones((3, 2)))
+            q.stochastic_integral(bundle_1d, np.ones((3, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(-3.0, 3.0))
     def test_quadratic_scaling(self, bundle_orth, c):
-        base = q.quadratic_variation(bundle_orth, np.ones(1))
-        scaled = q.quadratic_variation(bundle_orth, np.full(1, c))
+        base = q.stochastic_integral(bundle_orth, np.ones(2))[1]
+        scaled = q.stochastic_integral(bundle_orth, np.full(2, c))[1]
         assert np.allclose(scaled, c * c * base)
+
+    def test_running_values_end_at_totals(self, bundle_orth):
+        zeta = np.linspace(-1.0, 1.0, bundle_orth.grid.n_steps * 2).reshape(-1, 2)
+        integral, qv = q.stochastic_integral(bundle_orth, zeta)
+        running, running_qv = q.stochastic_integral(bundle_orth, zeta, running=True)
+        assert running.shape == running_qv.shape == (bundle_orth.n_paths, bundle_orth.grid.n_steps + 1)
+        assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
+        assert np.allclose(running[:, -1], integral, atol=1e-12)
+        assert np.allclose(running_qv[:, -1], qv, atol=1e-12)
 
 
 def test_scenario_cache_roundtrip(tmp_path):
@@ -191,12 +204,24 @@ def _piecewise_clocks():
 )
 def test_cache_roundtrip_keeps_key(seed, stream, steps, dims, n_paths, clock):
     b = q.simulate_scenario(q.build_grid(1.0, steps), *dims, n_paths, clock=clock, source=q.RandomSource(seed, stream))
+    sub = b.slice_paths(n_paths // 2, n_paths)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bundle.npz")
         q.save_scenario(b, path)
         loaded = q.load_scenario(path)
-    assert loaded.cache_key() == b.cache_key()
-    assert np.array_equal(loaded.m_paths, b.m_paths)
+        q.save_scenario(sub, path)
+        loaded_sub = q.load_scenario(path)
+    # every derived copy rebuilds the same clock, factor, paths and states
+    for copy in (loaded, b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
+        assert copy.cache_key() == b.cache_key()
+        for name in ("clock_values", "factor_b", "m_paths", "orth_paths"):
+            assert np.array_equal(getattr(copy, name), getattr(b, name)), name
+        for i in range(steps + 1):
+            assert np.array_equal(copy.state(i), b.state(i))
+    # a saved slice keeps its place in the stream
+    assert loaded_sub.first_path == n_paths // 2
+    assert loaded_sub.cache_key() == sub.cache_key()
+    assert np.array_equal(loaded_sub.states, b.states[:, n_paths // 2 :])
 
 
 @pytest.mark.parametrize("key, value, match", [("format_version", 99, "version"), ("cache_key", "0" * 16, "cache key")],
@@ -221,3 +246,12 @@ def test_slice_paths_view(bundle_1d):
     sub = bundle_1d.slice_paths(10, 20)
     assert sub.n_paths == 10
     assert np.array_equal(sub.m_paths, bundle_1d.m_paths[10:20])
+    # slices with different paths have different identities; a slice from
+    # path 0 holds the draws of a fresh simulation and shares its key
+    head = bundle_1d.slice_paths(0, 10)
+    fresh = q.simulate_scenario(bundle_1d.grid, 1, 0, 10, source=bundle_1d.source)
+    assert sub.cache_key() != head.cache_key()
+    assert head.cache_key() == fresh.cache_key()
+    assert bundle_1d.slice_paths(5, 25).slice_paths(5, 15).cache_key() == sub.cache_key()
+    assert np.array_equal(head.states, fresh.states)
+    assert np.shares_memory(sub.states, bundle_1d.states)

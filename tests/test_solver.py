@@ -135,7 +135,7 @@ class TestQuadraticAnchor:
         field = q.solve_backward(bundle_1d, drv, xi)
         n = bundle_1d.n_paths
         for i in range(bundle_1d.grid.n_steps):
-            hedge = np.einsum("nd,nd->n", field.z[:, i, :], bundle_1d.dm[:, i, :])
+            hedge = np.einsum("nw,nw->n", field.integrand[:, i, :], bundle_1d.increments[i])
             resid = (
                 field.y[:, i + 1]
                 - field.y[:, i]
@@ -154,7 +154,9 @@ class TestQuadraticAnchor:
         # Y_0 = gamma ||a||^2 T / 2 = 1; Z = Z_orth = 1
         assert field.y0 == pytest.approx(1.0, abs=0.05)
         assert np.mean(field.z_orth) == pytest.approx(1.0, abs=0.05)
-        assert field.qv_n.mean() == pytest.approx(1.0, abs=0.1)
+        # <N>_T = sum |Z_orth|^2 dt: the integrand with its Z column zeroed
+        qv_n = q.stochastic_integral(bundle_orth, field.integrand * [0.0, 1.0])[1]
+        assert qv_n.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_grid_refinement_error_profile(self):
         # coupled bundles: finer grids should not degrade the anchor error
