@@ -1,10 +1,10 @@
 """Least-squares projection onto a polynomial basis of the Markov state.
 
-One SVD per time step is shared between the value regression and the
-martingale-increment regressions.  Columns are scaled to unit spread before
-the decomposition and singular values below a relative cutoff are dropped,
-so rank-deficient designs (e.g. the constant state at t = 0) fall back to
-the minimum-norm projection instead of failing.
+One projection per time step is shared between the value regression and the
+martingale-increment regressions.  Both backends drop the eigenvalues of their
+normal matrix below ``RCOND`` times the largest, so rank-deficient designs
+(the constant state at t = 0, a terminal feature collinear with a polynomial
+column) fall back to the minimum-norm projection instead of failing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateBasisError
 
-SVD_RCOND = 1e-12
+RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,23 @@ class BasisSpec:
         """Design matrix for state (n, n_vars); extra columns appended as-is."""
         state = np.atleast_2d(np.asarray(state, dtype=float))
         n, n_vars = state.shape
+        extra = np.empty((n, 0)) if extra is None else np.atleast_2d(np.asarray(extra, dtype=float))
+        if extra.shape[0] != n:
+            extra = extra.T
         if self.kind == "binned":
             if n_vars != 1:
                 raise ValueError("binned basis supports a one-dimensional state only")
-            design = self._binned_design(state[:, 0])
-        else:
-            cols = []
-            for exp in self._exponents(n_vars):
-                col = np.ones(n)
-                for j, e in enumerate(exp):
-                    if e:
-                        col = col * state[:, j] ** e
-                cols.append(col)
-            design = np.column_stack(cols)
-        if extra is not None:
-            extra = np.atleast_2d(np.asarray(extra, dtype=float))
-            if extra.shape[0] != n:
-                extra = extra.T
-            design = np.column_stack([design, extra])
-        return design
+            return np.column_stack([self._binned_design(state[:, 0]), extra])
+        # each monomial row is its parent (one degree lower in its last
+        # nonzero variable, listed earlier) times that variable
+        exps = self._exponents(n_vars)
+        rows = np.empty((len(exps) + extra.shape[1], n))
+        rows[0] = 1.0
+        for k, exp in enumerate(exps[1:], 1):
+            j = max(v for v, e in enumerate(exp) if e)
+            np.multiply(rows[exps.index(exp[:j] + (exp[j] - 1,) + exp[j + 1 :])], state[:, j], out=rows[k])
+        rows[len(exps) :] = extra.T
+        return rows.T
 
     def _binned_design(self, w: np.ndarray) -> np.ndarray:
         idx, n_cells = _quantile_cells(w, self.bins)
@@ -98,7 +96,7 @@ def make_regression(basis: BasisSpec, state: np.ndarray, extra: np.ndarray | Non
     """Pick the projection backend for one time step.
 
     Binned bases without extra columns use the block-diagonal per-cell
-    solver (O(n)); everything else goes through one shared SVD.
+    solver (O(n)); everything else goes through one shared projection.
     """
     state = np.atleast_2d(np.asarray(state, dtype=float))
     if basis.kind == "binned" and extra is None and state.shape[1] == 1:
@@ -142,7 +140,7 @@ class BinnedRegression(_Projection):
         a[:, 0, 1] = a[:, 1, 0] = s1
         a[:, 1, 1] = s2
         u, s, vt = np.linalg.svd(a)
-        keep = s > SVD_RCOND * np.maximum(s[:, :1], 1e-300)
+        keep = s > RCOND * np.maximum(s[:, :1], 1e-300)
         s_inv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
         self._a_pinv = np.einsum("cij,cj,ckj->cik", vt.transpose(0, 2, 1), s_inv, u)
         self.rank = int(np.count_nonzero(keep))
@@ -171,7 +169,13 @@ class BinnedRegression(_Projection):
 
 
 class NodeRegression(_Projection):
-    """Projection machinery for one time step, reusable across targets."""
+    """Projection machinery for one time step, reusable across targets.
+
+    With s the column maxima of the design D and (lam, V) the eigenpairs of
+    G = D^T D / (s s^T), U = D diag(1/s) V diag(lam^-1/2) over the kept
+    eigenvalues is orthonormal and every fit is U U^T t.  ``eigh``, not
+    Cholesky: the terminal feature makes most designs rank-deficient.
+    """
 
     def __init__(self, design: np.ndarray):
         design = np.asarray(design, dtype=float)
@@ -181,12 +185,12 @@ class NodeRegression(_Projection):
             raise DegenerateBasisError("non-finite values in regression design")
         scale = np.max(np.abs(design), axis=0)
         scale[scale == 0.0] = 1.0
-        u, s, _ = np.linalg.svd(design / scale, full_matrices=False)
-        keep = s > SVD_RCOND * s[0] if s.size else np.zeros(0, dtype=bool)
+        lam, v = np.linalg.eigh((design.T @ design) / np.outer(scale, scale))
+        keep = lam > RCOND * lam[-1]
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
-        self._u = u[:, keep]
+        self._u = design @ (v[:, keep] / (np.sqrt(lam[keep]) * scale[:, None]))
         self.n_samples, self.n_features = design.shape
 
     def fit(self, targets: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import CapacityError
 # Hard ceiling on n_paths * n_nodes * n_components for a single bundle.
 DEFAULT_CAPACITY = 200_000_000
 
-_CACHE_FORMAT_VERSION = 2
+_CACHE_FORMAT_VERSION = 3
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -175,8 +175,10 @@ class ScenarioBundle:
     ``factor_b`` are derived from ``clock`` on construction; ``factor_b[i]`` is
     the factor matrix on step [t_i, t_{i+1}) and the terminal slot repeats the
     last step.  ``first_path`` is the index, among the paths drawn from
-    ``source``, of the first path held, so a slice keeps its own identity.
-    Bundles are immutable after construction.
+    ``source``, of the first path held, so a slice keeps its own identity;
+    ``simulated_on`` is the key of the grid the paths were drawn on when it is
+    not ``grid`` (a coarsened bundle), else None.  Bundles are immutable
+    after construction.
     """
 
     grid: TimeGrid
@@ -185,6 +187,7 @@ class ScenarioBundle:
     clock: ClockSpec
     source: RandomSource
     first_path: int = 0
+    simulated_on: str | None = None
     clock_values: np.ndarray = field(init=False, repr=False, compare=False)
     factor_b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -243,6 +246,7 @@ class ScenarioBundle:
                 "seed": self.source.seed,
                 "stream": self.source.stream,
                 "first_path": self.first_path,
+                "simulated_on": self.simulated_on,
                 "grid": self.grid.key(),
                 "dim_m": self.dim_m,
                 "dim_orth": self.dim_orth,
@@ -261,9 +265,9 @@ def _factor_from_clock(grid: TimeGrid, clock: ClockSpec, dim_m: int) -> tuple[np
     scale = np.zeros_like(dt)
     pos = da > 0
     scale[pos] = np.sqrt(dt[pos] / da[pos])
-    eye = np.eye(dim_m)
-    factor = np.empty((grid.n_steps + 1, dim_m, dim_m))
-    factor[:-1] = scale[:, None, None] * eye
+    # set the diagonal alone: an overflowed scale times the identity's zeros would be nan
+    factor = np.zeros((grid.n_steps + 1, dim_m, dim_m))
+    factor[:-1, range(dim_m), range(dim_m)] = scale[:, None]
     factor[-1] = factor[-2]
     return a_vals, factor
 
@@ -308,7 +312,9 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
     Every coarse node must already be a node of the fine grid.
     """
     idx = np.array([bundle.grid.index_of(t) for t in coarse_grid.nodes])
-    return dataclasses.replace(bundle, grid=coarse_grid, states=bundle.states[idx])
+    drawn_on = bundle.simulated_on or bundle.grid.key()
+    return dataclasses.replace(bundle, grid=coarse_grid, states=bundle.states[idx],
+                               simulated_on=None if drawn_on == coarse_grid.key() else drawn_on)
 
 
 def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -342,6 +348,7 @@ def save_scenario(bundle: ScenarioBundle, path) -> None:
         "seed": bundle.source.seed,
         "stream": bundle.source.stream,
         "first_path": bundle.first_path,
+        "simulated_on": bundle.simulated_on,
         "dim_m": bundle.dim_m,
         "clock": {
             "kind": bundle.clock.kind,
@@ -372,6 +379,7 @@ def load_scenario(path) -> ScenarioBundle:
             clock=ClockSpec(clock["kind"], clock["rate"], tuple(clock["times"]), tuple(clock["values"])),
             source=RandomSource(seed=header["seed"], stream=header["stream"]),
             first_path=header["first_path"],
+            simulated_on=header["simulated_on"],
         )
     if header.get("cache_key") != bundle.cache_key():
         raise ValueError(f"scenario cache key {header.get('cache_key')} does not match the stored bundle")

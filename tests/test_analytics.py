@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +175,19 @@ class TestComparison:
         rev = q.comparison_check(hi, lo, ev, tol=1e-9)
         assert rev.margin == pytest.approx(-fwd.margin, abs=1e-12)
         assert rev.margin > 0
+
+    def test_antisymmetry_of_margin_one_blas_thread(self):
+        # the benchmark pins BLAS to one thread, which changes the summation
+        # order of every projection; the margins must still mirror exactly
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_analytics.py::TestComparison::test_antisymmetry_of_margin"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:]
 
     def test_vacuous_label(self, bundle_1d):
         zero = q.make_builtin("zero")

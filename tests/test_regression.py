@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbsde.errors import DegenerateBasisError
-from qbsde.regression import BasisSpec, BinnedRegression, NodeRegression, make_regression
+from qbsde.regression import RCOND, BasisSpec, BinnedRegression, NodeRegression, make_regression
 
 
 def test_poly_design_columns():
@@ -96,3 +98,50 @@ def test_fit_variance_positive(rng):
     assert np.all(var >= 0)
     # more data in a cell -> smaller variance than a near-empty tail cell
     assert var[np.argmax(np.abs(w))] >= np.median(var)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_design_recurrence_matches_explicit_monomials(degree, n_vars, rng):
+    state = rng.normal(size=(64, n_vars))
+    feature = rng.normal(size=64)
+    basis = BasisSpec(degree=degree)
+    explicit = np.column_stack([np.prod(state ** np.array(e), axis=1) for e in basis._exponents(n_vars)])
+    np.testing.assert_allclose(basis.design(state), explicit, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(basis.design(state, extra=feature), np.column_stack([explicit, feature]),
+                               rtol=1e-14, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["full_rank", "collinear_feature", "constant_state", "zero_column"]),
+    degree=st.integers(0, 3),
+    n_vars=st.integers(1, 3),
+    n=st.integers(60, 400),
+    level=st.floats(-3.0, 3.0),
+    target_scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_matches_lstsq_reference(kind, degree, n_vars, n, level, target_scale, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=(n, n_vars))
+    extra = None
+    if kind == "collinear_feature":
+        # an affine terminal's feature lies in the span of the degree-1 columns
+        degree = max(degree, 1)
+        extra = level + state @ rng.normal(size=n_vars)
+    elif kind == "constant_state":
+        state = np.full((n, n_vars), level)
+    elif kind == "zero_column":
+        extra = np.zeros(n)
+    design = BasisSpec(degree=degree).design(state, extra)
+    target = target_scale * rng.normal(size=n)
+    # reference: minimum-norm least squares by SVD with the cut-off on
+    # singular values of the column-scaled design
+    scale = np.max(np.abs(design), axis=0)
+    scale[scale == 0.0] = 1.0
+    coef, _, rank, _ = np.linalg.lstsq(design / scale, target, rcond=RCOND)
+    reg = NodeRegression(design)
+    assert reg.rank == rank
+    assert np.max(np.abs(reg.fit(target) - (design / scale) @ coef)) <= 1e-10 * np.max(np.abs(target))
+    assert reg.leverage().sum() == pytest.approx(rank, abs=1e-10)

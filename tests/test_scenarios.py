@@ -121,6 +121,24 @@ def test_refinement_consistency_by_coarsening():
     assert np.allclose(coarse.increments, sums, atol=1e-12)
 
 
+def test_coarsened_bundle_key_differs_from_fresh_simulation(tmp_path):
+    fine = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 64, source=q.RandomSource(3))
+    coarse = q.coarsen_bundle(fine, q.build_grid(1.0, 4))
+    fresh = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 64, source=q.RandomSource(3))
+    assert not np.array_equal(coarse.states, fresh.states)
+    assert coarse.cache_key() != fresh.cache_key()
+    # the simulation grid is kept through slicing, further coarsening and save/load
+    assert coarse.slice_paths(0, 64).cache_key() == coarse.cache_key()
+    assert q.coarsen_bundle(coarse, coarse.grid).cache_key() == coarse.cache_key()
+    two = q.build_grid(1.0, 2)
+    assert q.coarsen_bundle(coarse, two).cache_key() == q.coarsen_bundle(fine, two).cache_key()
+    path = tmp_path / "coarse.npz"
+    q.save_scenario(coarse, path)
+    loaded = q.load_scenario(path)
+    assert loaded.simulated_on == fine.grid.key()
+    assert loaded.cache_key() == coarse.cache_key()
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError):
         q.simulate_scenario(q.build_grid(1.0, 10), 1, 0, 10**6, capacity=10**4)
@@ -202,6 +220,8 @@ def _piecewise_clocks():
     clock=st.one_of(st.just(q.ClockSpec()), st.floats(0.1, 4.0).map(lambda r: q.ClockSpec("scaled", rate=r)),
                     _piecewise_clocks()),
 )
+@example(seed=0, stream=0, steps=1, dims=(2, 0), n_paths=1,
+         clock=q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, 2.2250738585e-313)))
 def test_cache_roundtrip_keeps_key(seed, stream, steps, dims, n_paths, clock):
     b = q.simulate_scenario(q.build_grid(1.0, steps), *dims, n_paths, clock=clock, source=q.RandomSource(seed, stream))
     sub = b.slice_paths(n_paths // 2, n_paths)
