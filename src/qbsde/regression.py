@@ -171,10 +171,10 @@ class BinnedRegression(_Projection):
 class NodeRegression(_Projection):
     """Projection machinery for one time step, reusable across targets.
 
-    With s the column maxima of the design D and (lam, V) the eigenpairs of
-    G = D^T D / (s s^T), U = D diag(1/s) V diag(lam^-1/2) over the kept
-    eigenvalues is orthonormal and every fit is U U^T t.  ``eigh``, not
-    Cholesky: the terminal feature makes most designs rank-deficient.
+    With S the design scaled to unit column maxima and (lam, V) the
+    eigenpairs of G = S^T S, U = S V diag(lam^-1/2) over the kept eigenvalues
+    is orthonormal and every fit is U U^T t.  ``eigh``, not Cholesky: the
+    terminal feature makes most designs rank-deficient.
     """
 
     def __init__(self, design: np.ndarray):
@@ -183,14 +183,17 @@ class NodeRegression(_Projection):
             raise DegenerateBasisError("empty regression design")
         if not np.all(np.isfinite(design)):
             raise DegenerateBasisError("non-finite values in regression design")
-        scale = np.max(np.abs(design), axis=0)
+        scale = np.maximum(design.max(axis=0), -design.min(axis=0))
         scale[scale == 0.0] = 1.0
-        lam, v = np.linalg.eigh((design.T @ design) / np.outer(scale, scale))
+        # scaled before the product, so columns far from unit size neither
+        # underflow nor overflow in the normal matrix
+        scaled = design / scale
+        lam, v = np.linalg.eigh(scaled.T @ scaled)
         keep = lam > RCOND * lam[-1]
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
-        self._u = design @ (v[:, keep] / (np.sqrt(lam[keep]) * scale[:, None]))
+        self._u = scaled @ (v[:, keep] / np.sqrt(lam[keep]))
         self.n_samples, self.n_features = design.shape
 
     def fit(self, targets: np.ndarray) -> np.ndarray:

@@ -178,7 +178,7 @@ class TestComparison:
 
     def test_antisymmetry_of_margin_one_blas_thread(self):
         # the benchmark pins BLAS to one thread, which changes the summation
-        # order of every projection; the margins must still mirror exactly
+        # order of every projection; the margins must still mirror to 1e-12
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))

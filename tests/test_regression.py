@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbsde.errors import DegenerateBasisError
@@ -122,6 +122,8 @@ def test_design_recurrence_matches_explicit_monomials(degree, n_vars, rng):
     target_scale=st.floats(1e-3, 1e3),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kind="constant_state", degree=1, n_vars=1, n=60, level=2.2250738585072014e-308, target_scale=1.0, seed=0)
+@example(kind="constant_state", degree=1, n_vars=1, n=60, level=1e200, target_scale=1.0, seed=0)
 def test_projection_matches_lstsq_reference(kind, degree, n_vars, n, level, target_scale, seed):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=(n, n_vars))
