@@ -37,7 +37,8 @@ class ParamSet:
 
     ``alpha_fn`` maps node times to the nonnegative process alpha_t; when a
     vector process ``lam_fn`` is supplied instead, alpha is derived on a bundle
-    as ||B_t lam_t||^2 and stays consistent with any clock factorization.
+    as ||B_t lam_t||^2 and stays consistent with any clock factorization; in
+    either case ||B_t lam_t|| is sqrt(alpha_t).
     ``beta_star`` is c_A * beta_bar by construction.  The domain condition
     gamma >= max(1, beta) is deliberately checked by ``validate_assumptions``
     rather than here, so misdeclared parameter sets can be constructed and
@@ -70,32 +71,12 @@ class ParamSet:
         """alpha at every grid node, shape (K+1,)."""
         nodes = bundle.grid.nodes
         if self.lam_fn is not None:
-            lam = self.lambda_on(bundle)
+            lam = np.array([np.broadcast_to(np.asarray(self.lam_fn(t), dtype=float), (bundle.dim_m,)) for t in nodes])
             b_lam = np.einsum("kij,kj->ki", bundle.factor_b, lam)
             return np.einsum("ki,ki->k", b_lam, b_lam)
         if self.alpha_fn is None:
             return np.zeros(nodes.size)
         return np.array([float(self.alpha_fn(t)) for t in nodes])
-
-    def lambda_on(self, bundle: ScenarioBundle) -> np.ndarray:
-        """The d-vector process lambda at every node, shape (K+1, d).
-
-        When only alpha is declared, lambda is reconstructed along the first
-        coordinate so that ||B lambda||^2 equals alpha on the bundle's clock.
-        """
-        nodes = bundle.grid.nodes
-        d = bundle.dim_m
-        if self.lam_fn is not None:
-            out = np.zeros((nodes.size, d))
-            for k, t in enumerate(nodes):
-                out[k] = np.broadcast_to(np.asarray(self.lam_fn(t), dtype=float), (d,))
-            return out
-        alpha = self.alpha_on(bundle)
-        scale = np.array([bundle.factor_b[k, 0, 0] for k in range(nodes.size)])
-        out = np.zeros((nodes.size, d))
-        pos = scale > 0
-        out[pos, 0] = np.sqrt(alpha[pos]) / scale[pos]
-        return out
 
     def alpha_l1(self, bundle: ScenarioBundle) -> float:
         """|alpha|_1 = sum_i alpha(t_i) dA_i, left-endpoint rule on the grid."""
@@ -470,7 +451,6 @@ def validate_assumptions(
     nodes = bundle.grid.nodes
     node_pool = np.unique(rng.integers(0, nodes.size, size=min(plan.max_nodes, nodes.size)))
     alpha = params.alpha_on(bundle)
-    lam = params.lambda_on(bundle)
 
     P = plan.n_probes
     node_idx = rng.choice(node_pool, size=P)
@@ -496,7 +476,8 @@ def validate_assumptions(
         t = float(nodes[i])
         b = bundle.factor_b[i]
         a_t = alpha[i]
-        b_lam = float(np.linalg.norm(b @ lam[i]))
+        # ||B_t lam_t|| = sqrt(alpha_t) by the definition of alpha
+        b_lam = float(np.sqrt(a_t))
 
         zz1, zz2 = z1[mask], z2[mask]
         yy1, yy2, th = y1[mask], y2[mask], theta[mask]

@@ -167,16 +167,7 @@ class ExperimentConfig:
     output: dict
 
     def canonical(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "scenario": self.scenario,
-            "driver": self.driver,
-            "terminal": self.terminal,
-            "solver": self.solver,
-            "checks": self.checks,
-            "output": self.output,
-        }
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.canonical()).encode()).hexdigest()[:16]

@@ -140,16 +140,6 @@ class ClockSpec:
             return self.rate * t
         return np.interp(t, self.times, self.values)
 
-    def slope_bound(self) -> float:
-        """Least c with A(t) <= c * t (the clock-side Lipschitz constant)."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "scaled":
-            return self.rate
-        t = np.asarray(self.times[1:], dtype=float)
-        v = np.asarray(self.values[1:], dtype=float)
-        return float(np.max(v / t))
-
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -264,7 +254,8 @@ def _factor_from_clock(grid: TimeGrid, clock: ClockSpec, dim_m: int) -> tuple[np
     dt = grid.dt
     scale = np.zeros_like(dt)
     pos = da > 0
-    scale[pos] = np.sqrt(dt[pos] / da[pos])
+    # two roots, not the root of the ratio: dt / dA overflows for tiny dA
+    scale[pos] = np.sqrt(dt[pos]) / np.sqrt(da[pos])
     # set the diagonal alone: an overflowed scale times the identity's zeros would be nan
     factor = np.zeros((grid.n_steps + 1, dim_m, dim_m))
     factor[:-1, range(dim_m), range(dim_m)] = scale[:, None]

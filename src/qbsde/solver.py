@@ -13,9 +13,10 @@ Three routes to the same object:
   Y_t = (1/gamma) log E[exp(gamma xi) | F_t]; exact in closed form for affine
   terminal conditions.
 
-``solve_ladder`` runs the truncated problems (xi capped at n, driver switched
-off once the running integral of alpha dA exceeds n) used by the existence
-construction, and reports monotonicity across levels.
+``solve_ladder`` runs the truncated problems used by the existence
+construction (xi capped at n, the clock A stopped once the running integral
+of alpha dA exceeds n, so the driver acts only before that time) and reports
+monotonicity across levels.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalCondition
 from .errors import CapacityError, MomentFailureError, SolverDivergenceError
 from .regression import BasisSpec, NodeRegression, make_regression
-from .scenarios import ScenarioBundle, mean_se
+from .scenarios import ClockSpec, ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
 ORACLE_CAPACITY = 4_000_000_000
@@ -512,78 +513,51 @@ def exponential_transform_reference(
 # ---------------------------------------------------------------------------
 
 
-def _gated_driver(driver: DriverSpec, bundle: ScenarioBundle, level: float) -> tuple[DriverSpec, float]:
-    """Switch the driver (and alpha) off from the first grid step that would
-    push the running integral of alpha dA past the level."""
-    nodes = bundle.grid.nodes
-    alpha = driver.params.alpha_on(bundle)
-    running = np.concatenate([[0.0], np.cumsum(alpha[:-1] * bundle.dA)])
-    active = running[1:] <= level * (1.0 + 1e-9) + 1e-12
-
-    def gate(t: float) -> float:
-        i = min(int(np.argmin(np.abs(nodes - t))), active.size - 1)
-        return 1.0 if active[i] else 0.0
-
-    base_f = driver.f
-    base_alpha = driver.params.alpha_fn
-    base_lam = driver.params.lam_fn
-
-    gated_params = {}
-    if base_lam is not None:
-        gated_params["lam_fn"] = lambda t: gate(t) * np.asarray(base_lam(t), dtype=float)
-    elif base_alpha is not None:
-        gated_params["alpha_fn"] = lambda t: gate(t) * float(base_alpha(t))
-
-    gated = dataclasses.replace(
-        driver,
-        name=f"{driver.name}|gate<= {level:g}",
-        f=lambda t, y, z, b: gate(t) * np.asarray(base_f(t, y, z, b), dtype=float),
-        params=dataclasses.replace(driver.params, **gated_params),
-    )
-    alpha_l1_gated = float(np.sum(np.where(active, alpha[:-1] * bundle.dA, 0.0)))
-    return gated, alpha_l1_gated
+def _stopped_clock(bundle: ScenarioBundle, driver: DriverSpec, level: float) -> ScenarioBundle:
+    """The bundle with its clock A held constant from the first grid step that
+    would push the running integral of alpha dA past the level."""
+    running = np.cumsum(driver.params.alpha_on(bundle)[:-1] * bundle.dA)
+    stop = int(np.count_nonzero(np.logical_and.accumulate(running <= level * (1.0 + 1e-9) + 1e-12)))
+    held = np.minimum(bundle.clock_values, bundle.clock_values[stop])
+    clock = ClockSpec("piecewise", times=tuple(bundle.grid.nodes.tolist()), values=tuple(held.tolist()))
+    return dataclasses.replace(bundle, clock=clock)
 
 
 def _truncated_terminal(xi: TerminalCondition, level: float) -> TerminalCondition:
     base = xi.fn
-
-    def fn(s):
-        v = np.asarray(base(s), dtype=float)
-        return np.minimum(np.maximum(v, 0.0), level) - np.minimum(np.maximum(-v, 0.0), level)
-
-    return TerminalCondition(fn=fn, tag=f"{xi.tag}|trunc {level:g}")
+    return TerminalCondition(fn=lambda s: np.clip(np.asarray(base(s), dtype=float), -level, level),
+                             tag=f"{xi.tag}|trunc {level:g}")
 
 
 @dataclass(frozen=True)
 class TruncationLadder:
-    """Per-level truncated problems and their solution fields."""
+    """Per-level truncated problems and their solution fields.
+
+    Level n solves the problem with xi capped at +-n on the bundle whose
+    clock A stops once the running integral of alpha dA would exceed n; the
+    driver itself is unchanged, it only acts where dA > 0.  ``alpha_l1[k]``
+    is |alpha|_1 on level k's stopped clock.
+    """
 
     levels: tuple[float, ...]
     fields: tuple[SolutionField, ...]
     alpha_l1: tuple[float, ...]
 
-    def pointwise_se(self, level_index: int) -> np.ndarray:
-        """Per-(path, node) accumulated standard error of one level's Y estimate."""
-        return np.sqrt(self.fields[level_index].diagnostics.y_var)
-
-    def monotonicity_report(self, tol: float = 0.0, use_se: bool = True) -> dict:
+    def monotonicity_report(self, tol: float = 0.0) -> dict:
         """Fraction of (node, path) points violating y_n <= y_m + tol for n <= m.
 
-        With ``use_se``, regression noise is accounted for pointwise: each
-        pair is allowed tol + 3 * combined standard error at that point,
-        which matters at high-leverage extreme states where fitted curves
-        wiggle.
+        Regression noise is accounted for pointwise: each pair is allowed
+        tol + 3 * combined standard error at that point, which matters at
+        high-leverage extreme states where fitted curves wiggle.
         """
-        ses = None
-        if use_se:
-            ses = [self.pointwise_se(k) for k in range(len(self.levels))]
+        ses = [np.sqrt(f.diagnostics.y_var) for f in self.fields]
         worst = -np.inf
         violations = 0
         total = 0
         for a in range(len(self.levels)):
             for b in range(a + 1, len(self.levels)):
                 gap = self.fields[a].y - self.fields[b].y
-                allowance = tol if ses is None else tol + 3.0 * np.hypot(ses[a], ses[b])
+                allowance = tol + 3.0 * np.hypot(ses[a], ses[b])
                 worst = max(worst, float(np.max(gap)))
                 violations += int(np.count_nonzero(gap > allowance))
                 total += gap.size
@@ -613,10 +587,10 @@ def solve_ladder(
     for level in levels:
         if level <= 0:
             raise ValueError("truncation levels must be positive")
-        gated, a1 = _gated_driver(driver, bundle, float(level))
+        stopped = _stopped_clock(bundle, driver, float(level))
         xi_n = _truncated_terminal(xi, float(level))
-        fields.append(solve_backward(bundle, gated, xi_n, config, feature_source=xi))
-        alphas.append(a1)
+        fields.append(solve_backward(stopped, driver, xi_n, config, feature_source=xi))
+        alphas.append(driver.params.alpha_l1(stopped))
     return TruncationLadder(
         levels=tuple(float(v) for v in levels),
         fields=tuple(fields),

@@ -30,13 +30,15 @@ class TestParamSet:
         with pytest.raises(ValueError):
             ParamSet(gamma=1.0, beta=-1.0)
 
-    def test_alpha_l1_matches_lambda_quadratic_variation(self, bundle_1d):
-        # |alpha|_1 computed from alpha must equal sum ||B lam||^2 dA on the grid
-        p = ParamSet(gamma=1.0, alpha_fn=lambda t: 2.0 * t)
-        lam = p.lambda_on(bundle_1d)
-        b_lam = np.einsum("kij,kj->ki", bundle_1d.factor_b, lam)
-        from_lam = float(np.sum(np.einsum("ki,ki->k", b_lam, b_lam)[:-1] * bundle_1d.dA))
-        assert from_lam == pytest.approx(p.alpha_l1(bundle_1d), rel=1e-12)
+    def test_alpha_l1_matches_lambda_quadratic_variation(self):
+        # |alpha|_1 of a lambda-declared set must equal sum ||B lam||^2 dA on a clock with B != I
+        grid = q.build_grid(1.0, 8)
+        b = q.simulate_scenario(grid, 2, 0, 4, clock=q.ClockSpec("scaled", rate=2.0), source=q.RandomSource(3))
+        assert not np.allclose(b.factor_b[0], np.eye(2))
+        lam = lambda t: np.array([0.3 + t, -0.2 * t])
+        p = ParamSet(gamma=1.0, lam_fn=lam)
+        from_lam = sum(float(np.sum((b.factor_b[i] @ lam(t)) ** 2)) * b.dA[i] for i, t in enumerate(grid.nodes[:-1]))
+        assert from_lam == pytest.approx(p.alpha_l1(b), rel=1e-12)
 
     def test_lambda_mode(self, bundle_2d):
         p = ParamSet(gamma=1.0, lam_fn=lambda t: np.array([0.3, 0.4]))

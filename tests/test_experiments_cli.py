@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -158,7 +159,10 @@ class TestCatalogue:
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "qbsde", *args], capture_output=True, text=True)
+    # the child imports qbsde from this checkout, also when pytest alone put src/ on sys.path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "qbsde", *args], capture_output=True, text=True, env=env)
 
 
 class TestCli:

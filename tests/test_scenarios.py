@@ -1,6 +1,8 @@
 import hashlib
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qbsde as q
+from qbsde.drivers import SamplingPlan
 from qbsde.errors import CapacityError
 
 
@@ -58,7 +61,17 @@ def test_clock_kinds():
     assert np.allclose(q.ClockSpec("scaled", rate=2.0).at(t), 2 * t)
     pw = q.ClockSpec("piecewise", times=(0.0, 0.5, 1.0), values=(0.0, 0.4, 0.4))
     assert np.allclose(pw.at(t), [0.0, 0.4, 0.4])
-    assert pw.slope_bound() == pytest.approx(0.8)
+    # the clock-side Lipschitz constant c_A of A(t) <= c_A t is 0.8, checked by validate_assumptions
+    b = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 4, clock=pw, source=q.RandomSource(0))
+
+    def slope_clause(c_A):
+        drv = q.make_builtin("zero").with_declared(beta=0.1, beta_bar=0.1, c_A=c_A)
+        return q.validate_assumptions(drv, b, SamplingPlan(n_probes=100)).clause("clock_slope")
+
+    exact = slope_clause(0.8)
+    assert exact.checked and exact.violations == 0
+    tight = slope_clause(0.79)
+    assert tight.violations == 2 and tight.max_margin == pytest.approx(0.005, abs=1e-12)
     with pytest.raises(ValueError):
         q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, -1.0))
     with pytest.raises(ValueError):
@@ -242,6 +255,16 @@ def test_cache_roundtrip_keeps_key(seed, stream, steps, dims, n_paths, clock):
     assert loaded_sub.first_path == n_paths // 2
     assert loaded_sub.cache_key() == sub.cache_key()
     assert np.array_equal(loaded_sub.states, b.states[:, n_paths // 2 :])
+
+
+def test_factor_finite_for_tiny_clock_step():
+    # dt / dA overflows here although sqrt(dt) / sqrt(dA) is finite
+    clock = q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, 2.2250738585e-313))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, clock=clock, source=q.RandomSource(0))
+    assert np.all(np.isfinite(b.factor_b))
+    assert b.factor_b[0, 0, 0] == pytest.approx(1.0 / math.sqrt(2.2250738585e-313), rel=1e-12)
 
 
 @pytest.mark.parametrize("key, value, match", [("format_version", 99, "version"), ("cache_key", "0" * 16, "cache key")],

@@ -202,13 +202,37 @@ class TestLadder:
         assert report["violation_fraction"] == 0.0
 
     def test_sigma_gate_from_running_integral(self):
-        # alpha = 1 on [0, 1]; gate at level 0.5 switches F off halfway
+        # alpha = 1 on [0, 1]; level 0.5 stops the clock, and with it F, halfway
         grid = q.build_grid(2.0, 64, [0.5, 1.0])
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(21))
         drv = q.make_builtin("step_family", {"n": 1})
         ladder = q.solve_ladder(b, drv, q.terminal_constant(0.0, 1), [0.5])
         assert ladder.fields[0].y0 == pytest.approx(0.5, abs=1e-12)
         assert ladder.alpha_l1[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_stopped_clock_switches_y_dependent_driver_off(self):
+        # alpha = 1 on a 40-step grid: level 0.5 stops the clock after step 20,
+        # and from there on the field is the zero driver's, error bars included
+        b = q.simulate_scenario(q.build_grid(1.0, 40), 1, 0, 2000, source=q.RandomSource(23))
+        xi = q.terminal_abs(0.0, [1.0])
+        linear = q.solve_ladder(b, linear_driver(a=0.8, b0=0.5), xi, [0.5]).fields[0]
+        zero = q.solve_ladder(b, q.make_builtin("zero"), xi, [0.5]).fields[0]
+        assert np.array_equal(linear.y[:, 20:], zero.y[:, 20:])
+        assert np.array_equal(linear.diagnostics.y_var[:, 20:], zero.diagnostics.y_var[:, 20:])
+        assert not np.array_equal(linear.y[:, 19], zero.y[:, 19])
+
+    def test_lambda_declared_driver_stops_at_level(self):
+        # power utility declares lambda: alpha = ||B lam||^2 = 0.16, so level 0.08 stops the clock at t = 0.5
+        b = q.simulate_scenario(q.build_grid(1.0, 20), 1, 0, 500, source=q.RandomSource(24))
+        drv = q.make_builtin("power_utility", {"p": 0.5, "lam": 0.4,
+                                               "constraint": {"kind": "box", "lower": [-1.0], "upper": [1.0]}})
+        xi = q.terminal_constant(0.0, 1)
+        ladder = q.solve_ladder(b, drv, xi, [0.08])
+        zero = q.solve_ladder(b, q.make_builtin("zero"), xi, [0.08])
+        assert ladder.alpha_l1[0] == pytest.approx(0.08, abs=1e-12)
+        assert np.array_equal(ladder.fields[0].y[:, 10:], zero.fields[0].y[:, 10:])
+        # F = q |lam / (1 - p)|^2 = 0.08 at Z = 0 acts on [0, 0.5] only
+        assert ladder.fields[0].y0 == pytest.approx(0.04, abs=1e-9)
 
     def test_terminal_truncation_monotone(self):
         b = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 2**14, source=q.RandomSource(22))
