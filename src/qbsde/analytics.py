@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import ndtr
+from scipy.stats import chi2
 
 from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
@@ -51,7 +52,8 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class BoundProcess:
-    """Estimate of the conditional-expectation bound X_t, per node and path."""
+    """Estimate of the conditional-expectation bound X_t, per path and node: (n_paths, K+1)
+    views with the node axis outermost in memory, like ``SolutionField.y``."""
 
     x: np.ndarray
     x_se: np.ndarray
@@ -73,8 +75,8 @@ def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     if var <= 0:
         return np.exp(c * np.abs(mean))
     sd = math.sqrt(var)
-    up = np.exp(c * mean + 0.5 * c * c * var) * norm.cdf(mean / sd + c * sd)
-    dn = np.exp(-c * mean + 0.5 * c * c * var) * norm.cdf(-mean / sd + c * sd)
+    up = np.exp(c * mean + 0.5 * c * c * var) * ndtr(mean / sd + c * sd)
+    dn = np.exp(-c * mean + 0.5 * c * c * var) * ndtr(-mean / sd + c * sd)
     return up + dn
 
 
@@ -118,9 +120,9 @@ def apriori_bound(
         R[i] = alpha[i] * (bundle.clock_values[i + 1] - bundle.clock_values[i]) + math.exp(bstar * bundle.dt[i]) * R[i + 1]
 
     c = gamma * np.exp(bstar * (T - nodes))
-    x = np.empty((n, K + 1))
-    x_se = np.zeros((n, K + 1))
-    x[:, K] = np.abs(xi_vals)
+    x = np.empty((K + 1, n))
+    x_se = np.zeros((K + 1, n))
+    x[K] = np.abs(xi_vals)
 
     if mode == "closed_form":
         if xi.affine is None:
@@ -130,7 +132,7 @@ def apriori_bound(
         for i in range(K):
             mean = a0 + bundle.state(i) @ a
             var = float(a @ a) * (T - nodes[i])
-            x[:, i] = np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
+            x[i] = np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
     elif mode == "regression":
         basis = basis or BasisSpec(degree=3)
         for i in range(K):
@@ -144,13 +146,13 @@ def apriori_bound(
             m_hat = reg.fit(target)
             # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
             m_hat = np.maximum(m_hat, 1.0)
-            x[:, i] = np.log(m_hat) / gamma + R[i]
+            x[i] = np.log(m_hat) / gamma + R[i]
             sigma2 = float(reg.residual_variance(target, m_hat)[0])
-            x_se[:, i] = np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
+            x_se[i] = np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
     else:
         raise ValueError(f"unknown bound mode {mode!r}")
 
-    return BoundProcess(x=x, x_se=x_se, mode=mode, gamma=gamma, beta_star=bstar)
+    return BoundProcess(x=x.T, x_se=x_se.T, mode=mode, gamma=gamma, beta_star=bstar)
 
 
 def check_apriori(
@@ -173,15 +175,17 @@ def check_apriori(
             f"solution field {solution.y.shape} and bound process {bound.x.shape} disagree"
         )
     gap = np.abs(solution.y) - bound.x
-    se = bound.x_se.copy()
+    se = bound.x_se
     dof = 1
     if solution.diagnostics is not None:
         se = np.hypot(se, np.sqrt(solution.diagnostics.y_var))
         dof = max(dof, solution.diagnostics.max_features)
     band = math.sqrt(chi2.ppf(1.0 - 0.003, df=dof)) / 3.0
     adjusted = gap - 3.0 * band * se
-    flat = int(np.argmax(adjusted))
-    path, node = np.unravel_index(flat, adjusted.shape)
+    # the first maximum in path-major order, as a flat argmax would give,
+    # without copying the node-major surface into that order
+    path = int(np.argmax(adjusted.max(axis=1)))
+    node = int(np.argmax(adjusted[path]))
     margin = float(adjusted[path, node])
     return CheckReport(
         name="apriori_bound",

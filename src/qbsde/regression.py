@@ -85,11 +85,24 @@ class BasisSpec:
 def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
     """Cell index of every sample and the cell count.
 
-    Cell edges are sample quantiles of the full cross-section; a degenerate
-    (constant) state collapses to a single active cell.
+    Cell edges are sample quantiles of the full cross-section, read off one
+    sort with numpy's "linear" rule: virtual index (n - 1) q, and the
+    two-sided lerp of ``np.quantile``.  A sample's cell is the number of
+    distinct edges at or below it; a degenerate (constant) state collapses
+    to a single active cell.
     """
-    edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, bins + 1)[1:-1]))
-    return np.searchsorted(edges, w, side="right"), edges.size + 1
+    s = np.sort(w)
+    vi = (s.size - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    lo = np.floor(vi).astype(np.intp)
+    g = vi - lo
+    a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
+    edges = np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
+    # counted in the narrowest type that holds the cell count, widened once
+    # for bincount and take
+    idx = np.zeros(w.size, dtype=np.min_scalar_type(edges.size))
+    for edge in edges:
+        idx += w >= edge
+    return idx.astype(np.intp), edges.size + 1
 
 
 def make_regression(basis: BasisSpec, state: np.ndarray, extra: np.ndarray | None = None):
@@ -142,7 +155,9 @@ class BinnedRegression(_Projection):
         u, s, vt = np.linalg.svd(a)
         keep = s > RCOND * np.maximum(s[:, :1], 1e-300)
         s_inv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-        self._a_pinv = np.einsum("cij,cj,ckj->cik", vt.transpose(0, 2, 1), s_inv, u)
+        a_pinv = np.einsum("cij,cj,ckj->cik", vt.transpose(0, 2, 1), s_inv, u)
+        # one contiguous per-cell table per entry, gathered with take
+        self._p00, self._p01, self._p10, self._p11 = a_pinv.reshape(-1, 4).T.copy()
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
@@ -157,14 +172,14 @@ class BinnedRegression(_Projection):
         for j in range(t.shape[1]):
             t0 = np.bincount(self._idx, weights=t[:, j], minlength=self.n_cells)
             t1 = np.bincount(self._idx, weights=t[:, j] * self._w, minlength=self.n_cells)
-            coef = np.einsum("cik,ck->ci", self._a_pinv, np.stack([t0, t1], axis=1))
-            out[:, j] = coef[self._idx, 0] + coef[self._idx, 1] * self._w
+            c0, c1 = self._p00 * t0 + self._p01 * t1, self._p10 * t0 + self._p11 * t1
+            out[:, j] = c0.take(self._idx) + c1.take(self._idx) * self._w
         return out[:, 0] if squeeze else out
 
     def fit_variance(self, sigma2: float) -> np.ndarray:
         """Variance of the fitted value at the sample points."""
-        p = self._a_pinv[self._idx]
-        quad = p[:, 0, 0] + 2.0 * p[:, 0, 1] * self._w + p[:, 1, 1] * self._w * self._w
+        idx, w = self._idx, self._w
+        quad = self._p00.take(idx) + 2.0 * self._p01.take(idx) * w + self._p11.take(idx) * w * w
         return np.maximum(sigma2 * quad, 0.0)
 
 

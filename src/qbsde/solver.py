@@ -97,6 +97,9 @@ class SolutionField:
     (n_paths, K, dim_m + dim_orth) and holds (Z, Z_orth) on [t_i, t_{i+1}),
     where N = Z_orth.W_orth; it is the only stored copy of both.  ``z`` and
     ``z_orth`` are views of its first ``dim_m`` and of its remaining columns.
+    The solvers pass transposed views of node-major buffers, so the node axis
+    is outermost in memory, as in ``ScenarioBundle.states``; ``y[:, i]`` is
+    contiguous.
     """
 
     y: np.ndarray
@@ -219,36 +222,37 @@ def solve_backward(
     basis = config.basis
     feature_fn = (feature_source or xi).fn if config.terminal_feature else None
 
-    y = np.empty((n, K + 1))
-    y[:, K] = xi.evaluate(bundle.terminal_state)
-    integrand = np.empty((n, K, dw.shape[2]))
+    # node-major, like the bundle: each step reads and writes contiguous rows
+    y = np.empty((K + 1, n))
+    y[K] = xi.evaluate(bundle.terminal_state)
+    integrand = np.empty((K, n, dw.shape[2]))
     sigma2_y = np.zeros(K)
-    y_var = np.zeros((n, K + 1))
+    y_var = np.zeros((K + 1, n))
     max_features = 0
 
     for i in range(K - 1, -1, -1):
         state = bundle.state(i)
         extra = feature_fn(state) if feature_fn is not None else None
         reg = make_regression(basis, state, extra)
-        target = y[:, i + 1]
+        target = y[i + 1]
         ey = reg.fit(target)
         # (Z, Z_orth): projections of the centred target times the step's noise
-        integrand[:, i, :] = reg.fit((target - ey)[:, None] * dw[i]) / dt[i]
-        y[:, i] = _solve_y(ey, integrand[:, i, :], driver, bundle, i, config)
+        integrand[i] = reg.fit((target - ey)[:, None] * dw[i]) / dt[i]
+        y[i] = _solve_y(ey, integrand[i], driver, bundle, i, config)
 
         sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
         # first-order error propagation: this node's fit variance plus
         # the smoothed variance inherited from later steps, amplified by
         # the implicit-step contraction factor
-        inherited = np.maximum(reg.fit(y_var[:, i + 1]), 0.0)
+        inherited = np.maximum(reg.fit(y_var[i + 1]), 0.0)
         amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
-        y_var[:, i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
+        y_var[i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
 
     return SolutionField(
-        y, integrand, bundle.dim_m,
+        y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
         meta={"solver": "regression", "config_hash": _config_hash(bundle, driver, xi, config, "regression")},
-        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var, basis=basis, max_features=max_features),
+        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var.T, basis=basis, max_features=max_features),
     )
 
 
@@ -420,9 +424,9 @@ def nested_mc_oracle(
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
 
     n, K = bundle.n_paths, bundle.grid.n_steps
-    y = np.empty((n, K + 1))
-    integrand = np.zeros((n, K, bundle.dim_m + bundle.dim_orth))
-    y[:, K] = xi.evaluate(bundle.terminal_state)
+    y = np.empty((K + 1, n))
+    integrand = np.zeros((K, n, bundle.dim_m + bundle.dim_orth))
+    y[K] = xi.evaluate(bundle.terminal_state)
     y0_se = 0.0
 
     # one executor per call: no worker thread outlives it (callers may fork)
@@ -435,7 +439,7 @@ def nested_mc_oracle(
             roots = states[:1] if shared else states
             start = time.perf_counter()
             run = _OracleRun(bundle, driver, xi, branching, config, root=i)
-            y[:, i], integrand[:, i, :], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
+            y[i], integrand[i], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
             seconds = time.perf_counter() - start
             leaves = roots.shape[0] * branching ** (K - i)
             _log.debug("oracle node %d: %d states, %d leaves in %.2f s (%.3g leaves/s)",
@@ -444,7 +448,7 @@ def nested_mc_oracle(
                 y0_se = float(se[0])
 
     return SolutionField(
-        y, integrand, bundle.dim_m,
+        y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
         meta={
             "solver": "nested_mc",
             "branching": branching,
@@ -481,8 +485,8 @@ def exponential_transform_reference(
         a0, a = xi.affine
         a = np.broadcast_to(np.asarray(a, dtype=float), (w,))
         drift = 0.5 * gamma * float(a @ a) * (T - nodes)
-        y = (a0 + bundle.states @ a + drift[:, None]).T
-        integrand = np.broadcast_to(a, (n, K, w)).copy()
+        y = a0 + bundle.states @ a + drift[:, None]
+        integrand = np.broadcast_to(a, (K, n, w)).copy()
         meta = {"solver": "exponential_transform", "closed_form": True}
     else:
         with np.errstate(over="ignore"):
@@ -490,9 +494,9 @@ def exponential_transform_reference(
         if not np.all(np.isfinite(u)):
             raise MomentFailureError("exp(gamma * xi) overflows on some paths")
         basis = BasisSpec(degree=3)
-        y = np.empty((n, K + 1))
-        integrand = np.empty((n, K, w))
-        y[:, K] = np.log(u) / gamma
+        y = np.empty((K + 1, n))
+        integrand = np.empty((K, n, w))
+        y[K] = np.log(u) / gamma
         dw, dt = bundle.increments, bundle.dt
         for i in range(K):
             state = bundle.state(i)
@@ -500,12 +504,12 @@ def exponential_transform_reference(
             m_hat = reg.fit(u)
             if np.any(m_hat <= 0):
                 raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
-            y[:, i] = np.log(m_hat) / gamma
+            y[i] = np.log(m_hat) / gamma
             # Z = grad u / (gamma u): projections of (u - m) times the step's noise
-            integrand[:, i, :] = reg.fit((u - m_hat)[:, None] * dw[i]) / (dt[i] * gamma * m_hat[:, None])
+            integrand[i] = reg.fit((u - m_hat)[:, None] * dw[i]) / (dt[i] * gamma * m_hat[:, None])
         meta = {"solver": "exponential_transform", "closed_form": False}
 
-    return SolutionField(np.ascontiguousarray(y), integrand, bundle.dim_m, meta)
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta)
 
 
 # ---------------------------------------------------------------------------

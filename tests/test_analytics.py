@@ -99,6 +99,23 @@ class TestAprioriBound:
         with pytest.raises(ValueError):
             q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=0.5))
 
+    @pytest.mark.parametrize("mode", ["closed_form", "regression"])
+    def test_bound_node_major(self, bundle_1d, mode):
+        bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), ParamSet(gamma=1.0), mode=mode)
+        assert bound.x.T.flags.c_contiguous
+        assert bound.x_se.T.flags.c_contiguous
+
+    def test_argmax_is_first_in_path_major_order(self):
+        # tied worst points at (path 1, node 4) and (path 3, node 1): a flat
+        # argmax over (path, node) picks the first, node-major order the second
+        y = np.zeros((6, 5))
+        y[4, 1] = y[1, 3] = 2.0
+        field = q.SolutionField(y.T, np.zeros((5, 5, 1)).transpose(1, 0, 2), 1)
+        bound = q.BoundProcess(x=np.ones((5, 6)), x_se=np.zeros((5, 6)), mode="closed_form", gamma=1.0, beta_star=0.0)
+        report = q.check_apriori(field, bound, tol=0.0)
+        assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (1, 4)
+        assert report.margin == 1.0
+
     def test_grid_mismatch(self, bundle_1d):
         drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))
         other = q.simulate_scenario(q.build_grid(1.0, 5), 1, 0, 8, source=q.RandomSource(9))

@@ -74,6 +74,14 @@ def test_reproducible_given_source(monkeypatch):
             assert field.meta["y0_se"] == ref.meta["y0_se"]
 
 
+def test_field_node_major():
+    """Like the regression fields, the oracle's node axis is outermost in memory."""
+    b = small_bundle(2, 8)
+    field = q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), branching=1000)
+    assert field.y.T.flags.c_contiguous
+    assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
+
+
 def test_root_nodes_draw_distinct_branches():
     """The estimates at nodes 0 and 1 both resimulate node 1 to node 2; the
     draws are keyed by the root node, so they never share branches."""

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbsde.errors import DegenerateBasisError
-from qbsde.regression import RCOND, BasisSpec, BinnedRegression, NodeRegression, make_regression
+from qbsde.regression import RCOND, BasisSpec, BinnedRegression, NodeRegression, _quantile_cells, make_regression
 
 
 def test_poly_design_columns():
@@ -98,6 +98,42 @@ def test_fit_variance_positive(rng):
     assert np.all(var >= 0)
     # more data in a cell -> smaller variance than a near-empty tail cell
     assert var[np.argmax(np.abs(w))] >= np.median(var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["normal", "ties", "constant", "half_zero", "mixed_magnitude", "overflowing_span"]),
+    n=st.integers(1, 500),
+    bins=st.integers(1, 300),
+    exponent=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="normal", n=1, bins=300, exponent=0, seed=0)
+@example(kind="ties", n=7, bins=300, exponent=300, seed=1)
+@example(kind="half_zero", n=400, bins=2, exponent=-300, seed=2)
+@example(kind="overflowing_span", n=2, bins=3, exponent=0, seed=0)
+def test_quantile_cells_match_numpy_quantile_and_searchsorted(kind, n, bins, exponent, seed):
+    """Same cells as np.quantile's edges; where b - a overflows, only numpy's
+    two-sided lerp (b - (b - a)(1 - g) for g >= 0.5) gives the same edge."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    if kind == "normal":
+        w = scale * rng.normal(size=n)
+    elif kind == "ties":
+        w = scale * rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "constant":
+        w = np.full(n, scale * rng.normal())
+    elif kind == "half_zero":
+        w = np.where(rng.random(n) < 0.5, 0.0, scale * rng.normal(size=n))
+    elif kind == "mixed_magnitude":
+        w = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+    else:
+        w = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.9e308, 1.7e308, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, bins + 1)[1:-1]))
+        idx, n_cells = _quantile_cells(w, bins)
+    assert n_cells == edges.size + 1
+    assert np.array_equal(idx, np.searchsorted(edges, w, side="right"))
 
 
 @pytest.mark.parametrize("n_vars", [1, 2, 3])

@@ -254,6 +254,32 @@ class TestLadder:
             q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_constant(0.0, 1), [0.0])
 
 
+def assert_node_major(field):
+    """The node axis is outermost in memory: every node's rows are contiguous."""
+    assert field.y.T.flags.c_contiguous
+    assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
+    if field.diagnostics is not None:
+        assert field.diagnostics.y_var.T.flags.c_contiguous
+
+
+class TestLayout:
+    @pytest.mark.parametrize("basis_kind", ["poly", "binned"])
+    def test_solve_backward_node_major(self, bundle_1d, basis_kind):
+        config = q.SolverConfig(basis_kind=basis_kind, terminal_feature=basis_kind == "poly")
+        field = q.solve_backward(bundle_1d, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
+                                 q.terminal_abs(0.0, [1.0]), config)
+        assert field.diagnostics is not None
+        assert_node_major(field)
+
+    def test_solve_backward_node_major_with_orth(self, bundle_orth):
+        assert_node_major(q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0, 0.5])))
+
+    @pytest.mark.parametrize("xi", [q.terminal_affine(0.0, [1.0]), q.terminal_abs(0.0, [1.0])],
+                             ids=["closed_form", "regression"])
+    def test_transform_reference_node_major(self, bundle_1d, xi):
+        assert_node_major(q.exponential_transform_reference(bundle_1d, 1.0, xi))
+
+
 class TestOutputs:
     def test_csv_and_field_shapes(self, tmp_path, bundle_orth):
         field = q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_constant(1.0, 2))
