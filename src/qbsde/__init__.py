@@ -68,6 +68,7 @@ from .scenarios import (
     build_grid,
     coarsen_bundle,
     load_scenario,
+    quadratic_variation,
     save_scenario,
     simulate_scenario,
     stochastic_integral,

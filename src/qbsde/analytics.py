@@ -17,7 +17,7 @@ from scipy.stats import chi2
 from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
-from .scenarios import ScenarioBundle, mean_se, stochastic_integral
+from .scenarios import ScenarioBundle, mean_se, quadratic_variation, stochastic_integral
 from .solver import SolutionField
 
 
@@ -235,7 +235,7 @@ def norm_bound_checks(
         lhs1 = np.exp(p * gamma * solution.sup_abs_y())
         rhs1 = np.exp(p * gamma * math.exp(bstar * T) * base)
         rhs2 = np.exp(4.0 * p * gamma * math.exp(bstar * T) * base)
-    lhs2 = stochastic_integral(bundle, solution.integrand)[1] ** (p / 2.0)
+    lhs2 = quadratic_variation(bundle, solution.integrand) ** (p / 2.0)
 
     if not (np.all(np.isfinite(rhs1)) and np.all(np.isfinite(lhs1))):
         raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
@@ -408,7 +408,7 @@ def stability_metrics(
     sup_gap = np.max(np.abs(solution_n.y - solution_0.y), axis=1)
     with np.errstate(over="ignore"):
         exp_sup = np.exp(p * sup_gap)
-    mart_p = stochastic_integral(bundle, solution_n.integrand - solution_0.integrand)[1] ** (p / 2.0)
+    mart_p = quadratic_variation(bundle, solution_n.integrand - solution_0.integrand) ** (p / 2.0)
 
     h_m, h_se = mean_se(hyp)
     e_m, e_se = mean_se(exp_sup)

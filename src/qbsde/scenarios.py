@@ -308,15 +308,13 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
                                simulated_on=None if drawn_on == coarse_grid.key() else drawn_on)
 
 
-def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete integral of an integrand against (M, W_orth) and its quadratic variation, per path.
+def quadratic_variation(bundle: ScenarioBundle, integrand, running: bool = False) -> np.ndarray:
+    """Quadratic variation sum_i |zeta_i|^2 dt_i of the integral of zeta against (M, W_orth), per path.
 
-    The integral is sum_i zeta_i . (dM, dW_orth)_i and its quadratic
-    variation sum_i |zeta_i|^2 dt_i, the covariation of the noise being I dt.
-    ``integrand`` holds zeta on the steps [t_i, t_{i+1}), shaped
-    (dim_m + dim_orth,), (K, dim_m + dim_orth) or (n_paths, K, dim_m + dim_orth).
-    Returns two (n_paths,) arrays of terminal values, or with ``running`` two
-    (n_paths, K+1) arrays of the values at every node, starting from 0.
+    ``integrand`` holds zeta on the steps [t_i, t_{i+1}), shaped (w,), (K, w)
+    or (n_paths, K, w) with w = dim_m + dim_orth.  Returns the (n_paths,)
+    terminal values, or with ``running`` the (n_paths, K+1) values at every
+    node, starting from 0.
     """
     n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]
     z = np.asarray(integrand, dtype=float)
@@ -324,11 +322,21 @@ def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False
         raise ValueError(f"integrand shape {z.shape} does not match bundle ({n} paths, {K} steps, dim {w})")
     z = np.broadcast_to(z, (n, K, w))
     if not running:
-        return np.einsum("nkw,knw->n", z, bundle.increments), np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
-    integral = np.zeros((n, K + 1))
+        return np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
     qv = np.zeros((n, K + 1))
-    np.cumsum(np.einsum("nkw,knw->nk", z, bundle.increments), axis=1, out=integral[:, 1:])
     np.cumsum(np.einsum("nkw,nkw->nk", z, z) * bundle.dt, axis=1, out=qv[:, 1:])
+    return qv
+
+
+def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete integral sum_i zeta_i . (dM, dW_orth)_i and its ``quadratic_variation``, both shaped as that."""
+    qv = quadratic_variation(bundle, integrand, running)
+    dw = bundle.increments
+    z = np.broadcast_to(np.asarray(integrand, dtype=float), (bundle.n_paths, bundle.grid.n_steps, dw.shape[2]))
+    if not running:
+        return np.einsum("nkw,knw->n", z, dw), qv
+    integral = np.zeros_like(qv)
+    np.cumsum(np.einsum("nkw,knw->nk", z, dw), axis=1, out=integral[:, 1:])
     return integral, qv
 
 

@@ -218,14 +218,13 @@ def solve_backward(
 
     n, K = bundle.n_paths, bundle.grid.n_steps
     dt = bundle.dt
-    dw = bundle.increments
     basis = config.basis
     feature_fn = (feature_source or xi).fn if config.terminal_feature else None
 
     # node-major, like the bundle: each step reads and writes contiguous rows
     y = np.empty((K + 1, n))
     y[K] = xi.evaluate(bundle.terminal_state)
-    integrand = np.empty((K, n, dw.shape[2]))
+    integrand = np.empty((K, n, bundle.states.shape[2]))
     sigma2_y = np.zeros(K)
     y_var = np.zeros((K + 1, n))
     max_features = 0
@@ -237,7 +236,8 @@ def solve_backward(
         target = y[i + 1]
         ey = reg.fit(target)
         # (Z, Z_orth): projections of the centred target times the step's noise
-        integrand[i] = reg.fit((target - ey)[:, None] * dw[i]) / dt[i]
+        dw = bundle.states[i + 1] - bundle.states[i]
+        integrand[i] = reg.fit((target - ey)[:, None] * dw) / dt[i]
         y[i] = _solve_y(ey, integrand[i], driver, bundle, i, config)
 
         sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
@@ -302,18 +302,23 @@ class _OracleRun:
     the calling thread and which is ten times faster than the equivalent
     einsum at two dimensions.
 
-    Draws.  A root state's id is its path index (0 for a shared root), and
-    the successors of state g have ids g * b + branch.  The normals of state
-    g are row g % block of an SFC64 stream keyed by (seed, stream, root node,
-    node, g // block), where a block is about 2^16 leaves' worth of states;
-    one generator per block keeps its set-up cost near 3 % of the draws.
-    Chunks are whole blocks, and every call starts at a block boundary (its
-    first id is 0 or a chunk start times b), so the only partial block is the
-    last one of a level, which is always drawn at the same size.  The draws,
-    and with them the field, are therefore the same for every chunk size and
-    thread count.  A driver that depends on y stops its Picard iteration on a
-    chunk's sup-norm, so its field agrees across chunk sizes to ``picard_tol``
-    rather than bit for bit.
+    Draws.  A root state's id is its path index (0 for a shared root), and the
+    successors of state g have ids g * b + branch.  The normals of state g are
+    row g % block of an SFC64 stream keyed by (seed, stream, root node, node,
+    g // block), where a block is about 2^16 leaves' worth of states; one
+    generator per block keeps its set-up cost near 3 % of the draws.  Above
+    the leaves each state draws b normals; at the leaf level (the step into
+    t_K, b times more states than any level above) it draws b/2 and uses each
+    as the antithetic pair s + sigma eps, s - sigma eps (Glasserman 2004,
+    section 4.2), so the terminal still sees b leaves at half the draws.
+    Paired leaves are not independent, so an SE at a leaf-level root (a 1-step
+    grid) is the spread of the b/2 pair means.  Chunks are whole blocks, and
+    every call starts at a block boundary (its first id is 0 or a chunk start
+    times b), so the only partial block is the last one of a level, which is
+    always drawn at the same size.  The draws, and with them the field, are
+    therefore the same for every chunk size and thread count.  A driver that
+    depends on y stops its Picard iteration on a chunk's sup-norm, so its
+    field agrees across chunk sizes to ``picard_tol`` rather than bit for bit.
 
     Threads.  The chunks of the first level that has more than one chunk run
     on ``pool`` (node 0: the 1000 first-level states; later nodes: the
@@ -334,9 +339,9 @@ class _OracleRun:
         self.block = max(1, _ORACLE_SEED_LEAVES // self.b)
         self.chunk = self.block * max(1, ORACLE_CHUNK_BUDGET // (self.block * self.b))
 
-    def _normals(self, i: int, first: int, count: int) -> np.ndarray:
-        """Standard normals (count, b, dim_m + dim_orth) for the states first, ..., first + count - 1 at node i."""
-        out = np.empty((count, self.b, self.w), dtype=np.float32)
+    def _normals(self, i: int, first: int, count: int, per_state: int | None = None) -> np.ndarray:
+        """Standard normals (count, per_state or b, dim_m + dim_orth) for the states first, ..., first + count - 1 at node i."""
+        out = np.empty((count, per_state or self.b, self.w), dtype=np.float32)
         source = self.bundle.source
         for lo in range(0, count, self.block):
             key = (source.seed, source.stream, 7001, self.root, i, (first + lo) // self.block)
@@ -355,18 +360,21 @@ class _OracleRun:
         se = np.zeros(n) if want_se else None
         dt_i = float(self.bundle.dt[i])
         inner_z = self.driver.depends_on_z
+        leaf = i + 1 == self.K
         # Z_orth enters Y through N's quadratic variation
         need_zeta = want_z or inner_z or self.bundle.dim_orth > 0
 
         def run_chunk(lo, hi, inner_pool):
             c = hi - lo
-            succ = self._normals(i, first + lo, c)
+            succ = self._normals(i, first + lo, c, self.b // 2 if leaf else None)
+            if leaf:
+                succ = np.concatenate((succ, -succ), axis=1)
             succ *= self.sq_dt[i]
             succ += states[lo:hi].astype(np.float32)[:, None, :]
             v, _, _ = self.value(i + 1, succ.reshape(c * self.b, -1), (first + lo) * self.b, inner_z, pool=inner_pool)
             v = v.reshape(c, self.b)
             ey = v.mean(axis=1, dtype=np.float64)
-            if i + 1 == self.K:
+            if leaf:
                 # a non-finite float32 leaf makes its state's float64 mean
                 # non-finite, and finite leaves cannot overflow that sum
                 self.xi.require_finite(ey)
@@ -380,7 +388,8 @@ class _OracleRun:
             if want_z:
                 zeta[lo:hi] = ez
             if want_se:
-                se[lo:hi] = v.std(axis=1, ddof=1, dtype=np.float64) / math.sqrt(self.b)
+                means = 0.5 * (v[:, : self.b // 2] + v[:, self.b // 2 :]) if leaf else v
+                se[lo:hi] = means.std(axis=1, ddof=1, dtype=np.float64) / math.sqrt(means.shape[1])
 
         spans = [(lo, min(lo + self.chunk, n)) for lo in range(0, n, self.chunk)]
         if pool is not None and len(spans) > 1:
@@ -404,6 +413,9 @@ def nested_mc_oracle(
     Conditional expectations at each node/path state come from fresh branches
     simulated out of that state instead of a cross-sectional regression;
     Y solves the same per-step fixed point as the regression scheme.
+    ``branching`` must be even: the branches into t_K are antithetic pairs,
+    and when node 0 is itself the leaf level (a 1-step grid) ``meta["y0_se"]``
+    is the standard error of the branching/2 pair means.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
     block of about 2^16 float32 leaf states.  The builtin terminals make no
@@ -416,6 +428,8 @@ def nested_mc_oracle(
         raise ValueError("nested MC oracle is restricted to grids with at most 4 nodes")
     if branching < 1000:
         raise ValueError("oracle branching must be at least 1000")
+    if branching % 2:
+        raise ValueError("oracle branching must be even: leaves are drawn in antithetic pairs")
     if branching ** bundle.grid.n_steps > capacity:
         raise CapacityError(
             f"branching**n_steps = {branching ** bundle.grid.n_steps:.3g} exceeds capacity {capacity:.3g}"
@@ -497,7 +511,7 @@ def exponential_transform_reference(
         y = np.empty((K + 1, n))
         integrand = np.empty((K, n, w))
         y[K] = np.log(u) / gamma
-        dw, dt = bundle.increments, bundle.dt
+        dt = bundle.dt
         for i in range(K):
             state = bundle.state(i)
             reg = NodeRegression(basis.design(state, extra=xi.fn(state)))
@@ -506,7 +520,8 @@ def exponential_transform_reference(
                 raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
             y[i] = np.log(m_hat) / gamma
             # Z = grad u / (gamma u): projections of (u - m) times the step's noise
-            integrand[i] = reg.fit((u - m_hat)[:, None] * dw[i]) / (dt[i] * gamma * m_hat[:, None])
+            dw = bundle.states[i + 1] - bundle.states[i]
+            integrand[i] = reg.fit((u - m_hat)[:, None] * dw) / (dt[i] * gamma * m_hat[:, None])
         meta = {"solver": "exponential_transform", "closed_form": False}
 
     return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta)

@@ -23,6 +23,28 @@ def test_constant_terminal_exact():
     assert np.allclose(field.y, 2.5, atol=1e-6)
 
 
+def test_antithetic_leaves_exact_for_affine_terminal():
+    """Each leaf pair s + sigma*eps, s - sigma*eps averages to s, so a martingale
+    terminal is reproduced to float32 rounding (independent leaves missed by 0.06)."""
+    b = small_bundle(1, 1)
+    field = q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), branching=1000)
+    assert abs(field.y0) <= 1e-6
+
+
+def test_leaf_root_se_from_pair_means():
+    """On a 1-step grid the root is the leaf level; |W_1| takes the same value
+    on both leaves of a pair, so an SE that treated the b leaves as independent
+    would be sqrt(2) too small.  The z-scores of E|W_1| = sqrt(2/pi) have unit spread."""
+    grid = q.build_grid(1.0, 1)
+    xi = q.terminal_abs(0.0, [1.0])
+    z = []
+    for seed in range(300):
+        b = q.simulate_scenario(grid, 1, 0, 4, source=q.RandomSource(seed))
+        field = q.nested_mc_oracle(b, q.make_builtin("zero"), xi, branching=1000)
+        z.append((field.y0 - np.sqrt(2.0 / np.pi)) / field.meta["y0_se"])
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
+
+
 def test_two_step_quadratic_within_three_se():
     b = small_bundle(2, 2)
     drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
@@ -47,6 +69,8 @@ def test_preconditions():
         q.nested_mc_oracle(small_bundle(4, 4), drv, xi, branching=1000)
     with pytest.raises(ValueError, match="at least 1000"):
         q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=500)
+    with pytest.raises(ValueError, match="even"):
+        q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1001)
     with pytest.raises(CapacityError):
         q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1000, capacity=10**5)
 

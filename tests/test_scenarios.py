@@ -200,6 +200,20 @@ class TestQuadraticVariation:
         assert np.allclose(running[:, -1], integral, atol=1e-12)
         assert np.allclose(running_qv[:, -1], qv, atol=1e-12)
 
+    def test_quadratic_variation_alone(self, bundle_orth):
+        """``quadratic_variation`` is the integral's second output, sum_i |zeta_i|^2 dt_i."""
+        zeta = np.random.default_rng(4).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
+        steps = (zeta**2).sum(axis=2) * bundle_orth.dt
+        qv = q.quadratic_variation(bundle_orth, zeta)
+        running = q.quadratic_variation(bundle_orth, zeta, running=True)
+        assert np.allclose(qv, steps.sum(axis=1), rtol=1e-12)
+        assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
+        assert np.allclose(running[:, 1:], np.cumsum(steps, axis=1), rtol=1e-12)
+        for flag, out in ((False, qv), (True, running)):
+            assert np.array_equal(out, q.stochastic_integral(bundle_orth, zeta, running=flag)[1])
+        with pytest.raises(ValueError):
+            q.quadratic_variation(bundle_orth, np.ones(3))
+
 
 def test_scenario_cache_roundtrip(tmp_path):
     b = q.simulate_scenario(q.build_grid(1.0, 5), 1, 1, 64,
