@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import chi2
+from scipy.special import gammaincinv, ndtr
 
-from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition
+from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition, exponential_moment_estimate
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
 from .scenarios import ScenarioBundle, mean_se, quadratic_variation, stochastic_integral
@@ -57,9 +56,6 @@ class BoundProcess:
 
     x: np.ndarray
     x_se: np.ndarray
-    mode: str
-    gamma: float
-    beta_star: float
 
     @property
     def x0(self) -> float:
@@ -85,15 +81,17 @@ def apriori_bound(
     xi: TerminalCondition,
     params: ParamSet,
     basis: BasisSpec | None = None,
-    mode: str = "regression",
 ) -> BoundProcess:
     """Per-node estimate of
     (1/gamma) log E[exp(gamma e^{b*(T-t)} |xi| + gamma int_t^T e^{b*(r-t)} alpha dA) | F_t].
 
-    mode "regression" projects the exponential target on the solver's basis
-    (augmented with the target evaluated at the current state, which pins the
-    terminal node exactly); mode "closed_form" uses the folded-normal MGF and
-    requires an affine terminal condition.
+    The terminal condition chooses the method.  When xi has an affine form
+    (constant, affine or its absolute value), |xi| given F_t is a folded
+    normal, because the state (M, W_orth) is Brownian, and its MGF is in
+    closed form; ``x_se`` is then zero.  Otherwise the exponential target is
+    projected on ``basis`` (cubic polynomials by default), augmented with the
+    target evaluated at the current state, which pins the terminal node
+    exactly.
     """
     if params.gamma < 1:
         raise ValueError("the a priori bound needs gamma >= 1")
@@ -104,15 +102,13 @@ def apriori_bound(
     K = bundle.grid.n_steps
     n = bundle.n_paths
 
+    order = gamma * math.exp(bstar * T)
+    if not exponential_moment_estimate(xi, params, bundle, order).finite:
+        raise MomentFailureError(
+            f"exponential moment of order gamma*e^(beta*T) = {order:.3g} is not finite on the sample"
+        )
     xi_vals = xi.evaluate(bundle.terminal_state)
     alpha = params.alpha_on(bundle)
-    a1 = params.alpha_l1(bundle)
-    with np.errstate(over="ignore"):
-        worst = np.exp(gamma * math.exp(bstar * T) * (np.abs(xi_vals) + a1))
-    if not np.all(np.isfinite(worst)):
-        raise MomentFailureError(
-            f"exponential moment of order gamma*e^(beta*T) = {gamma * math.exp(bstar * T):.3g} is not finite on the sample"
-        )
 
     # weighted remaining mean-variance tradeoff, backward recursion
     R = np.zeros(K + 1)
@@ -124,16 +120,14 @@ def apriori_bound(
     x_se = np.zeros((K + 1, n))
     x[K] = np.abs(xi_vals)
 
-    if mode == "closed_form":
-        if xi.affine is None:
-            raise ValueError("closed-form bound needs an affine terminal condition")
+    if xi.affine is not None:
         a0, a = xi.affine
         a = np.broadcast_to(np.asarray(a, dtype=float), (bundle.dim_m + bundle.dim_orth,))
         for i in range(K):
             mean = a0 + bundle.state(i) @ a
             var = float(a @ a) * (T - nodes[i])
             x[i] = np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
-    elif mode == "regression":
+    else:
         basis = basis or BasisSpec(degree=3)
         for i in range(K):
             state = bundle.state(i)
@@ -149,10 +143,8 @@ def apriori_bound(
             x[i] = np.log(m_hat) / gamma + R[i]
             sigma2 = float(reg.residual_variance(target, m_hat)[0])
             x_se[i] = np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
-    else:
-        raise ValueError(f"unknown bound mode {mode!r}")
 
-    return BoundProcess(x=x.T, x_se=x_se.T, mode=mode, gamma=gamma, beta_star=bstar)
+    return BoundProcess(x=x.T, x_se=x_se.T)
 
 
 def check_apriori(
@@ -180,7 +172,8 @@ def check_apriori(
     if solution.diagnostics is not None:
         se = np.hypot(se, np.sqrt(solution.diagnostics.y_var))
         dof = max(dof, solution.diagnostics.max_features)
-    band = math.sqrt(chi2.ppf(1.0 - 0.003, df=dof)) / 3.0
+    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u): scipy.stats is slow to import
+    band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
     adjusted = gap - 3.0 * band * se
     # the first maximum in path-major order, as a flat argmax would give,
     # without copying the node-major surface into that order
@@ -226,23 +219,19 @@ def norm_bound_checks(
     if p <= 1:
         raise ValueError("norm bound needs p > 1")
     gamma, bstar = params.gamma, params.beta_star
-    T = bundle.grid.horizon
-    xi_vals = xi.evaluate(bundle.terminal_state)
-    a1 = params.alpha_l1(bundle)
-    base = np.abs(xi_vals) + a1
-
+    order = p * gamma * math.exp(bstar * bundle.grid.horizon)
+    rhs1 = exponential_moment_estimate(xi, params, bundle, order)
+    rhs2 = exponential_moment_estimate(xi, params, bundle, 4.0 * order)
     with np.errstate(over="ignore"):
         lhs1 = np.exp(p * gamma * solution.sup_abs_y())
-        rhs1 = np.exp(p * gamma * math.exp(bstar * T) * base)
-        rhs2 = np.exp(4.0 * p * gamma * math.exp(bstar * T) * base)
     lhs2 = quadratic_variation(bundle, solution.integrand) ** (p / 2.0)
 
-    if not (np.all(np.isfinite(rhs1)) and np.all(np.isfinite(lhs1))):
+    if not (rhs1.finite and np.all(np.isfinite(lhs1))):
         raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
 
     const = (p / (p - 1.0)) ** p
     m_l1, se_l1 = mean_se(lhs1)
-    m_r1, se_r1 = mean_se(rhs1)
+    m_r1, se_r1 = rhs1.estimate, rhs1.se
     se1 = math.hypot(se_l1, const * se_r1)
     margin1 = m_l1 - const * m_r1
     check1 = CheckReport(
@@ -256,8 +245,8 @@ def norm_bound_checks(
     )
 
     m_l2, se_l2 = mean_se(lhs2)
-    finite2 = bool(np.all(np.isfinite(rhs2)))
-    m_r2, se_r2 = mean_se(rhs2) if finite2 else (float("inf"), float("inf"))
+    finite2 = rhs2.finite
+    m_r2, se_r2 = rhs2.estimate, rhs2.se
     implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else float("nan"))
     check2 = CheckReport(
         name=f"norm_bound_martingale_p{p:g}",
@@ -498,22 +487,17 @@ def kazamaki_statistic(
     solution: SolutionField,
     eta: float,
     q_tilde: float,
-    stopping_nodes: list[int] | None = None,
 ) -> KazamakiReport:
-    """sup over the stopping grid of E[exp(eta Mt + (1/2 - eta) <Mt>)] for
-    Mt = q_tilde (Z.M + N), discretized on the bundle's grid."""
+    """sup over every node of the bundle's grid of E[exp(eta Mt + (1/2 - eta) <Mt>)]
+    for Mt = q_tilde (Z.M + N), stopped at that node."""
     if eta == 1.0:
         raise ValueError("the criterion needs eta != 1")
-    K = bundle.grid.n_steps
-    nodes = list(range(K + 1)) if stopping_nodes is None else sorted(set(int(i) for i in stopping_nodes))
-    if nodes and (nodes[0] < 0 or nodes[-1] > K):
-        raise ValueError("stopping nodes must be grid node indices")
 
     mt, qv = stochastic_integral(bundle, q_tilde * solution.integrand, running=True)
 
     means, ses = [], []
     finite = True
-    for i in nodes:
+    for i in range(bundle.grid.n_steps + 1):
         with np.errstate(over="ignore"):
             vals = np.exp(eta * mt[:, i] + (0.5 - eta) * qv[:, i])
         if not np.all(np.isfinite(vals)):
@@ -529,7 +513,7 @@ def kazamaki_statistic(
         eta=eta,
         q_tilde=q_tilde,
         sup=float(means[sup_idx]),
-        sup_node=int(nodes[sup_idx]),
+        sup_node=sup_idx,
         node_means=tuple(means),
         node_ses=tuple(ses),
         finite=finite,

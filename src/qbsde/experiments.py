@@ -40,19 +40,6 @@ from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y
 
 REPORT_SCHEMA_VERSION = 1
 
-_CHECK_TYPES = (
-    "anchor",
-    "apriori",
-    "norm_bounds",
-    "comparison",
-    "stability",
-    "ladder",
-    "exp_martingale",
-    "kazamaki",
-    "assumptions",
-    "moments",
-)
-
 _DRIVER_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -127,9 +114,7 @@ _SCHEMA = {
                 "bins": {"type": "integer", "minimum": 1},
                 "picard_tol": {"type": "number", "exclusiveMinimum": 0},
                 "picard_max": {"type": "integer", "minimum": 1},
-                "implicit": {"type": "boolean"},
                 "terminal_feature": {"type": "boolean"},
-                "se_batches": {"type": "integer", "minimum": 1},
             },
         },
         "checks": {
@@ -137,7 +122,7 @@ _SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["type"],
-                "properties": {"type": {"enum": list(_CHECK_TYPES)}},
+                "properties": {"type": {"type": "string"}},
             },
         },
         "output": {
@@ -149,7 +134,7 @@ _SCHEMA = {
 }
 
 _SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "stream": 0, "mandatory_nodes": [], "clock": {"kind": "identity"}}
-_SOLVER_DEFAULTS = {**dataclasses.asdict(SolverConfig()), "se_batches": 8}
+_SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
 _OUTPUT_DEFAULTS = {"export_paths": 100}
 
 
@@ -249,10 +234,6 @@ def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
     )
 
 
-def solver_config(config: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(**{k: v for k, v in config.solver.items() if k != "se_batches"})
-
-
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config.
 
@@ -321,21 +302,13 @@ def validate_config(text: str) -> ExperimentConfig:
 
 
 def _check_block_errors(check: dict) -> list[tuple[str, str]]:
-    errs = []
-    t = check.get("type")
-    needs = {
-        "anchor": ["y0"],
-        "comparison": ["other"],
-        "stability": ["members", "p"],
-        "ladder": ["levels"],
-        "exp_martingale": ["q"],
-        "kazamaki": ["eta", "q_tilde"],
-        "norm_bounds": ["p"],
-        "moments": ["p"],
-    }
-    for key in needs.get(t, []):
-        if key not in check:
-            errs.append((key, f"check {t!r} requires key {key!r}"))
+    t = check["type"]
+    if t not in _CHECKS:
+        return [("type", f"unknown check type {t!r}; known types: {', '.join(_CHECKS)}")]
+    _, required, optional = _CHECKS[t]
+    errs = [(key, f"check {t!r} requires key {key!r}") for key in required if key not in check]
+    errs.extend((key, f"check {t!r} does not read key {key!r}")
+                for key in check if key != "type" and key not in required and key not in optional)
     if t == "stability":
         for j, member in enumerate(check.get("members", [])):
             if "driver" not in member:
@@ -446,8 +419,7 @@ def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 
 
 def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    mode = check.get("mode", "regression")
-    bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, basis=ctx.solver_cfg.basis, mode=mode)
+    bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, basis=ctx.solver_cfg.basis)
     tol = float(check.get("tol", 1e-6))
     report = analytics.check_apriori(ctx.field, bound, tol)
     passed = report.passed
@@ -628,17 +600,19 @@ def _run_moments(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     return out
 
 
-_CHECK_RUNNERS = {
-    "anchor": _run_anchor,
-    "apriori": _run_apriori,
-    "norm_bounds": _run_norm_bounds,
-    "comparison": _run_comparison,
-    "stability": _run_stability,
-    "ladder": _run_ladder,
-    "exp_martingale": _run_exp_martingale,
-    "kazamaki": _run_kazamaki,
-    "assumptions": _run_assumptions,
-    "moments": _run_moments,
+# check type -> (runner, required keys, optional keys); a check block may
+# carry "type" and these keys only
+_CHECKS = {
+    "anchor": (_run_anchor, ("y0",), ("tol", "z_mean", "z_orth_mean", "z_tol")),
+    "apriori": (_run_apriori, (), ("tol", "tight", "x0", "x0_tol")),
+    "norm_bounds": (_run_norm_bounds, ("p",), ()),
+    "comparison": (_run_comparison, ("other",), ("direction", "tol", "expected_y0_gap", "gap_tol")),
+    "stability": (_run_stability, ("members", "p"), ()),
+    "ladder": (_run_ladder, ("levels",), ("fraction_tol",)),
+    "exp_martingale": (_run_exp_martingale, ("q",), ()),
+    "kazamaki": (_run_kazamaki, ("eta", "q_tilde"), ("expected_sup",)),
+    "assumptions": (_run_assumptions, (), ("probes", "seed")),
+    "moments": (_run_moments, ("p",), ("expected",)),
 }
 
 
@@ -663,15 +637,16 @@ def run_experiment(
     bundle = build_bundle(config)
     driver = build_driver(config.driver)
     xi = build_terminal(config.terminal, bundle.dim_m + bundle.dim_orth)
-    cfg = solver_config(config)
+    cfg = SolverConfig(**config.solver)
     field_ = solve_backward(bundle, driver, xi, cfg)
-    y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg, n_batches=config.solver["se_batches"])
+    y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)
     ctx = _RunContext(config=config, bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg,
                       field=field_, y0=y0, y0_se=y0_se)
 
     checks: list[analytics.CheckReport] = []
     for check in config.checks:
-        checks.extend(_CHECK_RUNNERS[check["type"]](ctx, check))
+        run, _, _ = _CHECKS[check["type"]]
+        checks.extend(run(ctx, check))
 
     report = ExperimentReport(
         name=config.name,

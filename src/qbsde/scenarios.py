@@ -160,8 +160,7 @@ class ScenarioBundle:
     node-major, shape (K+1, n_paths, dim_m + dim_orth), with M_0 = W_orth_0 = 0.
     ``state(i)`` is the contiguous view ``states[i]``; ``m_paths``
     (n_paths, K+1, dim_m) and ``orth_paths`` (n_paths, K+1, dim_orth) are
-    read-only path-major views of it.  ``increments`` (K, n_paths,
-    dim_m + dim_orth) is a new array on every access.  ``clock_values`` and
+    read-only path-major views of it.  ``clock_values`` and
     ``factor_b`` are derived from ``clock`` on construction; ``factor_b[i]`` is
     the factor matrix on step [t_i, t_{i+1}) and the terminal slot repeats the
     last step.  ``first_path`` is the index, among the paths drawn from
@@ -212,11 +211,6 @@ class ScenarioBundle:
     @property
     def dA(self) -> np.ndarray:
         return np.diff(self.clock_values)
-
-    @property
-    def increments(self) -> np.ndarray:
-        """(dM, dW_orth) on every step, shape (K, n_paths, dim_m + dim_orth)."""
-        return np.diff(self.states, axis=0)
 
     def state(self, i: int) -> np.ndarray:
         """Markov state (M, W_orth) at node i, shape (n_paths, dim_m + dim_orth)."""
@@ -331,13 +325,17 @@ def quadratic_variation(bundle: ScenarioBundle, integrand, running: bool = False
 def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Discrete integral sum_i zeta_i . (dM, dW_orth)_i and its ``quadratic_variation``, both shaped as that."""
     qv = quadratic_variation(bundle, integrand, running)
-    dw = bundle.increments
-    z = np.broadcast_to(np.asarray(integrand, dtype=float), (bundle.n_paths, bundle.grid.n_steps, dw.shape[2]))
-    if not running:
-        return np.einsum("nkw,knw->n", z, dw), qv
+    states = bundle.states
+    K = bundle.grid.n_steps
+    z = np.broadcast_to(np.asarray(integrand, dtype=float), (bundle.n_paths, K, states.shape[2]))
+    # step by step from the states, so no (K, n, w) array of increments is built
     integral = np.zeros_like(qv)
-    np.cumsum(np.einsum("nkw,knw->nk", z, dw), axis=1, out=integral[:, 1:])
-    return integral, qv
+    total = np.zeros(bundle.n_paths)
+    for i in range(K):
+        total += np.einsum("nw,nw->n", z[:, i], states[i + 1] - states[i])
+        if running:
+            integral[:, i + 1] = total
+    return (integral if running else total), qv
 
 
 def save_scenario(bundle: ScenarioBundle, path) -> None:

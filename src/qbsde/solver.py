@@ -42,6 +42,8 @@ ORACLE_CHUNK_BUDGET = 1 << 16
 ORACLE_CAPACITY = 4_000_000_000
 # leaves per oracle seed block; fixed, so the draws never depend on the chunk size
 _ORACLE_SEED_LEAVES = 1 << 16
+# disjoint path batches behind the Y_0 standard error of ``y0_with_se``
+Y0_SE_BATCHES = 8
 
 _log = logging.getLogger(__name__)
 
@@ -59,7 +61,6 @@ class SolverConfig:
     bins: int = 24
     picard_tol: float = 1e-10
     picard_max: int = 50
-    implicit: bool = True
     terminal_feature: bool = True
 
     def __post_init__(self):
@@ -177,7 +178,7 @@ def _solve_y(ey, zeta, driver, bundle, i, config):
     if not dA_i > 0:
         return ey + half_qv
     y = ey + driver.evaluate(bundle, i, ey, z) * dA_i + half_qv
-    if not (driver.depends_on_y and config.implicit):
+    if not driver.depends_on_y:
         return y
     last = np.inf
     for _ in range(config.picard_max):
@@ -261,15 +262,16 @@ def y0_with_se(
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig | None = None,
-    n_batches: int = 8,
 ) -> tuple[float, float, list[float]]:
-    """Y_0 estimate with a standard error from disjoint path batches.
+    """Y_0 estimate with a standard error from ``Y0_SE_BATCHES`` disjoint path
+    batches (one per path when there are fewer paths).
 
     Batch means are independent solver runs, so the spread includes the
-    regression noise accumulated over all backward steps.
+    regression noise accumulated over all backward steps.  Returns the mean
+    of the batch Y_0 values, its standard error and the values.
     """
     config = config or SolverConfig()
-    k = max(1, min(n_batches, bundle.n_paths))
+    k = max(1, min(Y0_SE_BATCHES, bundle.n_paths))
     edges = np.linspace(0, bundle.n_paths, k + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -38,6 +39,14 @@ class TestAprioriBound:
         bound = q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=1.0))
         assert np.allclose(bound.x, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("xi", [q.terminal_constant(0.4, 1), q.terminal_affine(0.1, [1.0]), q.terminal_abs(0.1, [1.0])],
+                             ids=["constant", "affine", "abs"])
+    def test_affine_terminals_take_the_closed_form(self, bundle_1d, xi):
+        bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
+        assert np.all(bound.x_se == 0.0)
+        projected = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
+        assert abs(projected.x0 - bound.x0) <= 4.0 * projected.x0_se + 1e-12
+
     def test_step_family_bound_is_the_solution(self):
         grid = q.build_grid(2.0, 64, [0.5])
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(1))
@@ -51,18 +60,18 @@ class TestAprioriBound:
 
     def test_gaussian_x0_closed_form(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0), mode="closed_form")
+        bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         assert bound.x0 == pytest.approx(math.log(2 * norm.cdf(1.0) * math.exp(0.5)), abs=1e-12)
 
     def test_regression_x0_matches_closed_form(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        reg = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0), mode="regression")
-        closed = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0), mode="closed_form")
+        reg = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
+        closed = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         assert abs(reg.x0 - closed.x0) <= 4.0 * reg.x0_se
 
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
         drv, field = solved(bundle_1d, "pure_quadratic", {"gamma": 1.0}, q.terminal_affine(0.0, [1.0]))
-        bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), drv.params, mode="closed_form")
+        bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), drv.params)
         report = q.check_apriori(field, bound, tol=1e-6)
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
@@ -84,11 +93,12 @@ class TestAprioriBound:
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        closed = [q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g), mode="closed_form") for g in (1, 2, 4)]
+        closed = [q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g)) for g in (1, 2, 4)]
         assert np.all(closed[0].x <= closed[1].x + 1e-12)
         assert np.all(closed[1].x <= closed[2].x + 1e-12)
         # empirical node-0 estimate obeys the power-mean inequality exactly
-        regs = [q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g), mode="regression") for g in (1, 2, 4)]
+        projected = dataclasses.replace(xi, affine=None)
+        regs = [q.apriori_bound(bundle_1d, projected, ParamSet(gamma=g)) for g in (1, 2, 4)]
         assert regs[0].x0 <= regs[1].x0 <= regs[2].x0
 
     def test_moment_failure(self, bundle_1d):
@@ -99,9 +109,12 @@ class TestAprioriBound:
         with pytest.raises(ValueError):
             q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=0.5))
 
-    @pytest.mark.parametrize("mode", ["closed_form", "regression"])
-    def test_bound_node_major(self, bundle_1d, mode):
-        bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), ParamSet(gamma=1.0), mode=mode)
+    @pytest.mark.parametrize("affine", [True, False], ids=["closed_form", "regression"])
+    def test_bound_node_major(self, bundle_1d, affine):
+        xi = q.terminal_affine(0.0, [1.0])
+        if not affine:
+            xi = dataclasses.replace(xi, affine=None)
+        bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         assert bound.x.T.flags.c_contiguous
         assert bound.x_se.T.flags.c_contiguous
 
@@ -111,7 +124,7 @@ class TestAprioriBound:
         y = np.zeros((6, 5))
         y[4, 1] = y[1, 3] = 2.0
         field = q.SolutionField(y.T, np.zeros((5, 5, 1)).transpose(1, 0, 2), 1)
-        bound = q.BoundProcess(x=np.ones((5, 6)), x_se=np.zeros((5, 6)), mode="closed_form", gamma=1.0, beta_star=0.0)
+        bound = q.BoundProcess(x=np.ones((5, 6)), x_se=np.zeros((5, 6)))
         report = q.check_apriori(field, bound, tol=0.0)
         assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (1, 4)
         assert report.margin == 1.0
@@ -277,7 +290,7 @@ class TestMeasureChange:
         # zeta_i = dW_i / dt_i makes log E(zeta.W)_T = 1/2 sum dW_i^2 / dt_i,
         # about K/2 = 1000 > log(max float) on every path
         bundle = q.simulate_scenario(q.build_grid(1.0, 2000), 1, 0, 16, source=q.RandomSource(4))
-        zeta = (bundle.increments / bundle.dt[:, None, None]).transpose(1, 0, 2)
+        zeta = (np.diff(bundle.states, axis=0) / bundle.dt[:, None, None]).transpose(1, 0, 2)
         field = q.SolutionField(np.zeros((bundle.n_paths, bundle.grid.n_steps + 1)), zeta, 1)
         est = q.stochastic_exponential_mean(bundle, field, q=1.0)
         assert est.n_overflow > 0
@@ -301,12 +314,6 @@ class TestKazamaki:
         rep = q.kazamaki_statistic(bundle_1d, field, eta=eta, q_tilde=1.0)
         assert rep.sup_node == bundle_1d.grid.n_steps
         assert abs(rep.sup - expected) <= 3.0 * rep.sup_se
-
-    def test_stopping_subgrid(self, bundle_1d):
-        field = self.unit_field(bundle_1d)
-        rep = q.kazamaki_statistic(bundle_1d, field, eta=2.0, q_tilde=1.0, stopping_nodes=[0, 5, 10])
-        assert len(rep.node_means) == 3
-        assert rep.sup_node == 10
 
     def test_eta_one_rejected(self, bundle_1d):
         field = self.unit_field(bundle_1d)

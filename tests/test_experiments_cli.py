@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -94,6 +95,23 @@ terminal: {kind: constant}
             q.validate_config(text)
         assert any("dim_m" in path for path, _ in err.value.errors)
 
+    @pytest.mark.parametrize("block, where, key", [
+        ("solver: {implicit: false}", "solver", "implicit"),
+        ("solver: {se_batches: 4}", "solver", "se_batches"),
+        ("checks:\n  - {type: apriori, mode: closed_form}", "checks.0.mode", "mode"),
+        ("checks:\n  - {type: kazamaki, eta: 2.0, q_tilde: 1.0, tool: 1}", "checks.0.tool", "tool"),
+        ("checks:\n  - {type: frob}", "checks.0.type", "frob"),
+    ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type"])
+    def test_unread_key_named(self, block, where, key):
+        with pytest.raises(ConfigValidationError) as err:
+            q.validate_config(MINIMAL + block + "\n")
+        assert any(path == where and key in msg for path, msg in err.value.errors), err.value.errors
+
+    def test_solver_block_keys_are_solver_config_fields(self):
+        from qbsde.experiments import _SCHEMA
+        keys = set(_SCHEMA["properties"]["solver"]["properties"])
+        assert keys == {f.name for f in dataclasses.fields(q.SolverConfig)}
+
     def test_stability_member_needs_expected_sup(self):
         text = MINIMAL + """
 checks:
@@ -158,11 +176,22 @@ class TestCatalogue:
             q.load_config("no-such-experiment")
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child imports qbsde from this checkout, also when pytest alone put src/ on sys.path
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "qbsde", *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "qbsde", *args)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; the package needs none of it
+    proc = run_python("-c", "import sys, qbsde; qbsde.bundled_configs(); print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCli:

@@ -98,7 +98,7 @@ def test_terminal_moments_within_four_standard_errors():
 
 def test_orthogonal_noise_uncorrelated(bundle_orth):
     n = bundle_orth.n_paths
-    dw = bundle_orth.increments
+    dw = np.diff(bundle_orth.states, axis=0)
     for i in range(bundle_orth.grid.n_steps):
         corr = np.corrcoef(dw[i, :, 0], dw[i, :, 1])[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
@@ -130,8 +130,8 @@ def test_refinement_consistency_by_coarsening():
     assert np.array_equal(coarse.m_paths, fine.m_paths[:, ::4, :])
     assert np.array_equal(coarse.orth_paths, fine.orth_paths[:, ::4, :])
     # ... so coarse increments are the summed fine increments (up to fp reassociation)
-    sums = fine.increments.reshape(4, 4, 300, 2).sum(axis=1)
-    assert np.allclose(coarse.increments, sums, atol=1e-12)
+    sums = np.diff(fine.states, axis=0).reshape(4, 4, 300, 2).sum(axis=1)
+    assert np.allclose(np.diff(coarse.states, axis=0), sums, atol=1e-12)
 
 
 def test_coarsened_bundle_key_differs_from_fresh_simulation(tmp_path):
@@ -199,6 +199,14 @@ class TestQuadraticVariation:
         assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
         assert np.allclose(running[:, -1], integral, atol=1e-12)
         assert np.allclose(running_qv[:, -1], qv, atol=1e-12)
+
+    def test_integral_matches_one_contraction_over_increments(self, bundle_orth):
+        zeta = np.random.default_rng(5).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
+        steps = np.einsum("nkw,knw->nk", zeta, np.diff(bundle_orth.states, axis=0))
+        integral = q.stochastic_integral(bundle_orth, zeta)[0]
+        running = q.stochastic_integral(bundle_orth, zeta, running=True)[0]
+        assert np.array_equal(running[:, 1:], np.cumsum(steps, axis=1))
+        assert np.array_equal(integral, running[:, -1])
 
     def test_quadratic_variation_alone(self, bundle_orth):
         """``quadratic_variation`` is the integral's second output, sum_i |zeta_i|^2 dt_i."""

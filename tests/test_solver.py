@@ -31,13 +31,6 @@ def implicit_ode_oracle(grid, a, b0):
     return y
 
 
-def explicit_ode_oracle(grid, a, b0):
-    y = 0.0
-    for dt in reversed(np.diff(grid.nodes)):
-        y = y + (b0 + a * y) * dt
-    return y
-
-
 class TestExactProblems:
     def test_constant_terminal_zero_driver(self, bundle_orth):
         field = q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_constant(3.0, 2))
@@ -85,13 +78,6 @@ class TestPicard:
         field = q.solve_backward(b, drv, q.terminal_constant(0.0, 1))
         assert field.y0 == pytest.approx(implicit_ode_oracle(grid, 0.8, 0.5), abs=1e-9)
 
-    def test_explicit_mode(self):
-        grid = q.build_grid(1.0, 40)
-        b = q.simulate_scenario(grid, 1, 0, 256, source=q.RandomSource(9))
-        drv = linear_driver(a=0.8, b0=0.5)
-        field = q.solve_backward(b, drv, q.terminal_constant(0.0, 1), q.SolverConfig(implicit=False))
-        assert field.y0 == pytest.approx(explicit_ode_oracle(grid, 0.8, 0.5), abs=1e-12)
-
     def test_implicit_converges_to_continuous_solution(self):
         a, b0, T = 0.8, 0.5, 1.0
         cont = (b0 / a) * (math.exp(a * T) - 1.0)
@@ -135,7 +121,7 @@ class TestQuadraticAnchor:
         field = q.solve_backward(bundle_1d, drv, xi)
         n = bundle_1d.n_paths
         for i in range(bundle_1d.grid.n_steps):
-            hedge = np.einsum("nw,nw->n", field.integrand[:, i, :], bundle_1d.increments[i])
+            hedge = np.einsum("nw,nw->n", field.integrand[:, i, :], bundle_1d.states[i + 1] - bundle_1d.states[i])
             resid = (
                 field.y[:, i + 1]
                 - field.y[:, i]
@@ -327,7 +313,6 @@ _SOLVER_FIELDS = {
     "bins": st.integers(2, 64),
     "picard_tol": st.floats(1e-14, 1e-2),
     "picard_max": st.integers(1, 100),
-    "implicit": st.booleans(),
     "terminal_feature": st.booleans(),
 }
 
