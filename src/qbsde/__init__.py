@@ -67,9 +67,7 @@ from .scenarios import (
     TimeGrid,
     build_grid,
     coarsen_bundle,
-    load_scenario,
     quadratic_variation,
-    save_scenario,
     simulate_scenario,
     stochastic_integral,
 )

@@ -117,14 +117,8 @@ _SCHEMA = {
                 "terminal_feature": {"type": "boolean"},
             },
         },
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["type"],
-                "properties": {"type": {"type": "string"}},
-            },
-        },
+        # items: one schema per check type, built from the _CHECKS table below
+        "checks": {"type": "array"},
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -159,9 +153,7 @@ class ExperimentConfig:
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -237,10 +229,13 @@ def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config.
 
-    Collects every violation with the path to the offending key; parse errors
-    carry the YAML line reference.
+    One schema checks every block, nested ones included (stability
+    ``members[j]``, the comparison's ``other`` and their driver and terminal
+    blocks): key names, types and the domain of each value.  Then every driver
+    and terminal the config names is built against the scenario
+    (``_problem_errors``).  Every violation is collected with the path to the
+    offending key; parse errors carry the YAML line reference.
     """
-    errors: list[tuple[str, str]] = []
     try:
         raw = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
@@ -249,11 +244,7 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ConfigValidationError([(where, str(exc.problem or exc))]) from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError([("<root>", "config must be a mapping")])
-
-    validator = jsonschema.Draft202012Validator(_SCHEMA)
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        errors.append((path, err.message))
+    errors = _schema_errors(raw)
     if errors:
         raise ConfigValidationError(errors)
 
@@ -272,50 +263,70 @@ def validate_config(text: str) -> ExperimentConfig:
 
     # semantic constraints beyond the schema
     try:
-        driver = build_driver(config.driver)
-    except Exception as exc:
-        raise ConfigValidationError([("driver", str(exc))]) from exc
-    if driver.dim_m is not None and driver.dim_m != scenario["dim_m"]:
-        errors.append(("scenario.dim_m", f"driver {driver.name!r} needs dim_m={driver.dim_m}"))
-    try:
-        build_terminal(config.terminal, scenario["dim_m"] + scenario["dim_orth"])
-    except Exception as exc:
-        errors.append(("terminal", str(exc)))
-    try:
         grid, clock = build_grid_for(config), build_clock(scenario)
+        max_da = float(np.max(np.diff(clock.at(grid.nodes))))
     except Exception as exc:
         errors.append(("scenario", str(exc)))
-        grid = None
-    if grid is not None:
-        d_a = np.diff(clock.at(grid.nodes))
-        bb = driver.params.beta_bar * float(np.max(d_a))
-        if bb >= 0.5:
-            errors.append(
-                ("driver.declared.beta_bar",
-                 f"contraction constraint violated: beta_bar * max dA = {bb:.3g} >= 0.5")
-            )
+        max_da = None
+    problems = [("", config.driver, config.terminal)]
     for k, check in enumerate(config.checks):
-        errors.extend((f"checks.{k}.{path}", msg) for path, msg in _check_block_errors(check))
+        nested = [(f"checks.{k}.other.", check["other"])] if "other" in check else []
+        nested += [(f"checks.{k}.members.{j}.", m) for j, m in enumerate(check.get("members", []))]
+        problems += [(prefix, block.get("driver"), block.get("terminal")) for prefix, block in nested]
+        # vectors read against the state or against another key
+        for key, size in (("z_mean", scenario["dim_m"]), ("z_orth_mean", scenario["dim_orth"]),
+                          ("expected", len(check.get("p", ())))):
+            if key in check and len(check[key]) != size:
+                errors.append((f"checks.{k}.{key}", f"has {len(check[key])} entries, needs {size}"))
+    for prefix, driver_block, terminal_block in problems:
+        errors += _problem_errors(prefix, driver_block, terminal_block, scenario, max_da)
     if errors:
-        raise ConfigValidationError(errors)
+        raise ConfigValidationError(sorted(errors))
     return config
 
 
-def _check_block_errors(check: dict) -> list[tuple[str, str]]:
-    t = check["type"]
-    if t not in _CHECKS:
-        return [("type", f"unknown check type {t!r}; known types: {', '.join(_CHECKS)}")]
-    _, required, optional = _CHECKS[t]
-    errs = [(key, f"check {t!r} requires key {key!r}") for key in required if key not in check]
-    errs.extend((key, f"check {t!r} does not read key {key!r}")
-                for key in check if key != "type" and key not in required and key not in optional)
-    if t == "stability":
-        for j, member in enumerate(check.get("members", [])):
-            if "driver" not in member:
-                errs.append((f"members.{j}.driver", "stability member needs a driver block"))
-            if not member.get("converges", False) and "expected_sup" not in member:
-                errs.append((f"members.{j}.expected_sup", "non-converging member needs expected_sup"))
-    return errs
+def _schema_errors(raw: dict) -> list[tuple[str, str]]:
+    """Schema violations, each missing or unread key at its own path."""
+    errors = set()
+    for err in _VALIDATOR.iter_errors(raw):
+        path = [str(p) for p in err.absolute_path]
+        if err.validator == "required":
+            missing = [k for k in err.validator_value if k not in err.instance]
+            errors.update((".".join([*path, k]), f"missing required key {k!r}") for k in missing)
+        elif err.validator == "additionalProperties":
+            unread = [k for k in err.instance if k not in err.schema.get("properties", {})]
+            errors.update((".".join([*path, k]), f"key {k!r} is not read here") for k in unread)
+        else:
+            errors.add((".".join(path) or "<root>", err.message))
+    return sorted(errors)
+
+
+def _problem_errors(prefix: str, driver_block, terminal_block, scenario: dict, max_da) -> list[tuple[str, str]]:
+    """What the schema cannot see in one problem: its driver and terminal must
+    build on the scenario's dimensions and the driver must keep the contraction
+    bound beta_bar * max dA < 1/2.  ``prefix`` is the path of a nested problem
+    ("checks.0.other.") or empty; a nested problem without a driver or
+    terminal block inherits the top-level one, checked already."""
+    errors = []
+    if terminal_block is not None:
+        try:
+            build_terminal(terminal_block, scenario["dim_m"] + scenario["dim_orth"])
+        except Exception as exc:
+            errors.append((f"{prefix}terminal", str(exc)))
+    if driver_block is None:
+        return errors
+    try:
+        driver = build_driver(driver_block)
+    except Exception as exc:
+        return errors + [(f"{prefix}driver", str(exc))]
+    if driver.dim_m is not None and driver.dim_m != scenario["dim_m"]:
+        errors.append((f"{prefix}driver" if prefix else "scenario.dim_m",
+                       f"driver {driver.name!r} needs dim_m={driver.dim_m}, scenario has {scenario['dim_m']}"))
+    bb = driver.params.beta_bar * max_da if max_da is not None else 0.0
+    if bb >= 0.5:
+        errors.append((f"{prefix}driver.declared.beta_bar",
+                       f"contraction constraint violated: beta_bar * max dA = {bb:.3g} >= 0.5"))
+    return errors
 
 
 def load_config(path_or_name: str) -> ExperimentConfig:
@@ -387,10 +398,7 @@ class _RunContext:
 
 def _member_problem(ctx: _RunContext, block: dict):
     driver = build_driver(block["driver"]) if "driver" in block else ctx.driver
-    if "terminal" in block:
-        xi = build_terminal(block["terminal"], ctx.bundle.dim_m + ctx.bundle.dim_orth)
-    else:
-        xi = ctx.xi
+    xi = build_terminal(block["terminal"], ctx.bundle.dim_m + ctx.bundle.dim_orth) if "terminal" in block else ctx.xi
     return driver, xi
 
 
@@ -445,21 +453,15 @@ def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckRepor
 
 
 def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    other_driver, other_xi = _member_problem(ctx, check["other"])
-    other_field = solve_backward(ctx.bundle, other_driver, other_xi, ctx.solver_cfg)
-    below = check.get("direction", "other_below") == "other_below"
-    if below:
-        lo_field, hi_field = other_field, ctx.field
-        lo_driver, hi_driver, lo_xi, hi_xi = other_driver, ctx.driver, other_xi, ctx.xi
-    else:
-        lo_field, hi_field = ctx.field, other_field
-        lo_driver, hi_driver, lo_xi, hi_xi = ctx.driver, other_driver, ctx.xi, other_xi
-    evidence = analytics.sample_ordering(ctx.bundle, lo_driver, hi_driver, lo_xi, hi_xi)
-    report = analytics.comparison_check(lo_field, hi_field, evidence, tol=float(check.get("tol", 1e-9)))
+    # the other problem is the lower one
+    lo_driver, lo_xi = _member_problem(ctx, check["other"])
+    lo_field = solve_backward(ctx.bundle, lo_driver, lo_xi, ctx.solver_cfg)
+    evidence = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, lo_xi, ctx.xi)
+    report = analytics.comparison_check(lo_field, ctx.field, evidence, tol=float(check.get("tol", 1e-9)))
     passed = report.passed
     extra = dict(report.extra)
     if "expected_y0_gap" in check:
-        gap = hi_field.y0 - lo_field.y0
+        gap = ctx.field.y0 - lo_field.y0
         gerr = abs(gap - float(check["expected_y0_gap"]))
         extra["y0_gap"] = gap
         extra["y0_gap_error"] = gerr
@@ -600,20 +602,65 @@ def _run_moments(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     return out
 
 
-# check type -> (runner, required keys, optional keys); a check block may
-# carry "type" and these keys only
-_CHECKS = {
-    "anchor": (_run_anchor, ("y0",), ("tol", "z_mean", "z_orth_mean", "z_tol")),
-    "apriori": (_run_apriori, (), ("tol", "tight", "x0", "x0_tol")),
-    "norm_bounds": (_run_norm_bounds, ("p",), ()),
-    "comparison": (_run_comparison, ("other",), ("direction", "tol", "expected_y0_gap", "gap_tol")),
-    "stability": (_run_stability, ("members", "p"), ()),
-    "ladder": (_run_ladder, ("levels",), ("fraction_tol",)),
-    "exp_martingale": (_run_exp_martingale, ("q",), ()),
-    "kazamaki": (_run_kazamaki, ("eta", "q_tilde"), ("expected_sup",)),
-    "assumptions": (_run_assumptions, (), ("probes", "seed")),
-    "moments": (_run_moments, ("p",), ("expected",)),
+_NUMBER = {"type": "number"}
+_TOL = {"type": "number", "minimum": 0}
+_VECTOR = {"type": "array", "items": _NUMBER}
+
+
+def _orders(above: float) -> dict:
+    """A nonempty list of numbers greater than ``above``."""
+    return {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": above}}
+
+
+# a problem nested in a check: a driver or terminal block it does not carry is the top-level one
+_PROBLEM_PROPERTIES = {"driver": _DRIVER_SCHEMA, "terminal": _TERMINAL_SCHEMA}
+_STABILITY_MEMBER = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["driver"],
+    "properties": {**_PROBLEM_PROPERTIES, "label": {"type": "string"}, "expected_hypothesis": _NUMBER,
+                   "hyp_tol": _TOL, "converges": {"type": "boolean"}, "expected_sup": _NUMBER, "sup_tol": _TOL},
+    # a member not declared converging states the sup gap it keeps instead
+    "if": {"required": ["converges"], "properties": {"converges": {"const": True}}},
+    "else": {"required": ["expected_sup"]},
 }
+
+# check type -> (runner, required keys, schema of every key the runner reads);
+# the schema of a check block is built from this table, so a block carries
+# "type" and these keys only, each value in its domain
+_CHECKS = {
+    "anchor": (_run_anchor, ["y0"],
+               {"y0": _NUMBER, "tol": _TOL, "z_mean": _VECTOR, "z_orth_mean": _VECTOR, "z_tol": _TOL}),
+    "apriori": (_run_apriori, [], {"tol": _TOL, "tight": _TOL, "x0": _NUMBER, "x0_tol": _TOL}),
+    "norm_bounds": (_run_norm_bounds, ["p"], {"p": _orders(1)}),
+    "comparison": (_run_comparison, ["other"], {
+        "other": {"type": "object", "additionalProperties": False, "properties": _PROBLEM_PROPERTIES},
+        "tol": _TOL, "expected_y0_gap": _NUMBER, "gap_tol": _TOL,
+    }),
+    "stability": (_run_stability, ["members", "p"],
+                  {"members": {"type": "array", "minItems": 1, "items": _STABILITY_MEMBER}, "p": _orders(0)}),
+    "ladder": (_run_ladder, ["levels"], {"levels": _orders(0), "fraction_tol": _TOL}),
+    "exp_martingale": (_run_exp_martingale, ["q"], {"q": {**_VECTOR, "minItems": 1}}),
+    "kazamaki": (_run_kazamaki, ["eta", "q_tilde"],
+                 {"eta": {"type": "number", "not": {"const": 1}}, "q_tilde": _NUMBER, "expected_sup": _NUMBER}),
+    "assumptions": (_run_assumptions, [],
+                    {"probes": {"type": "integer", "minimum": 1}, "seed": {"type": "integer", "minimum": 0}}),
+    "moments": (_run_moments, ["p"], {"p": _orders(0), "expected": _VECTOR}),
+}
+
+_SCHEMA["properties"]["checks"]["items"] = {
+    "type": "object",
+    "required": ["type"],
+    "properties": {"type": {"enum": list(_CHECKS)}},
+    # "required" in each "if": a block with no type would match every "then"
+    "allOf": [
+        {"if": {"required": ["type"], "properties": {"type": {"const": t}}},
+         "then": {"additionalProperties": False, "required": required, "properties": {"type": True, **props}}}
+        for t, (_, required, props) in _CHECKS.items()
+    ],
+}
+# built once: validation runs for every config loaded
+_VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
 
 
 def run_experiment(
@@ -626,13 +673,9 @@ def run_experiment(
 
     ``n_paths``/``seed`` override the scenario block (for CLI sweeps)."""
     t_start = time.perf_counter()
-    if n_paths is not None or seed is not None:
-        scenario = dict(config.scenario)
-        if n_paths is not None:
-            scenario["n_paths"] = int(n_paths)
-        if seed is not None:
-            scenario["seed"] = int(seed)
-        config = dataclasses.replace(config, scenario=scenario)
+    overrides = {key: int(v) for key, v in (("n_paths", n_paths), ("seed", seed)) if v is not None}
+    if overrides:
+        config = dataclasses.replace(config, scenario={**config.scenario, **overrides})
 
     bundle = build_bundle(config)
     driver = build_driver(config.driver)

@@ -23,8 +23,6 @@ from .errors import CapacityError
 # Hard ceiling on n_paths * n_nodes * n_components for a single bundle.
 DEFAULT_CAPACITY = 200_000_000
 
-_CACHE_FORMAT_VERSION = 3
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -166,8 +164,9 @@ class ScenarioBundle:
     last step.  ``first_path`` is the index, among the paths drawn from
     ``source``, of the first path held, so a slice keeps its own identity;
     ``simulated_on`` is the key of the grid the paths were drawn on when it is
-    not ``grid`` (a coarsened bundle), else None.  Bundles are immutable
-    after construction.
+    not ``grid`` (a coarsened bundle), else None.  ``cache_key()`` hashes this
+    identity, the draws held included; solution hashes are built on it.
+    Bundles are immutable after construction.
     """
 
     grid: TimeGrid
@@ -337,47 +336,3 @@ def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False
             integral[:, i + 1] = total
     return (integral if running else total), qv
 
-
-def save_scenario(bundle: ScenarioBundle, path) -> None:
-    """Columnar cache dump; the header field versions the format."""
-    header = {
-        "format_version": _CACHE_FORMAT_VERSION,
-        "seed": bundle.source.seed,
-        "stream": bundle.source.stream,
-        "first_path": bundle.first_path,
-        "simulated_on": bundle.simulated_on,
-        "dim_m": bundle.dim_m,
-        "clock": {
-            "kind": bundle.clock.kind,
-            "rate": bundle.clock.rate,
-            "times": list(bundle.clock.times),
-            "values": list(bundle.clock.values),
-        },
-        "cache_key": bundle.cache_key(),
-    }
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        nodes=bundle.grid.nodes,
-        states=bundle.states,
-    )
-
-
-def load_scenario(path) -> ScenarioBundle:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("format_version") != _CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported scenario cache version {header.get('format_version')}")
-        clock = header["clock"]
-        bundle = ScenarioBundle(
-            grid=TimeGrid(data["nodes"]),
-            dim_m=header["dim_m"],
-            states=data["states"],
-            clock=ClockSpec(clock["kind"], clock["rate"], tuple(clock["times"]), tuple(clock["values"])),
-            source=RandomSource(seed=header["seed"], stream=header["stream"]),
-            first_path=header["first_path"],
-            simulated_on=header["simulated_on"],
-        )
-    if header.get("cache_key") != bundle.cache_key():
-        raise ValueError(f"scenario cache key {header.get('cache_key')} does not match the stored bundle")
-    return bundle

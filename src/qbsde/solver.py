@@ -21,6 +21,7 @@ monotonicity across levels.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -420,10 +421,10 @@ def nested_mc_oracle(
     is the standard error of the branching/2 pair means.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
-    block of about 2^16 float32 leaf states.  The builtin terminals make no
-    BLAS call; a custom terminal that does (``np.dot``, ``s @ a`` with a 2-D
-    state) starts BLAS threads inside every worker and oversubscribes the
-    cores unless BLAS is limited to one thread.
+    block of about 2^16 float32 leaf states, when ``xi.affine`` is set: the
+    builtin terminals make no BLAS call.  A terminal without an affine form
+    may make one (``np.dot``, ``s @ a`` with a 2-D state) and so start BLAS
+    threads inside every worker; it runs on the calling thread alone.
     """
     config = config or SolverConfig()
     if bundle.grid.nodes.size > 4:
@@ -447,7 +448,7 @@ def nested_mc_oracle(
 
     # one executor per call: no worker thread outlives it (callers may fork)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=cpus) as pool:
+    with ThreadPoolExecutor(max_workers=cpus) if xi.affine is not None else contextlib.nullcontext() as pool:
         for i in range(K):
             states = bundle.state(i)
             # a node where every path sits at one state is resimulated once

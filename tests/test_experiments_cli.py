@@ -96,8 +96,8 @@ terminal: {kind: constant}
         assert any("dim_m" in path for path, _ in err.value.errors)
 
     @pytest.mark.parametrize("block, where, key", [
-        ("solver: {implicit: false}", "solver", "implicit"),
-        ("solver: {se_batches: 4}", "solver", "se_batches"),
+        ("solver: {implicit: false}", "solver.implicit", "implicit"),
+        ("solver: {se_batches: 4}", "solver.se_batches", "se_batches"),
         ("checks:\n  - {type: apriori, mode: closed_form}", "checks.0.mode", "mode"),
         ("checks:\n  - {type: kazamaki, eta: 2.0, q_tilde: 1.0, tool: 1}", "checks.0.tool", "tool"),
         ("checks:\n  - {type: frob}", "checks.0.type", "frob"),
@@ -111,6 +111,36 @@ terminal: {kind: constant}
         from qbsde.experiments import _SCHEMA
         keys = set(_SCHEMA["properties"]["solver"]["properties"])
         assert keys == {f.name for f in dataclasses.fields(q.SolverConfig)}
+
+    @pytest.mark.parametrize("check, where", [
+        ("{type: norm_bounds, p: 2}", "checks.0.p"),
+        ("{type: anchor, y0: abc}", "checks.0.y0"),
+        ("{type: ladder, levels: [0, 1]}", "checks.0.levels.0"),
+        ("{type: norm_bounds, p: [1]}", "checks.0.p.0"),
+        ("{type: kazamaki, eta: 1, q_tilde: 1}", "checks.0.eta"),
+        ("{type: moments, p: [1, 2], expected: [2.7]}", "checks.0.expected"),
+        ("{type: comparison, other: {driver: {name: frob}}}", "checks.0.other.driver"),
+        ("{type: stability, p: [1], members: [{driver: {name: step_family}, converges: true}]}",
+         "checks.0.members.0.driver"),
+        ("{type: stability, p: [1], members: [{driver: {name: entropic, options: {lam_s: 0.5}}, converges: true}]}",
+         "checks.0.members.0.driver"),
+        ("{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, hyp_tl: 5}]}",
+         "checks.0.members.0.hyp_tl"),
+        ("{type: comparison, other: {driver: {name: zero}, termnal: {kind: constant}}}", "checks.0.other.termnal"),
+        ("{type: comparison, other: {driver: {name: zero}}, direction: sideways}", "checks.0.direction"),
+        ("{type: anchor, y0: 0.0, z_mean: [0, 1]}", "checks.0.z_mean"),
+        ("{type: comparison, other: {terminal: {kind: affine, options: {slope: [1, 2]}}}}", "checks.0.other.terminal"),
+        ("{type: comparison, other: {driver: {name: zero, declared: {beta_bar: 2.0}}}}",
+         "checks.0.other.driver.declared.beta_bar"),
+        ("{y0: 1.0}", "checks.0.type"),
+    ], ids=["p-scalar", "y0-string", "level-zero", "norm-p-one", "eta-one", "expected-length", "other-unknown-driver",
+            "member-missing-option", "member-driver-dim", "member-misspelt-key", "other-misspelt-key",
+            "direction", "z-mean-length", "other-slope-size", "other-contraction", "no-type"])
+    def test_nested_and_domain_errors_named(self, check, where):
+        """Each config validated before and then failed in run_experiment, or ran with the bad value ignored."""
+        with pytest.raises(ConfigValidationError) as err:
+            q.validate_config(MINIMAL + f"checks:\n  - {check}\n")
+        assert where in [path for path, _ in err.value.errors], err.value.errors
 
     def test_stability_member_needs_expected_sup(self):
         text = MINIMAL + """
@@ -248,6 +278,14 @@ class TestCli:
         proc = run_cli("run", str(path), *args)
         assert proc.returncode == 2
         assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_run_invalid_check_exit_2(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL + "checks:\n  - {type: norm_bounds, p: 2}\n")
+        proc = run_cli("run", str(path))
+        assert proc.returncode == 2
+        assert "checks.0.p: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_run_with_overrides(self, tmp_path):

@@ -1,8 +1,10 @@
 """Nested Monte Carlo oracle on tiny grids (the 3-step cross-checks against
 the regression solver run in the acceptance suite)."""
 
+import dataclasses
 import logging
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +98,24 @@ def test_reproducible_given_source(monkeypatch):
             assert np.array_equal(field.z, ref.z)
             assert np.array_equal(field.z_orth, ref.z_orth)
             assert field.meta["y0_se"] == ref.meta["y0_se"]
+
+
+def test_terminal_without_affine_form_runs_on_one_thread(monkeypatch):
+    """A terminal without an affine form may call BLAS, which would start BLAS
+    threads inside every worker; the oracle calls it on the calling thread alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    affine = q.terminal_affine(0.0, [1.0])
+    threads = set()
+
+    def fn(s):
+        threads.add(threading.get_ident())
+        return affine.fn(s)
+
+    b = small_bundle(2, 5)
+    field = q.nested_mc_oracle(b, q.make_builtin("zero"), dataclasses.replace(affine, fn=fn, affine=None), branching=1000)
+    assert threads == {threading.get_ident()}
+    # the draws do not depend on the thread count
+    assert np.array_equal(field.y, q.nested_mc_oracle(b, q.make_builtin("zero"), affine, branching=1000).y)
 
 
 def test_field_node_major():

@@ -1,7 +1,5 @@
 import hashlib
 import math
-import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -134,22 +132,17 @@ def test_refinement_consistency_by_coarsening():
     assert np.allclose(np.diff(coarse.states, axis=0), sums, atol=1e-12)
 
 
-def test_coarsened_bundle_key_differs_from_fresh_simulation(tmp_path):
+def test_coarsened_bundle_key_differs_from_fresh_simulation():
     fine = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 64, source=q.RandomSource(3))
     coarse = q.coarsen_bundle(fine, q.build_grid(1.0, 4))
     fresh = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 64, source=q.RandomSource(3))
     assert not np.array_equal(coarse.states, fresh.states)
     assert coarse.cache_key() != fresh.cache_key()
-    # the simulation grid is kept through slicing, further coarsening and save/load
+    # the simulation grid is kept through slicing and further coarsening
     assert coarse.slice_paths(0, 64).cache_key() == coarse.cache_key()
     assert q.coarsen_bundle(coarse, coarse.grid).cache_key() == coarse.cache_key()
     two = q.build_grid(1.0, 2)
     assert q.coarsen_bundle(coarse, two).cache_key() == q.coarsen_bundle(fine, two).cache_key()
-    path = tmp_path / "coarse.npz"
-    q.save_scenario(coarse, path)
-    loaded = q.load_scenario(path)
-    assert loaded.simulated_on == fine.grid.key()
-    assert loaded.cache_key() == coarse.cache_key()
 
 
 def test_capacity_error():
@@ -223,19 +216,6 @@ class TestQuadraticVariation:
             q.quadratic_variation(bundle_orth, np.ones(3))
 
 
-def test_scenario_cache_roundtrip(tmp_path):
-    b = q.simulate_scenario(q.build_grid(1.0, 5), 1, 1, 64,
-                            clock=q.ClockSpec("scaled", rate=0.5), source=q.RandomSource(8))
-    path = tmp_path / "bundle.npz"
-    q.save_scenario(b, path)
-    loaded = q.load_scenario(path)
-    assert np.array_equal(loaded.m_paths, b.m_paths)
-    assert np.array_equal(loaded.orth_paths, b.orth_paths)
-    assert np.array_equal(loaded.grid.nodes, b.grid.nodes)
-    assert loaded.clock == b.clock
-    assert loaded.cache_key() == b.cache_key()
-
-
 def _piecewise_clocks():
     steps = st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
     return steps.map(lambda incs: q.ClockSpec(
@@ -257,26 +237,20 @@ def _piecewise_clocks():
 )
 @example(seed=0, stream=0, steps=1, dims=(2, 0), n_paths=1,
          clock=q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, 2.2250738585e-313)))
-def test_cache_roundtrip_keeps_key(seed, stream, steps, dims, n_paths, clock):
+def test_derived_copies_keep_key(seed, stream, steps, dims, n_paths, clock):
     b = q.simulate_scenario(q.build_grid(1.0, steps), *dims, n_paths, clock=clock, source=q.RandomSource(seed, stream))
     sub = b.slice_paths(n_paths // 2, n_paths)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bundle.npz")
-        q.save_scenario(b, path)
-        loaded = q.load_scenario(path)
-        q.save_scenario(sub, path)
-        loaded_sub = q.load_scenario(path)
     # every derived copy rebuilds the same clock, factor, paths and states
-    for copy in (loaded, b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
+    for copy in (b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
         assert copy.cache_key() == b.cache_key()
         for name in ("clock_values", "factor_b", "m_paths", "orth_paths"):
             assert np.array_equal(getattr(copy, name), getattr(b, name)), name
         for i in range(steps + 1):
             assert np.array_equal(copy.state(i), b.state(i))
-    # a saved slice keeps its place in the stream
-    assert loaded_sub.first_path == n_paths // 2
-    assert loaded_sub.cache_key() == sub.cache_key()
-    assert np.array_equal(loaded_sub.states, b.states[:, n_paths // 2 :])
+    # a slice keeps its place in the stream, also when cut from a derived copy
+    assert sub.first_path == n_paths // 2
+    assert q.coarsen_bundle(b, b.grid).slice_paths(n_paths // 2, n_paths).cache_key() == sub.cache_key()
+    assert np.array_equal(sub.states, b.states[:, n_paths // 2 :])
 
 
 def test_factor_finite_for_tiny_clock_step():
@@ -287,24 +261,6 @@ def test_factor_finite_for_tiny_clock_step():
         b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, clock=clock, source=q.RandomSource(0))
     assert np.all(np.isfinite(b.factor_b))
     assert b.factor_b[0, 0, 0] == pytest.approx(1.0 / math.sqrt(2.2250738585e-313), rel=1e-12)
-
-
-@pytest.mark.parametrize("key, value, match", [("format_version", 99, "version"), ("cache_key", "0" * 16, "cache key")],
-                         ids=["format_version", "cache_key"])
-def test_cache_rejects_unknown_version(tmp_path, key, value, match):
-    import json
-
-    b = q.simulate_scenario(q.build_grid(1.0, 3), 1, 0, 8, source=q.RandomSource(2))
-    path = tmp_path / "bundle.npz"
-    q.save_scenario(b, path)
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        header[key] = value
-        arrays = {k: data[k] for k in data.files}
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match=match):
-        q.load_scenario(path)
 
 
 def test_slice_paths_view(bundle_1d):
