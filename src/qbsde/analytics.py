@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .drivers import DriverSpec, ParamSet, SamplingPlan, TerminalCondition, exponential_moment_estimate
+from .drivers import (PROBE_NODES, PROBE_RADIUS, PROBE_TOL, DriverSpec, ParamSet, SamplingPlan, TerminalCondition,
+                      exponential_moment_estimate)
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
 from .scenarios import ScenarioBundle, mean_se, quadratic_variation, stochastic_integral
@@ -291,11 +292,11 @@ def sample_ordering(
     plan = plan or SamplingPlan(n_probes=2000)
     rng = np.random.default_rng(plan.seed)
     nodes = bundle.grid.nodes
-    node_pool = np.unique(rng.integers(0, nodes.size, size=min(plan.max_nodes, nodes.size)))
+    node_pool = np.unique(rng.integers(0, nodes.size, size=min(PROBE_NODES, nodes.size)))
     P = plan.n_probes
     node_idx = rng.choice(node_pool, size=P)
-    y = rng.uniform(plan.y_low, plan.y_high, size=P)
-    z = rng.uniform(-plan.z_radius, plan.z_radius, size=(P, bundle.dim_m))
+    y = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
+    z = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, bundle.dim_m))
     max_f = -np.inf
     for i in node_pool:
         mask = node_idx == i
@@ -307,8 +308,8 @@ def sample_ordering(
     xi_gap = xi.evaluate(bundle.terminal_state) - xi_prime.evaluate(bundle.terminal_state)
     max_xi = float(np.max(xi_gap))
     return OrderingEvidence(
-        f_ordered=max_f <= plan.tol,
-        xi_ordered=max_xi <= plan.tol,
+        f_ordered=max_f <= PROBE_TOL,
+        xi_ordered=max_xi <= PROBE_TOL,
         max_f_gap=max_f,
         max_xi_gap=max_xi,
         n_probes=P,

@@ -380,17 +380,19 @@ def make_builtin(name: str, options: dict | None = None) -> DriverSpec:
 # ---------------------------------------------------------------------------
 
 
+# the probe box: y and every coordinate of z uniform on [-PROBE_RADIUS, PROBE_RADIUS],
+# at up to PROBE_NODES grid nodes; a margin above PROBE_TOL is a violation
+PROBE_RADIUS = 5.0
+PROBE_NODES = 33
+PROBE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Probe counts and ranges for the assumption validator."""
+    """Probe count and seed for the assumption validator."""
 
     n_probes: int = 10_000
-    y_low: float = -5.0
-    y_high: float = 5.0
-    z_radius: float = 5.0
     seed: int = 0
-    tol: float = 1e-9
-    max_nodes: int = 33
 
 
 @dataclass(frozen=True)
@@ -442,22 +444,22 @@ def validate_assumptions(
 
     Violations are reported with their worst observed margin; nothing is
     raised.  A clause margin is the amount by which the declared inequality
-    fails, so <= 0 (up to plan.tol) means the probe set found no violation.
+    fails, so <= 0 (up to ``PROBE_TOL``) means the probe set found no violation.
     """
     plan = plan or SamplingPlan()
     params = driver.params
     rng = np.random.default_rng(plan.seed)
     d = bundle.dim_m
     nodes = bundle.grid.nodes
-    node_pool = np.unique(rng.integers(0, nodes.size, size=min(plan.max_nodes, nodes.size)))
+    node_pool = np.unique(rng.integers(0, nodes.size, size=min(PROBE_NODES, nodes.size)))
     alpha = params.alpha_on(bundle)
 
     P = plan.n_probes
     node_idx = rng.choice(node_pool, size=P)
-    y1 = rng.uniform(plan.y_low, plan.y_high, size=P)
-    y2 = rng.uniform(plan.y_low, plan.y_high, size=P)
-    z1 = rng.uniform(-plan.z_radius, plan.z_radius, size=(P, d))
-    z2 = rng.uniform(-plan.z_radius, plan.z_radius, size=(P, d))
+    y1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
+    y2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
+    z1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, d))
+    z2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, d))
     theta = rng.uniform(0.0, 1.0, size=P)
 
     margins = {
@@ -504,7 +506,7 @@ def validate_assumptions(
         if not checked:
             return ClauseReport(name, False, float("nan"), 0, 0)
         m = float(np.max(values)) if np.size(values) else float("-inf")
-        v = int(np.count_nonzero(np.asarray(values) > plan.tol))
+        v = int(np.count_nonzero(np.asarray(values) > PROBE_TOL))
         return ClauseReport(name, True, m, v, n)
 
     beta_pos = params.beta > 0
@@ -521,7 +523,7 @@ def validate_assumptions(
         clause("y_zero", beta_pos, margins["y_zero"]),
         clause("clock_slope", beta_pos, clock_margin, nodes.size),
     )
-    return AssumptionReport(driver=driver.name, clauses=clauses, tol=plan.tol)
+    return AssumptionReport(driver=driver.name, clauses=clauses, tol=PROBE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
 """Config-driven experiments: parse, validate, run, report.
 
-An experiment is one YAML file: a scenario block (grid, paths, seed, clock),
-a driver block, a terminal block, a solver block and a list of checks.  Seeds
-are mandatory; rerunning a config reproduces the report byte for byte apart
-from the timing block.
+An experiment is one YAML file with these blocks, and the schema accepts no
+key that no bundled experiment sets:
+
+* ``name`` and an optional ``description``;
+* ``scenario``: ``T``, ``steps``, ``n_paths``, ``seed`` and the optional
+  ``dim_m``, ``dim_orth`` and ``mandatory_nodes``.  The clock is A(t) = t;
+* ``driver``: a builtin ``name`` and its ``options``;
+* ``terminal``: ``kind`` (constant, affine or abs) and its ``options``;
+* ``solver``: the four ``SolverConfig`` fields;
+* ``checks``: a list of check blocks, each a ``type`` and the keys its
+  runner reads (the ``_CHECKS`` table).
+
+Seeds are mandatory; rerunning a config reproduces the report byte for byte
+apart from the timing block.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import yaml
 
 from . import analytics
 from .drivers import (
+    PROBE_TOL,
     DriverSpec,
     SamplingPlan,
     TerminalCondition,
@@ -35,7 +46,7 @@ from .drivers import (
     validate_assumptions,
 )
 from .errors import ConfigValidationError
-from .scenarios import ClockSpec, RandomSource, ScenarioBundle, build_grid, simulate_scenario
+from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
 from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
@@ -46,27 +57,6 @@ _DRIVER_SCHEMA = {
     "required": ["name"],
     "properties": {
         "name": {"type": "string"},
-        "options": {"type": "object"},
-        "declared": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gamma": {"type": "number"},
-                "beta": {"type": "number"},
-                "beta_bar": {"type": "number"},
-                "beta_f": {"type": "number"},
-                "c_A": {"type": "number"},
-            },
-        },
-    },
-}
-
-_TERMINAL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["constant", "affine", "abs"]},
         "options": {"type": "object"},
     },
 }
@@ -89,22 +79,19 @@ _SCHEMA = {
                 "dim_orth": {"type": "integer", "minimum": 0},
                 "n_paths": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "stream": {"type": "integer", "minimum": 0},
                 "mandatory_nodes": {"type": "array", "items": {"type": "number"}},
-                "clock": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": ["identity", "scaled", "piecewise"]},
-                        "rate": {"type": "number"},
-                        "times": {"type": "array", "items": {"type": "number"}},
-                        "values": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
             },
         },
         "driver": _DRIVER_SCHEMA,
-        "terminal": _TERMINAL_SCHEMA,
+        "terminal": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["constant", "affine", "abs"]},
+                "options": {"type": "object"},
+            },
+        },
         "solver": {
             "type": "object",
             "additionalProperties": False,
@@ -112,24 +99,18 @@ _SCHEMA = {
                 "degree": {"type": "integer", "minimum": 0},
                 "basis_kind": {"enum": ["poly", "binned"]},
                 "bins": {"type": "integer", "minimum": 1},
-                "picard_tol": {"type": "number", "exclusiveMinimum": 0},
-                "picard_max": {"type": "integer", "minimum": 1},
                 "terminal_feature": {"type": "boolean"},
             },
         },
         # items: one schema per check type, built from the _CHECKS table below
         "checks": {"type": "array"},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"export_paths": {"type": "integer", "minimum": 0}},
-        },
     },
 }
 
-_SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "stream": 0, "mandatory_nodes": [], "clock": {"kind": "identity"}}
+_SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
 _SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
-_OUTPUT_DEFAULTS = {"export_paths": 100}
+# paths written to the solution CSV
+EXPORT_PATHS = 100
 
 
 @dataclass(frozen=True)
@@ -143,7 +124,6 @@ class ExperimentConfig:
     terminal: dict
     solver: dict
     checks: list
-    output: dict
 
     def canonical(self) -> dict:
         return dataclasses.asdict(self)
@@ -175,11 +155,7 @@ def canonical_json(obj) -> str:
 
 
 def build_driver(block: dict) -> DriverSpec:
-    driver = make_builtin(block["name"], block.get("options", {}))
-    declared = block.get("declared") or {}
-    if declared:
-        driver = driver.with_declared(**declared)
-    return driver
+    return make_builtin(block["name"], block.get("options", {}))
 
 
 def build_terminal(block: dict, dim_state: int) -> TerminalCondition:
@@ -204,16 +180,6 @@ def build_grid_for(config: ExperimentConfig):
     return build_grid(sc["T"], sc["steps"], mandatory)
 
 
-def build_clock(scenario: dict) -> ClockSpec:
-    c = scenario["clock"]
-    return ClockSpec(
-        kind=c.get("kind", "identity"),
-        rate=c.get("rate", 1.0),
-        times=tuple(c.get("times", ())),
-        values=tuple(c.get("values", ())),
-    )
-
-
 def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
     sc = config.scenario
     return simulate_scenario(
@@ -221,20 +187,22 @@ def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
         dim_m=sc["dim_m"],
         dim_orth=sc["dim_orth"],
         n_paths=sc["n_paths"],
-        clock=build_clock(sc),
-        source=RandomSource(seed=sc["seed"], stream=sc["stream"]),
+        source=RandomSource(seed=sc["seed"]),
     )
 
 
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config.
 
-    One schema checks every block, nested ones included (stability
-    ``members[j]``, the comparison's ``other`` and their driver and terminal
-    blocks): key names, types and the domain of each value.  Then every driver
-    and terminal the config names is built against the scenario
-    (``_problem_errors``).  Every violation is collected with the path to the
-    offending key; parse errors carry the YAML line reference.
+    One schema checks every block, nested ones included (a stability
+    ``members[j]`` and the comparison's ``other``, each with its own driver
+    block): key names, types and the domain of each value.  A key that no
+    runner reads is an error at its path.  Then what the schema cannot see:
+    the grid must build, the terminal and every driver must build on the
+    scenario's dimensions, vectors must match the state or the orders they go
+    with, and an ``apriori`` check needs a driver with gamma >= 1.  Every
+    violation is collected with the path to the offending key; parse errors
+    carry the YAML line reference.
     """
     try:
         raw = yaml.safe_load(text)
@@ -249,7 +217,6 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ConfigValidationError(errors)
 
     scenario = {**_SCENARIO_DEFAULTS, **raw["scenario"]}
-    scenario["clock"] = {**_SCENARIO_DEFAULTS["clock"], **raw["scenario"].get("clock", {})}
     config = ExperimentConfig(
         name=raw["name"],
         description=raw.get("description", ""),
@@ -258,28 +225,31 @@ def validate_config(text: str) -> ExperimentConfig:
         terminal=dict(raw["terminal"]),
         solver={**_SOLVER_DEFAULTS, **raw.get("solver", {})},
         checks=[dict(c) for c in raw.get("checks", [])],
-        output={**_OUTPUT_DEFAULTS, **raw.get("output", {})},
     )
 
     # semantic constraints beyond the schema
     try:
-        grid, clock = build_grid_for(config), build_clock(scenario)
-        max_da = float(np.max(np.diff(clock.at(grid.nodes))))
+        build_grid_for(config)
     except Exception as exc:
         errors.append(("scenario", str(exc)))
-        max_da = None
-    problems = [("", config.driver, config.terminal)]
+    try:
+        build_terminal(config.terminal, scenario["dim_m"] + scenario["dim_orth"])
+    except Exception as exc:
+        errors.append(("terminal", str(exc)))
+    driver = _checked_driver("driver", config.driver, scenario["dim_m"], errors)
     for k, check in enumerate(config.checks):
-        nested = [(f"checks.{k}.other.", check["other"])] if "other" in check else []
-        nested += [(f"checks.{k}.members.{j}.", m) for j, m in enumerate(check.get("members", []))]
-        problems += [(prefix, block.get("driver"), block.get("terminal")) for prefix, block in nested]
+        nested = [(f"checks.{k}.other.driver", check["other"]["driver"])] if "other" in check else []
+        nested += [(f"checks.{k}.members.{j}.driver", m["driver"]) for j, m in enumerate(check.get("members", []))]
+        for where, block in nested:
+            _checked_driver(where, block, scenario["dim_m"], errors)
+        if check["type"] == "apriori" and driver is not None and driver.params.gamma < 1:
+            errors.append((f"checks.{k}", f"the a priori bound needs gamma >= 1, "
+                                          f"driver {driver.name!r} has gamma = {driver.params.gamma:g}"))
         # vectors read against the state or against another key
         for key, size in (("z_mean", scenario["dim_m"]), ("z_orth_mean", scenario["dim_orth"]),
                           ("expected", len(check.get("p", ())))):
             if key in check and len(check[key]) != size:
                 errors.append((f"checks.{k}.{key}", f"has {len(check[key])} entries, needs {size}"))
-    for prefix, driver_block, terminal_block in problems:
-        errors += _problem_errors(prefix, driver_block, terminal_block, scenario, max_da)
     if errors:
         raise ConfigValidationError(sorted(errors))
     return config
@@ -301,32 +271,19 @@ def _schema_errors(raw: dict) -> list[tuple[str, str]]:
     return sorted(errors)
 
 
-def _problem_errors(prefix: str, driver_block, terminal_block, scenario: dict, max_da) -> list[tuple[str, str]]:
-    """What the schema cannot see in one problem: its driver and terminal must
-    build on the scenario's dimensions and the driver must keep the contraction
-    bound beta_bar * max dA < 1/2.  ``prefix`` is the path of a nested problem
-    ("checks.0.other.") or empty; a nested problem without a driver or
-    terminal block inherits the top-level one, checked already."""
-    errors = []
-    if terminal_block is not None:
-        try:
-            build_terminal(terminal_block, scenario["dim_m"] + scenario["dim_orth"])
-        except Exception as exc:
-            errors.append((f"{prefix}terminal", str(exc)))
-    if driver_block is None:
-        return errors
+def _checked_driver(where: str, block: dict, dim_m: int, errors: list) -> DriverSpec | None:
+    """The driver a block names, or None if it does not build.  What fails
+    is appended to ``errors`` at ``where``, the block's path; the top-level
+    driver's dimension mismatch is reported at ``scenario.dim_m``."""
     try:
-        driver = build_driver(driver_block)
+        driver = build_driver(block)
     except Exception as exc:
-        return errors + [(f"{prefix}driver", str(exc))]
-    if driver.dim_m is not None and driver.dim_m != scenario["dim_m"]:
-        errors.append((f"{prefix}driver" if prefix else "scenario.dim_m",
-                       f"driver {driver.name!r} needs dim_m={driver.dim_m}, scenario has {scenario['dim_m']}"))
-    bb = driver.params.beta_bar * max_da if max_da is not None else 0.0
-    if bb >= 0.5:
-        errors.append((f"{prefix}driver.declared.beta_bar",
-                       f"contraction constraint violated: beta_bar * max dA = {bb:.3g} >= 0.5"))
-    return errors
+        errors.append((where, str(exc)))
+        return None
+    if driver.dim_m is not None and driver.dim_m != dim_m:
+        errors.append((where if where != "driver" else "scenario.dim_m",
+                       f"driver {driver.name!r} needs dim_m={driver.dim_m}, scenario has {dim_m}"))
+    return driver
 
 
 def load_config(path_or_name: str) -> ExperimentConfig:
@@ -386,7 +343,6 @@ class ExperimentReport:
 
 @dataclass
 class _RunContext:
-    config: ExperimentConfig
     bundle: ScenarioBundle
     driver: DriverSpec
     xi: TerminalCondition
@@ -394,12 +350,6 @@ class _RunContext:
     field: SolutionField
     y0: float
     y0_se: float
-
-
-def _member_problem(ctx: _RunContext, block: dict):
-    driver = build_driver(block["driver"]) if "driver" in block else ctx.driver
-    xi = build_terminal(block["terminal"], ctx.bundle.dim_m + ctx.bundle.dim_orth) if "terminal" in block else ctx.xi
-    return driver, xi
 
 
 def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -440,7 +390,7 @@ def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
         x0_gap = abs(bound.x0 - float(check["x0"]))
         extra["expected_x0"] = float(check["x0"])
         extra["x0_gap"] = x0_gap
-        passed = passed and x0_gap <= 3.0 * bound.x0_se + max(float(check.get("x0_tol", 0.0)), 1e-12)
+        passed = passed and x0_gap <= 3.0 * bound.x0_se + 1e-12
     return [dataclasses.replace(report, passed=passed, extra=extra)]
 
 
@@ -453,29 +403,20 @@ def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckRepor
 
 
 def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    # the other problem is the lower one
-    lo_driver, lo_xi = _member_problem(ctx, check["other"])
-    lo_field = solve_backward(ctx.bundle, lo_driver, lo_xi, ctx.solver_cfg)
-    evidence = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, lo_xi, ctx.xi)
-    report = analytics.comparison_check(lo_field, ctx.field, evidence, tol=float(check.get("tol", 1e-9)))
-    passed = report.passed
-    extra = dict(report.extra)
-    if "expected_y0_gap" in check:
-        gap = ctx.field.y0 - lo_field.y0
-        gerr = abs(gap - float(check["expected_y0_gap"]))
-        extra["y0_gap"] = gap
-        extra["y0_gap_error"] = gerr
-        passed = passed and gerr <= float(check.get("gap_tol", 1e-10))
-    return [dataclasses.replace(report, passed=passed, extra=extra)]
+    # the other problem, the same terminal under the other driver, is the lower one
+    lo_driver = build_driver(check["other"]["driver"])
+    lo_field = solve_backward(ctx.bundle, lo_driver, ctx.xi, ctx.solver_cfg)
+    evidence = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
+    return [analytics.comparison_check(lo_field, ctx.field, evidence, tol=float(check.get("tol", 1e-9)))]
 
 
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     orders = [float(p) for p in check["p"]]
     out = []
     for j, member in enumerate(check["members"]):
-        m_driver, m_xi = _member_problem(ctx, member)
-        m_field = solve_backward(ctx.bundle, m_driver, m_xi, ctx.solver_cfg)
-        metrics = {p: analytics.stability_metrics(ctx.bundle, m_field, ctx.field, m_driver, ctx.driver, m_xi, ctx.xi, p) for p in orders}
+        m_driver = build_driver(member["driver"])
+        m_field = solve_backward(ctx.bundle, m_driver, ctx.xi, ctx.solver_cfg)
+        metrics = {p: analytics.stability_metrics(ctx.bundle, m_field, ctx.field, m_driver, ctx.driver, ctx.xi, ctx.xi, p) for p in orders}
         first = metrics[orders[0]]
         passed = True
         margin = 0.0
@@ -564,7 +505,7 @@ def _run_kazamaki(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 
 
 def _run_assumptions(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    plan = SamplingPlan(n_probes=int(check.get("probes", 10_000)), seed=int(check.get("seed", 0)))
+    plan = SamplingPlan(n_probes=int(check.get("probes", 10_000)))
     report = validate_assumptions(ctx.driver, ctx.bundle, plan)
     checked = [c for c in report.clauses if c.checked]
     worst = max((c.max_margin for c in checked), default=float("-inf"))
@@ -573,7 +514,7 @@ def _run_assumptions(ctx: _RunContext, check: dict) -> list[analytics.CheckRepor
             name="assumptions",
             passed=report.passed,
             margin=worst,
-            tol=plan.tol,
+            tol=PROBE_TOL,
             n_paths=plan.n_probes,
             se=0.0,
             extra={c.name: {"checked": c.checked, "max_margin": c.max_margin, "violations": c.violations} for c in report.clauses},
@@ -612,13 +553,12 @@ def _orders(above: float) -> dict:
     return {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": above}}
 
 
-# a problem nested in a check: a driver or terminal block it does not carry is the top-level one
-_PROBLEM_PROPERTIES = {"driver": _DRIVER_SCHEMA, "terminal": _TERMINAL_SCHEMA}
+# a problem nested in a check: another driver, with the top-level terminal
 _STABILITY_MEMBER = {
     "type": "object",
     "additionalProperties": False,
     "required": ["driver"],
-    "properties": {**_PROBLEM_PROPERTIES, "label": {"type": "string"}, "expected_hypothesis": _NUMBER,
+    "properties": {"driver": _DRIVER_SCHEMA, "label": {"type": "string"}, "expected_hypothesis": _NUMBER,
                    "hyp_tol": _TOL, "converges": {"type": "boolean"}, "expected_sup": _NUMBER, "sup_tol": _TOL},
     # a member not declared converging states the sup gap it keeps instead
     "if": {"required": ["converges"], "properties": {"converges": {"const": True}}},
@@ -631,11 +571,12 @@ _STABILITY_MEMBER = {
 _CHECKS = {
     "anchor": (_run_anchor, ["y0"],
                {"y0": _NUMBER, "tol": _TOL, "z_mean": _VECTOR, "z_orth_mean": _VECTOR, "z_tol": _TOL}),
-    "apriori": (_run_apriori, [], {"tol": _TOL, "tight": _TOL, "x0": _NUMBER, "x0_tol": _TOL}),
+    "apriori": (_run_apriori, [], {"tol": _TOL, "tight": _TOL, "x0": _NUMBER}),
     "norm_bounds": (_run_norm_bounds, ["p"], {"p": _orders(1)}),
     "comparison": (_run_comparison, ["other"], {
-        "other": {"type": "object", "additionalProperties": False, "properties": _PROBLEM_PROPERTIES},
-        "tol": _TOL, "expected_y0_gap": _NUMBER, "gap_tol": _TOL,
+        "other": {"type": "object", "additionalProperties": False, "required": ["driver"],
+                  "properties": {"driver": _DRIVER_SCHEMA}},
+        "tol": _TOL,
     }),
     "stability": (_run_stability, ["members", "p"],
                   {"members": {"type": "array", "minItems": 1, "items": _STABILITY_MEMBER}, "p": _orders(0)}),
@@ -643,8 +584,7 @@ _CHECKS = {
     "exp_martingale": (_run_exp_martingale, ["q"], {"q": {**_VECTOR, "minItems": 1}}),
     "kazamaki": (_run_kazamaki, ["eta", "q_tilde"],
                  {"eta": {"type": "number", "not": {"const": 1}}, "q_tilde": _NUMBER, "expected_sup": _NUMBER}),
-    "assumptions": (_run_assumptions, [],
-                    {"probes": {"type": "integer", "minimum": 1}, "seed": {"type": "integer", "minimum": 0}}),
+    "assumptions": (_run_assumptions, [], {"probes": {"type": "integer", "minimum": 1}}),
     "moments": (_run_moments, ["p"], {"p": _orders(0), "expected": _VECTOR}),
 }
 
@@ -683,8 +623,7 @@ def run_experiment(
     cfg = SolverConfig(**config.solver)
     field_ = solve_backward(bundle, driver, xi, cfg)
     y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)
-    ctx = _RunContext(config=config, bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg,
-                      field=field_, y0=y0, y0_se=y0_se)
+    ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, field=field_, y0=y0, y0_se=y0_se)
 
     checks: list[analytics.CheckReport] = []
     for check in config.checks:
@@ -714,7 +653,7 @@ def run_experiment(
         field_.to_csv(
             os.path.join(out_dir, f"{config.name}.solution.csv"),
             grid_nodes=bundle.grid.nodes,
-            max_paths=config.output["export_paths"],
+            max_paths=EXPORT_PATHS,
         )
     return report
 

@@ -45,30 +45,31 @@ ORACLE_CAPACITY = 4_000_000_000
 _ORACLE_SEED_LEAVES = 1 << 16
 # disjoint path batches behind the Y_0 standard error of ``y0_with_se``
 Y0_SE_BATCHES = 8
+# the per-step Picard fixed point of a driver that depends on y: sup-norm
+# change that stops it, and the iterations after which it has diverged
+PICARD_TOL = 1e-10
+PICARD_MAX = 50
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the regression scheme.
+    """The regression basis of the scheme: polynomial of ``degree`` or
+    ``bins`` quantile bins, with the terminal value as an extra feature if
+    ``terminal_feature``.
 
     The implicit Y-update needs beta_bar * max(dA) < 1/2 so that the Picard
-    map is a strict contraction; ``solve_backward`` enforces this.
+    map is a strict contraction; ``solve_backward`` enforces this.  Its limits
+    are the constants ``PICARD_TOL`` and ``PICARD_MAX``, not fields: under the
+    contraction the iteration converges geometrically, so no problem needs
+    other limits, and only a driver that depends on y iterates at all.
     """
 
     degree: int = 3
     basis_kind: str = "poly"
     bins: int = 24
-    picard_tol: float = 1e-10
-    picard_max: int = 50
     terminal_feature: bool = True
-
-    def __post_init__(self):
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise ValueError("picard_max must be at least 1")
 
     @property
     def basis(self) -> BasisSpec:
@@ -167,7 +168,7 @@ def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalConditi
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _solve_y(ey, zeta, driver, bundle, i, config):
+def _solve_y(ey, zeta, driver, bundle, i):
     """Y at node i: the fixed point y = ey + F(t_i, y, Z) dA_i + 1/2 |Z_orth|^2 dt_i, vectorized over paths.
 
     ``zeta`` is the step's integrand (Z, Z_orth), shape (n, dim_m + dim_orth);
@@ -182,13 +183,13 @@ def _solve_y(ey, zeta, driver, bundle, i, config):
     if not driver.depends_on_y:
         return y
     last = np.inf
-    for _ in range(config.picard_max):
+    for _ in range(PICARD_MAX):
         y_new = ey + driver.evaluate(bundle, i, y, z) * dA_i + half_qv
         last = float(np.max(np.abs(y_new - y)))
         y = y_new
-        if last <= config.picard_tol:
+        if last <= PICARD_TOL:
             return y
-    raise SolverDivergenceError(step=i, sup_change=last, max_iter=config.picard_max)
+    raise SolverDivergenceError(step=i, sup_change=last, max_iter=PICARD_MAX)
 
 
 def solve_backward(
@@ -240,7 +241,7 @@ def solve_backward(
         # (Z, Z_orth): projections of the centred target times the step's noise
         dw = bundle.states[i + 1] - bundle.states[i]
         integrand[i] = reg.fit((target - ey)[:, None] * dw) / dt[i]
-        y[i] = _solve_y(ey, integrand[i], driver, bundle, i, config)
+        y[i] = _solve_y(ey, integrand[i], driver, bundle, i)
 
         sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
@@ -321,7 +322,7 @@ class _OracleRun:
     always drawn at the same size.  The draws, and with them the field, are
     therefore the same for every chunk size and thread count.  A driver that
     depends on y stops its Picard iteration on a chunk's sup-norm, so its
-    field agrees across chunk sizes to ``picard_tol`` rather than bit for bit.
+    field agrees across chunk sizes to ``PICARD_TOL`` rather than bit for bit.
 
     Threads.  The chunks of the first level that has more than one chunk run
     on ``pool`` (node 0: the 1000 first-level states; later nodes: the
@@ -329,12 +330,11 @@ class _OracleRun:
     that owns it, and each chunk writes only its own rows of the outputs.
     """
 
-    def __init__(self, bundle, driver, xi, branching, config, root):
+    def __init__(self, bundle, driver, xi, branching, root):
         self.bundle = bundle
         self.driver = driver
         self.xi = xi
         self.b = int(branching)
-        self.config = config
         self.root = root
         self.K = bundle.grid.n_steps
         self.w = bundle.dim_m + bundle.dim_orth
@@ -387,7 +387,7 @@ class _OracleRun:
                 ez = np.matmul(dv[:, None, :], succ)[:, 0, :].astype(np.float64) / (self.b * dt_i)
             else:
                 ez = np.zeros((c, self.w))
-            y[lo:hi] = _solve_y(ey, ez, self.driver, self.bundle, i, self.config)
+            y[lo:hi] = _solve_y(ey, ez, self.driver, self.bundle, i)
             if want_z:
                 zeta[lo:hi] = ez
             if want_se:
@@ -455,7 +455,7 @@ def nested_mc_oracle(
             shared = bool(np.all(states == states[0]))
             roots = states[:1] if shared else states
             start = time.perf_counter()
-            run = _OracleRun(bundle, driver, xi, branching, config, root=i)
+            run = _OracleRun(bundle, driver, xi, branching, root=i)
             y[i], integrand[i], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
             seconds = time.perf_counter() - start
             leaves = roots.shape[0] * branching ** (K - i)

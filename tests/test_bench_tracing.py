@@ -1,5 +1,6 @@
-"""The benchmark's traced mode patches qbsde names by attribute; a renamed
-name would otherwise break only ``bench/run.py --trace 1``."""
+"""The benchmark patches qbsde names by attribute and builds its workloads
+from qbsde's public signatures; a renamed name or a changed signature would
+otherwise break only ``bench/run.py``."""
 
 import os
 
@@ -27,3 +28,11 @@ def test_traced_mode_installs_measures_and_restores(monkeypatch):
     assert tracer.maxima["scenarios.path_bytes"] == bundle.states.nbytes
     assert tracer.counts["solver.path_steps"] == field.n_paths * field.n_steps
     assert np.all(field.y == 0.0)
+
+
+def test_workloads_construct(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    workloads.Oracle()
+    workloads.SolverScale()

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
+import yaml
 
 import qbsde as q
 from qbsde.errors import ConfigValidationError
-from qbsde.experiments import canonical_json
+from qbsde.experiments import _CHECKS, _SCHEMA, EXPORT_PATHS, canonical_json
 
 MINIMAL = """
 name: tiny
@@ -25,29 +27,24 @@ terminal: {kind: constant, options: {value: 0.0}}
 checks:
   - {type: anchor, y0: 0.5, tol: 1.0e-10}
   - {type: apriori, tol: 1.0e-6}
-output: {export_paths: 5}
 """
+
+
+def merged(fragment: str) -> str:
+    """MINIMAL with the blocks of a YAML fragment merged in, one level deep."""
+    cfg = yaml.safe_load(MINIMAL)
+    for key, value in yaml.safe_load(fragment).items():
+        cfg[key] = {**cfg[key], **value} if key in cfg and isinstance(value, dict) else value
+    return yaml.safe_dump(cfg)
 
 
 class TestValidateConfig:
     def test_minimal_fills_defaults(self):
         cfg = q.validate_config(MINIMAL)
-        assert cfg.scenario["dim_m"] == 1
-        assert cfg.scenario["clock"]["kind"] == "identity"
-        assert cfg.solver["picard_tol"] == 1e-10
-        assert cfg.solver["picard_max"] == 50
-        assert cfg.output["export_paths"] == 100
-
-    def test_contraction_constraint_rejected(self):
-        text = """
-name: bad-contraction
-scenario: {T: 1.0, steps: 2, n_paths: 16, seed: 1}
-driver: {name: zero, declared: {beta_bar: 1.2}}
-terminal: {kind: constant}
-"""
-        with pytest.raises(ConfigValidationError) as err:
-            q.validate_config(text)
-        assert any("contraction" in msg for _, msg in err.value.errors)
+        assert cfg.scenario == {"T": 1.0, "steps": 4, "n_paths": 64, "seed": 1,
+                                "dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
+        assert cfg.solver == dataclasses.asdict(q.SolverConfig())
+        assert set(cfg.canonical()) == {"name", "description", "scenario", "driver", "terminal", "solver", "checks"}
 
     def test_missing_driver_option(self):
         text = MINIMAL.replace("{name: zero}", "{name: step_family}")
@@ -95,20 +92,31 @@ terminal: {kind: constant}
             q.validate_config(text)
         assert any("dim_m" in path for path, _ in err.value.errors)
 
-    @pytest.mark.parametrize("block, where, key", [
-        ("solver: {implicit: false}", "solver.implicit", "implicit"),
-        ("solver: {se_batches: 4}", "solver.se_batches", "se_batches"),
-        ("checks:\n  - {type: apriori, mode: closed_form}", "checks.0.mode", "mode"),
-        ("checks:\n  - {type: kazamaki, eta: 2.0, q_tilde: 1.0, tool: 1}", "checks.0.tool", "tool"),
-        ("checks:\n  - {type: frob}", "checks.0.type", "frob"),
-    ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type"])
-    def test_unread_key_named(self, block, where, key):
+    @pytest.mark.parametrize("fragment, where, key", [
+        ("{solver: {implicit: false}}", "solver.implicit", "implicit"),
+        ("{solver: {se_batches: 4}}", "solver.se_batches", "se_batches"),
+        ("{checks: [{type: apriori, mode: closed_form}]}", "checks.0.mode", "mode"),
+        ("{checks: [{type: kazamaki, eta: 2.0, q_tilde: 1.0, tool: 1}]}", "checks.0.tool", "tool"),
+        ("{checks: [{type: frob}]}", "checks.0.type", "frob"),
+        ("{scenario: {stream: 0}}", "scenario.stream", "stream"),
+        ("{scenario: {clock: {kind: identity}}}", "scenario.clock", "clock"),
+        ("{driver: {declared: {beta_bar: 0.0}}}", "driver.declared", "declared"),
+        ("{solver: {picard_tol: 1.0e-10}}", "solver.picard_tol", "picard_tol"),
+        ("{output: {export_paths: 5}}", "output", "output"),
+        ("{checks: [{type: apriori, x0: 1.0, x0_tol: 0.1}]}", "checks.0.x0_tol", "x0_tol"),
+        ("{checks: [{type: comparison, other: {driver: {name: zero}}, expected_y0_gap: 0.0}]}",
+         "checks.0.expected_y0_gap", "expected_y0_gap"),
+        ("{checks: [{type: assumptions, seed: 3}]}", "checks.0.seed", "seed"),
+        ("{checks: [{type: comparison, other: {driver: {name: zero}, terminal: {kind: constant}}}]}",
+         "checks.0.other.terminal", "terminal"),
+    ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type", "stream", "clock",
+            "declared", "picard_tol", "output", "x0_tol", "expected_y0_gap", "assumptions-seed", "other-terminal"])
+    def test_unread_key_named(self, fragment, where, key):
         with pytest.raises(ConfigValidationError) as err:
-            q.validate_config(MINIMAL + block + "\n")
+            q.validate_config(merged(fragment))
         assert any(path == where and key in msg for path, msg in err.value.errors), err.value.errors
 
     def test_solver_block_keys_are_solver_config_fields(self):
-        from qbsde.experiments import _SCHEMA
         keys = set(_SCHEMA["properties"]["solver"]["properties"])
         assert keys == {f.name for f in dataclasses.fields(q.SolverConfig)}
 
@@ -131,11 +139,11 @@ terminal: {kind: constant}
         ("{type: anchor, y0: 0.0, z_mean: [0, 1]}", "checks.0.z_mean"),
         ("{type: comparison, other: {terminal: {kind: affine, options: {slope: [1, 2]}}}}", "checks.0.other.terminal"),
         ("{type: comparison, other: {driver: {name: zero, declared: {beta_bar: 2.0}}}}",
-         "checks.0.other.driver.declared.beta_bar"),
+         "checks.0.other.driver.declared"),
         ("{y0: 1.0}", "checks.0.type"),
     ], ids=["p-scalar", "y0-string", "level-zero", "norm-p-one", "eta-one", "expected-length", "other-unknown-driver",
             "member-missing-option", "member-driver-dim", "member-misspelt-key", "other-misspelt-key",
-            "direction", "z-mean-length", "other-slope-size", "other-contraction", "no-type"])
+            "direction", "z-mean-length", "other-slope-size", "other-declared", "no-type"])
     def test_nested_and_domain_errors_named(self, check, where):
         """Each config validated before and then failed in run_experiment, or ran with the bad value ignored."""
         with pytest.raises(ConfigValidationError) as err:
@@ -165,7 +173,7 @@ class TestRunExperiment:
         assert data["all_passed"] is True
         assert "wall_clock_s" in data["timing"]
         n_lines = (tmp_path / "tiny-checked.solution.csv").read_text().count("\n")
-        assert n_lines == 1 + 5 * 5  # header + export_paths * nodes
+        assert n_lines == 1 + min(EXPORT_PATHS, 64) * 5  # header + exported paths * nodes
 
     def test_rerun_byte_identical_modulo_timing(self):
         cfg = q.validate_config(WITH_CHECKS)
@@ -198,6 +206,43 @@ class TestCatalogue:
             types.update(c["type"] for c in cfg.checks)
         assert {"apriori", "norm_bounds", "comparison", "stability",
                 "ladder", "exp_martingale", "kazamaki", "assumptions", "moments"} <= types
+
+    def test_every_schema_key_is_set_by_a_bundled_config(self):
+        """The schema accepts no key that no bundled experiment sets.  Every
+        driver block, top-level or nested, has the one driver schema, so its
+        keys are judged once, as ``driver.<key>``."""
+        def path(prefix, key):
+            return ("driver",) if key == "driver" else (*prefix, key)
+
+        def leaves(props, prefix):
+            for key, sub in props.items():
+                sub = sub.get("items", sub) if sub.get("type") == "array" else sub
+                if "properties" in sub:
+                    yield from leaves(sub["properties"], path(prefix, key))
+                else:
+                    yield path(prefix, key)
+
+        def keys_set(node, prefix):
+            if isinstance(node, list):
+                for item in node:
+                    yield from keys_set(item, prefix)
+            elif isinstance(node, dict):
+                for key, value in node.items():
+                    yield path(prefix, key)
+                    yield from keys_set(value, path(prefix, key))
+
+        settable = set(leaves({k: v for k, v in _SCHEMA["properties"].items() if k != "checks"}, ()))
+        for kind, (_, _, props) in _CHECKS.items():
+            settable.update(leaves(props, ("checks", kind)))
+        set_somewhere = set()
+        root = resources.files("qbsde").joinpath("configs")
+        for entry in root.iterdir():
+            if entry.name.endswith(".yaml"):
+                raw = yaml.safe_load(entry.read_text())
+                set_somewhere.update(keys_set({k: v for k, v in raw.items() if k != "checks"}, ()))
+                for check in raw.get("checks", []):
+                    set_somewhere.update(keys_set(check, ("checks", check["type"])))
+        assert sorted(".".join(p) for p in settable - set_somewhere) == []
 
     def test_load_config_by_name_and_missing(self):
         cfg = q.load_config("counterexample-n1")
@@ -239,10 +284,10 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new, where", [
         ("zero", "frob", "driver"),
-        ("seed: 1}", "seed: 1, clock: {kind: piecewise, times: [0.0], values: [0.0]}}", "scenario: "),
+        ("seed: 1}", "seed: 1, mandatory_nodes: [2.0]}", "scenario: "),
         ("seed: 1}", "seed: -1}", "scenario.seed: "),
         ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
-    ], ids=["unknown-driver", "one-point-clock", "negative-seed", "negative-stream"])
+    ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))
@@ -271,7 +316,9 @@ class TestCli:
         ("seed: 1}", "seed: 1, stream: -1}", (), "scenario.stream: "),
         ("", "", ("--paths", "0"), "--paths"),
         ("", "", ("--seed", "-1"), "--seed"),
-    ], ids=["negative-stream", "zero-paths", "negative-seed"])
+        ("{name: zero}", "{name: pure_quadratic, options: {gamma: 0.5}}\nchecks: [{type: apriori}]", (),
+         "checks.0: the a priori bound needs gamma >= 1"),
+    ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one"])
     def test_run_bad_input_exit_2(self, tmp_path, old, new, args, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new) if old else MINIMAL)

@@ -130,7 +130,7 @@ def test_root_nodes_draw_distinct_branches():
     """The estimates at nodes 0 and 1 both resimulate node 1 to node 2; the
     draws are keyed by the root node, so they never share branches."""
     b = small_bundle(2, 5)
-    runs = [solver._OracleRun(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), 1000, q.SolverConfig(), root=i)
+    runs = [solver._OracleRun(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), 1000, root=i)
             for i in (0, 1)]
     assert not np.array_equal(runs[0]._normals(1, 0, 1), runs[1]._normals(1, 0, 1))
 

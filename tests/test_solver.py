@@ -311,8 +311,6 @@ _SOLVER_FIELDS = {
     "degree": st.integers(1, 6),
     "basis_kind": st.sampled_from(["poly", "binned"]),
     "bins": st.integers(2, 64),
-    "picard_tol": st.floats(1e-14, 1e-2),
-    "picard_max": st.integers(1, 100),
     "terminal_feature": st.booleans(),
 }
 
