@@ -61,7 +61,6 @@ from .experiments import (
     validate_config,
 )
 from .scenarios import (
-    ClockSpec,
     RandomSource,
     ScenarioBundle,
     TimeGrid,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownDriverError
+from .errors import MomentFailureError, UnknownDriverError
 from .scenarios import ScenarioBundle, mean_se
 
 
@@ -37,8 +37,9 @@ class ParamSet:
 
     ``alpha_fn`` maps node times to the nonnegative process alpha_t; when a
     vector process ``lam_fn`` is supplied instead, alpha is derived on a bundle
-    as ||B_t lam_t||^2 and stays consistent with any clock factorization; in
-    either case ||B_t lam_t|| is sqrt(alpha_t).
+    as ||B_t lam_t||^2 = b_t^2 |lam_t|^2, with b_t the bundle's scalar factor,
+    and stays consistent with any clock; in either case ||B_t lam_t|| is
+    sqrt(alpha_t).
     ``beta_star`` is c_A * beta_bar by construction.  The domain condition
     gamma >= max(1, beta) is deliberately checked by ``validate_assumptions``
     rather than here, so misdeclared parameter sets can be constructed and
@@ -72,7 +73,7 @@ class ParamSet:
         nodes = bundle.grid.nodes
         if self.lam_fn is not None:
             lam = np.array([np.broadcast_to(np.asarray(self.lam_fn(t), dtype=float), (bundle.dim_m,)) for t in nodes])
-            b_lam = np.einsum("kij,kj->ki", bundle.factor_b, lam)
+            b_lam = bundle.factor_b[:, None] * lam
             return np.einsum("ki,ki->k", b_lam, b_lam)
         if self.alpha_fn is None:
             return np.zeros(nodes.size)
@@ -89,13 +90,14 @@ class DriverSpec:
     """A driver F plus its declared parameters and structural flags.
 
     ``f(t, y, z, b)`` must be a pure function, vectorized over paths:
-    y has shape (n,), z has shape (n, d), b is the d x d factor at time t.
+    y has shape (n,), z has shape (n, d), b is the step's scalar factor, with
+    B = b I the factor of the clock at time t.
     ``options`` are the builtin constructor's options (empty for a custom
     driver); they identify the driver in solution hashes.
     """
 
     name: str
-    f: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    f: Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]
     params: ParamSet
     depends_on_y: bool = False
     depends_on_z: bool = True
@@ -131,9 +133,9 @@ class TerminalCondition:
         return vals
 
     def require_finite(self, vals: np.ndarray) -> None:
-        """Raise ``ValueError`` unless every value of xi is finite."""
+        """Raise ``MomentFailureError`` unless every value of xi is finite."""
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"terminal condition {self.tag!r} is not finite on every path")
+            raise MomentFailureError(f"terminal condition {self.tag!r} is not finite on every path")
 
 
 def terminal_constant(value: float, dim_state: int = 1) -> TerminalCondition:
@@ -242,7 +244,7 @@ def _build_pure_quadratic(options: dict) -> DriverSpec:
         raise ValueError("pure_quadratic needs gamma > 0")
 
     def f(t, y, z, b):
-        bz = z @ b.T
+        bz = b * z
         return 0.5 * gamma * np.einsum("ni,ni->n", bz, bz)
 
     return DriverSpec(
@@ -250,13 +252,6 @@ def _build_pure_quadratic(options: dict) -> DriverSpec:
         f=f,
         params=ParamSet(gamma=gamma, beta_f=max(gamma / 2.0, 1e-12)),
     )
-
-
-def _scalar_factor(b: np.ndarray) -> float:
-    scale = float(b[0, 0])
-    if not np.allclose(b, scale * np.eye(b.shape[0]), atol=1e-12):
-        raise ValueError("constrained projection needs a scalar factor matrix")
-    return scale
 
 
 class _BoxSet:
@@ -314,11 +309,10 @@ def _build_power_utility(options: dict) -> DriverSpec:
     c1 = abs(p) / (1.0 - p)
 
     def f(t, y, z, b):
-        scale = _scalar_factor(b)
         x = (z - np.asarray(lam_m(t))[None, :]) / (1.0 - p)
         proj = constraint.project(x)
         gain = np.einsum("ni,ni->n", x, x) - np.einsum("ni,ni->n", x - proj, x - proj)
-        return scale**2 * (q * gain + 0.5 * np.einsum("ni,ni->n", z, z))
+        return b**2 * (q * gain + 0.5 * np.einsum("ni,ni->n", z, z))
 
     lam_param = lambda t: math.sqrt(c1) * np.asarray(lam_m(t), dtype=float)
     return DriverSpec(
@@ -487,8 +481,8 @@ def validate_assumptions(
         f21 = driver.f(t, yy2, zz1, b)
         f12 = driver.f(t, yy1, zz2, b)
         f10 = driver.f(t, np.zeros_like(yy1), zz1, b)
-        bz1 = np.linalg.norm(zz1 @ b.T, axis=1)
-        bz2 = np.linalg.norm(zz2 @ b.T, axis=1)
+        bz1 = np.linalg.norm(b * zz1, axis=1)
+        bz2 = np.linalg.norm(b * zz2, axis=1)
 
         margins["growth"][mask] = np.abs(f11) - (a_t + a_t * params.beta * np.abs(yy1) + 0.5 * params.gamma * bz1**2)
         margins["derived_growth"][mask] = np.abs(f11) - (
@@ -499,7 +493,7 @@ def validate_assumptions(
         zmix = th[:, None] * zz1 + (1.0 - th[:, None]) * zz2
         fmix = driver.f(t, yy1, zmix, b)
         margins["convexity_z"][mask] = fmix - (th * f11 + (1.0 - th) * f12)
-        bdz = np.linalg.norm((zz1 - zz2) @ b.T, axis=1)
+        bdz = np.linalg.norm(b * (zz1 - zz2), axis=1)
         margins["local_lipschitz_z"][mask] = np.abs(f11 - f12) - params.beta_f * (b_lam + bz1 + bz2) * bdz
 
     def clause(name, checked, values, n=P):

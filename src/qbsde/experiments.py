@@ -170,11 +170,25 @@ def build_terminal(block: dict, dim_state: int) -> TerminalCondition:
     return terminal_affine(intercept, slope) if kind == "affine" else terminal_abs(intercept, slope)
 
 
+def _driver_blocks(config: ExperimentConfig) -> list[tuple[str, dict]]:
+    """(path, block) of every driver the config names: the top-level one
+    first, then the comparison's ``other`` and each stability member."""
+    blocks = [("driver", config.driver)]
+    for k, check in enumerate(config.checks):
+        if "other" in check:
+            blocks.append((f"checks.{k}.other.driver", check["other"]["driver"]))
+        blocks += [(f"checks.{k}.members.{j}.driver", m["driver"]) for j, m in enumerate(check.get("members", []))]
+    return blocks
+
+
 def build_grid_for(config: ExperimentConfig):
+    """The scenario grid, with the kink 1/n of every ``step_family`` driver
+    the config names as a node, so the left-endpoint rule integrates each
+    exactly."""
     sc = config.scenario
     mandatory = list(sc["mandatory_nodes"])
-    if config.driver["name"] == "step_family":
-        n = config.driver.get("options", {}).get("n")
+    for _, block in _driver_blocks(config):
+        n = block.get("options", {}).get("n") if block["name"] == "step_family" else None
         if n:
             mandatory.append(1.0 / float(n))
     return build_grid(sc["T"], sc["steps"], mandatory)
@@ -237,11 +251,9 @@ def validate_config(text: str) -> ExperimentConfig:
     except Exception as exc:
         errors.append(("terminal", str(exc)))
     driver = _checked_driver("driver", config.driver, scenario["dim_m"], errors)
+    for where, block in _driver_blocks(config)[1:]:
+        _checked_driver(where, block, scenario["dim_m"], errors)
     for k, check in enumerate(config.checks):
-        nested = [(f"checks.{k}.other.driver", check["other"]["driver"])] if "other" in check else []
-        nested += [(f"checks.{k}.members.{j}.driver", m["driver"]) for j, m in enumerate(check.get("members", []))]
-        for where, block in nested:
-            _checked_driver(where, block, scenario["dim_m"], errors)
         if check["type"] == "apriori" and driver is not None and driver.params.gamma < 1:
             errors.append((f"checks.{k}", f"the a priori bound needs gamma >= 1, "
                                           f"driver {driver.name!r} has gamma = {driver.params.gamma:g}"))

@@ -2,10 +2,10 @@
 
 The driving noise is always a standard d-dimensional Brownian motion, so its
 predictable quadratic variation is ``I * t``.  What varies is the chosen
-factorization into a clock ``A`` and a factor ``B`` with ``B^T B dA = I dt``:
-the identity clock gives ``B = I``, a scaled clock ``A = c*t`` gives
-``B = I/sqrt(c)``, and a piecewise-linear clock gives a per-step diagonal
-factor.  Orthogonal noise is carried by extra independent Brownian components.
+factorization into a clock ``A`` and a factor ``B`` with ``B^T B dA = I dt``.
+A clock is its values at the grid nodes; on each step B is the scalar
+``b = sqrt(dt / dA)`` times I, and the identity clock ``A(t) = t`` gives b = 1.
+Orthogonal noise is carried by extra independent Brownian components.
 """
 
 from __future__ import annotations
@@ -101,45 +101,6 @@ def build_grid(T: float, n_steps: int, mandatory: list[float] | None = None) -> 
 
 
 @dataclass(frozen=True)
-class ClockSpec:
-    """Deterministic clock A with A(0) = 0, nondecreasing, A(T) <= K_A.
-
-    kinds:
-      identity   -- A(t) = t
-      scaled     -- A(t) = rate * t
-      piecewise  -- linear interpolation through (times, values)
-    """
-
-    kind: str = "identity"
-    rate: float = 1.0
-    times: tuple = ()
-    values: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "scaled", "piecewise"):
-            raise ValueError(f"unknown clock kind {self.kind!r}")
-        if self.kind == "scaled" and self.rate <= 0:
-            raise ValueError("scaled clock needs a positive rate")
-        if self.kind == "piecewise":
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.size != v.size or t.size < 2:
-                raise ValueError("piecewise clock needs matching times/values, length >= 2")
-            if t[0] != 0.0 or v[0] != 0.0:
-                raise ValueError("piecewise clock must start at (0, 0)")
-            if not np.all(np.diff(t) > 0) or np.any(np.diff(v) < 0):
-                raise ValueError("piecewise clock must be nondecreasing on increasing times")
-
-    def at(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            return t.copy()
-        if self.kind == "scaled":
-            return self.rate * t
-        return np.interp(t, self.times, self.values)
-
-
-@dataclass(frozen=True)
 class RandomSource:
     """Seed plus stream id; fixed values reproduce bit-identical bundles."""
 
@@ -158,32 +119,43 @@ class ScenarioBundle:
     node-major, shape (K+1, n_paths, dim_m + dim_orth), with M_0 = W_orth_0 = 0.
     ``state(i)`` is the contiguous view ``states[i]``; ``m_paths``
     (n_paths, K+1, dim_m) and ``orth_paths`` (n_paths, K+1, dim_orth) are
-    read-only path-major views of it.  ``clock_values`` and
-    ``factor_b`` are derived from ``clock`` on construction; ``factor_b[i]`` is
-    the factor matrix on step [t_i, t_{i+1}) and the terminal slot repeats the
-    last step.  ``first_path`` is the index, among the paths drawn from
-    ``source``, of the first path held, so a slice keeps its own identity;
-    ``simulated_on`` is the key of the grid the paths were drawn on when it is
-    not ``grid`` (a coarsened bundle), else None.  ``cache_key()`` hashes this
-    identity, the draws held included; solution hashes are built on it.
+    read-only path-major views of it.  ``clock_values`` holds the clock A at
+    each grid node: it starts at 0 and never decreases.  ``factor_b`` is
+    derived from it on construction: ``factor_b[i]`` is the scalar b with
+    B = b I on step [t_i, t_{i+1}), 0 where dA = 0, and the terminal slot
+    repeats the last step.  ``first_path`` is the index, among the paths
+    drawn from ``source``, of the first path held, so a slice keeps its own
+    identity; ``simulated_on`` is the key of the grid the paths were drawn on
+    when it is not ``grid`` (a coarsened bundle), else None.  ``cache_key()``
+    hashes this identity, the clock and the draws held included; solution
+    hashes are built on it.
     Bundles are immutable after construction.
     """
 
     grid: TimeGrid
     dim_m: int
     states: np.ndarray
-    clock: ClockSpec
+    clock_values: np.ndarray
     source: RandomSource
     first_path: int = 0
     simulated_on: str | None = None
-    clock_values: np.ndarray = field(init=False, repr=False, compare=False)
     factor_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.states.ndim != 3 or self.states.shape[0] != self.grid.n_steps + 1 or self.states.shape[2] < self.dim_m:
             raise ValueError(f"states shape {self.states.shape} does not match the grid and dim_m")
         _freeze(self.states)
-        a_vals, factor = _factor_from_clock(self.grid, self.clock, self.dim_m)
+        a_vals = np.array(self.clock_values, dtype=float)
+        if a_vals.shape != self.grid.nodes.shape:
+            raise ValueError(f"clock has {a_vals.size} values, the grid {self.grid.nodes.size} nodes")
+        da = np.diff(a_vals)
+        if a_vals[0] != 0.0 or not np.all(da >= 0):
+            raise ValueError("clock must start at 0 and never decrease")
+        factor = np.zeros(a_vals.size)
+        pos = da > 0
+        # two roots, not the root of the ratio: dt / dA overflows for tiny dA
+        factor[:-1][pos] = np.sqrt(self.grid.dt[pos]) / np.sqrt(da[pos])
+        factor[-1] = factor[-2]
         object.__setattr__(self, "clock_values", _freeze(a_vals))
         object.__setattr__(self, "factor_b", _freeze(factor))
 
@@ -234,26 +206,11 @@ class ScenarioBundle:
                 "dim_m": self.dim_m,
                 "dim_orth": self.dim_orth,
                 "n_paths": self.n_paths,
-                "clock": [self.clock.kind, self.clock.rate, list(self.clock.times), list(self.clock.values)],
+                "clock": hashlib.sha256(self.clock_values.tobytes()).hexdigest()[:16],
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _factor_from_clock(grid: TimeGrid, clock: ClockSpec, dim_m: int) -> tuple[np.ndarray, np.ndarray]:
-    a_vals = clock.at(grid.nodes)
-    da = np.diff(a_vals)
-    dt = grid.dt
-    scale = np.zeros_like(dt)
-    pos = da > 0
-    # two roots, not the root of the ratio: dt / dA overflows for tiny dA
-    scale[pos] = np.sqrt(dt[pos]) / np.sqrt(da[pos])
-    # set the diagonal alone: an overflowed scale times the identity's zeros would be nan
-    factor = np.zeros((grid.n_steps + 1, dim_m, dim_m))
-    factor[:-1, range(dim_m), range(dim_m)] = scale[:, None]
-    factor[-1] = factor[-2]
-    return a_vals, factor
 
 
 def simulate_scenario(
@@ -261,7 +218,7 @@ def simulate_scenario(
     dim_m: int,
     dim_orth: int,
     n_paths: int,
-    clock: ClockSpec | None = None,
+    clock_values: np.ndarray | None = None,
     source: RandomSource | None = None,
     capacity: int = DEFAULT_CAPACITY,
 ) -> ScenarioBundle:
@@ -269,13 +226,13 @@ def simulate_scenario(
 
     The orthogonal components are drawn jointly with the driving ones from a
     single stream, which makes the draw order (hence the bundle) a pure
-    function of (seed, stream, grid, dims, n_paths).
+    function of (seed, stream, grid, dims, n_paths).  The clock is A(t) = t
+    at the grid nodes unless ``clock_values`` gives A there.
     """
     if dim_m < 1 or dim_orth < 0:
         raise ValueError("need dim_m >= 1 and dim_orth >= 0")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    clock = clock or ClockSpec()
     source = source or RandomSource(seed=0)
     K = grid.n_steps
     total = n_paths * (K + 1) * (dim_m + dim_orth)
@@ -287,17 +244,20 @@ def simulate_scenario(
     incr *= np.sqrt(grid.dt)[None, :, None]
     states = np.zeros((K + 1, n_paths, dim_m + dim_orth))
     np.cumsum(incr.transpose(1, 0, 2), axis=0, out=states[1:])
-    return ScenarioBundle(grid=grid, dim_m=dim_m, states=states, clock=clock, source=source)
+    return ScenarioBundle(grid=grid, dim_m=dim_m, states=states,
+                          clock_values=grid.nodes if clock_values is None else clock_values, source=source)
 
 
 def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBundle:
-    """Restrict a bundle to a sub-grid; coarse increments are sums of fine ones.
+    """Restrict a bundle to a sub-grid; paths and clock keep their values at
+    the kept nodes, so coarse increments are sums of fine ones.
 
     Every coarse node must already be a node of the fine grid.
     """
     idx = np.array([bundle.grid.index_of(t) for t in coarse_grid.nodes])
     drawn_on = bundle.simulated_on or bundle.grid.key()
     return dataclasses.replace(bundle, grid=coarse_grid, states=bundle.states[idx],
+                               clock_values=bundle.clock_values[idx],
                                simulated_on=None if drawn_on == coarse_grid.key() else drawn_on)
 
 

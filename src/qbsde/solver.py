@@ -37,7 +37,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalCondition
 from .errors import CapacityError, MomentFailureError, SolverDivergenceError
 from .regression import BasisSpec, NodeRegression, make_regression
-from .scenarios import ClockSpec, ScenarioBundle, mean_se
+from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
 ORACLE_CAPACITY = 4_000_000_000
@@ -150,7 +150,9 @@ class SolutionField:
                     fh.write(",".join(row) + "\n")
 
 
-def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig, tag: str) -> str:
+def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig | None,
+                 tag: str) -> str:
+    """Identity of a solution: what the solver read, with ``config`` None for one that reads no SolverConfig."""
     payload = json.dumps(
         {
             "tag": tag,
@@ -160,7 +162,7 @@ def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalConditi
             "params": [driver.params.gamma, driver.params.beta, driver.params.beta_bar,
                        driver.params.beta_f, driver.params.c_A],
             "xi": xi.tag,
-            "solver": dataclasses.asdict(config),
+            "solver": None if config is None else dataclasses.asdict(config),
         },
         sort_keys=True,
         default=repr,
@@ -408,7 +410,6 @@ def nested_mc_oracle(
     driver: DriverSpec,
     xi: TerminalCondition,
     branching: int,
-    config: SolverConfig | None = None,
     capacity: int = ORACLE_CAPACITY,
 ) -> SolutionField:
     """Dynamic programming by resimulation; cost ~ branching ** n_steps.
@@ -419,6 +420,8 @@ def nested_mc_oracle(
     ``branching`` must be even: the branches into t_K are antithetic pairs,
     and when node 0 is itself the leaf level (a 1-step grid) ``meta["y0_se"]``
     is the standard error of the branching/2 pair means.
+    ``meta["config_hash"]`` hashes what the oracle reads: the bundle, the
+    driver, xi and the branching.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
     block of about 2^16 float32 leaf states, when ``xi.affine`` is set: the
@@ -426,7 +429,6 @@ def nested_mc_oracle(
     may make one (``np.dot``, ``s @ a`` with a 2-D state) and so start BLAS
     threads inside every worker; it runs on the calling thread alone.
     """
-    config = config or SolverConfig()
     if bundle.grid.nodes.size > 4:
         raise ValueError("nested MC oracle is restricted to grids with at most 4 nodes")
     if branching < 1000:
@@ -470,7 +472,7 @@ def nested_mc_oracle(
             "solver": "nested_mc",
             "branching": branching,
             "y0_se": y0_se,
-            "config_hash": _config_hash(bundle, driver, xi, config, f"nested_mc:{branching}"),
+            "config_hash": _config_hash(bundle, driver, xi, None, f"nested_mc:{branching}"),
         },
     )
 
@@ -540,9 +542,7 @@ def _stopped_clock(bundle: ScenarioBundle, driver: DriverSpec, level: float) -> 
     would push the running integral of alpha dA past the level."""
     running = np.cumsum(driver.params.alpha_on(bundle)[:-1] * bundle.dA)
     stop = int(np.count_nonzero(np.logical_and.accumulate(running <= level * (1.0 + 1e-9) + 1e-12)))
-    held = np.minimum(bundle.clock_values, bundle.clock_values[stop])
-    clock = ClockSpec("piecewise", times=tuple(bundle.grid.nodes.tolist()), values=tuple(held.tolist()))
-    return dataclasses.replace(bundle, clock=clock)
+    return dataclasses.replace(bundle, clock_values=np.minimum(bundle.clock_values, bundle.clock_values[stop]))
 
 
 def _truncated_terminal(xi: TerminalCondition, level: float) -> TerminalCondition:

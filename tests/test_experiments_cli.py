@@ -186,6 +186,18 @@ class TestRunExperiment:
         rep = q.run_experiment(cfg, n_paths=32, seed=99)
         assert rep.config_hash != cfg.config_hash()
 
+    def test_kink_of_a_stability_member_is_a_grid_node(self):
+        # 10 steps on [0, 1] miss the member's kink 1/3: the left-endpoint
+        # rule would then integrate its driver to 1.2, not 1
+        cfg = q.validate_config(merged(
+            "scenario: {steps: 10}\n"
+            "checks: [{type: stability, p: [1], members: [{driver: {name: step_family, options: {n: 3}}, "
+            "expected_hypothesis: 1.0, converges: false, expected_sup: 1.0}]}]"))
+        report = q.run_experiment(cfg)
+        (check,) = report.checks
+        assert check.extra["hypothesis"] == pytest.approx(1.0, abs=1e-12)
+        assert report.all_passed
+
     def test_every_requested_check_appears_once(self):
         cfg = q.validate_config(WITH_CHECKS)
         rep = q.run_experiment(cfg)
@@ -318,7 +330,9 @@ class TestCli:
         ("", "", ("--seed", "-1"), "--seed"),
         ("{name: zero}", "{name: pure_quadratic, options: {gamma: 0.5}}\nchecks: [{type: apriori}]", (),
          "checks.0: the a priori bound needs gamma >= 1"),
-    ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one"])
+        ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slope: [1.0e308]}}", (),
+         "experiment failed: terminal condition"),
+    ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one", "terminal-overflow"])
     def test_run_bad_input_exit_2(self, tmp_path, old, new, args, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new) if old else MINIMAL)

@@ -11,7 +11,7 @@ import pytest
 
 import qbsde as q
 from qbsde import solver
-from qbsde.errors import CapacityError
+from qbsde.errors import CapacityError, MomentFailureError
 
 
 def small_bundle(steps, seed, dim_m=1, nodes=None):
@@ -139,7 +139,7 @@ def test_root_nodes_draw_distinct_branches():
 def test_float32_overflow_of_terminal_raises():
     """1e39 is finite in float64 but not in the oracle's float32 leaves."""
     b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 4, source=q.RandomSource(7))
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(MomentFailureError, match="not finite"):
         q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_constant(1e39, 1), branching=1000)
 
 

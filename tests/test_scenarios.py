@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qbsde as q
 from qbsde.drivers import SamplingPlan
 from qbsde.errors import CapacityError
+from qbsde.solver import _stopped_clock
 
 
 def test_uniform_grid_exact_nodes():
@@ -54,13 +55,9 @@ def test_grid_properties(T, n, extra):
 
 
 def test_clock_kinds():
-    t = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(q.ClockSpec("identity").at(t), t)
-    assert np.allclose(q.ClockSpec("scaled", rate=2.0).at(t), 2 * t)
-    pw = q.ClockSpec("piecewise", times=(0.0, 0.5, 1.0), values=(0.0, 0.4, 0.4))
-    assert np.allclose(pw.at(t), [0.0, 0.4, 0.4])
     # the clock-side Lipschitz constant c_A of A(t) <= c_A t is 0.8, checked by validate_assumptions
-    b = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 4, clock=pw, source=q.RandomSource(0))
+    b = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 4, clock_values=[0.0, 0.2, 0.4, 0.4, 0.4],
+                            source=q.RandomSource(0))
 
     def slope_clause(c_A):
         drv = q.make_builtin("zero").with_declared(beta=0.1, beta_bar=0.1, c_A=c_A)
@@ -71,19 +68,38 @@ def test_clock_kinds():
     tight = slope_clause(0.79)
     assert tight.violations == 2 and tight.max_margin == pytest.approx(0.005, abs=1e-12)
     with pytest.raises(ValueError):
-        q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, -1.0))
-    with pytest.raises(ValueError):
-        q.ClockSpec("warped")
+        q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 4, clock_values=[0.0, -1.0], source=q.RandomSource(0))
+
+
+@pytest.mark.parametrize("values, match", [
+    ([0.0, 0.5], "clock has 2 values, the grid 3 nodes"),
+    ([0.1, 0.2, 0.3], "start at 0"),
+    ([0.0, 0.4, 0.3], "never decrease"),
+    ([0.0, np.nan, 0.5], "never decrease"),
+], ids=["wrong-length", "nonzero-start", "decreasing", "nan"])
+def test_bundle_rejects_bad_clock(values, match):
+    with pytest.raises(ValueError, match=match):
+        q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, clock_values=values, source=q.RandomSource(0))
 
 
 def test_factorization_consistency_under_scaled_clock():
     # B^T B dA must reproduce d<M> = I dt for any clock choice
     grid = q.build_grid(1.0, 8)
-    b = q.simulate_scenario(grid, 1, 0, 10, clock=q.ClockSpec("scaled", rate=2.0),
-                            source=q.RandomSource(1))
-    bb_da = np.array([b.factor_b[i, 0, 0] ** 2 * (b.clock_values[i + 1] - b.clock_values[i])
-                      for i in range(grid.n_steps)])
-    assert np.allclose(bb_da, grid.dt)
+    b = q.simulate_scenario(grid, 1, 0, 10, clock_values=2.0 * grid.nodes, source=q.RandomSource(1))
+    assert b.factor_b.shape == (grid.n_steps + 1,)
+    assert np.allclose(b.factor_b[:-1] ** 2 * b.dA, grid.dt)
+
+
+def test_coarsening_keeps_a_stopped_clock():
+    fine = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 16, source=q.RandomSource(4))
+    # A stops at 0.5, a node of both grids, once the integral of alpha = 1 reaches the level
+    stopped = _stopped_clock(fine, q.make_builtin("constant", {"value": 1.0}), 0.5)
+    assert np.array_equal(stopped.clock_values, np.minimum(fine.grid.nodes, 0.5))
+    coarse = q.coarsen_bundle(stopped, q.build_grid(1.0, 4))
+    kept = [0, 2, 4, 6, 8]
+    assert np.array_equal(coarse.clock_values, stopped.clock_values[kept])
+    assert np.array_equal(coarse.factor_b, stopped.factor_b[kept])
+    assert np.array_equal(coarse.factor_b, [1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_terminal_moments_within_four_standard_errors():
@@ -216,15 +232,6 @@ class TestQuadraticVariation:
             q.quadratic_variation(bundle_orth, np.ones(3))
 
 
-def _piecewise_clocks():
-    steps = st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 2.0)), min_size=1, max_size=4)
-    return steps.map(lambda incs: q.ClockSpec(
-        "piecewise",
-        times=tuple(np.concatenate([[0.0], np.cumsum([dt for dt, _ in incs])]).tolist()),
-        values=tuple(np.concatenate([[0.0], np.cumsum([da for _, da in incs])]).tolist()),
-    ))
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**63),
@@ -232,13 +239,17 @@ def _piecewise_clocks():
     steps=st.integers(1, 6),
     dims=st.tuples(st.integers(1, 2), st.integers(0, 2)),
     n_paths=st.integers(1, 16),
-    clock=st.one_of(st.just(q.ClockSpec()), st.floats(0.1, 4.0).map(lambda r: q.ClockSpec("scaled", rate=r)),
-                    _piecewise_clocks()),
+    # the identity clock, a scaled clock rate * t, or a clock with these step increments dA (0 included)
+    clock=st.one_of(st.none(), st.floats(0.1, 4.0), st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6)),
 )
-@example(seed=0, stream=0, steps=1, dims=(2, 0), n_paths=1,
-         clock=q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, 2.2250738585e-313)))
+@example(seed=0, stream=0, steps=1, dims=(2, 0), n_paths=1, clock=[2.2250738585e-313] * 6)
 def test_derived_copies_keep_key(seed, stream, steps, dims, n_paths, clock):
-    b = q.simulate_scenario(q.build_grid(1.0, steps), *dims, n_paths, clock=clock, source=q.RandomSource(seed, stream))
+    grid = q.build_grid(1.0, steps)
+    if isinstance(clock, float):
+        clock = clock * grid.nodes
+    elif clock is not None:
+        clock = np.concatenate([[0.0], np.cumsum(clock[:steps])])
+    b = q.simulate_scenario(grid, *dims, n_paths, clock_values=clock, source=q.RandomSource(seed, stream))
     sub = b.slice_paths(n_paths // 2, n_paths)
     # every derived copy rebuilds the same clock, factor, paths and states
     for copy in (b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
@@ -255,12 +266,12 @@ def test_derived_copies_keep_key(seed, stream, steps, dims, n_paths, clock):
 
 def test_factor_finite_for_tiny_clock_step():
     # dt / dA overflows here although sqrt(dt) / sqrt(dA) is finite
-    clock = q.ClockSpec("piecewise", times=(0.0, 1.0), values=(0.0, 2.2250738585e-313))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, clock=clock, source=q.RandomSource(0))
+        b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, clock_values=[0.0, 2.2250738585e-313],
+                                source=q.RandomSource(0))
     assert np.all(np.isfinite(b.factor_b))
-    assert b.factor_b[0, 0, 0] == pytest.approx(1.0 / math.sqrt(2.2250738585e-313), rel=1e-12)
+    assert b.factor_b[0] == pytest.approx(1.0 / math.sqrt(2.2250738585e-313), rel=1e-12)
 
 
 def test_slice_paths_view(bundle_1d):
