@@ -17,7 +17,7 @@ from .drivers import (PROBE_NODES, PROBE_RADIUS, PROBE_TOL, DriverSpec, ParamSet
                       exponential_moment_estimate)
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
-from .scenarios import ScenarioBundle, mean_se, quadratic_variation, stochastic_integral
+from .scenarios import ScenarioBundle, integral_by_node, mean_se, quadratic_variation, stochastic_integral
 from .solver import SolutionField
 
 
@@ -162,36 +162,47 @@ def check_apriori(
     band (sqrt of the 99.7% chi-square quantile at the fit's width); the
     plain pointwise three-sigma band would be exceeded somewhere by
     selection alone.  The raw maximum of |y| - x is kept in ``extra``.
+
+    The check streams the node rows: a supremum needs only per-path running
+    maxima, so no (K+1, n) gap, standard-error or adjusted surface is built.
+    The winning path's column is then re-read for its node, which keeps the
+    first maximum in path-major order, as a flat argmax would give.
     """
     if solution.y.shape != bound.x.shape:
         raise GridMismatchError(
             f"solution field {solution.y.shape} and bound process {bound.x.shape} disagree"
         )
-    gap = np.abs(solution.y) - bound.x
-    se = bound.x_se
-    dof = 1
-    if solution.diagnostics is not None:
-        se = np.hypot(se, np.sqrt(solution.diagnostics.y_var))
-        dof = max(dof, solution.diagnostics.max_features)
+    y_var = None if solution.diagnostics is None else solution.diagnostics.y_var
+    dof = 1 if y_var is None else max(1, solution.diagnostics.max_features)
     # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u): scipy.stats is slow to import
     band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
-    adjusted = gap - 3.0 * band * se
-    # the first maximum in path-major order, as a flat argmax would give,
-    # without copying the node-major surface into that order
-    path = int(np.argmax(adjusted.max(axis=1)))
-    node = int(np.argmax(adjusted[path]))
-    margin = float(adjusted[path, node])
+
+    def gap_and_se(at):
+        gap = np.abs(solution.y[at]) - bound.x[at]
+        se = bound.x_se[at] if y_var is None else np.hypot(bound.x_se[at], np.sqrt(y_var[at]))
+        return gap, se
+
+    # per-path running maxima of the adjusted and the raw gap
+    worst, raw = np.full(solution.n_paths, -np.inf), np.full(solution.n_paths, -np.inf)
+    for i in range(solution.y.shape[1]):
+        gap, se = gap_and_se((slice(None), i))
+        np.maximum(worst, gap - 3.0 * band * se, out=worst)
+        np.maximum(raw, gap, out=raw)
+    path = int(np.argmax(worst))
+    gap, se = gap_and_se(path)
+    node = int(np.argmax(gap - 3.0 * band * se))
+    margin = float(worst[path])
     return CheckReport(
         name="apriori_bound",
         passed=margin <= tol,
         margin=margin,
         tol=tol,
         n_paths=solution.n_paths,
-        se=float(band * se[path, node]),
+        se=float(band * se[node]),
         extra={
             "argmax_node": int(node),
             "argmax_path": int(path),
-            "raw_margin": float(np.max(gap)),
+            "raw_margin": float(np.max(raw)),
             "band_factor": band,
             "x0": bound.x0,
             "x0_se": bound.x0_se,
@@ -490,17 +501,23 @@ def kazamaki_statistic(
     q_tilde: float,
 ) -> KazamakiReport:
     """sup over every node of the bundle's grid of E[exp(eta Mt + (1/2 - eta) <Mt>)]
-    for Mt = q_tilde (Z.M + N), stopped at that node."""
+    for Mt = q_tilde (Z.M + N), stopped at that node.
+
+    Each node needs only its own mean, so Mt and <Mt> stream from
+    ``integral_by_node`` one (n,) row at a time, with the integrand scaled
+    step by step: no (n, K+1) surface of either is built.
+    """
     if eta == 1.0:
         raise ValueError("the criterion needs eta != 1")
+    if solution.y.shape != (bundle.n_paths, bundle.grid.n_steps + 1):
+        raise GridMismatchError(f"solution field {solution.y.shape} is not on the bundle's paths and grid")
 
-    mt, qv = stochastic_integral(bundle, q_tilde * solution.integrand, running=True)
-
+    steps = (q_tilde * solution.integrand[:, i] for i in range(bundle.grid.n_steps))
     means, ses = [], []
     finite = True
-    for i in range(bundle.grid.n_steps + 1):
+    for mt, qv in integral_by_node(bundle, steps):
         with np.errstate(over="ignore"):
-            vals = np.exp(eta * mt[:, i] + (0.5 - eta) * qv[:, i])
+            vals = np.exp(eta * mt + (0.5 - eta) * qv)
         if not np.all(np.isfinite(vals)):
             finite = False
             means.append(float("inf"))

@@ -37,9 +37,12 @@ def mean_se(values) -> tuple[float, float]:
     return m, se
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing nodes t_0 = 0 < ... < t_K = T."""
+    """Strictly increasing nodes t_0 = 0 < ... < t_K = T.
+
+    Compared and hashed by identity; ``key()`` identifies the nodes.
+    """
 
     nodes: np.ndarray
 
@@ -111,7 +114,7 @@ class RandomSource:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioBundle:
     """Simulated paths of the driving martingale M and the orthogonal noise W_orth on a grid.
 
@@ -128,7 +131,7 @@ class ScenarioBundle:
     identity; ``simulated_on`` is the key of the grid the paths were drawn on
     when it is not ``grid`` (a coarsened bundle), else None.  ``cache_key()``
     hashes this identity, the clock and the draws held included; solution
-    hashes are built on it.
+    hashes are built on it, and ``==`` and ``hash`` go by object identity.
     Bundles are immutable after construction.
     """
 
@@ -139,7 +142,7 @@ class ScenarioBundle:
     source: RandomSource
     first_path: int = 0
     simulated_on: str | None = None
-    factor_b: np.ndarray = field(init=False, repr=False, compare=False)
+    factor_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.states.ndim != 3 or self.states.shape[0] != self.grid.n_steps + 1 or self.states.shape[2] < self.dim_m:
@@ -261,38 +264,49 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
                                simulated_on=None if drawn_on == coarse_grid.key() else drawn_on)
 
 
-def quadratic_variation(bundle: ScenarioBundle, integrand, running: bool = False) -> np.ndarray:
+def quadratic_variation(bundle: ScenarioBundle, integrand) -> np.ndarray:
     """Quadratic variation sum_i |zeta_i|^2 dt_i of the integral of zeta against (M, W_orth), per path.
 
     ``integrand`` holds zeta on the steps [t_i, t_{i+1}), shaped (w,), (K, w)
     or (n_paths, K, w) with w = dim_m + dim_orth.  Returns the (n_paths,)
-    terminal values, or with ``running`` the (n_paths, K+1) values at every
-    node, starting from 0.
+    terminal values; ``integral_by_node`` gives them at every node.
     """
     n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]
     z = np.asarray(integrand, dtype=float)
     if z.ndim > 3 or z.shape != (n, K, w)[3 - z.ndim :]:
         raise ValueError(f"integrand shape {z.shape} does not match bundle ({n} paths, {K} steps, dim {w})")
     z = np.broadcast_to(z, (n, K, w))
-    if not running:
-        return np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
-    qv = np.zeros((n, K + 1))
-    np.cumsum(np.einsum("nkw,nkw->nk", z, z) * bundle.dt, axis=1, out=qv[:, 1:])
-    return qv
+    return np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
 
 
-def stochastic_integral(bundle: ScenarioBundle, integrand, running: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete integral sum_i zeta_i . (dM, dW_orth)_i and its ``quadratic_variation``, both shaped as that."""
-    qv = quadratic_variation(bundle, integrand, running)
+def stochastic_integral(bundle: ScenarioBundle, integrand) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete integral sum_i zeta_i . (dM, dW_orth)_i and its ``quadratic_variation``, per path."""
+    qv = quadratic_variation(bundle, integrand)
     states = bundle.states
     K = bundle.grid.n_steps
     z = np.broadcast_to(np.asarray(integrand, dtype=float), (bundle.n_paths, K, states.shape[2]))
     # step by step from the states, so no (K, n, w) array of increments is built
-    integral = np.zeros_like(qv)
     total = np.zeros(bundle.n_paths)
     for i in range(K):
         total += np.einsum("nw,nw->n", z[:, i], states[i + 1] - states[i])
-        if running:
-            integral[:, i + 1] = total
-    return (integral if running else total), qv
+    return total, qv
 
+
+def integral_by_node(bundle: ScenarioBundle, steps):
+    """``stochastic_integral`` and its quadratic variation at t_0, ..., t_K, one node at a time.
+
+    ``steps`` gives zeta on [t_0, t_1), ..., [t_{K-1}, t_K) in turn, each
+    (n_paths, w) or broadcastable to it, so a caller can form each step's
+    integrand as it goes.  Yields the (n_paths,) running values, starting
+    from 0, so no (n_paths, K+1) surface is built.  A caller that needs only
+    the terminal values calls ``stochastic_integral``, which skips the
+    running quadratic variation.
+    """
+    states, n = bundle.states, bundle.n_paths
+    integral, qv = np.zeros(n), np.zeros(n)
+    yield integral, qv
+    for i, zeta in enumerate(steps):
+        z = np.broadcast_to(np.asarray(zeta, dtype=float), (n, states.shape[2]))
+        integral = integral + np.einsum("nw,nw->n", z, states[i + 1] - states[i])
+        qv = qv + np.einsum("nw,nw->n", z, z) * bundle.dt[i]
+        yield integral, qv

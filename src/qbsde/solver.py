@@ -17,6 +17,13 @@ Three routes to the same object:
 construction (xi capped at n, the clock A stopped once the running integral
 of alpha dA exceeds n, so the driver acts only before that time) and reports
 monotonicity across levels.
+
+The regression scheme is one backward sweep that yields a step at a time.
+``solve_backward`` stores its rows as a solution field; ``y0_with_se`` needs
+only Y_0 of each path batch, so it keeps the current row alone.  Likewise the
+reductions over a stored field (``sup_abs_y``, ``monotonicity_report``) read
+it one node row at a time: a (K+1, n) float64 surface is 81 MB at 100,000
+paths and 101 nodes, and a supremum or a count needs none.
 """
 
 from __future__ import annotations
@@ -132,8 +139,11 @@ class SolutionField:
         return float(np.mean(self.y[:, 0]))
 
     def sup_abs_y(self) -> np.ndarray:
-        """Per-path running maximum of |Y| over all grid nodes."""
-        return np.max(np.abs(self.y), axis=1)
+        """Per-path running maximum of |Y| over all grid nodes, taken row by row."""
+        sup = np.abs(self.y[:, 0])
+        for i in range(1, self.y.shape[1]):
+            np.maximum(sup, np.abs(self.y[:, i]), out=sup)
+        return sup
 
     def to_csv(self, path, grid_nodes: np.ndarray, max_paths: int | None = None) -> None:
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
@@ -194,6 +204,47 @@ def _solve_y(ey, zeta, driver, bundle, i):
     raise SolverDivergenceError(step=i, sup_change=last, max_iter=PICARD_MAX)
 
 
+def _backward_steps(
+    bundle: ScenarioBundle,
+    driver: DriverSpec,
+    xi: TerminalCondition,
+    config: SolverConfig,
+    feature_source: TerminalCondition | None = None,
+):
+    """The regression scheme's backward sweep, one step at a time from i = K - 1 down to 0.
+
+    Per step: project y_{i+1} on the basis of the Markov state, read Z off
+    the increment regressions of the centred target, then solve the implicit
+    Y-update.  Yields ``(i, reg, target, ey, zeta, y)``: the step's
+    regression, the target row y_{i+1}, its projection, the integrand
+    (Z, Z_orth) on [t_i, t_{i+1}) and the new row y_i.  Only the current row
+    is kept; a consumer stores what it needs.
+    """
+    if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
+        raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
+    bb_max = driver.params.beta_bar * float(np.max(bundle.dA))
+    if bb_max >= 0.5:
+        raise ValueError(
+            f"contraction constraint violated: beta_bar * max dA = {bb_max:.3g} >= 0.5; refine the grid"
+        )
+
+    dt = bundle.dt
+    basis = config.basis
+    feature_fn = (feature_source or xi).fn if config.terminal_feature else None
+    y = xi.evaluate(bundle.terminal_state)
+    for i in range(bundle.grid.n_steps - 1, -1, -1):
+        # temporaries stay unnamed, so none outlives its step into the next
+        # regression build, the sweep's peak
+        state = bundle.state(i)
+        reg = make_regression(basis, state, feature_fn(state) if feature_fn is not None else None)
+        target = y
+        ey = reg.fit(target)
+        # (Z, Z_orth): projections of the centred target times the step's noise
+        zeta = reg.fit((target - ey)[:, None] * (bundle.states[i + 1] - state)) / dt[i]
+        y = _solve_y(ey, zeta, driver, bundle, i)
+        yield i, reg, target, ey, zeta, y
+
+
 def solve_backward(
     bundle: ScenarioBundle,
     driver: DriverSpec,
@@ -203,47 +254,29 @@ def solve_backward(
 ) -> SolutionField:
     """Regression-based backward recursion from Y_K = xi.
 
-    Per step: project y_{i+1} on the polynomial basis of the Markov state,
-    read Z off the increment regressions of the centered target, then solve
-    the implicit Y-update.  The terminal value is pinned exactly path by path.
+    Stores every row of the sweep, the terminal value pinned exactly path by
+    path, with the per-node error propagation of ``SolverDiagnostics``.
 
     ``feature_source`` overrides the terminal condition used for the adapted
     basis column; solving a family of problems with a shared feature keeps
     their basis-approximation bias common, so pathwise comparisons stay clean.
     """
     config = config or SolverConfig()
-    if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
-        raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
-    dA = bundle.dA
-    bb_max = driver.params.beta_bar * float(np.max(dA))
-    if bb_max >= 0.5:
-        raise ValueError(
-            f"contraction constraint violated: beta_bar * max dA = {bb_max:.3g} >= 0.5; refine the grid"
-        )
-
     n, K = bundle.n_paths, bundle.grid.n_steps
-    dt = bundle.dt
-    basis = config.basis
-    feature_fn = (feature_source or xi).fn if config.terminal_feature else None
+    dA = bundle.dA
 
     # node-major, like the bundle: each step reads and writes contiguous rows
     y = np.empty((K + 1, n))
-    y[K] = xi.evaluate(bundle.terminal_state)
     integrand = np.empty((K, n, bundle.states.shape[2]))
     sigma2_y = np.zeros(K)
     y_var = np.zeros((K + 1, n))
     max_features = 0
 
-    for i in range(K - 1, -1, -1):
-        state = bundle.state(i)
-        extra = feature_fn(state) if feature_fn is not None else None
-        reg = make_regression(basis, state, extra)
-        target = y[i + 1]
-        ey = reg.fit(target)
-        # (Z, Z_orth): projections of the centred target times the step's noise
-        dw = bundle.states[i + 1] - bundle.states[i]
-        integrand[i] = reg.fit((target - ey)[:, None] * dw) / dt[i]
-        y[i] = _solve_y(ey, integrand[i], driver, bundle, i)
+    for i, reg, target, ey, zeta, y_i in _backward_steps(bundle, driver, xi, config, feature_source):
+        if i == K - 1:
+            y[K] = target
+        integrand[i] = zeta
+        y[i] = y_i
 
         sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
@@ -257,7 +290,7 @@ def solve_backward(
     return SolutionField(
         y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
         meta={"solver": "regression", "config_hash": _config_hash(bundle, driver, xi, config, "regression")},
-        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var.T, basis=basis, max_features=max_features),
+        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var.T, basis=config.basis, max_features=max_features),
     )
 
 
@@ -273,14 +306,20 @@ def y0_with_se(
     Batch means are independent solver runs, so the spread includes the
     regression noise accumulated over all backward steps.  Returns the mean
     of the batch Y_0 values, its standard error and the values.
+
+    Each batch runs the sweep of ``solve_backward`` and keeps only its
+    current row: a batch Y_0 equals ``solve_backward`` on that batch's
+    ``slice_paths`` exactly, without the (K+1, n) surfaces, the error
+    propagation or the hash that only a stored solution needs.
     """
     config = config or SolverConfig()
     k = max(1, min(Y0_SE_BATCHES, bundle.n_paths))
     edges = np.linspace(0, bundle.n_paths, k + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = bundle.slice_paths(int(lo), int(hi))
-        vals.append(solve_backward(sub, driver, xi, config).y0)
+        for *_, y in _backward_steps(bundle.slice_paths(int(lo), int(hi)), driver, xi, config):
+            pass
+        vals.append(float(np.mean(y)))
     mean, se = mean_se(vals)
     return mean, se, vals
 
@@ -571,18 +610,25 @@ class TruncationLadder:
         Regression noise is accounted for pointwise: each pair is allowed
         tol + 3 * combined standard error at that point, which matters at
         high-leverage extreme states where fitted curves wiggle.
+
+        Every statistic is a count or a maximum, so the levels are compared
+        one node row at a time; no (K+1, n) gap, allowance or standard-error
+        surface is built.
         """
-        ses = [np.sqrt(f.diagnostics.y_var) for f in self.fields]
         worst = -np.inf
         violations = 0
         total = 0
-        for a in range(len(self.levels)):
-            for b in range(a + 1, len(self.levels)):
-                gap = self.fields[a].y - self.fields[b].y
-                allowance = tol + 3.0 * np.hypot(ses[a], ses[b])
-                worst = max(worst, float(np.max(gap)))
-                violations += int(np.count_nonzero(gap > allowance))
-                total += gap.size
+        n_nodes = self.fields[0].y.shape[1] if self.fields else 0
+        for i in range(n_nodes):
+            ys = [f.y[:, i] for f in self.fields]
+            ses = [np.sqrt(f.diagnostics.y_var[:, i]) for f in self.fields]
+            for a in range(len(self.levels)):
+                for b in range(a + 1, len(self.levels)):
+                    gap = ys[a] - ys[b]
+                    allowance = tol + 3.0 * np.hypot(ses[a], ses[b])
+                    worst = max(worst, float(np.max(gap)))
+                    violations += int(np.count_nonzero(gap > allowance))
+                    total += gap.size
         return {
             "violation_fraction": violations / max(total, 1),
             "worst_gap": worst,

@@ -13,6 +13,7 @@ import qbsde as q
 from qbsde.analytics import _folded_mgf
 from qbsde.drivers import ParamSet, SamplingPlan
 from qbsde.errors import GridMismatchError, MomentFailureError
+from qbsde.scenarios import mean_se
 from tests.test_solver import linear_driver
 
 
@@ -135,6 +136,24 @@ class TestAprioriBound:
         bound = q.apriori_bound(other, q.terminal_constant(0.0, 1), drv.params)
         with pytest.raises(GridMismatchError):
             q.check_apriori(field, bound, tol=1e-6)
+
+    def test_streamed_check_equals_the_surface_formula(self, bundle_orth):
+        xi = q.terminal_abs(0.0, [1.0, 0.5])
+        drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi, q.SolverConfig(degree=2))
+        # the projection route, where x_se is not zero
+        bound = q.apriori_bound(bundle_orth, dataclasses.replace(xi, affine=None), drv.params)
+        assert np.all(bound.x_se[:, :-1] > 0)
+        report = q.check_apriori(field, bound, tol=1e-6)
+        # the whole-surface formula the check streams
+        gap = np.abs(field.y) - bound.x
+        se = np.hypot(bound.x_se, np.sqrt(field.diagnostics.y_var))
+        band = report.extra["band_factor"]
+        adjusted = gap - 3.0 * band * se
+        path, node = np.unravel_index(int(np.argmax(adjusted)), adjusted.shape)
+        assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (path, node)
+        assert report.margin == adjusted[path, node]
+        assert report.se == band * se[path, node]
+        assert report.extra["raw_margin"] == np.max(gap)
 
 
 class TestNormBounds:
@@ -314,6 +333,26 @@ class TestKazamaki:
         rep = q.kazamaki_statistic(bundle_1d, field, eta=eta, q_tilde=1.0)
         assert rep.sup_node == bundle_1d.grid.n_steps
         assert abs(rep.sup - expected) <= 3.0 * rep.sup_se
+
+    def test_streamed_means_equal_the_surface_formula(self, bundle_orth):
+        drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, q.terminal_abs(0.0, [1.0, 0.5]))
+        eta, q_tilde = 2.0, 0.7
+        rep = q.kazamaki_statistic(bundle_orth, field, eta=eta, q_tilde=q_tilde)
+        # the running (n, K+1) surfaces the statistic streams
+        z = q_tilde * field.integrand
+        dstates = np.diff(bundle_orth.states, axis=0)
+        mt = np.zeros((bundle_orth.n_paths, bundle_orth.grid.n_steps + 1))
+        for i in range(bundle_orth.grid.n_steps):
+            mt[:, i + 1] = mt[:, i] + np.einsum("nw,nw->n", z[:, i], dstates[i])
+        qv = np.zeros_like(mt)
+        np.cumsum(np.einsum("nkw,nkw->nk", z, z) * bundle_orth.dt, axis=1, out=qv[:, 1:])
+        stats = [mean_se(np.exp(eta * mt[:, i] + (0.5 - eta) * qv[:, i])) for i in range(mt.shape[1])]
+        assert rep.node_means == tuple(m for m, _ in stats)
+        assert rep.node_ses == tuple(s for _, s in stats)
+
+    def test_field_off_the_bundle_rejected(self, bundle_1d, bundle_orth):
+        with pytest.raises(GridMismatchError):
+            q.kazamaki_statistic(bundle_orth, self.unit_field(bundle_1d), eta=2.0, q_tilde=1.0)
 
     def test_eta_one_rejected(self, bundle_1d):
         field = self.unit_field(bundle_1d)

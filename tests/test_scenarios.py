@@ -203,7 +203,7 @@ class TestQuadraticVariation:
     def test_running_values_end_at_totals(self, bundle_orth):
         zeta = np.linspace(-1.0, 1.0, bundle_orth.grid.n_steps * 2).reshape(-1, 2)
         integral, qv = q.stochastic_integral(bundle_orth, zeta)
-        running, running_qv = q.stochastic_integral(bundle_orth, zeta, running=True)
+        running, running_qv = by_node(bundle_orth, zeta)
         assert running.shape == running_qv.shape == (bundle_orth.n_paths, bundle_orth.grid.n_steps + 1)
         assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
         assert np.allclose(running[:, -1], integral, atol=1e-12)
@@ -213,7 +213,7 @@ class TestQuadraticVariation:
         zeta = np.random.default_rng(5).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
         steps = np.einsum("nkw,knw->nk", zeta, np.diff(bundle_orth.states, axis=0))
         integral = q.stochastic_integral(bundle_orth, zeta)[0]
-        running = q.stochastic_integral(bundle_orth, zeta, running=True)[0]
+        running = by_node(bundle_orth, zeta)[0]
         assert np.array_equal(running[:, 1:], np.cumsum(steps, axis=1))
         assert np.array_equal(integral, running[:, -1])
 
@@ -222,14 +222,53 @@ class TestQuadraticVariation:
         zeta = np.random.default_rng(4).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
         steps = (zeta**2).sum(axis=2) * bundle_orth.dt
         qv = q.quadratic_variation(bundle_orth, zeta)
-        running = q.quadratic_variation(bundle_orth, zeta, running=True)
+        running = by_node(bundle_orth, zeta)[1]
         assert np.allclose(qv, steps.sum(axis=1), rtol=1e-12)
         assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
         assert np.allclose(running[:, 1:], np.cumsum(steps, axis=1), rtol=1e-12)
-        for flag, out in ((False, qv), (True, running)):
-            assert np.array_equal(out, q.stochastic_integral(bundle_orth, zeta, running=flag)[1])
+        assert np.array_equal(qv, q.stochastic_integral(bundle_orth, zeta)[1])
         with pytest.raises(ValueError):
             q.quadratic_variation(bundle_orth, np.ones(3))
+
+    @pytest.mark.parametrize("layout", ["node_major", "path_major"])
+    def test_by_node_equals_the_running_surfaces(self, bundle_orth, layout):
+        """The streamed rows are bit for bit the (n, K+1) running surfaces they replace."""
+        shape = (bundle_orth.grid.n_steps, bundle_orth.n_paths, 2)
+        zeta = np.random.default_rng(6).normal(size=shape).transpose(1, 0, 2)
+        if layout == "path_major":
+            zeta = np.ascontiguousarray(zeta)
+        dstates = np.diff(bundle_orth.states, axis=0)
+        integral = np.zeros((bundle_orth.n_paths, bundle_orth.grid.n_steps + 1))
+        for i in range(bundle_orth.grid.n_steps):
+            integral[:, i + 1] = integral[:, i] + np.einsum("nw,nw->n", zeta[:, i], dstates[i])
+        qv = np.zeros_like(integral)
+        np.cumsum(np.einsum("nkw,nkw->nk", zeta, zeta) * bundle_orth.dt, axis=1, out=qv[:, 1:])
+        running, running_qv = by_node(bundle_orth, zeta)
+        assert np.array_equal(running, integral)
+        assert np.array_equal(running_qv, qv)
+
+    def test_by_node_rejects_a_step_of_the_wrong_width(self, bundle_orth):
+        with pytest.raises(ValueError):
+            list(q.scenarios.integral_by_node(bundle_orth, [np.ones(3)]))
+
+
+def by_node(bundle, zeta):
+    """``integral_by_node`` stacked into (n_paths, K+1) surfaces."""
+    z = np.broadcast_to(np.asarray(zeta, dtype=float), (bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]))
+    rows = list(q.scenarios.integral_by_node(bundle, (z[:, i] for i in range(bundle.grid.n_steps))))
+    return np.stack([r[0] for r in rows], axis=1), np.stack([r[1] for r in rows], axis=1)
+
+
+def test_bundles_and_grids_compare_by_identity_and_hash():
+    """``==`` answers without comparing arrays; identities are ``cache_key()`` and ``key()``."""
+    bundle = q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, source=q.RandomSource(3))
+    same = bundle.slice_paths(0, bundle.n_paths)
+    assert bundle == bundle and bundle != same
+    assert same.cache_key() == bundle.cache_key()
+    grid = q.build_grid(1.0, 2)
+    assert grid == grid and grid != q.build_grid(1.0, 2)
+    assert grid.key() == q.build_grid(1.0, 2).key()
+    assert len({bundle, same, bundle}) == 2 and len({grid, grid}) == 1
 
 
 @settings(max_examples=25, deadline=None)

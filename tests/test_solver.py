@@ -227,6 +227,27 @@ class TestLadder:
         assert y0s[0] <= y0s[1] <= y0s[2]
         assert ladder.monotonicity_report()["violation_fraction"] < 1e-3
 
+    @pytest.mark.parametrize("tol", [0.0, -0.02])
+    def test_streamed_report_equals_the_surface_formula(self, tol):
+        b = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 4000, source=q.RandomSource(25))
+        cfg = q.SolverConfig(basis_kind="binned", bins=12, terminal_feature=False)
+        ladder = q.solve_ladder(b, q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0]),
+                                [0.5, 1, 2], cfg)
+        # the whole-surface formula the report streams
+        ses = [np.sqrt(f.diagnostics.y_var) for f in ladder.fields]
+        worst, violations, total = -np.inf, 0, 0
+        for a in range(3):
+            for c in range(a + 1, 3):
+                gap = ladder.fields[a].y - ladder.fields[c].y
+                worst = max(worst, float(np.max(gap)))
+                violations += int(np.count_nonzero(gap > tol + 3.0 * np.hypot(ses[a], ses[c])))
+                total += gap.size
+        expected = {"violation_fraction": violations / total, "worst_gap": worst, "tol": tol, "pairs": total}
+        report = ladder.monotonicity_report(tol)
+        assert report == expected
+        assert tol < 0 or report["violation_fraction"] < 1e-3
+        assert tol == 0 or violations > 0
+
     def test_signed_terminal_double_truncation(self, bundle_1d):
         ladder = q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_affine(0.0, [2.0]), [1.0])
         capped = ladder.fields[0].y[:, -1]
@@ -296,6 +317,46 @@ class TestOutputs:
         assert y0 == pytest.approx(1.0, abs=1e-12)
         assert se < 1e-12
         assert len(vals) == 8
+
+
+class TestSharedSweep:
+    """``y0_with_se`` runs the sweep of ``solve_backward`` on every batch, keeping only its current row."""
+
+    CASES = {
+        "binned_1d": ("bundle_1d", lambda: q.make_builtin("pure_quadratic", {"gamma": 1.0}),
+                      q.terminal_abs(0.0, [1.0]), q.SolverConfig(basis_kind="binned", bins=12, terminal_feature=False)),
+        "poly_orth": ("bundle_orth", lambda: q.make_builtin("pure_quadratic", {"gamma": 1.0}),
+                      q.terminal_abs(0.0, [1.0, 0.5]), q.SolverConfig(degree=3)),
+        "picard": ("bundle_1d", lambda: linear_driver(a=0.8, b0=0.5), q.terminal_abs(0.0, [1.0]),
+                   q.SolverConfig(degree=2)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_batch_values_are_solve_backward_on_the_slices(self, request, case):
+        name, make_driver, xi, config = self.CASES[case]
+        bundle, driver = request.getfixturevalue(name), make_driver()
+        _, _, vals = q.y0_with_se(bundle, driver, xi, config)
+        edges = np.linspace(0, bundle.n_paths, q.solver.Y0_SE_BATCHES + 1, dtype=int)
+        expected = [q.solve_backward(bundle.slice_paths(int(lo), int(hi)), driver, xi, config).y0
+                    for lo, hi in zip(edges[:-1], edges[1:])]
+        assert vals == expected
+
+    @pytest.mark.parametrize("driver,match", [
+        (dataclasses.replace(q.make_builtin("zero"), dim_m=2), "needs dim_m=2"),
+        (linear_driver(a=30.0, b0=0.5), "contraction constraint violated"),
+    ], ids=["dim_m", "contraction"])
+    def test_same_errors_as_solve_backward(self, bundle_1d, driver, match):
+        xi = q.terminal_constant(0.0, 1)
+        with pytest.raises(ValueError, match=match) as direct:
+            q.solve_backward(bundle_1d, driver, xi)
+        with pytest.raises(ValueError, match=match) as batched:
+            q.y0_with_se(bundle_1d, driver, xi)
+        assert str(batched.value) == str(direct.value)
+
+    def test_sup_abs_y_is_the_surface_maximum(self, bundle_orth):
+        field = q.solve_backward(bundle_orth, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
+                                 q.terminal_affine(-0.3, [1.0, 0.5]))
+        assert np.array_equal(field.sup_abs_y(), np.max(np.abs(field.y), axis=1))
 
 
 # ---------------------------------------------------------------------------
