@@ -21,8 +21,9 @@ def _load(path: str):
         print("invalid config:", file=sys.stderr)
         for where, msg in exc.errors:
             print(f"  {where}: {msg}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing, unreadable or non-UTF-8 file is an input error (exit 2)
+        print(f"cannot read config {path!r}: {exc}", file=sys.stderr)
     return None
 
 

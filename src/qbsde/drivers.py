@@ -9,9 +9,8 @@ never raised.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,8 +91,6 @@ class DriverSpec:
     ``f(t, y, z, b)`` must be a pure function, vectorized over paths:
     y has shape (n,), z has shape (n, d), b is the step's scalar factor, with
     B = b I the factor of the clock at time t.
-    ``options`` are the builtin constructor's options (empty for a custom
-    driver); they identify the driver in solution hashes.
     """
 
     name: str
@@ -103,15 +100,10 @@ class DriverSpec:
     depends_on_z: bool = True
     convex_in_z: bool = True
     dim_m: int | None = None
-    options: dict = field(default_factory=dict)
 
     def evaluate(self, bundle: ScenarioBundle, i: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         t = float(bundle.grid.nodes[i])
         return np.asarray(self.f(t, np.asarray(y), np.asarray(z), bundle.factor_b[i]), dtype=float)
-
-    def with_declared(self, **overrides) -> "DriverSpec":
-        """Same driver function with modified declared parameters."""
-        return dataclasses.replace(self, params=dataclasses.replace(self.params, **overrides))
 
 
 @dataclass(frozen=True)
@@ -270,39 +262,14 @@ class _BoxSet:
         return np.clip(x, self.lower, self.upper)
 
 
-class _HalfSpaceSet:
-    def __init__(self, normal, offset):
-        self.normal = np.asarray(normal, dtype=float).ravel()
-        self.offset = float(offset)
-        if not np.any(self.normal):
-            raise ValueError("half-space normal must be nonzero")
-        if self.offset < 0:
-            raise ValueError("constraint set must contain 0 for the declared growth bound")
-        self.dim = self.normal.size
-        self._nn = float(self.normal @ self.normal)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        excess = x @ self.normal - self.offset
-        shift = np.where(excess > 0, excess / self._nn, 0.0)
-        return x - shift[:, None] * self.normal[None, :]
-
-
-def _parse_constraint(spec) -> "_BoxSet | _HalfSpaceSet":
-    if isinstance(spec, (_BoxSet, _HalfSpaceSet)):
-        return spec
-    kind = spec.get("kind")
-    if kind == "box":
-        return _BoxSet(spec["lower"], spec["upper"])
-    if kind == "halfspace":
-        return _HalfSpaceSet(spec["normal"], spec["offset"])
-    raise ValueError(f"unsupported constraint kind {kind!r} (box or halfspace)")
-
-
 def _build_power_utility(options: dict) -> DriverSpec:
     p = float(_require(options, "power_utility", "p"))
     if p >= 1 or p == 0:
         raise ValueError("power_utility needs risk exponent p < 1, p != 0")
-    constraint = _parse_constraint(_require(options, "power_utility", "constraint"))
+    spec = _require(options, "power_utility", "constraint")
+    if spec.get("kind") != "box":
+        raise ValueError(f"unsupported constraint kind {spec.get('kind')!r} (only box)")
+    constraint = _BoxSet(spec["lower"], spec["upper"])
     d = constraint.dim
     lam_m = _as_time_fn(_require(options, "power_utility", "lam"), dim=d)
     q = 0.5 * p * (1.0 - p)
@@ -365,8 +332,7 @@ def make_builtin(name: str, options: dict | None = None) -> DriverSpec:
     """Construct a builtin driver by name with a fully populated ParamSet."""
     if name not in _REGISTRY:
         raise UnknownDriverError(f"unknown driver {name!r}; available: {list_builtins()}")
-    options = dict(options or {})
-    return dataclasses.replace(_REGISTRY[name](options), options=options)
+    return _REGISTRY[name](options or {})
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +383,6 @@ class AssumptionReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def summary(self) -> str:
-        rows = [
-            f"  {c.name:18s} {'ok' if c.passed else 'VIOLATED':9s} "
-            f"max margin {c.max_margin:+.3e}  ({c.violations}/{c.n_probes})"
-            if c.checked
-            else f"  {c.name:18s} skipped"
-            for c in self.clauses
-        ]
-        return f"assumption validation for {self.driver!r}:\n" + "\n".join(rows)
 
 
 def validate_assumptions(

@@ -214,7 +214,9 @@ def validate_config(text: str) -> ExperimentConfig:
     runner reads is an error at its path.  Then what the schema cannot see:
     the grid must build, the terminal and every driver must build on the
     scenario's dimensions, vectors must match the state or the orders they go
-    with, and an ``apriori`` check needs a driver with gamma >= 1.  Every
+    with, ladder levels must be strictly increasing (the ladder compares
+    them in list order), and an ``apriori`` check needs a driver with
+    gamma >= 1.  Every
     violation is collected with the path to the offending key; parse errors
     carry the YAML line reference.
     """
@@ -262,6 +264,9 @@ def validate_config(text: str) -> ExperimentConfig:
                           ("expected", len(check.get("p", ())))):
             if key in check and len(check[key]) != size:
                 errors.append((f"checks.{k}.{key}", f"has {len(check[key])} entries, needs {size}"))
+        levels = check.get("levels", [])
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            errors.append((f"checks.{k}.levels", f"must be strictly increasing, got {levels}"))
     if errors:
         raise ConfigValidationError(sorted(errors))
     return config
@@ -301,7 +306,7 @@ def _checked_driver(where: str, block: dict, dim_m: int, errors: list) -> Driver
 def load_config(path_or_name: str) -> ExperimentConfig:
     """Load a config from a file path or the bundled catalogue by name."""
     if os.path.exists(path_or_name):
-        with open(path_or_name) as fh:
+        with open(path_or_name, encoding="utf-8") as fh:
             return validate_config(fh.read())
     bundled = {c.name: c for c in bundled_configs()}
     if path_or_name in bundled:

@@ -11,8 +11,6 @@ Orthogonal noise is carried by extra independent Brownian components.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +37,7 @@ def mean_se(values) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing nodes t_0 = 0 < ... < t_K = T.
-
-    Compared and hashed by identity; ``key()`` identifies the nodes.
-    """
+    """Strictly increasing nodes t_0 = 0 < ... < t_K = T; compared and hashed by identity."""
 
     nodes: np.ndarray
 
@@ -67,9 +62,6 @@ class TimeGrid:
     @property
     def dt(self) -> np.ndarray:
         return np.diff(self.nodes)
-
-    def key(self) -> str:
-        return hashlib.sha256(self.nodes.tobytes()).hexdigest()[:16]
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         i = int(np.argmin(np.abs(self.nodes - t)))
@@ -126,13 +118,9 @@ class ScenarioBundle:
     each grid node: it starts at 0 and never decreases.  ``factor_b`` is
     derived from it on construction: ``factor_b[i]`` is the scalar b with
     B = b I on step [t_i, t_{i+1}), 0 where dA = 0, and the terminal slot
-    repeats the last step.  ``first_path`` is the index, among the paths
-    drawn from ``source``, of the first path held, so a slice keeps its own
-    identity; ``simulated_on`` is the key of the grid the paths were drawn on
-    when it is not ``grid`` (a coarsened bundle), else None.  ``cache_key()``
-    hashes this identity, the clock and the draws held included; solution
-    hashes are built on it, and ``==`` and ``hash`` go by object identity.
-    Bundles are immutable after construction.
+    repeats the last step.  ``source`` seeds the oracle's resimulation draws.
+    A bundle is immutable after construction, and ``==`` and ``hash`` go by
+    object identity.
     """
 
     grid: TimeGrid
@@ -140,8 +128,6 @@ class ScenarioBundle:
     states: np.ndarray
     clock_values: np.ndarray
     source: RandomSource
-    first_path: int = 0
-    simulated_on: str | None = None
     factor_b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -196,24 +182,7 @@ class ScenarioBundle:
 
     def slice_paths(self, lo: int, hi: int) -> "ScenarioBundle":
         """Read-only sub-bundle over a contiguous path block."""
-        return dataclasses.replace(self, states=self.states[:, lo:hi], first_path=self.first_path + lo)
-
-    def cache_key(self) -> str:
-        payload = json.dumps(
-            {
-                "seed": self.source.seed,
-                "stream": self.source.stream,
-                "first_path": self.first_path,
-                "simulated_on": self.simulated_on,
-                "grid": self.grid.key(),
-                "dim_m": self.dim_m,
-                "dim_orth": self.dim_orth,
-                "n_paths": self.n_paths,
-                "clock": hashlib.sha256(self.clock_values.tobytes()).hexdigest()[:16],
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return dataclasses.replace(self, states=self.states[:, lo:hi])
 
 
 def simulate_scenario(
@@ -223,7 +192,6 @@ def simulate_scenario(
     n_paths: int,
     clock_values: np.ndarray | None = None,
     source: RandomSource | None = None,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> ScenarioBundle:
     """Simulate independent Gaussian increments with variance dt per component.
 
@@ -239,8 +207,8 @@ def simulate_scenario(
     source = source or RandomSource(seed=0)
     K = grid.n_steps
     total = n_paths * (K + 1) * (dim_m + dim_orth)
-    if total > capacity:
-        raise CapacityError(f"bundle size {total} exceeds capacity {capacity}")
+    if total > DEFAULT_CAPACITY:
+        raise CapacityError(f"bundle size {total} exceeds capacity {DEFAULT_CAPACITY}")
 
     rng = source.generator()
     incr = rng.standard_normal((n_paths, K, dim_m + dim_orth))
@@ -258,10 +226,8 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
     Every coarse node must already be a node of the fine grid.
     """
     idx = np.array([bundle.grid.index_of(t) for t in coarse_grid.nodes])
-    drawn_on = bundle.simulated_on or bundle.grid.key()
     return dataclasses.replace(bundle, grid=coarse_grid, states=bundle.states[idx],
-                               clock_values=bundle.clock_values[idx],
-                               simulated_on=None if drawn_on == coarse_grid.key() else drawn_on)
+                               clock_values=bundle.clock_values[idx])
 
 
 def quadratic_variation(bundle: ScenarioBundle, integrand) -> np.ndarray:

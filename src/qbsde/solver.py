@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
-import json
 import logging
 import math
 import os
@@ -90,12 +88,11 @@ class SolverDiagnostics:
     ``y_var`` accumulates, per (path, node), the pointwise variance of the
     node's own projection plus the smoothed variance inherited from all
     later steps (first-order error propagation through the backward
-    recursion).  ``max_features`` is the widest design used, which sizes the
+    recursion; each step's residual variance is used once and not kept).
+    ``max_features`` is the widest design used, which sizes the
     simultaneous confidence bands downstream."""
 
-    sigma2_y: np.ndarray
     y_var: np.ndarray
-    basis: BasisSpec
     max_features: int
 
 
@@ -109,7 +106,8 @@ class SolutionField:
     ``z_orth`` are views of its first ``dim_m`` and of its remaining columns.
     The solvers pass transposed views of node-major buffers, so the node axis
     is outermost in memory, as in ``ScenarioBundle.states``; ``y[:, i]`` is
-    contiguous.
+    contiguous.  ``meta`` holds what a solver reports beside the field: the
+    oracle's ``y0_se``, and nothing for the other solvers.
     """
 
     y: np.ndarray
@@ -158,26 +156,6 @@ class SolutionField:
                     row = [str(i), f"{grid_nodes[i]:.12g}", str(p), f"{self.y[p, i]:.12g}"]
                     row += [f"{v:.12g}" for v in zi[p]]
                     fh.write(",".join(row) + "\n")
-
-
-def _config_hash(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig | None,
-                 tag: str) -> str:
-    """Identity of a solution: what the solver read, with ``config`` None for one that reads no SolverConfig."""
-    payload = json.dumps(
-        {
-            "tag": tag,
-            "bundle": bundle.cache_key(),
-            "driver": driver.name,
-            "options": driver.options,
-            "params": [driver.params.gamma, driver.params.beta, driver.params.beta_bar,
-                       driver.params.beta_f, driver.params.c_A],
-            "xi": xi.tag,
-            "solver": None if config is None else dataclasses.asdict(config),
-        },
-        sort_keys=True,
-        default=repr,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _solve_y(ey, zeta, driver, bundle, i):
@@ -268,7 +246,6 @@ def solve_backward(
     # node-major, like the bundle: each step reads and writes contiguous rows
     y = np.empty((K + 1, n))
     integrand = np.empty((K, n, bundle.states.shape[2]))
-    sigma2_y = np.zeros(K)
     y_var = np.zeros((K + 1, n))
     max_features = 0
 
@@ -278,20 +255,17 @@ def solve_backward(
         integrand[i] = zeta
         y[i] = y_i
 
-        sigma2_y[i] = float(reg.residual_variance(target, ey)[0])
+        sigma2_y = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
         # first-order error propagation: this node's fit variance plus
         # the smoothed variance inherited from later steps, amplified by
         # the implicit-step contraction factor
         inherited = np.maximum(reg.fit(y_var[i + 1]), 0.0)
         amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
-        y_var[i] = (reg.fit_variance(sigma2_y[i]) + inherited) * amp**2
+        y_var[i] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
 
-    return SolutionField(
-        y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
-        meta={"solver": "regression", "config_hash": _config_hash(bundle, driver, xi, config, "regression")},
-        diagnostics=SolverDiagnostics(sigma2_y=sigma2_y, y_var=y_var.T, basis=config.basis, max_features=max_features),
-    )
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
+                         diagnostics=SolverDiagnostics(y_var=y_var.T, max_features=max_features))
 
 
 def y0_with_se(
@@ -309,8 +283,8 @@ def y0_with_se(
 
     Each batch runs the sweep of ``solve_backward`` and keeps only its
     current row: a batch Y_0 equals ``solve_backward`` on that batch's
-    ``slice_paths`` exactly, without the (K+1, n) surfaces, the error
-    propagation or the hash that only a stored solution needs.
+    ``slice_paths`` exactly, without the (K+1, n) surfaces or the error
+    propagation that only a stored solution needs.
     """
     config = config or SolverConfig()
     k = max(1, min(Y0_SE_BATCHES, bundle.n_paths))
@@ -449,7 +423,6 @@ def nested_mc_oracle(
     driver: DriverSpec,
     xi: TerminalCondition,
     branching: int,
-    capacity: int = ORACLE_CAPACITY,
 ) -> SolutionField:
     """Dynamic programming by resimulation; cost ~ branching ** n_steps.
 
@@ -458,9 +431,9 @@ def nested_mc_oracle(
     Y solves the same per-step fixed point as the regression scheme.
     ``branching`` must be even: the branches into t_K are antithetic pairs,
     and when node 0 is itself the leaf level (a 1-step grid) ``meta["y0_se"]``
-    is the standard error of the branching/2 pair means.
-    ``meta["config_hash"]`` hashes what the oracle reads: the bundle, the
-    driver, xi and the branching.
+    is the standard error of the branching/2 pair means.  It is the only
+    key of ``meta``, 0 when the paths do not share one state at node 0.
+    ``branching ** n_steps`` above ``ORACLE_CAPACITY`` raises ``CapacityError``.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
     block of about 2^16 float32 leaf states, when ``xi.affine`` is set: the
@@ -474,9 +447,9 @@ def nested_mc_oracle(
         raise ValueError("oracle branching must be at least 1000")
     if branching % 2:
         raise ValueError("oracle branching must be even: leaves are drawn in antithetic pairs")
-    if branching ** bundle.grid.n_steps > capacity:
+    if branching ** bundle.grid.n_steps > ORACLE_CAPACITY:
         raise CapacityError(
-            f"branching**n_steps = {branching ** bundle.grid.n_steps:.3g} exceeds capacity {capacity:.3g}"
+            f"branching**n_steps = {branching ** bundle.grid.n_steps:.3g} exceeds capacity {ORACLE_CAPACITY:.3g}"
         )
     if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
@@ -505,15 +478,7 @@ def nested_mc_oracle(
             if i == 0 and shared:
                 y0_se = float(se[0])
 
-    return SolutionField(
-        y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
-        meta={
-            "solver": "nested_mc",
-            "branching": branching,
-            "y0_se": y0_se,
-            "config_hash": _config_hash(bundle, driver, xi, None, f"nested_mc:{branching}"),
-        },
-    )
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta={"y0_se": y0_se})
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +510,6 @@ def exponential_transform_reference(
         drift = 0.5 * gamma * float(a @ a) * (T - nodes)
         y = a0 + bundle.states @ a + drift[:, None]
         integrand = np.broadcast_to(a, (K, n, w)).copy()
-        meta = {"solver": "exponential_transform", "closed_form": True}
     else:
         with np.errstate(over="ignore"):
             u = np.exp(gamma * xi.evaluate(bundle.terminal_state))
@@ -566,9 +530,8 @@ def exponential_transform_reference(
             # Z = grad u / (gamma u): projections of (u - m) times the step's noise
             dw = bundle.states[i + 1] - bundle.states[i]
             integrand[i] = reg.fit((u - m_hat)[:, None] * dw) / (dt[i] * gamma * m_hat[:, None])
-        meta = {"solver": "exponential_transform", "closed_form": False}
 
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta)
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +569,9 @@ class TruncationLadder:
 
     def monotonicity_report(self, tol: float = 0.0) -> dict:
         """Fraction of (node, path) points violating y_n <= y_m + tol for n <= m.
+
+        ``solve_ladder`` makes the levels strictly increasing, so list order
+        is level order.
 
         Regression noise is accounted for pointwise: each pair is allowed
         tol + 3 * combined standard error at that point, which matters at
@@ -647,8 +613,11 @@ def solve_ladder(
     """Solve the truncated problems for each level on the same scenario bundle.
 
     Common random numbers across levels make the comparison-theorem
-    monotonicity visible pathwise rather than only in distribution.
+    monotonicity visible pathwise rather than only in distribution.  The
+    levels must be positive and strictly increasing.
     """
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
     config = config or SolverConfig()
     fields = []
     alphas = []

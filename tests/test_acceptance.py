@@ -5,6 +5,7 @@ table).  Statistical checks run at their stated tolerances against the pinned
 bundled experiments; deterministic ones at machine-level tolerances.
 """
 
+import dataclasses
 import math
 import multiprocessing
 import time
@@ -292,7 +293,8 @@ def test_criterion_10_validators():
         report = q.validate_assumptions(q.make_builtin(name, options), bundle, plan)
         violations = sum(c.violations for c in report.clauses if c.checked)
         ok = ok and report.passed and violations == 0
-    lying = q.make_builtin("pure_quadratic", {"gamma": 1.0}).with_declared(gamma=0.5)
+    honest = q.make_builtin("pure_quadratic", {"gamma": 1.0})
+    lying = dataclasses.replace(honest, params=dataclasses.replace(honest.params, gamma=0.5))
     flagged = q.validate_assumptions(lying, b1, plan)
     ok = ok and (not flagged.passed) and flagged.clause("growth").violations > 0
     _verdict(10, ok, f"6 builtin drivers clean at {plan.n_probes} probes; "

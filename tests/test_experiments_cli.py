@@ -10,7 +10,7 @@ import yaml
 
 import qbsde as q
 from qbsde.errors import ConfigValidationError
-from qbsde.experiments import _CHECKS, _SCHEMA, EXPORT_PATHS, canonical_json
+from qbsde.experiments import _CHECKS, _SCHEMA, EXPORT_PATHS, _driver_blocks, canonical_json
 
 MINIMAL = """
 name: tiny
@@ -124,6 +124,8 @@ terminal: {kind: constant}
         ("{type: norm_bounds, p: 2}", "checks.0.p"),
         ("{type: anchor, y0: abc}", "checks.0.y0"),
         ("{type: ladder, levels: [0, 1]}", "checks.0.levels.0"),
+        ("{type: ladder, levels: [8, 4, 2, 1]}", "checks.0.levels"),
+        ("{type: ladder, levels: [1, 2, 4, 8, 1]}", "checks.0.levels"),
         ("{type: norm_bounds, p: [1]}", "checks.0.p.0"),
         ("{type: kazamaki, eta: 1, q_tilde: 1}", "checks.0.eta"),
         ("{type: moments, p: [1, 2], expected: [2.7]}", "checks.0.expected"),
@@ -141,9 +143,10 @@ terminal: {kind: constant}
         ("{type: comparison, other: {driver: {name: zero, declared: {beta_bar: 2.0}}}}",
          "checks.0.other.driver.declared"),
         ("{y0: 1.0}", "checks.0.type"),
-    ], ids=["p-scalar", "y0-string", "level-zero", "norm-p-one", "eta-one", "expected-length", "other-unknown-driver",
-            "member-missing-option", "member-driver-dim", "member-misspelt-key", "other-misspelt-key",
-            "direction", "z-mean-length", "other-slope-size", "other-declared", "no-type"])
+    ], ids=["p-scalar", "y0-string", "level-zero", "levels-decreasing", "levels-repeated", "norm-p-one", "eta-one",
+            "expected-length", "other-unknown-driver", "member-missing-option", "member-driver-dim",
+            "member-misspelt-key", "other-misspelt-key", "direction", "z-mean-length", "other-slope-size",
+            "other-declared", "no-type"])
     def test_nested_and_domain_errors_named(self, check, where):
         """Each config validated before and then failed in run_experiment, or ran with the bad value ignored."""
         with pytest.raises(ConfigValidationError) as err:
@@ -256,6 +259,19 @@ class TestCatalogue:
                     set_somewhere.update(keys_set(check, ("checks", check["type"])))
         assert sorted(".".join(p) for p in settable - set_somewhere) == []
 
+    def test_every_builtin_and_terminal_kind_is_used_by_a_bundled_config(self):
+        """No driver, terminal kind or constraint kind exists that no bundled experiment uses."""
+        drivers, terminals, constraints = set(), set(), set()
+        for cfg in q.bundled_configs():
+            terminals.add(cfg.terminal["kind"])
+            for _, block in _driver_blocks(cfg):
+                drivers.add(block["name"])
+                if "constraint" in block.get("options", {}):
+                    constraints.add(block["options"]["constraint"]["kind"])
+        assert drivers == set(q.list_builtins())
+        assert terminals == set(_SCHEMA["properties"]["terminal"]["properties"]["kind"]["enum"])
+        assert constraints == {"box"}
+
     def test_load_config_by_name_and_missing(self):
         cfg = q.load_config("counterexample-n1")
         assert cfg.driver["options"]["n"] == 1
@@ -299,7 +315,9 @@ class TestCli:
         ("seed: 1}", "seed: 1, mandatory_nodes: [2.0]}", "scenario: "),
         ("seed: 1}", "seed: -1}", "scenario.seed: "),
         ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
-    ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream"])
+        ("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, "
+                         "constraint: {kind: halfspace, normal: [1.0], offset: 0.25}}}", "driver: "),
+    ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))
@@ -339,6 +357,19 @@ class TestCli:
         proc = run_cli("run", str(path), *args)
         assert proc.returncode == 2
         assert where in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+    def test_unreadable_config_exit_2(self, tmp_path, command, unreadable):
+        path = tmp_path / "bad.yaml"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(MINIMAL.replace("tiny", "t\xe9").encode("latin-1"))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().startswith("cannot read config") and len(proc.stderr.strip().splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
     def test_run_invalid_check_exit_2(self, tmp_path):

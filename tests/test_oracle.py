@@ -64,7 +64,7 @@ def test_step_driver_deterministic():
     assert field.meta["y0_se"] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_preconditions():
+def test_preconditions(monkeypatch):
     drv = q.make_builtin("zero")
     xi = q.terminal_constant(0.0, 1)
     with pytest.raises(ValueError, match="4 nodes"):
@@ -73,8 +73,9 @@ def test_preconditions():
         q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=500)
     with pytest.raises(ValueError, match="even"):
         q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1001)
+    monkeypatch.setattr(q.solver, "ORACLE_CAPACITY", 10**5)
     with pytest.raises(CapacityError):
-        q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1000, capacity=10**5)
+        q.nested_mc_oracle(small_bundle(2, 4), drv, xi, branching=1000)
 
 
 def test_reproducible_given_source(monkeypatch):

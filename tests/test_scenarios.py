@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -60,7 +61,8 @@ def test_clock_kinds():
                             source=q.RandomSource(0))
 
     def slope_clause(c_A):
-        drv = q.make_builtin("zero").with_declared(beta=0.1, beta_bar=0.1, c_A=c_A)
+        zero = q.make_builtin("zero")
+        drv = dataclasses.replace(zero, params=dataclasses.replace(zero.params, beta=0.1, beta_bar=0.1, c_A=c_A))
         return q.validate_assumptions(drv, b, SamplingPlan(n_probes=100)).clause("clock_slope")
 
     exact = slope_clause(0.8)
@@ -148,22 +150,23 @@ def test_refinement_consistency_by_coarsening():
     assert np.allclose(np.diff(coarse.states, axis=0), sums, atol=1e-12)
 
 
-def test_coarsened_bundle_key_differs_from_fresh_simulation():
+def test_coarsened_bundle_differs_from_fresh_simulation():
     fine = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 64, source=q.RandomSource(3))
     coarse = q.coarsen_bundle(fine, q.build_grid(1.0, 4))
     fresh = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 64, source=q.RandomSource(3))
     assert not np.array_equal(coarse.states, fresh.states)
-    assert coarse.cache_key() != fresh.cache_key()
-    # the simulation grid is kept through slicing and further coarsening
-    assert coarse.slice_paths(0, 64).cache_key() == coarse.cache_key()
-    assert q.coarsen_bundle(coarse, coarse.grid).cache_key() == coarse.cache_key()
+    # coarsening twice keeps the fine paths' values at the kept nodes
     two = q.build_grid(1.0, 2)
-    assert q.coarsen_bundle(coarse, two).cache_key() == q.coarsen_bundle(fine, two).cache_key()
+    assert np.array_equal(q.coarsen_bundle(coarse, two).states, q.coarsen_bundle(fine, two).states)
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
+    grid = q.build_grid(1.0, 10)
+    monkeypatch.setattr(q.scenarios, "DEFAULT_CAPACITY", 11 * 100 - 1)
     with pytest.raises(CapacityError):
-        q.simulate_scenario(q.build_grid(1.0, 10), 1, 0, 10**6, capacity=10**4)
+        q.simulate_scenario(grid, 1, 0, 100)
+    monkeypatch.setattr(q.scenarios, "DEFAULT_CAPACITY", 11 * 100)
+    assert q.simulate_scenario(grid, 1, 0, 100).n_paths == 100
 
 
 def test_bundle_immutable(bundle_1d):
@@ -260,14 +263,12 @@ def by_node(bundle, zeta):
 
 
 def test_bundles_and_grids_compare_by_identity_and_hash():
-    """``==`` answers without comparing arrays; identities are ``cache_key()`` and ``key()``."""
+    """``==`` and ``hash`` go by object identity, without comparing arrays."""
     bundle = q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, source=q.RandomSource(3))
     same = bundle.slice_paths(0, bundle.n_paths)
     assert bundle == bundle and bundle != same
-    assert same.cache_key() == bundle.cache_key()
     grid = q.build_grid(1.0, 2)
     assert grid == grid and grid != q.build_grid(1.0, 2)
-    assert grid.key() == q.build_grid(1.0, 2).key()
     assert len({bundle, same, bundle}) == 2 and len({grid, grid}) == 1
 
 
@@ -282,7 +283,7 @@ def test_bundles_and_grids_compare_by_identity_and_hash():
     clock=st.one_of(st.none(), st.floats(0.1, 4.0), st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6)),
 )
 @example(seed=0, stream=0, steps=1, dims=(2, 0), n_paths=1, clock=[2.2250738585e-313] * 6)
-def test_derived_copies_keep_key(seed, stream, steps, dims, n_paths, clock):
+def test_derived_copies_keep_paths_and_clock(seed, stream, steps, dims, n_paths, clock):
     grid = q.build_grid(1.0, steps)
     if isinstance(clock, float):
         clock = clock * grid.nodes
@@ -292,14 +293,12 @@ def test_derived_copies_keep_key(seed, stream, steps, dims, n_paths, clock):
     sub = b.slice_paths(n_paths // 2, n_paths)
     # every derived copy rebuilds the same clock, factor, paths and states
     for copy in (b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
-        assert copy.cache_key() == b.cache_key()
         for name in ("clock_values", "factor_b", "m_paths", "orth_paths"):
             assert np.array_equal(getattr(copy, name), getattr(b, name)), name
         for i in range(steps + 1):
             assert np.array_equal(copy.state(i), b.state(i))
-    # a slice keeps its place in the stream, also when cut from a derived copy
-    assert sub.first_path == n_paths // 2
-    assert q.coarsen_bundle(b, b.grid).slice_paths(n_paths // 2, n_paths).cache_key() == sub.cache_key()
+    # a slice holds the same paths, also when cut from a derived copy
+    assert np.array_equal(q.coarsen_bundle(b, b.grid).slice_paths(n_paths // 2, n_paths).states, sub.states)
     assert np.array_equal(sub.states, b.states[:, n_paths // 2 :])
 
 
@@ -317,12 +316,9 @@ def test_slice_paths_view(bundle_1d):
     sub = bundle_1d.slice_paths(10, 20)
     assert sub.n_paths == 10
     assert np.array_equal(sub.m_paths, bundle_1d.m_paths[10:20])
-    # slices with different paths have different identities; a slice from
-    # path 0 holds the draws of a fresh simulation and shares its key
+    # a slice from path 0 holds the draws of a fresh simulation
     head = bundle_1d.slice_paths(0, 10)
     fresh = q.simulate_scenario(bundle_1d.grid, 1, 0, 10, source=bundle_1d.source)
-    assert sub.cache_key() != head.cache_key()
-    assert head.cache_key() == fresh.cache_key()
-    assert bundle_1d.slice_paths(5, 25).slice_paths(5, 15).cache_key() == sub.cache_key()
+    assert np.array_equal(bundle_1d.slice_paths(5, 25).slice_paths(5, 15).states, sub.states)
     assert np.array_equal(head.states, fresh.states)
     assert np.shares_memory(sub.states, bundle_1d.states)

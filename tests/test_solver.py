@@ -3,13 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qbsde as q
 from qbsde.drivers import ParamSet
 from qbsde.errors import MomentFailureError, SolverDivergenceError
-from qbsde.solver import _config_hash
 
 
 def linear_driver(a, b0, alpha0=None):
@@ -258,6 +255,12 @@ class TestLadder:
         with pytest.raises(ValueError):
             q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_constant(0.0, 1), [0.0])
 
+    @pytest.mark.parametrize("levels", [[8, 4, 2, 1], [1, 2, 4, 8, 1], [1, 1]])
+    def test_levels_must_increase(self, bundle_1d, levels):
+        # the monotonicity report and the top level are read in list order
+        with pytest.raises(ValueError, match="strictly increasing"):
+            q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_constant(0.0, 1), levels)
+
 
 def assert_node_major(field):
     """The node axis is outermost in memory: every node's rows are contiguous."""
@@ -293,23 +296,6 @@ class TestOutputs:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "node,t,path,y,z0,zorth0"
         assert len(lines) == 1 + 3 * (bundle_orth.grid.n_steps + 1)
-
-    def test_config_hash_stable(self, bundle_1d):
-        drv = q.make_builtin("zero")
-        xi = q.terminal_constant(0.0, 1)
-        f1 = q.solve_backward(bundle_1d, drv, xi)
-        f2 = q.solve_backward(bundle_1d, drv, xi)
-        assert f1.meta["config_hash"] == f2.meta["config_hash"]
-
-    def test_config_hash_covers_driver_options_and_basis(self):
-        bundle = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 2000, source=q.RandomSource(3))
-        xi = q.terminal_constant(0.0, 1)
-        by_n = {q.solve_backward(bundle, q.make_builtin("step_family", {"n": n}), xi).meta["config_hash"]
-                for n in (1, 2)}
-        by_basis = {q.solve_backward(bundle, q.make_builtin("zero"), xi,
-                                     q.SolverConfig(basis_kind=kind, terminal_feature=False)).meta["config_hash"]
-                    for kind in ("poly", "binned")}
-        assert len(by_n) == 2 and len(by_basis) == 2
 
     def test_y0_with_se_deterministic_problem(self, bundle_1d):
         y0, se, vals = q.y0_with_se(bundle_1d, q.make_builtin("constant", {"value": 1.0}),
@@ -357,47 +343,3 @@ class TestSharedSweep:
         field = q.solve_backward(bundle_orth, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
                                  q.terminal_affine(-0.3, [1.0, 0.5]))
         assert np.array_equal(field.sup_abs_y(), np.max(np.abs(field.y), axis=1))
-
-
-# ---------------------------------------------------------------------------
-# content-addressed solution identities
-# ---------------------------------------------------------------------------
-
-_HASH_BUNDLE = q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, source=q.RandomSource(11))
-_HASH_XI = q.terminal_affine(0.0, [1.0])
-
-_SOLVER_FIELDS = {
-    "degree": st.integers(1, 6),
-    "basis_kind": st.sampled_from(["poly", "binned"]),
-    "bins": st.integers(2, 64),
-    "terminal_feature": st.booleans(),
-}
-
-_DRIVER_OPTIONS = {
-    "constant": ("value", st.floats(-10.0, 10.0)),
-    "step_family": ("n", st.floats(0.1, 10.0)),
-    "pure_quadratic": ("gamma", st.floats(0.1, 10.0)),
-}
-
-
-def _solver_hash(config, driver=None):
-    return _config_hash(_HASH_BUNDLE, driver or q.make_builtin("zero"), _HASH_XI, config, "regression")
-
-
-@settings(max_examples=60, deadline=None)
-@given(base=st.builds(q.SolverConfig, **_SOLVER_FIELDS), name=st.sampled_from(sorted(_SOLVER_FIELDS)), data=st.data())
-def test_config_hash_separates_solver_configs(base, name, data):
-    other = dataclasses.replace(base, **{name: data.draw(_SOLVER_FIELDS[name])})
-    assert (_solver_hash(other) == _solver_hash(base)) == (other == base)
-
-
-@pytest.mark.parametrize("name", sorted(_DRIVER_OPTIONS))
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_config_hash_separates_driver_options(name, data):
-    key, values = _DRIVER_OPTIONS[name]
-    u = data.draw(values)
-    v = data.draw(values.filter(lambda x: x != u))
-    config = q.SolverConfig()
-    assert (_solver_hash(config, q.make_builtin(name, {key: u}))
-            != _solver_hash(config, q.make_builtin(name, {key: v})))
