@@ -14,33 +14,31 @@ from .analytics import (
     BoundProcess,
     CheckReport,
     ExpMartingaleEstimate,
-    KazamakiReport,
-    OrderingEvidence,
-    StabilityMetrics,
+    anchor_check,
     apriori_bound,
     check_apriori,
     comparison_check,
     exp_martingale_check,
+    exponential_moment_estimate,
     kazamaki_statistic,
+    ladder_check,
+    moment_checks,
     norm_bound_checks,
     sample_ordering,
+    stability_check,
     stability_metrics,
     stochastic_exponential_mean,
+    validate_assumptions,
 )
 from .drivers import (
-    AssumptionReport,
     DriverSpec,
-    MomentReport,
     ParamSet,
-    SamplingPlan,
     TerminalCondition,
-    exponential_moment_estimate,
     list_builtins,
     make_builtin,
     terminal_abs,
     terminal_affine,
     terminal_constant,
-    validate_assumptions,
 )
 from .errors import (
     CapacityError,

@@ -1,8 +1,14 @@
-"""Quantitative checks run against solution fields.
+"""Every check of the paper's statements: its statistic and its verdict.
 
+Each check returns the ``CheckReport`` that the experiment report carries.
 Every statistical pass/fail uses a three-standard-error tolerance with the
 sample sizes recorded in the report; deterministic experiments collapse the
 standard errors to zero, so the same semantics cover exact checks too.
+
+A driver's declared growth, Lipschitz, convexity and local-Lipschitz
+properties, and the ordering of two drivers, are falsified (not proved) by
+randomized sampling over a probe box; violations are reported with margins,
+never raised.
 """
 
 from __future__ import annotations
@@ -13,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv, ndtr
 
-from .drivers import (PROBE_NODES, PROBE_RADIUS, PROBE_TOL, DriverSpec, ParamSet, SamplingPlan, TerminalCondition,
-                      exponential_moment_estimate)
+from .drivers import DriverSpec, ParamSet, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
 from .scenarios import ScenarioBundle, integral_by_node, mean_se, quadratic_variation, stochastic_integral
-from .solver import SolutionField
+from .solver import SolutionField, TruncationLadder
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,65 @@ class CheckReport:
             "se": float(self.se),
             "extra": dict(self.extra),
         }
+
+
+# ---------------------------------------------------------------------------
+# anchor and truncation ladder
+# ---------------------------------------------------------------------------
+
+
+def anchor_check(
+    solution: SolutionField,
+    estimate: float,
+    estimate_se: float,
+    y0: float,
+    tol: float = 0.01,
+    z_mean=None,
+    z_orth_mean=None,
+    z_tol: float = 0.05,
+) -> CheckReport:
+    """The Y0 ``estimate`` within ``tol`` and 3 SE of the known ``y0``; with
+    ``z_mean`` (``z_orth_mean``), the path mean of Z (of the orthogonal
+    integrand) within ``z_tol`` of it at every step.
+
+    The 3-SE clause has a floating-point floor, so deterministic problems
+    (batch spread at machine precision) are judged on ``tol`` alone.
+    """
+    gap = abs(estimate - y0)
+    passed = gap <= tol and gap <= 3.0 * estimate_se + 1e-12
+    extra = {"expected_y0": float(y0), "y0": estimate, "y0_se": estimate_se}
+    for target, integrand, key in ((z_mean, solution.z, "z_gap"), (z_orth_mean, solution.z_orth, "z_orth_gap")):
+        if target is not None:
+            z_gap = float(np.max(np.abs(np.mean(integrand, axis=0) - np.asarray(target, dtype=float)[None, :])))
+            passed = passed and z_gap <= z_tol
+            extra[key] = z_gap
+            extra["z_tol"] = float(z_tol)
+    return CheckReport("anchor", passed, gap, tol, solution.n_paths, estimate_se, extra)
+
+
+def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, fraction_tol: float = 1e-3) -> CheckReport:
+    """Truncation monotonicity: fewer than ``fraction_tol`` of the (node, path)
+    points break the level order beyond 3 SE of Y0, and the top level's Y0 is
+    within 3 SE (of a difference of two estimates) of the untruncated ``y0``."""
+    mono = ladder.monotonicity_report(tol=3.0 * y0_se)
+    top_gap = abs(ladder.fields[-1].y0 - y0)
+    top_ok = top_gap <= 3.0 * max(y0_se, 1e-15) * math.sqrt(2.0)
+    return CheckReport(
+        name="truncation_ladder",
+        passed=mono["violation_fraction"] < fraction_tol and top_ok,
+        margin=mono["violation_fraction"],
+        tol=fraction_tol,
+        n_paths=ladder.fields[-1].n_paths,
+        se=y0_se,
+        extra={
+            "levels": list(ladder.levels),
+            "y0_by_level": [f.y0 for f in ladder.fields],
+            "alpha_l1_by_level": list(ladder.alpha_l1),
+            "worst_gap": mono["worst_gap"],
+            "untruncated_y0": y0,
+            "top_gap": top_gap,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +168,7 @@ def apriori_bound(
     n = bundle.n_paths
 
     order = gamma * math.exp(bstar * T)
-    if not exponential_moment_estimate(xi, params, bundle, order).finite:
+    if not math.isfinite(exponential_moment_estimate(xi, params, bundle, order)[0]):
         raise MomentFailureError(
             f"exponential moment of order gamma*e^(beta*T) = {order:.3g} is not finite on the sample"
         )
@@ -151,7 +215,9 @@ def apriori_bound(
 def check_apriori(
     solution: SolutionField,
     bound: BoundProcess,
-    tol: float,
+    tol: float = 1e-6,
+    tight: float | None = None,
+    x0: float | None = None,
 ) -> CheckReport:
     """Worst violation of |Y| <= X over all nodes and paths.
 
@@ -167,6 +233,9 @@ def check_apriori(
     maxima, so no (K+1, n) gap, standard-error or adjusted surface is built.
     The winning path's column is then re-read for its node, which keeps the
     first maximum in path-major order, as a flat argmax would give.
+
+    With ``tight``, the raw maximum must also be within ``tight`` of zero;
+    with ``x0``, the bound's X_0 must be within 3 SE of it.
     """
     if solution.y.shape != bound.x.shape:
         raise GridMismatchError(
@@ -192,22 +261,23 @@ def check_apriori(
     gap, se = gap_and_se(path)
     node = int(np.argmax(gap - 3.0 * band * se))
     margin = float(worst[path])
-    return CheckReport(
-        name="apriori_bound",
-        passed=margin <= tol,
-        margin=margin,
-        tol=tol,
-        n_paths=solution.n_paths,
-        se=float(band * se[node]),
-        extra={
-            "argmax_node": int(node),
-            "argmax_path": int(path),
-            "raw_margin": float(np.max(raw)),
-            "band_factor": band,
-            "x0": bound.x0,
-            "x0_se": bound.x0_se,
-        },
-    )
+    passed = margin <= tol
+    extra = {
+        "argmax_node": int(node),
+        "argmax_path": int(path),
+        "raw_margin": float(np.max(raw)),
+        "band_factor": band,
+        "x0": bound.x0,
+        "x0_se": bound.x0_se,
+    }
+    if tight is not None:
+        extra["tight"] = float(tight)
+        passed = passed and abs(extra["raw_margin"]) <= tight
+    if x0 is not None:
+        extra["expected_x0"] = float(x0)
+        extra["x0_gap"] = abs(bound.x0 - x0)
+        passed = passed and extra["x0_gap"] <= 3.0 * bound.x0_se + 1e-12
+    return CheckReport("apriori_bound", passed, margin, tol, solution.n_paths, float(band * se[node]), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -220,76 +290,157 @@ def norm_bound_checks(
     solution: SolutionField,
     xi: TerminalCondition,
     params: ParamSet,
-    p: float,
-) -> tuple[CheckReport, CheckReport]:
-    """Moment bound on exp(p gamma Y*) and the martingale-moment ratio.
+    orders,
+) -> list[CheckReport]:
+    """Per order p > 1, in turn: the moment bound on exp(p gamma Y*) and the
+    martingale-moment ratio.
 
     The first check is the Doob-type inequality with explicit constant
     (p/(p-1))^p.  The second has no named constant; the report carries the
-    implied ratio and flags non-finiteness.
+    implied ratio and flags non-finiteness.  Y* and the quadratic variation
+    do not depend on p, so each is computed once.
     """
-    if p <= 1:
+    if any(p <= 1 for p in orders):
         raise ValueError("norm bound needs p > 1")
     gamma, bstar = params.gamma, params.beta_star
-    order = p * gamma * math.exp(bstar * bundle.grid.horizon)
-    rhs1 = exponential_moment_estimate(xi, params, bundle, order)
-    rhs2 = exponential_moment_estimate(xi, params, bundle, 4.0 * order)
-    with np.errstate(over="ignore"):
-        lhs1 = np.exp(p * gamma * solution.sup_abs_y())
-    lhs2 = quadratic_variation(bundle, solution.integrand) ** (p / 2.0)
+    sup_y = solution.sup_abs_y()
+    qv = quadratic_variation(bundle, solution.integrand)
+    out = []
+    for p in map(float, orders):
+        order = p * gamma * math.exp(bstar * bundle.grid.horizon)
+        m_r1, se_r1 = exponential_moment_estimate(xi, params, bundle, order)
+        m_r2, se_r2 = exponential_moment_estimate(xi, params, bundle, 4.0 * order)
+        with np.errstate(over="ignore"):
+            lhs1 = np.exp(p * gamma * sup_y)
+        if not (math.isfinite(m_r1) and np.all(np.isfinite(lhs1))):
+            raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
 
-    if not (rhs1.finite and np.all(np.isfinite(lhs1))):
-        raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
+        const = (p / (p - 1.0)) ** p
+        m_l1, se_l1 = mean_se(lhs1)
+        se1 = math.hypot(se_l1, const * se_r1)
+        margin1 = m_l1 - const * m_r1
+        out.append(CheckReport(
+            name=f"norm_bound_y_p{p:g}",
+            passed=margin1 <= 3.0 * se1,
+            margin=margin1,
+            tol=0.0,
+            n_paths=bundle.n_paths,
+            se=se1,
+            extra={"lhs": m_l1, "rhs": const * m_r1, "constant": const, "lhs_se": se_l1, "rhs_se": se_r1},
+        ))
 
-    const = (p / (p - 1.0)) ** p
-    m_l1, se_l1 = mean_se(lhs1)
-    m_r1, se_r1 = rhs1.estimate, rhs1.se
-    se1 = math.hypot(se_l1, const * se_r1)
-    margin1 = m_l1 - const * m_r1
-    check1 = CheckReport(
-        name=f"norm_bound_y_p{p:g}",
-        passed=margin1 <= 3.0 * se1,
-        margin=margin1,
-        tol=0.0,
-        n_paths=bundle.n_paths,
-        se=se1,
-        extra={"lhs": m_l1, "rhs": const * m_r1, "constant": const, "lhs_se": se_l1, "rhs_se": se_r1},
-    )
-
-    m_l2, se_l2 = mean_se(lhs2)
-    finite2 = rhs2.finite
-    m_r2, se_r2 = rhs2.estimate, rhs2.se
-    implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else float("nan"))
-    check2 = CheckReport(
-        name=f"norm_bound_martingale_p{p:g}",
-        passed=finite2 and np.isfinite(m_l2),
-        margin=0.0,
-        tol=0.0,
-        n_paths=bundle.n_paths,
-        se=math.hypot(se_l2, se_r2) if finite2 else float("inf"),
-        extra={"implied_constant": implied, "lhs": m_l2, "rhs": m_r2},
-    )
-    return check1, check2
+        m_l2, se_l2 = mean_se(qv ** (p / 2.0))
+        finite2 = math.isfinite(m_r2)
+        implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else float("nan"))
+        out.append(CheckReport(
+            name=f"norm_bound_martingale_p{p:g}",
+            passed=finite2 and np.isfinite(m_l2),
+            margin=0.0,
+            tol=0.0,
+            n_paths=bundle.n_paths,
+            se=math.hypot(se_l2, se_r2) if finite2 else float("inf"),
+            extra={"implied_constant": implied, "lhs": m_l2, "rhs": m_r2},
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# comparison
+# sampled probes: the declared assumptions and the ordering of two problems
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingEvidence:
-    """Sampled verification that F <= F' everywhere probed and xi <= xi' pathwise."""
+# the probe box: y and every coordinate of z uniform on [-PROBE_RADIUS, PROBE_RADIUS],
+# at up to PROBE_NODES grid nodes; a margin above PROBE_TOL is a violation
+PROBE_RADIUS = 5.0
+PROBE_NODES = 33
+PROBE_TOL = 1e-9
 
-    f_ordered: bool
-    xi_ordered: bool
-    max_f_gap: float
-    max_xi_gap: float
-    n_probes: int
 
-    @property
-    def holds(self) -> bool:
-        return self.f_ordered and self.xi_ordered
+def _probe_nodes(rng: np.random.Generator, bundle: ScenarioBundle, n_probes: int) -> list[tuple[int, np.ndarray]]:
+    """Draw a pool of up to PROBE_NODES grid nodes, then each probe's node from
+    the pool; returns (node, mask of its probes) for every node with probes."""
+    size = bundle.grid.nodes.size
+    pool = np.unique(rng.integers(0, size, size=min(PROBE_NODES, size)))
+    node_idx = rng.choice(pool, size=n_probes)
+    masks = [(int(i), node_idx == i) for i in pool]
+    return [(i, mask) for i, mask in masks if np.any(mask)]
+
+
+def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle, n_probes: int = 10_000) -> CheckReport:
+    """Probe the declared growth/Lipschitz/convexity clauses at random points.
+
+    A clause margin is the amount by which the declared inequality fails, so
+    <= 0 (up to ``PROBE_TOL``) means the probe set found no violation.
+    ``extra`` holds each clause's ``checked``, ``max_margin`` and
+    ``violations``; the report's margin is the worst checked one, and it
+    passes iff no checked clause has a violation.
+    """
+    params = driver.params
+    rng = np.random.default_rng(0)
+    nodes = bundle.grid.nodes
+    groups = _probe_nodes(rng, bundle, n_probes)
+    alpha = params.alpha_on(bundle)
+
+    P = n_probes
+    y1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
+    y2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
+    z1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, bundle.dim_m))
+    z2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, bundle.dim_m))
+    theta = rng.uniform(0.0, 1.0, size=P)
+
+    margins = {name: np.full(P, -np.inf) for name in
+               ("growth", "derived_growth", "lipschitz_y", "convexity_z", "local_lipschitz_z", "y_zero")}
+
+    for i, mask in groups:
+        t = float(nodes[i])
+        b = bundle.factor_b[i]
+        a_t = alpha[i]
+        # ||B_t lam_t|| = sqrt(alpha_t) by the definition of alpha
+        b_lam = float(np.sqrt(a_t))
+
+        zz1, zz2 = z1[mask], z2[mask]
+        yy1, yy2, th = y1[mask], y2[mask], theta[mask]
+        f11 = driver.f(t, yy1, zz1, b)
+        f21 = driver.f(t, yy2, zz1, b)
+        f12 = driver.f(t, yy1, zz2, b)
+        f10 = driver.f(t, np.zeros_like(yy1), zz1, b)
+        bz1 = np.linalg.norm(b * zz1, axis=1)
+        bz2 = np.linalg.norm(b * zz2, axis=1)
+
+        margins["growth"][mask] = np.abs(f11) - (a_t + a_t * params.beta * np.abs(yy1) + 0.5 * params.gamma * bz1**2)
+        margins["derived_growth"][mask] = np.abs(f11) - (
+            a_t + params.beta_bar * np.abs(yy1) + 0.5 * params.gamma * bz1**2
+        )
+        margins["lipschitz_y"][mask] = np.abs(f11 - f21) - params.beta_bar * np.abs(yy1 - yy2)
+        margins["y_zero"][mask] = np.abs(f11 - f10) - params.beta_bar * np.abs(yy1)
+        zmix = th[:, None] * zz1 + (1.0 - th[:, None]) * zz2
+        fmix = driver.f(t, yy1, zmix, b)
+        margins["convexity_z"][mask] = fmix - (th * f11 + (1.0 - th) * f12)
+        bdz = np.linalg.norm(b * (zz1 - zz2), axis=1)
+        margins["local_lipschitz_z"][mask] = np.abs(f11 - f12) - params.beta_f * (b_lam + bz1 + bz2) * bdz
+
+    def clause(checked, values):
+        if not checked:
+            return {"checked": False, "max_margin": float("nan"), "violations": 0}
+        m = float(np.max(values)) if np.size(values) else float("-inf")
+        return {"checked": True, "max_margin": m, "violations": int(np.count_nonzero(np.asarray(values) > PROBE_TOL))}
+
+    beta_pos = params.beta > 0
+    checked = {"convexity_z": driver.convex_in_z, "y_zero": beta_pos}
+    clauses = {
+        "parameter_domain": clause(True, np.array([max(1.0, params.beta) - params.gamma, -float(np.min(alpha))])),
+        **{name: clause(checked.get(name, True), values) for name, values in margins.items()},
+        "clock_slope": clause(beta_pos, bundle.clock_values - params.c_A * nodes),
+    }
+    return CheckReport(
+        name="assumptions",
+        passed=all(c["violations"] == 0 for c in clauses.values()),
+        margin=max((c["max_margin"] for c in clauses.values() if c["checked"]), default=float("-inf")),
+        tol=PROBE_TOL,
+        n_paths=n_probes,
+        se=0.0,
+        extra=clauses,
+    )
 
 
 def sample_ordering(
@@ -298,47 +449,43 @@ def sample_ordering(
     driver_prime: DriverSpec,
     xi: TerminalCondition,
     xi_prime: TerminalCondition,
-    plan: SamplingPlan | None = None,
-) -> OrderingEvidence:
-    plan = plan or SamplingPlan(n_probes=2000)
-    rng = np.random.default_rng(plan.seed)
+    n_probes: int = 2000,
+) -> tuple[float, float]:
+    """(max F - F' over the probe box, max xi - xi' over the paths): the data
+    are ordered, F <= F' and xi <= xi', iff both are at most PROBE_TOL."""
+    rng = np.random.default_rng(0)
     nodes = bundle.grid.nodes
-    node_pool = np.unique(rng.integers(0, nodes.size, size=min(PROBE_NODES, nodes.size)))
-    P = plan.n_probes
-    node_idx = rng.choice(node_pool, size=P)
-    y = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
-    z = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, bundle.dim_m))
+    groups = _probe_nodes(rng, bundle, n_probes)
+    y = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=n_probes)
+    z = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(n_probes, bundle.dim_m))
     max_f = -np.inf
-    for i in node_pool:
-        mask = node_idx == i
-        if not np.any(mask):
-            continue
+    for i, mask in groups:
         t, b = float(nodes[i]), bundle.factor_b[i]
         gap = driver.f(t, y[mask], z[mask], b) - driver_prime.f(t, y[mask], z[mask], b)
         max_f = max(max_f, float(np.max(gap)))
     xi_gap = xi.evaluate(bundle.terminal_state) - xi_prime.evaluate(bundle.terminal_state)
-    max_xi = float(np.max(xi_gap))
-    return OrderingEvidence(
-        f_ordered=max_f <= PROBE_TOL,
-        xi_ordered=max_xi <= PROBE_TOL,
-        max_f_gap=max_f,
-        max_xi_gap=max_xi,
-        n_probes=P,
-    )
+    return max_f, float(np.max(xi_gap))
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
 
 
 def comparison_check(
     solution: SolutionField,
     solution_prime: SolutionField,
-    evidence: OrderingEvidence,
-    tol: float,
+    gaps: tuple[float, float],
+    tol: float = 1e-9,
     se: float = 0.0,
 ) -> CheckReport:
-    """Worst signed violation of Y <= Y' given ordered data (F <= F', xi <= xi')."""
+    """Worst signed violation of Y <= Y' given ordered data (F <= F', xi <= xi'),
+    with ``gaps`` from ``sample_ordering``; unordered data make it vacuous."""
     if solution.y.shape != solution_prime.y.shape:
         raise GridMismatchError("comparison requires fields on the same bundle")
+    max_f_gap, max_xi_gap = gaps
     margin = float(np.max(solution.y - solution_prime.y))
-    vacuous = not evidence.holds
+    vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
     return CheckReport(
         name="comparison",
         passed=(not vacuous) and margin <= tol + 3.0 * se,
@@ -348,8 +495,8 @@ def comparison_check(
         se=se,
         extra={
             "vacuous": vacuous,
-            "max_f_gap": evidence.max_f_gap,
-            "max_xi_gap": evidence.max_xi_gap,
+            "max_f_gap": max_f_gap,
+            "max_xi_gap": max_xi_gap,
             "y0": solution.y0,
             "y0_prime": solution_prime.y0,
         },
@@ -361,25 +508,6 @@ def comparison_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityMetrics:
-    """Hypothesis and conclusion statistics of the stability theorem for one pair."""
-
-    p: float
-    hypothesis_mean: float
-    hypothesis_se: float
-    sup_gap_mean: float
-    sup_gap_max: float
-    exp_sup_p_mean: float
-    exp_sup_p_se: float
-    martingale_gap_p_mean: float
-    martingale_gap_p_se: float
-    n_paths: int
-
-    def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) if k != "n_paths" else int(self.n_paths) for k in self.__dataclass_fields__}
-
-
 def stability_metrics(
     bundle: ScenarioBundle,
     solution_n: SolutionField,
@@ -388,17 +516,18 @@ def stability_metrics(
     driver_0: DriverSpec,
     xi_n: TerminalCondition,
     xi_0: TerminalCondition,
-    p: float,
-) -> StabilityMetrics:
+    orders,
+) -> list[dict]:
     """Hypothesis statistic |xi_n - xi_0| + int |F_n - F_0|(t, Y^0, Z^0) dA and
-    the two conclusion statistics, all per-path then averaged."""
+    the two conclusion statistics at each order p, all per-path then averaged:
+    one dict per order.  The hypothesis, the sup gap and the quadratic
+    variation do not depend on p, so each is computed once."""
     if solution_n.y.shape != solution_0.y.shape:
         raise GridMismatchError("stability metrics require fields on the same bundle")
-    K = bundle.grid.n_steps
     dA = bundle.dA
 
     hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
-    for i in range(K):
+    for i in range(bundle.grid.n_steps):
         if dA[i] == 0:
             continue
         y0 = solution_0.y[:, i]
@@ -407,25 +536,66 @@ def stability_metrics(
         hyp = hyp + gap * dA[i]
 
     sup_gap = np.max(np.abs(solution_n.y - solution_0.y), axis=1)
-    with np.errstate(over="ignore"):
-        exp_sup = np.exp(p * sup_gap)
-    mart_p = quadratic_variation(bundle, solution_n.integrand - solution_0.integrand) ** (p / 2.0)
-
+    qv = quadratic_variation(bundle, solution_n.integrand - solution_0.integrand)
     h_m, h_se = mean_se(hyp)
-    e_m, e_se = mean_se(exp_sup)
-    m_m, m_se = mean_se(mart_p)
-    return StabilityMetrics(
-        p=p,
-        hypothesis_mean=h_m,
-        hypothesis_se=h_se,
-        sup_gap_mean=float(np.mean(sup_gap)),
-        sup_gap_max=float(np.max(sup_gap)),
-        exp_sup_p_mean=e_m,
-        exp_sup_p_se=e_se,
-        martingale_gap_p_mean=m_m,
-        martingale_gap_p_se=m_se,
-        n_paths=bundle.n_paths,
-    )
+    out = []
+    for p in map(float, orders):
+        with np.errstate(over="ignore"):
+            exp_sup = np.exp(p * sup_gap)
+        e_m, e_se = mean_se(exp_sup)
+        m_m, m_se = mean_se(qv ** (p / 2.0))
+        out.append({
+            "p": p,
+            "hypothesis_mean": h_m,
+            "hypothesis_se": h_se,
+            "sup_gap_mean": float(np.mean(sup_gap)),
+            "sup_gap_max": float(np.max(sup_gap)),
+            "exp_sup_p_mean": e_m,
+            "exp_sup_p_se": e_se,
+            "martingale_gap_p_mean": m_m,
+            "martingale_gap_p_se": m_se,
+            "n_paths": int(bundle.n_paths),
+        })
+    return out
+
+
+def stability_check(
+    metrics: list[dict],
+    label: str,
+    expected_hypothesis: float | None = None,
+    hyp_tol: float = 1e-6,
+    converges: bool = False,
+    expected_sup: float | None = None,
+    sup_tol: float = 1e-6,
+) -> CheckReport:
+    """The stability theorem on one member, from its ``stability_metrics``.
+
+    With ``expected_hypothesis``, the hypothesis statistic must be within
+    ``hyp_tol`` + 3 SE of it.  A converging member must keep
+    E[exp(p sup gap)] - 1 within 2 p times the hypothesis + 3 SE at every
+    order; any other member must keep it within ``sup_tol`` + 3 SE of
+    exp(p ``expected_sup``), the gap that stays while the hypothesis vanishes.
+    """
+    first = metrics[0]
+    hyp = first["hypothesis_mean"]
+    passed, margin = True, 0.0
+    extra = {"member": label, "hypothesis": hyp, "hypothesis_se": first["hypothesis_se"],
+             "sup_gap_max": first["sup_gap_max"], "metrics": {f"p{m['p']:g}": m for m in metrics}}
+    if expected_hypothesis is not None:
+        h_gap = abs(hyp - expected_hypothesis)
+        passed = h_gap <= hyp_tol + 3.0 * first["hypothesis_se"]
+        margin = max(margin, h_gap - hyp_tol)
+        extra["hypothesis_gap"] = h_gap
+    for m in metrics:
+        p, exp_sup = m["p"], m["exp_sup_p_mean"]
+        if converges:
+            key, gap, allowed = f"exp_sup_excess_p{p:g}", exp_sup - 1.0 - 2.0 * p * max(hyp, 0.0), 0.0
+        else:
+            key, gap, allowed = f"exp_sup_gap_p{p:g}", abs(exp_sup - math.exp(p * expected_sup)), sup_tol
+        passed = passed and gap <= allowed + 3.0 * m["exp_sup_p_se"]
+        margin = max(margin, gap - allowed)
+        extra[key] = gap
+    return CheckReport(f"stability_{label}", passed, margin, hyp_tol, first["n_paths"], first["hypothesis_se"], extra)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +605,11 @@ def stability_metrics(
 
 @dataclass(frozen=True)
 class ExpMartingaleEstimate:
-    q: float
+    """Mean and SE of E(q (Z.M + N))_T where it is finite; the paths where it overflows."""
+
     mean: float
     se: float
     n_overflow: int
-    n_paths: int
-
-    @property
-    def passed(self) -> bool:
-        return self.n_overflow == 0 and abs(self.mean - 1.0) <= 3.0 * self.se
 
 
 def stochastic_exponential_mean(
@@ -463,35 +629,21 @@ def stochastic_exponential_mean(
             mean, se = mean_se(finite)
     else:
         mean, se = float("inf"), float("inf")
-    return ExpMartingaleEstimate(q=q, mean=mean, se=se, n_overflow=overflow, n_paths=bundle.n_paths)
+    return ExpMartingaleEstimate(mean=mean, se=se, n_overflow=overflow)
 
 
 def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, q: float) -> CheckReport:
+    """No path overflows and the mean of E(q (Z.M + N))_T is within 3 SE of 1."""
     est = stochastic_exponential_mean(bundle, solution, q)
     return CheckReport(
         name=f"exp_martingale_q{q:g}",
-        passed=est.passed,
+        passed=est.n_overflow == 0 and abs(est.mean - 1.0) <= 3.0 * est.se,
         margin=abs(est.mean - 1.0),
         tol=0.0,
-        n_paths=est.n_paths,
+        n_paths=bundle.n_paths,
         se=est.se,
         extra={"mean": est.mean, "n_overflow": est.n_overflow, "q": q},
     )
-
-
-@dataclass(frozen=True)
-class KazamakiReport:
-    eta: float
-    q_tilde: float
-    sup: float
-    sup_node: int
-    node_means: tuple
-    node_ses: tuple
-    finite: bool
-
-    @property
-    def sup_se(self) -> float:
-        return float(self.node_ses[list(self.node_means).index(max(self.node_means))]) if self.node_means else 0.0
 
 
 def kazamaki_statistic(
@@ -499,13 +651,17 @@ def kazamaki_statistic(
     solution: SolutionField,
     eta: float,
     q_tilde: float,
-) -> KazamakiReport:
+    expected_sup: float | None = None,
+) -> CheckReport:
     """sup over every node of the bundle's grid of E[exp(eta Mt + (1/2 - eta) <Mt>)]
-    for Mt = q_tilde (Z.M + N), stopped at that node.
+    for Mt = q_tilde (Z.M + N), stopped at that node.  It passes iff every
+    node's mean is finite and, with ``expected_sup``, the sup is within 3 SE
+    of it.
 
     Each node needs only its own mean, so Mt and <Mt> stream from
     ``integral_by_node`` one (n,) row at a time, with the integrand scaled
-    step by step: no (n, K+1) surface of either is built.
+    step by step: no (n, K+1) surface of either is built.  The first node
+    with the largest mean is the sup's.
     """
     if eta == 1.0:
         raise ValueError("the criterion needs eta != 1")
@@ -513,26 +669,64 @@ def kazamaki_statistic(
         raise GridMismatchError(f"solution field {solution.y.shape} is not on the bundle's paths and grid")
 
     steps = (q_tilde * solution.integrand[:, i] for i in range(bundle.grid.n_steps))
-    means, ses = [], []
-    finite = True
-    for mt, qv in integral_by_node(bundle, steps):
+    sup, sup_se, sup_node, finite = -math.inf, 0.0, 0, True
+    for i, (mt, qv) in enumerate(integral_by_node(bundle, steps)):
         with np.errstate(over="ignore"):
             vals = np.exp(eta * mt + (0.5 - eta) * qv)
-        if not np.all(np.isfinite(vals)):
-            finite = False
-            means.append(float("inf"))
-            ses.append(float("inf"))
-            continue
-        m, s = mean_se(vals)
-        means.append(m)
-        ses.append(s)
-    sup_idx = int(np.argmax(means))
-    return KazamakiReport(
-        eta=eta,
-        q_tilde=q_tilde,
-        sup=float(means[sup_idx]),
-        sup_node=sup_idx,
-        node_means=tuple(means),
-        node_ses=tuple(ses),
-        finite=finite,
-    )
+        if np.all(np.isfinite(vals)):
+            m, s = mean_se(vals)
+        else:
+            finite, m, s = False, math.inf, math.inf
+        if m > sup:
+            sup, sup_se, sup_node = m, s, i
+    passed, margin = finite, 0.0
+    extra = {"sup": sup, "sup_node": sup_node, "eta": float(eta), "q_tilde": float(q_tilde)}
+    if expected_sup is not None:
+        margin = abs(sup - expected_sup)
+        passed = passed and margin <= 3.0 * sup_se
+        extra["expected_sup"] = float(expected_sup)
+    return CheckReport("kazamaki", passed, margin, 0.0, bundle.n_paths, sup_se, extra)
+
+
+# ---------------------------------------------------------------------------
+# exponential moments
+# ---------------------------------------------------------------------------
+
+
+def exponential_moment_estimate(
+    xi: TerminalCondition,
+    params: ParamSet,
+    bundle: ScenarioBundle,
+    p: float,
+) -> tuple[float, float]:
+    """Monte Carlo estimate of E[exp(p(|xi| + |alpha|_1))] and its SE, or
+    (inf, inf) when the sample mean is not finite."""
+    if p <= 0:
+        raise ValueError("moment order p must be positive")
+    xi_vals = xi.evaluate(bundle.terminal_state)
+    a1 = params.alpha_l1(bundle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est, se = mean_se(np.exp(p * (np.abs(xi_vals) + a1)))
+    return (est, se) if math.isfinite(est) else (math.inf, math.inf)
+
+
+def moment_checks(
+    xi: TerminalCondition,
+    params: ParamSet,
+    bundle: ScenarioBundle,
+    orders,
+    expected=None,
+) -> list[CheckReport]:
+    """The exponential moment at each order p: finite, and with ``expected``
+    within 1e-9 + 3 SE of ``expected[k]`` for the k-th order."""
+    out = []
+    for k, p in enumerate(map(float, orders)):
+        est, se = exponential_moment_estimate(xi, params, bundle, p)
+        passed, margin = math.isfinite(est), 0.0
+        extra = {"estimate": est, "p": p, "finite": passed}
+        if expected is not None:
+            margin = abs(est - expected[k])
+            passed = passed and margin <= 1e-9 + 3.0 * se
+            extra["expected"] = float(expected[k])
+        out.append(CheckReport(f"moments_p{p:g}", passed, margin, 0.0, bundle.n_paths, se, extra))
+    return out

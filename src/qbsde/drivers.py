@@ -1,10 +1,8 @@
-"""Driver and terminal-condition abstractions plus the builtin catalogue.
+"""Driver and terminal-condition definitions plus the builtin catalogue.
 
 A driver is a deterministic function F(t, y, z) together with its declared
-parameter set (alpha, beta, beta_bar, beta_f, gamma).  The declared growth,
-Lipschitz, convexity and local-Lipschitz properties are falsified (not proved)
-by randomized sampling over a probe box; violations are reported with margins,
-never raised.
+parameter set (alpha, beta, beta_bar, beta_f, gamma).  ``analytics`` probes
+the declared properties; nothing here checks them.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MomentFailureError, UnknownDriverError
-from .scenarios import ScenarioBundle, mean_se
+from .scenarios import ScenarioBundle
 
 
 def _as_time_fn(value, dim: int | None = None) -> Callable[[float], np.ndarray | float]:
@@ -40,7 +38,7 @@ class ParamSet:
     and stays consistent with any clock; in either case ||B_t lam_t|| is
     sqrt(alpha_t).
     ``beta_star`` is c_A * beta_bar by construction.  The domain condition
-    gamma >= max(1, beta) is deliberately checked by ``validate_assumptions``
+    gamma >= max(1, beta) is deliberately checked by ``analytics.validate_assumptions``
     rather than here, so misdeclared parameter sets can be constructed and
     flagged.
     """
@@ -333,177 +331,3 @@ def make_builtin(name: str, options: dict | None = None) -> DriverSpec:
     if name not in _REGISTRY:
         raise UnknownDriverError(f"unknown driver {name!r}; available: {list_builtins()}")
     return _REGISTRY[name](options or {})
-
-
-# ---------------------------------------------------------------------------
-# sampled validation of the declared assumptions
-# ---------------------------------------------------------------------------
-
-
-# the probe box: y and every coordinate of z uniform on [-PROBE_RADIUS, PROBE_RADIUS],
-# at up to PROBE_NODES grid nodes; a margin above PROBE_TOL is a violation
-PROBE_RADIUS = 5.0
-PROBE_NODES = 33
-PROBE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Probe count and seed for the assumption validator."""
-
-    n_probes: int = 10_000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ClauseReport:
-    name: str
-    checked: bool
-    max_margin: float
-    violations: int
-    n_probes: int
-
-    @property
-    def passed(self) -> bool:
-        return (not self.checked) or self.violations == 0
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    driver: str
-    clauses: tuple[ClauseReport, ...]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    def clause(self, name: str) -> ClauseReport:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_assumptions(
-    driver: DriverSpec,
-    bundle: ScenarioBundle,
-    plan: SamplingPlan | None = None,
-) -> AssumptionReport:
-    """Probe the declared growth/Lipschitz/convexity clauses at random points.
-
-    Violations are reported with their worst observed margin; nothing is
-    raised.  A clause margin is the amount by which the declared inequality
-    fails, so <= 0 (up to ``PROBE_TOL``) means the probe set found no violation.
-    """
-    plan = plan or SamplingPlan()
-    params = driver.params
-    rng = np.random.default_rng(plan.seed)
-    d = bundle.dim_m
-    nodes = bundle.grid.nodes
-    node_pool = np.unique(rng.integers(0, nodes.size, size=min(PROBE_NODES, nodes.size)))
-    alpha = params.alpha_on(bundle)
-
-    P = plan.n_probes
-    node_idx = rng.choice(node_pool, size=P)
-    y1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
-    y2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
-    z1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, d))
-    z2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, d))
-    theta = rng.uniform(0.0, 1.0, size=P)
-
-    margins = {
-        "growth": np.full(P, -np.inf),
-        "derived_growth": np.full(P, -np.inf),
-        "lipschitz_y": np.full(P, -np.inf),
-        "convexity_z": np.full(P, -np.inf),
-        "local_lipschitz_z": np.full(P, -np.inf),
-        "y_zero": np.full(P, -np.inf),
-    }
-
-    for i in node_pool:
-        mask = node_idx == i
-        if not np.any(mask):
-            continue
-        t = float(nodes[i])
-        b = bundle.factor_b[i]
-        a_t = alpha[i]
-        # ||B_t lam_t|| = sqrt(alpha_t) by the definition of alpha
-        b_lam = float(np.sqrt(a_t))
-
-        zz1, zz2 = z1[mask], z2[mask]
-        yy1, yy2, th = y1[mask], y2[mask], theta[mask]
-        f11 = driver.f(t, yy1, zz1, b)
-        f21 = driver.f(t, yy2, zz1, b)
-        f12 = driver.f(t, yy1, zz2, b)
-        f10 = driver.f(t, np.zeros_like(yy1), zz1, b)
-        bz1 = np.linalg.norm(b * zz1, axis=1)
-        bz2 = np.linalg.norm(b * zz2, axis=1)
-
-        margins["growth"][mask] = np.abs(f11) - (a_t + a_t * params.beta * np.abs(yy1) + 0.5 * params.gamma * bz1**2)
-        margins["derived_growth"][mask] = np.abs(f11) - (
-            a_t + params.beta_bar * np.abs(yy1) + 0.5 * params.gamma * bz1**2
-        )
-        margins["lipschitz_y"][mask] = np.abs(f11 - f21) - params.beta_bar * np.abs(yy1 - yy2)
-        margins["y_zero"][mask] = np.abs(f11 - f10) - params.beta_bar * np.abs(yy1)
-        zmix = th[:, None] * zz1 + (1.0 - th[:, None]) * zz2
-        fmix = driver.f(t, yy1, zmix, b)
-        margins["convexity_z"][mask] = fmix - (th * f11 + (1.0 - th) * f12)
-        bdz = np.linalg.norm(b * (zz1 - zz2), axis=1)
-        margins["local_lipschitz_z"][mask] = np.abs(f11 - f12) - params.beta_f * (b_lam + bz1 + bz2) * bdz
-
-    def clause(name, checked, values, n=P):
-        if not checked:
-            return ClauseReport(name, False, float("nan"), 0, 0)
-        m = float(np.max(values)) if np.size(values) else float("-inf")
-        v = int(np.count_nonzero(np.asarray(values) > PROBE_TOL))
-        return ClauseReport(name, True, m, v, n)
-
-    beta_pos = params.beta > 0
-    clock_margin = bundle.clock_values - params.c_A * nodes
-    domain_margin = np.array([max(1.0, params.beta) - params.gamma, -float(np.min(alpha))])
-
-    clauses = (
-        clause("parameter_domain", True, domain_margin, 2),
-        clause("growth", True, margins["growth"]),
-        clause("derived_growth", True, margins["derived_growth"]),
-        clause("lipschitz_y", True, margins["lipschitz_y"]),
-        clause("convexity_z", driver.convex_in_z, margins["convexity_z"]),
-        clause("local_lipschitz_z", True, margins["local_lipschitz_z"]),
-        clause("y_zero", beta_pos, margins["y_zero"]),
-        clause("clock_slope", beta_pos, clock_margin, nodes.size),
-    )
-    return AssumptionReport(driver=driver.name, clauses=clauses, tol=PROBE_TOL)
-
-
-# ---------------------------------------------------------------------------
-# exponential moments
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Monte Carlo estimate of E[exp(p(|xi| + |alpha|_1))]."""
-
-    order: float
-    estimate: float
-    se: float
-    finite: bool
-    n_paths: int
-
-
-def exponential_moment_estimate(
-    xi: TerminalCondition,
-    params: ParamSet,
-    bundle: ScenarioBundle,
-    p: float,
-) -> MomentReport:
-    if p <= 0:
-        raise ValueError("moment order p must be positive")
-    xi_vals = xi.evaluate(bundle.terminal_state)
-    a1 = params.alpha_l1(bundle)
-    with np.errstate(over="ignore"):
-        vals = np.exp(p * (np.abs(xi_vals) + a1))
-    finite = bool(np.all(np.isfinite(vals)))
-    est, se = mean_se(vals) if finite else (float("inf"), float("inf"))
-    return MomentReport(order=p, estimate=est, se=se, finite=finite, n_paths=bundle.n_paths)

@@ -6,11 +6,12 @@ key that no bundled experiment sets:
 * ``name`` and an optional ``description``;
 * ``scenario``: ``T``, ``steps``, ``n_paths``, ``seed`` and the optional
   ``dim_m``, ``dim_orth`` and ``mandatory_nodes``.  The clock is A(t) = t;
-* ``driver``: a builtin ``name`` and its ``options``;
-* ``terminal``: ``kind`` (constant, affine or abs) and its ``options``;
+* ``driver``: a builtin ``name`` and the ``options`` its builder reads;
+* ``terminal``: ``kind`` (constant, affine or abs) and the ``options`` it reads;
 * ``solver``: the four ``SolverConfig`` fields;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
-  runner reads (the ``_CHECKS`` table).
+  runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
+  to the arguments of an ``analytics`` check, which returns the report.
 
 Seeds are mandatory; rerunning a config reproduces the report byte for byte
 apart from the timing block.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -33,23 +33,31 @@ import numpy as np
 import yaml
 
 from . import analytics
-from .drivers import (
-    PROBE_TOL,
-    DriverSpec,
-    SamplingPlan,
-    TerminalCondition,
-    exponential_moment_estimate,
-    make_builtin,
-    terminal_abs,
-    terminal_affine,
-    terminal_constant,
-    validate_assumptions,
-)
+from .analytics import validate_assumptions
+from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
 from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
+
+
+# builtin driver name / terminal kind -> the option keys its builder reads
+_DRIVER_OPTIONS = {"zero": [], "constant": ["value"], "step_family": ["n"], "pure_quadratic": ["gamma"],
+                   "power_utility": ["p", "lam", "constraint"], "entropic": ["lam_s"]}
+_TERMINAL_OPTIONS = {"constant": ["value"], "affine": ["intercept", "slope"], "abs": ["intercept", "slope"]}
+
+
+def _when(key: str, table: dict) -> list[dict]:
+    """``allOf`` items: a block whose ``key`` is k has the schema ``table[k]``.
+    "required" in each "if": a block without ``key`` would match every "then"."""
+    return [{"if": {"required": [key], "properties": {key: {"const": k}}}, "then": then} for k, then in table.items()]
+
+
+def _options(keys: list[str]) -> dict:
+    """A block whose ``options`` hold only ``keys``."""
+    return {"properties": {"options": {"additionalProperties": False, "properties": dict.fromkeys(keys, True)}}}
+
 
 _DRIVER_SCHEMA = {
     "type": "object",
@@ -59,6 +67,7 @@ _DRIVER_SCHEMA = {
         "name": {"type": "string"},
         "options": {"type": "object"},
     },
+    "allOf": _when("name", {name: _options(keys) for name, keys in _DRIVER_OPTIONS.items()}),
 }
 
 _SCHEMA = {
@@ -88,9 +97,10 @@ _SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["constant", "affine", "abs"]},
+                "kind": {"enum": list(_TERMINAL_OPTIONS)},
                 "options": {"type": "object"},
             },
+            "allOf": _when("kind", {kind: _options(keys) for kind, keys in _TERMINAL_OPTIONS.items()}),
         },
         "solver": {
             "type": "object",
@@ -129,7 +139,8 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.canonical()).encode()).hexdigest()[:16]
+        """Hash of every field at full precision: ``canonical_json`` rounds floats."""
+        return hashlib.sha256(json.dumps(self.canonical(), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _round_floats(obj):
@@ -358,6 +369,12 @@ class ExperimentReport:
         return out
 
 
+def _keys(block: dict, *skip: str) -> dict:
+    """A block's keys but ``type`` and ``skip``, as the keyword arguments of
+    the check function they are named after."""
+    return {k: v for k, v in block.items() if k != "type" and k not in skip}
+
+
 @dataclass
 class _RunContext:
     bundle: ScenarioBundle
@@ -370,134 +387,41 @@ class _RunContext:
 
 
 def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    expected = float(check["y0"])
-    tol = float(check.get("tol", 0.01))
-    gap = abs(ctx.y0 - expected)
-    # the 3-SE clause with a floating-point floor, so deterministic problems
-    # (batch spread at machine precision) are judged on tol alone
-    ok = gap <= tol and gap <= 3.0 * ctx.y0_se + 1e-12
-    extra = {"expected_y0": expected, "y0": ctx.y0, "y0_se": ctx.y0_se}
-    z_blocks = (("z_mean", ctx.field.z, "z_gap"), ("z_orth_mean", ctx.field.z_orth, "z_orth_gap"))
-    for key, integrand, gap_key in z_blocks:
-        if key in check:
-            z_tol = float(check.get("z_tol", 0.05))
-            target = np.asarray(check[key], dtype=float)
-            z_gap = float(np.max(np.abs(np.mean(integrand, axis=0) - target[None, :])))
-            ok = ok and z_gap <= z_tol
-            extra[gap_key] = z_gap
-            extra["z_tol"] = z_tol
-    return [
-        analytics.CheckReport(
-            name="anchor", passed=ok, margin=gap, tol=tol, n_paths=ctx.bundle.n_paths, se=ctx.y0_se, extra=extra
-        )
-    ]
+    return [analytics.anchor_check(ctx.field, ctx.y0, ctx.y0_se, **_keys(check))]
 
 
 def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, basis=ctx.solver_cfg.basis)
-    tol = float(check.get("tol", 1e-6))
-    report = analytics.check_apriori(ctx.field, bound, tol)
-    passed = report.passed
-    extra = dict(report.extra)
-    if "tight" in check:
-        tight = float(check["tight"])
-        extra["tight"] = tight
-        passed = passed and abs(report.extra["raw_margin"]) <= tight
-    if "x0" in check:
-        x0_gap = abs(bound.x0 - float(check["x0"]))
-        extra["expected_x0"] = float(check["x0"])
-        extra["x0_gap"] = x0_gap
-        passed = passed and x0_gap <= 3.0 * bound.x0_se + 1e-12
-    return [dataclasses.replace(report, passed=passed, extra=extra)]
+    return [analytics.check_apriori(ctx.field, bound, **_keys(check))]
 
 
 def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    out = []
-    for p in check["p"]:
-        c1, c2 = analytics.norm_bound_checks(ctx.bundle, ctx.field, ctx.xi, ctx.driver.params, float(p))
-        out.extend([c1, c2])
-    return out
+    return analytics.norm_bound_checks(ctx.bundle, ctx.field, ctx.xi, ctx.driver.params, check["p"])
 
 
 def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     # the other problem, the same terminal under the other driver, is the lower one
     lo_driver = build_driver(check["other"]["driver"])
     lo_field = solve_backward(ctx.bundle, lo_driver, ctx.xi, ctx.solver_cfg)
-    evidence = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
-    return [analytics.comparison_check(lo_field, ctx.field, evidence, tol=float(check.get("tol", 1e-9)))]
+    gaps = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
+    return [analytics.comparison_check(lo_field, ctx.field, gaps, **_keys(check, "other"))]
 
 
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    orders = [float(p) for p in check["p"]]
     out = []
     for j, member in enumerate(check["members"]):
         m_driver = build_driver(member["driver"])
         m_field = solve_backward(ctx.bundle, m_driver, ctx.xi, ctx.solver_cfg)
-        metrics = {p: analytics.stability_metrics(ctx.bundle, m_field, ctx.field, m_driver, ctx.driver, ctx.xi, ctx.xi, p) for p in orders}
-        first = metrics[orders[0]]
-        passed = True
-        margin = 0.0
-        extra = {"member": member.get("label", f"member{j}"), "hypothesis": first.hypothesis_mean,
-                 "hypothesis_se": first.hypothesis_se, "sup_gap_max": first.sup_gap_max,
-                 "metrics": {f"p{p:g}": metrics[p].to_dict() for p in orders}}
-        if "expected_hypothesis" in member:
-            h_tol = float(member.get("hyp_tol", 1e-6))
-            h_gap = abs(first.hypothesis_mean - float(member["expected_hypothesis"]))
-            passed = passed and h_gap <= h_tol + 3.0 * first.hypothesis_se
-            margin = max(margin, h_gap - h_tol)
-            extra["hypothesis_gap"] = h_gap
-        if member.get("converges", False):
-            for p in orders:
-                m = metrics[p]
-                excess = m.exp_sup_p_mean - 1.0 - 2.0 * p * max(first.hypothesis_mean, 0.0)
-                passed = passed and excess <= 3.0 * m.exp_sup_p_se
-                margin = max(margin, excess)
-                extra[f"exp_sup_excess_p{p:g}"] = excess
-        else:
-            sup_tol = float(member.get("sup_tol", 1e-6))
-            expected_sup = float(member["expected_sup"])
-            for p in orders:
-                m = metrics[p]
-                gap = abs(m.exp_sup_p_mean - math.exp(p * expected_sup))
-                passed = passed and gap <= sup_tol + 3.0 * m.exp_sup_p_se
-                margin = max(margin, gap - sup_tol)
-                extra[f"exp_sup_gap_p{p:g}"] = gap
-        out.append(
-            analytics.CheckReport(
-                name=f"stability_{extra['member']}", passed=passed, margin=margin,
-                tol=float(member.get("hyp_tol", 1e-6)), n_paths=ctx.bundle.n_paths,
-                se=first.hypothesis_se, extra=extra,
-            )
-        )
+        metrics = analytics.stability_metrics(ctx.bundle, m_field, ctx.field, m_driver, ctx.driver, ctx.xi, ctx.xi,
+                                              check["p"])
+        label = member.get("label", f"member{j}")
+        out.append(analytics.stability_check(metrics, label, **_keys(member, "driver", "label")))
     return out
 
 
 def _run_ladder(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    levels = [float(v) for v in check["levels"]]
-    ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, levels, ctx.solver_cfg)
-    mono = ladder.monotonicity_report(tol=3.0 * ctx.y0_se)
-    frac_tol = float(check.get("fraction_tol", 1e-3))
-    top_gap = abs(ladder.fields[-1].y0 - ctx.y0)
-    top_ok = top_gap <= 3.0 * max(ctx.y0_se, 1e-15) * math.sqrt(2.0)
-    passed = mono["violation_fraction"] < frac_tol and top_ok
-    return [
-        analytics.CheckReport(
-            name="truncation_ladder",
-            passed=passed,
-            margin=mono["violation_fraction"],
-            tol=frac_tol,
-            n_paths=ctx.bundle.n_paths,
-            se=ctx.y0_se,
-            extra={
-                "levels": levels,
-                "y0_by_level": [f.y0 for f in ladder.fields],
-                "alpha_l1_by_level": list(ladder.alpha_l1),
-                "worst_gap": mono["worst_gap"],
-                "untruncated_y0": ctx.y0,
-                "top_gap": top_gap,
-            },
-        )
-    ]
+    ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], ctx.solver_cfg)
+    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, **_keys(check, "levels"))]
 
 
 def _run_exp_martingale(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -505,59 +429,15 @@ def _run_exp_martingale(ctx: _RunContext, check: dict) -> list[analytics.CheckRe
 
 
 def _run_kazamaki(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    report = analytics.kazamaki_statistic(ctx.bundle, ctx.field, float(check["eta"]), float(check["q_tilde"]))
-    passed = report.finite
-    margin = 0.0
-    extra = {"sup": report.sup, "sup_node": report.sup_node, "eta": report.eta, "q_tilde": report.q_tilde}
-    if "expected_sup" in check:
-        margin = abs(report.sup - float(check["expected_sup"]))
-        passed = passed and margin <= 3.0 * report.sup_se
-        extra["expected_sup"] = float(check["expected_sup"])
-    return [
-        analytics.CheckReport(
-            name="kazamaki", passed=passed, margin=margin, tol=0.0,
-            n_paths=ctx.bundle.n_paths, se=report.sup_se, extra=extra,
-        )
-    ]
+    return [analytics.kazamaki_statistic(ctx.bundle, ctx.field, **_keys(check))]
 
 
 def _run_assumptions(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    plan = SamplingPlan(n_probes=int(check.get("probes", 10_000)))
-    report = validate_assumptions(ctx.driver, ctx.bundle, plan)
-    checked = [c for c in report.clauses if c.checked]
-    worst = max((c.max_margin for c in checked), default=float("-inf"))
-    return [
-        analytics.CheckReport(
-            name="assumptions",
-            passed=report.passed,
-            margin=worst,
-            tol=PROBE_TOL,
-            n_paths=plan.n_probes,
-            se=0.0,
-            extra={c.name: {"checked": c.checked, "max_margin": c.max_margin, "violations": c.violations} for c in report.clauses},
-        )
-    ]
+    return [validate_assumptions(ctx.driver, ctx.bundle, check.get("probes", 10_000))]
 
 
 def _run_moments(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    out = []
-    expected = check.get("expected")
-    for k, p in enumerate(check["p"]):
-        rep = exponential_moment_estimate(ctx.xi, ctx.driver.params, ctx.bundle, float(p))
-        passed = rep.finite
-        margin = 0.0
-        extra = {"estimate": rep.estimate, "p": float(p), "finite": rep.finite}
-        if expected is not None:
-            margin = abs(rep.estimate - float(expected[k]))
-            passed = passed and margin <= 1e-9 + 3.0 * rep.se
-            extra["expected"] = float(expected[k])
-        out.append(
-            analytics.CheckReport(
-                name=f"moments_p{p:g}", passed=passed, margin=margin, tol=0.0,
-                n_paths=rep.n_paths, se=rep.se, extra=extra,
-            )
-        )
-    return out
+    return analytics.moment_checks(ctx.xi, ctx.driver.params, ctx.bundle, check["p"], check.get("expected"))
 
 
 _NUMBER = {"type": "number"}
@@ -609,12 +489,8 @@ _SCHEMA["properties"]["checks"]["items"] = {
     "type": "object",
     "required": ["type"],
     "properties": {"type": {"enum": list(_CHECKS)}},
-    # "required" in each "if": a block with no type would match every "then"
-    "allOf": [
-        {"if": {"required": ["type"], "properties": {"type": {"const": t}}},
-         "then": {"additionalProperties": False, "required": required, "properties": {"type": True, **props}}}
-        for t, (_, required, props) in _CHECKS.items()
-    ],
+    "allOf": _when("type", {t: {"additionalProperties": False, "required": req, "properties": {"type": True, **props}}
+                            for t, (_, req, props) in _CHECKS.items()}),
 }
 # built once: validation runs for every config loaded
 _VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)

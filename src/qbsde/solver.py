@@ -323,7 +323,7 @@ class _OracleRun:
 
     Draws.  A root state's id is its path index (0 for a shared root), and the
     successors of state g have ids g * b + branch.  The normals of state g are
-    row g % block of an SFC64 stream keyed by (seed, stream, root node, node,
+    row g % block of an SFC64 stream keyed by (seed, 0, root node, node,
     g // block), where a block is about 2^16 leaves' worth of states; one
     generator per block keeps its set-up cost near 3 % of the draws.  Above
     the leaves each state draws b normals; at the leaf level (the step into
@@ -362,7 +362,7 @@ class _OracleRun:
         out = np.empty((count, per_state or self.b, self.w), dtype=np.float32)
         source = self.bundle.source
         for lo in range(0, count, self.block):
-            key = (source.seed, source.stream, 7001, self.root, i, (first + lo) // self.block)
+            key = (source.seed, 0, 7001, self.root, i, (first + lo) // self.block)
             gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
             gen.standard_normal(dtype=np.float32, out=out[lo : lo + self.block])
         return out

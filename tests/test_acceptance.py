@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import norm
 
 import qbsde as q
-from qbsde.drivers import SamplingPlan
 
 E2 = math.exp(2.0)
 
@@ -276,7 +275,7 @@ def test_criterion_9_measure_change(catalogue):
 
 
 def test_criterion_10_validators():
-    plan = SamplingPlan(n_probes=10_000)
+    n_probes = 10_000
     b1 = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 1024, source=q.RandomSource(1010))
     b2 = q.simulate_scenario(q.build_grid(1.0, 16), 2, 0, 1024, source=q.RandomSource(1011))
     cases = [
@@ -290,13 +289,13 @@ def test_criterion_10_validators():
     ]
     ok = True
     for name, options, bundle in cases:
-        report = q.validate_assumptions(q.make_builtin(name, options), bundle, plan)
-        violations = sum(c.violations for c in report.clauses if c.checked)
+        report = q.validate_assumptions(q.make_builtin(name, options), bundle, n_probes)
+        violations = sum(c["violations"] for c in report.extra.values() if c["checked"])
         ok = ok and report.passed and violations == 0
     honest = q.make_builtin("pure_quadratic", {"gamma": 1.0})
     lying = dataclasses.replace(honest, params=dataclasses.replace(honest.params, gamma=0.5))
-    flagged = q.validate_assumptions(lying, b1, plan)
-    ok = ok and (not flagged.passed) and flagged.clause("growth").violations > 0
-    _verdict(10, ok, f"6 builtin drivers clean at {plan.n_probes} probes; "
+    flagged = q.validate_assumptions(lying, b1, n_probes)
+    ok = ok and (not flagged.passed) and flagged.extra["growth"]["violations"] > 0
+    _verdict(10, ok, f"6 builtin drivers clean at {n_probes} probes; "
                      f"misdeclared gamma flagged with growth margin "
-                     f"{flagged.clause('growth').max_margin:+.3f}")
+                     f"{flagged.extra['growth']['max_margin']:+.3f}")

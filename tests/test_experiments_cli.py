@@ -109,8 +109,14 @@ terminal: {kind: constant}
         ("{checks: [{type: assumptions, seed: 3}]}", "checks.0.seed", "seed"),
         ("{checks: [{type: comparison, other: {driver: {name: zero}, terminal: {kind: constant}}}]}",
          "checks.0.other.terminal", "terminal"),
+        ("{terminal: {kind: affine, options: {slop: [1.0]}}}", "terminal.options.slop", "slop"),
+        ("{driver: {name: pure_quadratic, options: {gamma: 1.0, gama: 3.0}}}", "driver.options.gama", "gama"),
+        ("{driver: {options: {value: 3.0}}}", "driver.options.value", "value"),
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: constant, options: {value: 1, n: 2}}, "
+         "converges: true}]}]}", "checks.0.members.0.driver.options.n", "'n'"),
     ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type", "stream", "clock",
-            "declared", "picard_tol", "output", "x0_tol", "expected_y0_gap", "assumptions-seed", "other-terminal"])
+            "declared", "picard_tol", "output", "x0_tol", "expected_y0_gap", "assumptions-seed", "other-terminal",
+            "terminal-option", "driver-option", "zero-driver-option", "member-driver-option"])
     def test_unread_key_named(self, fragment, where, key):
         with pytest.raises(ConfigValidationError) as err:
             q.validate_config(merged(fragment))
@@ -188,6 +194,13 @@ class TestRunExperiment:
         cfg = q.validate_config(MINIMAL)
         rep = q.run_experiment(cfg, n_paths=32, seed=99)
         assert rep.config_hash != cfg.config_hash()
+
+    def test_config_hash_reads_every_digit(self):
+        # canonical_json writes floats at 12 significant digits, where both values read 0.5
+        a, b = (q.validate_config(merged(f"{{driver: {{name: constant, options: {{value: {v}}}}}}}"))
+                for v in ("0.5", "0.5000000000001"))
+        assert canonical_json(a.canonical()) == canonical_json(b.canonical())
+        assert a.config_hash() != b.config_hash()
 
     def test_kink_of_a_stability_member_is_a_grid_node(self):
         # 10 steps on [0, 1] miss the member's kink 1/3: the left-endpoint
@@ -317,7 +330,10 @@ class TestCli:
         ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
         ("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, "
                          "constraint: {kind: halfspace, normal: [1.0], offset: 0.25}}}", "driver: "),
-    ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint"])
+        ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slop: [1.0]}}",
+         "terminal.options.slop: "),
+    ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint",
+            "terminal-option"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))
