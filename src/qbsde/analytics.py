@@ -9,11 +9,16 @@ A driver's declared growth, Lipschitz, convexity and local-Lipschitz
 properties, and the ordering of two drivers, are falsified (not proved) by
 randomized sampling over a probe box; violations are reported with margins,
 never raised.
+
+Checks reduce over (node, path) points one node row at a time: the a priori
+bound is a stream of rows (``BoundProcess``), and no check builds a (K+1, n)
+surface beside the solutions it reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,23 +89,24 @@ def anchor_check(
     return CheckReport("anchor", passed, gap, tol, solution.n_paths, estimate_se, extra)
 
 
-def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, fraction_tol: float = 1e-3) -> CheckReport:
+def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int,
+                 fraction_tol: float = 1e-3) -> CheckReport:
     """Truncation monotonicity: fewer than ``fraction_tol`` of the (node, path)
-    points break the level order beyond 3 SE of Y0, and the top level's Y0 is
-    within 3 SE (of a difference of two estimates) of the untruncated ``y0``."""
-    mono = ladder.monotonicity_report(tol=3.0 * y0_se)
-    top_gap = abs(ladder.fields[-1].y0 - y0)
+    points break the level order beyond the ladder's ``tol`` (3 SE of Y0), and
+    the top level's Y0 is within 3 SE (of a difference of two estimates) of ``y0``."""
+    mono = ladder.monotonicity
+    top_gap = abs(ladder.y0[-1] - y0)
     top_ok = top_gap <= 3.0 * max(y0_se, 1e-15) * math.sqrt(2.0)
     return CheckReport(
         name="truncation_ladder",
         passed=mono["violation_fraction"] < fraction_tol and top_ok,
         margin=mono["violation_fraction"],
         tol=fraction_tol,
-        n_paths=ladder.fields[-1].n_paths,
+        n_paths=n_paths,
         se=y0_se,
         extra={
             "levels": list(ladder.levels),
-            "y0_by_level": [f.y0 for f in ladder.fields],
+            "y0_by_level": list(ladder.y0),
             "alpha_l1_by_level": list(ladder.alpha_l1),
             "worst_gap": mono["worst_gap"],
             "untruncated_y0": y0,
@@ -116,19 +122,21 @@ def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, fraction_tol
 
 @dataclass(frozen=True)
 class BoundProcess:
-    """Estimate of the conditional-expectation bound X_t, per path and node: (n_paths, K+1)
-    views with the node axis outermost in memory, like ``SolutionField.y``."""
+    """Estimate of the conditional-expectation bound X_t, streamed: ``rows()``
+    computes and yields ``(x_i, x_se_i)`` for t_0, ..., t_K on every call, the
+    (n_paths,) row of X and its SE (a row by projection, the scalar 0 in
+    closed form).  ``shape`` is (n_paths, K+1), that of ``SolutionField.y``."""
 
-    x: np.ndarray
-    x_se: np.ndarray
+    shape: tuple[int, int]
+    rows: Callable[[], Iterator[tuple[np.ndarray, np.ndarray | float]]]
 
     @property
     def x0(self) -> float:
-        return float(np.mean(self.x[:, 0]))
+        return float(np.mean(next(self.rows())[0]))
 
     @property
     def x0_se(self) -> float:
-        return float(self.x_se[0, 0])
+        return float(np.ravel(next(self.rows())[1])[0])
 
 
 def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
@@ -157,6 +165,9 @@ def apriori_bound(
     projected on ``basis`` (cubic polynomials by default), augmented with the
     target evaluated at the current state, which pins the terminal node
     exactly.
+
+    The gamma >= 1 and moment checks run here; the rows are computed on each
+    pass over the ``BoundProcess``, so an overflowing projection raises there.
     """
     if params.gamma < 1:
         raise ValueError("the a priori bound needs gamma >= 1")
@@ -181,19 +192,18 @@ def apriori_bound(
         R[i] = alpha[i] * (bundle.clock_values[i + 1] - bundle.clock_values[i]) + math.exp(bstar * bundle.dt[i]) * R[i + 1]
 
     c = gamma * np.exp(bstar * (T - nodes))
-    x = np.empty((K + 1, n))
-    x_se = np.zeros((K + 1, n))
-    x[K] = np.abs(xi_vals)
+    basis = basis or BasisSpec(degree=3)
 
-    if xi.affine is not None:
+    def closed_form():
         a0, a = xi.affine
         a = np.broadcast_to(np.asarray(a, dtype=float), (bundle.dim_m + bundle.dim_orth,))
         for i in range(K):
             mean = a0 + bundle.state(i) @ a
             var = float(a @ a) * (T - nodes[i])
-            x[i] = np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
-    else:
-        basis = basis or BasisSpec(degree=3)
+            yield np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i], 0.0
+        yield np.abs(xi_vals), 0.0
+
+    def projected():
         for i in range(K):
             state = bundle.state(i)
             with np.errstate(over="ignore"):
@@ -205,11 +215,11 @@ def apriori_bound(
             m_hat = reg.fit(target)
             # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
             m_hat = np.maximum(m_hat, 1.0)
-            x[i] = np.log(m_hat) / gamma + R[i]
             sigma2 = float(reg.residual_variance(target, m_hat)[0])
-            x_se[i] = np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
+            yield np.log(m_hat) / gamma + R[i], np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
+        yield np.abs(xi_vals), 0.0
 
-    return BoundProcess(x=x.T, x_se=x_se.T)
+    return BoundProcess((n, K + 1), closed_form if xi.affine is not None else projected)
 
 
 def check_apriori(
@@ -229,55 +239,59 @@ def check_apriori(
     plain pointwise three-sigma band would be exceeded somewhere by
     selection alone.  The raw maximum of |y| - x is kept in ``extra``.
 
-    The check streams the node rows: a supremum needs only per-path running
-    maxima, so no (K+1, n) gap, standard-error or adjusted surface is built.
-    The winning path's column is then re-read for its node, which keeps the
-    first maximum in path-major order, as a flat argmax would give.
+    The bound's rows stream beside the solution's, and each path keeps its
+    running maxima and the node and SE of its first maximum, so the first
+    maximum in path-major order wins, as a flat argmax would give.
 
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 3 SE of it.
     """
-    if solution.y.shape != bound.x.shape:
+    if solution.y.shape != bound.shape:
         raise GridMismatchError(
-            f"solution field {solution.y.shape} and bound process {bound.x.shape} disagree"
+            f"solution field {solution.y.shape} and bound process {bound.shape} disagree"
         )
     y_var = None if solution.diagnostics is None else solution.diagnostics.y_var
     dof = 1 if y_var is None else max(1, solution.diagnostics.max_features)
     # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u): scipy.stats is slow to import
     band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
 
-    def gap_and_se(at):
-        gap = np.abs(solution.y[at]) - bound.x[at]
-        se = bound.x_se[at] if y_var is None else np.hypot(bound.x_se[at], np.sqrt(y_var[at]))
-        return gap, se
-
-    # per-path running maxima of the adjusted and the raw gap
-    worst, raw = np.full(solution.n_paths, -np.inf), np.full(solution.n_paths, -np.inf)
-    for i in range(solution.y.shape[1]):
-        gap, se = gap_and_se((slice(None), i))
-        np.maximum(worst, gap - 3.0 * band * se, out=worst)
+    # per path: running maxima of the adjusted and the raw gap, and the node and SE of the first
+    n = solution.n_paths
+    worst, raw = np.full(n, -np.inf), np.full(n, -np.inf)
+    arg_node, arg_se = np.zeros(n, dtype=np.intp), np.zeros(n)
+    for i, (x_i, x_se_i) in enumerate(bound.rows()):
+        if i == 0:
+            bound_x0, bound_x0_se = float(np.mean(x_i)), float(np.ravel(x_se_i)[0])
+        gap = np.abs(solution.y[:, i]) - x_i
+        se = x_se_i
+        if y_var is not None:
+            # hypot(0, s) is s: skip it where the bound is exact, as on the closed form
+            se = np.hypot(x_se_i, np.sqrt(y_var[:, i])) if np.any(x_se_i) else np.sqrt(y_var[:, i])
+        adjusted = gap - 3.0 * band * se
+        better = adjusted > worst
+        np.copyto(arg_node, i, where=better)
+        np.copyto(arg_se, se, where=better)
+        np.maximum(worst, adjusted, out=worst)
         np.maximum(raw, gap, out=raw)
     path = int(np.argmax(worst))
-    gap, se = gap_and_se(path)
-    node = int(np.argmax(gap - 3.0 * band * se))
     margin = float(worst[path])
     passed = margin <= tol
     extra = {
-        "argmax_node": int(node),
-        "argmax_path": int(path),
+        "argmax_node": int(arg_node[path]),
+        "argmax_path": path,
         "raw_margin": float(np.max(raw)),
         "band_factor": band,
-        "x0": bound.x0,
-        "x0_se": bound.x0_se,
+        "x0": bound_x0,
+        "x0_se": bound_x0_se,
     }
     if tight is not None:
         extra["tight"] = float(tight)
         passed = passed and abs(extra["raw_margin"]) <= tight
     if x0 is not None:
         extra["expected_x0"] = float(x0)
-        extra["x0_gap"] = abs(bound.x0 - x0)
-        passed = passed and extra["x0_gap"] <= 3.0 * bound.x0_se + 1e-12
-    return CheckReport("apriori_bound", passed, margin, tol, solution.n_paths, float(band * se[node]), extra)
+        extra["x0_gap"] = abs(bound_x0 - x0)
+        passed = passed and extra["x0_gap"] <= 3.0 * bound_x0_se + 1e-12
+    return CheckReport("apriori_bound", passed, margin, tol, n, float(band * arg_se[path]), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +498,8 @@ def comparison_check(
     if solution.y.shape != solution_prime.y.shape:
         raise GridMismatchError("comparison requires fields on the same bundle")
     max_f_gap, max_xi_gap = gaps
-    margin = float(np.max(solution.y - solution_prime.y))
+    # one node row at a time: no (n, K+1) difference surface
+    margin = max(float(np.max(solution.y[:, i] - solution_prime.y[:, i])) for i in range(solution.y.shape[1]))
     vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
     return CheckReport(
         name="comparison",
@@ -535,7 +550,9 @@ def stability_metrics(
         gap = np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0))
         hyp = hyp + gap * dA[i]
 
-    sup_gap = np.max(np.abs(solution_n.y - solution_0.y), axis=1)
+    sup_gap = np.abs(solution_n.y[:, 0] - solution_0.y[:, 0])
+    for i in range(1, solution_n.y.shape[1]):
+        np.maximum(sup_gap, np.abs(solution_n.y[:, i] - solution_0.y[:, i]), out=sup_gap)
     qv = quadratic_variation(bundle, solution_n.integrand - solution_0.integrand)
     h_m, h_se = mean_se(hyp)
     out = []
@@ -612,16 +629,9 @@ class ExpMartingaleEstimate:
     n_overflow: int
 
 
-def stochastic_exponential_mean(
-    bundle: ScenarioBundle,
-    solution: SolutionField,
-    q: float,
-) -> ExpMartingaleEstimate:
-    """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
-    integral, qv = stochastic_integral(bundle, solution.integrand)
-    log_e = q * integral - 0.5 * q * q * qv
+def _exponential_mean(integral: np.ndarray, qv: np.ndarray, q: float) -> ExpMartingaleEstimate:
     with np.errstate(over="ignore"):
-        vals = np.exp(log_e)
+        vals = np.exp(q * integral - 0.5 * q * q * qv)
     overflow = int(np.count_nonzero(~np.isfinite(vals)))
     finite = vals[np.isfinite(vals)]
     if finite.size:
@@ -632,18 +642,23 @@ def stochastic_exponential_mean(
     return ExpMartingaleEstimate(mean=mean, se=se, n_overflow=overflow)
 
 
-def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, q: float) -> CheckReport:
-    """No path overflows and the mean of E(q (Z.M + N))_T is within 3 SE of 1."""
-    est = stochastic_exponential_mean(bundle, solution, q)
-    return CheckReport(
-        name=f"exp_martingale_q{q:g}",
-        passed=est.n_overflow == 0 and abs(est.mean - 1.0) <= 3.0 * est.se,
-        margin=abs(est.mean - 1.0),
-        tol=0.0,
-        n_paths=bundle.n_paths,
-        se=est.se,
-        extra={"mean": est.mean, "n_overflow": est.n_overflow, "q": q},
-    )
+def stochastic_exponential_mean(bundle: ScenarioBundle, solution: SolutionField, q: float) -> ExpMartingaleEstimate:
+    """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
+    return _exponential_mean(*stochastic_integral(bundle, solution.integrand), q)
+
+
+def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, qs) -> list[CheckReport]:
+    """Per q in ``qs``: no path overflows and the mean of E(q (Z.M + N))_T is
+    within 3 SE of 1.  The integral and its quadratic variation do not depend
+    on q, so they are computed once."""
+    integral, qv = stochastic_integral(bundle, solution.integrand)
+    out = []
+    for q in map(float, qs):
+        est = _exponential_mean(integral, qv, q)
+        gap = abs(est.mean - 1.0)
+        out.append(CheckReport(f"exp_martingale_q{q:g}", est.n_overflow == 0 and gap <= 3.0 * est.se, gap, 0.0,
+                               bundle.n_paths, est.se, {"mean": est.mean, "n_overflow": est.n_overflow, "q": q}))
+    return out
 
 
 def kazamaki_statistic(

@@ -267,6 +267,9 @@ def _build_power_utility(options: dict) -> DriverSpec:
     spec = _require(options, "power_utility", "constraint")
     if spec.get("kind") != "box":
         raise ValueError(f"unsupported constraint kind {spec.get('kind')!r} (only box)")
+    unread = sorted(set(spec) - {"kind", "lower", "upper"})
+    if unread:
+        raise ValueError(f"box constraint does not read {', '.join(map(repr, unread))}")
     constraint = _BoxSet(spec["lower"], spec["upper"])
     d = constraint.dim
     lam_m = _as_time_fn(_require(options, "power_utility", "lam"), dim=d)

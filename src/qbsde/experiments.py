@@ -420,12 +420,12 @@ def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]
 
 
 def _run_ladder(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], ctx.solver_cfg)
-    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, **_keys(check, "levels"))]
+    ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], ctx.solver_cfg, tol=3.0 * ctx.y0_se)
+    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, ctx.bundle.n_paths, **_keys(check, "levels"))]
 
 
 def _run_exp_martingale(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    return [analytics.exp_martingale_check(ctx.bundle, ctx.field, float(q)) for q in check["q"]]
+    return analytics.exp_martingale_check(ctx.bundle, ctx.field, check["q"])
 
 
 def _run_kazamaki(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:

@@ -20,16 +20,17 @@ monotonicity across levels.
 
 The regression scheme is one backward sweep that yields a step at a time.
 ``solve_backward`` stores its rows as a solution field; ``y0_with_se`` needs
-only Y_0 of each path batch, so it keeps the current row alone.  Likewise the
-reductions over a stored field (``sup_abs_y``, ``monotonicity_report``) read
-it one node row at a time: a (K+1, n) float64 surface is 81 MB at 100,000
-paths and 101 nodes, and a supremum or a count needs none.
+only Y_0 of each path batch, so it keeps the current row alone, and
+``solve_ladder`` compares its levels as their sweeps run in lockstep.  A
+(K+1, n) float64 surface is 81 MB at 100,000 paths and 101 nodes, and a
+supremum or a count needs none.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -182,12 +183,24 @@ def _solve_y(ey, zeta, driver, bundle, i):
     raise SolverDivergenceError(step=i, sup_change=last, max_iter=PICARD_MAX)
 
 
+def _regression_at(bundle: ScenarioBundle, config: SolverConfig, feature_source: TerminalCondition):
+    """Step i's regression as a function of i: the basis of the Markov state at
+    t_i, with ``feature_source`` there as an extra column if ``config.terminal_feature``."""
+    feature_fn = feature_source.fn if config.terminal_feature else None
+
+    def regression(i: int):
+        state = bundle.state(i)
+        return make_regression(config.basis, state, feature_fn(state) if feature_fn is not None else None)
+
+    return regression
+
+
 def _backward_steps(
     bundle: ScenarioBundle,
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig,
-    feature_source: TerminalCondition | None = None,
+    regression=None,
 ):
     """The regression scheme's backward sweep, one step at a time from i = K - 1 down to 0.
 
@@ -196,7 +209,9 @@ def _backward_steps(
     Y-update.  Yields ``(i, reg, target, ey, zeta, y)``: the step's
     regression, the target row y_{i+1}, its projection, the integrand
     (Z, Z_orth) on [t_i, t_{i+1}) and the new row y_i.  Only the current row
-    is kept; a consumer stores what it needs.
+    is kept; a consumer stores what it needs.  ``regression(i)`` gives step
+    i's regression, by default from ``_regression_at`` with xi as the
+    feature; problems on the same states with the same feature can share it.
     """
     if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
@@ -207,20 +222,39 @@ def _backward_steps(
         )
 
     dt = bundle.dt
-    basis = config.basis
-    feature_fn = (feature_source or xi).fn if config.terminal_feature else None
     y = xi.evaluate(bundle.terminal_state)
+    regression = regression or _regression_at(bundle, config, xi)
     for i in range(bundle.grid.n_steps - 1, -1, -1):
         # temporaries stay unnamed, so none outlives its step into the next
         # regression build, the sweep's peak
-        state = bundle.state(i)
-        reg = make_regression(basis, state, feature_fn(state) if feature_fn is not None else None)
+        reg = regression(i)
         target = y
         ey = reg.fit(target)
         # (Z, Z_orth): projections of the centred target times the step's noise
-        zeta = reg.fit((target - ey)[:, None] * (bundle.states[i + 1] - state)) / dt[i]
+        zeta = reg.fit((target - ey)[:, None] * (bundle.states[i + 1] - bundle.states[i])) / dt[i]
         y = _solve_y(ey, zeta, driver, bundle, i)
         yield i, reg, target, ey, zeta, y
+
+
+def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig,
+                         y_var: np.ndarray, regression=None):
+    """``_backward_steps`` with the first-order error propagation of ``SolverDiagnostics``.
+
+    Yields ``(i, reg, target, zeta, y, y_var)``: the step's regression, the
+    target row y_{i+1}, the integrand on [t_i, t_{i+1}), the new row y_i and
+    its variance row.  The variance is this node's fit variance plus the
+    smoothed variance inherited from the next node (0 at t_K), amplified by
+    the implicit-step contraction factor.  Node i's row is row i % m of the
+    caller's zeroed (m, n) buffer ``y_var``: m = K + 1 keeps every row, m = 2
+    those of the current and the next node.
+    """
+    dA, m = bundle.dA, y_var.shape[0]
+    for i, reg, target, ey, zeta, y in _backward_steps(bundle, driver, xi, config, regression):
+        sigma2_y = float(reg.residual_variance(target, ey)[0])
+        inherited = np.maximum(reg.fit(y_var[(i + 1) % m]), 0.0)
+        amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
+        y_var[i % m] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
+        yield i, reg, target, zeta, y, y_var[i % m]
 
 
 def solve_backward(
@@ -241,7 +275,6 @@ def solve_backward(
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
-    dA = bundle.dA
 
     # node-major, like the bundle: each step reads and writes contiguous rows
     y = np.empty((K + 1, n))
@@ -249,20 +282,13 @@ def solve_backward(
     y_var = np.zeros((K + 1, n))
     max_features = 0
 
-    for i, reg, target, ey, zeta, y_i in _backward_steps(bundle, driver, xi, config, feature_source):
+    steps = _sweep_with_variance(bundle, driver, xi, config, y_var, _regression_at(bundle, config, feature_source or xi))
+    for i, reg, target, zeta, y_i, _ in steps:
         if i == K - 1:
             y[K] = target
         integrand[i] = zeta
         y[i] = y_i
-
-        sigma2_y = float(reg.residual_variance(target, ey)[0])
         max_features = max(max_features, reg.n_features)
-        # first-order error propagation: this node's fit variance plus
-        # the smoothed variance inherited from later steps, amplified by
-        # the implicit-step contraction factor
-        inherited = np.maximum(reg.fit(y_var[i + 1]), 0.0)
-        amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
-        y_var[i] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
 
     return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
                          diagnostics=SolverDiagnostics(y_var=y_var.T, max_features=max_features))
@@ -555,52 +581,19 @@ def _truncated_terminal(xi: TerminalCondition, level: float) -> TerminalConditio
 
 @dataclass(frozen=True)
 class TruncationLadder:
-    """Per-level truncated problems and their solution fields.
+    """Per-level Y_0 of the truncated problems and their pathwise monotonicity.
 
     Level n solves the problem with xi capped at +-n on the bundle whose
     clock A stops once the running integral of alpha dA would exceed n; the
-    driver itself is unchanged, it only acts where dA > 0.  ``alpha_l1[k]``
-    is |alpha|_1 on level k's stopped clock.
+    driver itself is unchanged, it only acts where dA > 0.  ``y0[k]`` is the
+    path mean of level k's Y_0, ``alpha_l1[k]`` is |alpha|_1 on its stopped
+    clock, and ``monotonicity`` is the report of ``solve_ladder``.
     """
 
     levels: tuple[float, ...]
-    fields: tuple[SolutionField, ...]
+    y0: tuple[float, ...]
     alpha_l1: tuple[float, ...]
-
-    def monotonicity_report(self, tol: float = 0.0) -> dict:
-        """Fraction of (node, path) points violating y_n <= y_m + tol for n <= m.
-
-        ``solve_ladder`` makes the levels strictly increasing, so list order
-        is level order.
-
-        Regression noise is accounted for pointwise: each pair is allowed
-        tol + 3 * combined standard error at that point, which matters at
-        high-leverage extreme states where fitted curves wiggle.
-
-        Every statistic is a count or a maximum, so the levels are compared
-        one node row at a time; no (K+1, n) gap, allowance or standard-error
-        surface is built.
-        """
-        worst = -np.inf
-        violations = 0
-        total = 0
-        n_nodes = self.fields[0].y.shape[1] if self.fields else 0
-        for i in range(n_nodes):
-            ys = [f.y[:, i] for f in self.fields]
-            ses = [np.sqrt(f.diagnostics.y_var[:, i]) for f in self.fields]
-            for a in range(len(self.levels)):
-                for b in range(a + 1, len(self.levels)):
-                    gap = ys[a] - ys[b]
-                    allowance = tol + 3.0 * np.hypot(ses[a], ses[b])
-                    worst = max(worst, float(np.max(gap)))
-                    violations += int(np.count_nonzero(gap > allowance))
-                    total += gap.size
-        return {
-            "violation_fraction": violations / max(total, 1),
-            "worst_gap": worst,
-            "tol": tol,
-            "pairs": total,
-        }
+    monotonicity: dict
 
 
 def solve_ladder(
@@ -609,27 +602,54 @@ def solve_ladder(
     xi: TerminalCondition,
     levels: list[float],
     config: SolverConfig | None = None,
+    tol: float = 0.0,
 ) -> TruncationLadder:
     """Solve the truncated problems for each level on the same scenario bundle.
 
     Common random numbers across levels make the comparison-theorem
     monotonicity visible pathwise rather than only in distribution.  The
-    levels must be positive and strictly increasing.
+    levels must be positive and strictly increasing.  The report holds the
+    fraction of (node, path) points where a lower level exceeds a higher one
+    by more than ``tol`` plus 3 combined pointwise standard errors, the worst
+    gap, ``tol`` and the number of points compared (``pairs``).
+
+    The sweeps, with the error propagation of ``solve_backward``, run in
+    lockstep and share each step's regression (same states, same feature),
+    and the levels are compared node row by node row, terminal row first:
+    every statistic is a count or a maximum, so no level stores a field.
     """
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
+    if any(level <= 0 for level in levels):
+        raise ValueError("truncation levels must be positive")
     config = config or SolverConfig()
-    fields = []
-    alphas = []
-    for level in levels:
-        if level <= 0:
-            raise ValueError("truncation levels must be positive")
-        stopped = _stopped_clock(bundle, driver, float(level))
-        xi_n = _truncated_terminal(xi, float(level))
-        fields.append(solve_backward(stopped, driver, xi_n, config, feature_source=xi))
-        alphas.append(driver.params.alpha_l1(stopped))
-    return TruncationLadder(
-        levels=tuple(float(v) for v in levels),
-        fields=tuple(fields),
-        alpha_l1=tuple(alphas),
-    )
+    stopped = [_stopped_clock(bundle, driver, float(level)) for level in levels]
+    # each step's regression is built once, by the first level to reach the
+    # step, and kept until the next step's is built
+    regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
+    sweeps = [_sweep_with_variance(b, driver, _truncated_terminal(xi, float(level)), config,
+                                   np.zeros((2, bundle.n_paths)), regression) for b, level in zip(stopped, levels)]
+    worst, violations, total = -np.inf, 0, 0
+
+    def compare(ys, y_vars):
+        nonlocal worst, violations, total
+        for a in range(len(ys)):
+            for b in range(a + 1, len(ys)):
+                gap = ys[a] - ys[b]
+                worst = max(worst, float(np.max(gap)))
+                # the allowance is at least tol, so only the points past tol can exceed it
+                over = gap > tol
+                se_a, se_b = np.sqrt(y_vars[a][over]), np.sqrt(y_vars[b][over])
+                violations += int(np.count_nonzero(gap[over] > tol + 3.0 * np.hypot(se_a, se_b)))
+                total += gap.size
+
+    ys = []
+    for steps in zip(*sweeps):
+        if steps[0][0] == bundle.grid.n_steps - 1:
+            compare([target for _, _, target, *_ in steps], [np.zeros(bundle.n_paths)] * len(steps))
+        ys = [y for *_, y, _ in steps]
+        compare(ys, [y_var for *_, y_var in steps])
+        del steps  # a level that advances releases this step's rows and regression
+    report = {"violation_fraction": violations / max(total, 1), "worst_gap": worst, "tol": tol, "pairs": total}
+    return TruncationLadder(tuple(float(v) for v in levels), tuple(float(np.mean(y)) for y in ys),
+                            tuple(driver.params.alpha_l1(b) for b in stopped), report)

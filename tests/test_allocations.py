@@ -15,6 +15,7 @@ import qbsde as q
 
 N_PATHS, N_STEPS = 20_000, 50
 ROW_BYTES = 8 * N_PATHS
+LEVELS = [0.5, 1.0, 2.0]
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +25,8 @@ def problem():
     xi = q.terminal_abs(0.0, [1.0, 0.5])
     config = q.SolverConfig(degree=2)
     field = q.solve_backward(bundle, driver, xi, config)
-    # the projection route: x_se is a written surface, not the closed form's zeros
-    bound = q.apriori_bound(bundle, dataclasses.replace(xi, affine=None), driver.params)
-    ladder = q.solve_ladder(bundle, driver, xi, [0.5, 1.0, 2.0], config)
-    return bundle, driver, xi, config, field, bound, ladder
+    lower = q.solve_backward(bundle, q.make_builtin("zero"), xi, config)
+    return bundle, driver, xi, config, field, lower
 
 
 def peak_rows(fn) -> float:
@@ -40,21 +39,43 @@ def peak_rows(fn) -> float:
         tracemalloc.stop()
 
 
-# measured 8, 8, 8, 5 and 2 rows; a single (K+1, n) surface is 51
+# measured 41, 8, 53 (three levels), 1, 5 and 2 rows; a single (K+1, n)
+# surface is 51, and each stored input or ladder level would add at least one
 @pytest.mark.parametrize("call,rows", [
-    ("check_apriori", 12),
+    ("apriori", 48),
     ("kazamaki_statistic", 12),
-    ("monotonicity_report", 12),
+    ("solve_ladder", 24 * len(LEVELS)),
+    ("comparison_check", 3),
     ("y0_with_se", 8),
     ("sup_abs_y", 3),
 ])
 def test_peak_allocation_is_a_few_rows(problem, call, rows):
-    bundle, driver, xi, config, field, bound, ladder = problem
+    bundle, driver, xi, config, field, lower = problem
+    # the projection route with the runner's basis: x_se is a computed row, not the closed form's 0
+    projected = dataclasses.replace(xi, affine=None)
     calls = {
-        "check_apriori": lambda: q.check_apriori(field, bound, tol=1e-6),
+        "apriori": lambda: q.check_apriori(field, q.apriori_bound(bundle, projected, driver.params, config.basis)),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
-        "monotonicity_report": lambda: ladder.monotonicity_report(tol=0.01),
+        "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
+        "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),
         "y0_with_se": lambda: q.y0_with_se(bundle, driver, xi, config),
         "sup_abs_y": field.sup_abs_y,
     }
     assert peak_rows(calls[call]) < rows
+
+
+def solution_rows(config) -> int:
+    """Rows of the bundle plus one stored solution: states, then y, integrand and y_var."""
+    K = config.scenario["steps"]
+    w = config.scenario.get("dim_m", 1) + config.scenario.get("dim_orth", 0)
+    return (K + 1) * w + (K + 1) + K * w + (K + 1)
+
+
+# measured 14 rows above the bundle and solution on quadratic-gaussian and 36
+# on truncation-ladder (four levels); the parent stored the bound's surfaces
+# and every level's field, 209 and 501 rows above
+@pytest.mark.parametrize("name", ["quadratic-gaussian", "truncation-ladder"])
+def test_run_peak_is_the_bundle_plus_one_solution(name):
+    config = q.load_config(name)
+    rows = peak_rows(lambda: q.run_experiment(config, n_paths=N_PATHS))
+    assert rows < solution_rows(config) + 48

@@ -22,6 +22,13 @@ def solved(bundle, name, options, xi, cfg=None):
     return drv, q.solve_backward(bundle, drv, xi, cfg)
 
 
+def surfaces(bound):
+    """The bound's node rows stacked into (n_paths, K+1) surfaces of X and of its SE."""
+    rows = list(bound.rows())
+    x = np.stack([x_i for x_i, _ in rows], axis=1)
+    return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in rows], axis=1)
+
+
 class TestFoldedMgf:
     @pytest.mark.parametrize("c,mean,var", [(1.0, 0.0, 1.0), (2.0, -0.7, 0.3), (0.5, 1.2, 2.0)])
     def test_against_quadrature(self, c, mean, var):
@@ -38,13 +45,13 @@ class TestFoldedMgf:
 class TestAprioriBound:
     def test_zero_data_gives_zero_bound(self, bundle_1d):
         bound = q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=1.0))
-        assert np.allclose(bound.x, 0.0, atol=1e-12)
+        assert np.allclose(surfaces(bound)[0], 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("xi", [q.terminal_constant(0.4, 1), q.terminal_affine(0.1, [1.0]), q.terminal_abs(0.1, [1.0])],
                              ids=["constant", "affine", "abs"])
     def test_affine_terminals_take_the_closed_form(self, bundle_1d, xi):
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert np.all(bound.x_se == 0.0)
+        assert all(np.ndim(se_i) == 0 and se_i == 0.0 for _, se_i in bound.rows())
         projected = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
         assert abs(projected.x0 - bound.x0) <= 4.0 * projected.x0_se + 1e-12
 
@@ -54,7 +61,7 @@ class TestAprioriBound:
         drv, field = solved(b, "step_family", {"n": 2}, q.terminal_constant(0.0, 1))
         bound = q.apriori_bound(b, q.terminal_constant(0.0, 1), drv.params)
         expected = np.maximum(1.0 - 2.0 * grid.nodes, 0.0)
-        assert np.abs(bound.x - expected[None, :]).max() < 1e-10
+        assert np.abs(surfaces(bound)[0] - expected[None, :]).max() < 1e-10
         report = q.check_apriori(field, bound, tol=1e-10)
         assert report.passed
         assert abs(report.extra["raw_margin"]) < 1e-10
@@ -89,14 +96,14 @@ class TestAprioriBound:
         assert drv.params.beta_star == pytest.approx(a)
         x_expected = (alpha0 / a) * (np.exp(a * (1.0 - grid.nodes)) - 1.0)
         # grid quadrature of the weighted integral converges O(dt)
-        assert np.abs(bound.x[0] - x_expected).max() < 5e-3
+        assert np.abs(surfaces(bound)[0][0] - x_expected).max() < 5e-3
         assert q.check_apriori(field, bound, tol=1e-6).passed
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        closed = [q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g)) for g in (1, 2, 4)]
-        assert np.all(closed[0].x <= closed[1].x + 1e-12)
-        assert np.all(closed[1].x <= closed[2].x + 1e-12)
+        closed = [surfaces(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g)))[0] for g in (1, 2, 4)]
+        assert np.all(closed[0] <= closed[1] + 1e-12)
+        assert np.all(closed[1] <= closed[2] + 1e-12)
         # empirical node-0 estimate obeys the power-mean inequality exactly
         projected = dataclasses.replace(xi, affine=None)
         regs = [q.apriori_bound(bundle_1d, projected, ParamSet(gamma=g)) for g in (1, 2, 4)]
@@ -112,12 +119,19 @@ class TestAprioriBound:
 
     @pytest.mark.parametrize("affine", [True, False], ids=["closed_form", "regression"])
     def test_bound_node_major(self, bundle_1d, affine):
+        # one contiguous (n,) row per node from t_0 to t_K, computed again on every pass
         xi = q.terminal_affine(0.0, [1.0])
         if not affine:
             xi = dataclasses.replace(xi, affine=None)
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert bound.x.T.flags.c_contiguous
-        assert bound.x_se.T.flags.c_contiguous
+        n, K = bundle_1d.n_paths, bundle_1d.grid.n_steps
+        rows = list(bound.rows())
+        assert bound.shape == (n, K + 1) and len(rows) == K + 1
+        for i, (x_i, se_i) in enumerate(rows):
+            assert x_i.shape == (n,) and x_i.flags.c_contiguous
+            assert np.shape(se_i) == (() if affine or i == K else (n,))
+        assert np.array_equal(rows[-1][0], np.abs(xi.evaluate(bundle_1d.terminal_state)))
+        assert all(np.array_equal(x_i, again) for (x_i, _), (again, _) in zip(rows, bound.rows()))
 
     def test_argmax_is_first_in_path_major_order(self):
         # tied worst points at (path 1, node 4) and (path 3, node 1): a flat
@@ -125,7 +139,7 @@ class TestAprioriBound:
         y = np.zeros((6, 5))
         y[4, 1] = y[1, 3] = 2.0
         field = q.SolutionField(y.T, np.zeros((5, 5, 1)).transpose(1, 0, 2), 1)
-        bound = q.BoundProcess(x=np.ones((5, 6)), x_se=np.zeros((5, 6)))
+        bound = q.BoundProcess((5, 6), lambda: ((np.ones(5), 0.0) for _ in range(6)))
         report = q.check_apriori(field, bound, tol=0.0)
         assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (1, 4)
         assert report.margin == 1.0
@@ -142,11 +156,12 @@ class TestAprioriBound:
         drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi, q.SolverConfig(degree=2))
         # the projection route, where x_se is not zero
         bound = q.apriori_bound(bundle_orth, dataclasses.replace(xi, affine=None), drv.params)
-        assert np.all(bound.x_se[:, :-1] > 0)
+        x, x_se = surfaces(bound)
+        assert np.all(x_se[:, :-1] > 0)
         report = q.check_apriori(field, bound, tol=1e-6)
         # the whole-surface formula the check streams
-        gap = np.abs(field.y) - bound.x
-        se = np.hypot(bound.x_se, np.sqrt(field.diagnostics.y_var))
+        gap = np.abs(field.y) - x
+        se = np.hypot(x_se, np.sqrt(field.diagnostics.y_var))
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se
         path, node = np.unravel_index(int(np.argmax(adjusted)), adjusted.shape)
@@ -215,6 +230,13 @@ class TestComparison:
         assert rep.passed
         assert hi.y0 - lo.y0 == pytest.approx(a, abs=1e-10)
 
+    def test_streamed_margin_is_the_surface_maximum(self, bundle_orth):
+        xi = q.terminal_abs(0.0, [1.0, 0.5])
+        _, lo = solved(bundle_orth, "zero", {}, xi)
+        _, hi = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
+        rep = q.comparison_check(hi, lo, (0.0, 0.0))
+        assert rep.margin == np.max(hi.y - lo.y) > 0
+
     def test_antisymmetry_of_margin(self, bundle_1d):
         zero = q.make_builtin("zero")
         lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
@@ -271,6 +293,15 @@ class TestStability:
             assert m["exp_sup_p_mean"] == pytest.approx(math.exp(p / n), abs=1e-9)
             assert m["exp_sup_p_mean"] - 1.0 <= p * (2.0 / n)
 
+    def test_streamed_sup_gap_is_the_surface_formula(self, bundle_orth):
+        xi = q.terminal_abs(0.0, [1.0, 0.5])
+        zero, f0 = solved(bundle_orth, "zero", {}, xi)
+        quad, fn = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
+        [m] = q.stability_metrics(bundle_orth, fn, f0, quad, zero, xi, xi, [2.0])
+        sup_gap = np.max(np.abs(fn.y - f0.y), axis=1)
+        assert (m["sup_gap_max"], m["sup_gap_mean"]) == (np.max(sup_gap), float(np.mean(sup_gap)))
+        assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == mean_se(np.exp(2.0 * sup_gap))
+
     def test_step_family_violates_conclusion(self):
         grid = q.build_grid(2.0, 64, [0.5])
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(7))
@@ -290,7 +321,7 @@ class TestMeasureChange:
         assert est.mean == 1.0
         assert est.se == 0.0
         assert est.n_overflow == 0
-        assert q.exp_martingale_check(bundle_1d, field, 2.0).passed
+        assert all(rep.passed for rep in q.exp_martingale_check(bundle_1d, field, [2.0, -1.0]))
 
     @pytest.mark.parametrize("qq", [-3.0, -1.5, 1.5, 3.0])
     def test_constant_integrand_unit_mean(self, bundle_1d, qq):
@@ -302,9 +333,13 @@ class TestMeasureChange:
 
     def test_quadratic_solution_measure_change(self, bundle_1d):
         drv, field = solved(bundle_1d, "pure_quadratic", {"gamma": 1.0}, q.terminal_affine(0.0, [1.0]))
-        for qq in (-2.0, 2.0):
-            rep = q.exp_martingale_check(bundle_1d, field, qq)
+        reports = q.exp_martingale_check(bundle_1d, field, [-2.0, 2.0])
+        assert [rep.name for rep in reports] == ["exp_martingale_q-2", "exp_martingale_q2"]
+        for qq, rep in zip((-2.0, 2.0), reports):
             assert rep.passed, (qq, rep)
+            # one integral serves every q: each report is the single-q estimate
+            est = q.stochastic_exponential_mean(bundle_1d, field, qq)
+            assert (rep.extra["mean"], rep.se, rep.extra["n_overflow"]) == (est.mean, est.se, est.n_overflow)
 
     def test_overflow_flagged(self):
         # zeta_i = dW_i / dt_i makes log E(zeta.W)_T = 1/2 sum dW_i^2 / dt_i,

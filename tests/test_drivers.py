@@ -106,6 +106,12 @@ class TestBuiltins:
             q.make_builtin("power_utility", {"p": 0.5, "lam": 0.0,
                                              "constraint": {"kind": "halfspace", "normal": [1.0], "offset": 0.25}})
 
+    def test_power_utility_unread_constraint_keys(self):
+        # the box reads kind, lower and upper; every other key is named in the error
+        with pytest.raises(ValueError, match="'offset', 'uper'"):
+            q.make_builtin("power_utility", {"p": 0.5, "lam": 0.0, "constraint": {
+                "kind": "box", "lower": [-0.5], "upper": [0.5], "uper": [9.0], "offset": 0.25}})
+
     def test_power_utility_invalid(self):
         box = {"kind": "box", "lower": [0.2], "upper": [-0.2]}
         with pytest.raises(ValueError, match="empty constraint"):

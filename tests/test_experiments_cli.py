@@ -54,6 +54,15 @@ class TestValidateConfig:
         assert path == "driver"
         assert "requires option 'n'" in msg
 
+    def test_unread_constraint_key_named(self):
+        text = MINIMAL.replace("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, constraint: "
+                                               "{kind: box, lower: [-0.5], upper: [0.5], uper: [9.0]}}}")
+        with pytest.raises(ConfigValidationError) as err:
+            q.validate_config(text)
+        [(path, msg)] = err.value.errors
+        assert path == "driver"
+        assert "'uper'" in msg
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigValidationError) as err:
             q.validate_config(MINIMAL + "\nfrobnicate: 1\n")
@@ -330,10 +339,12 @@ class TestCli:
         ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
         ("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, "
                          "constraint: {kind: halfspace, normal: [1.0], offset: 0.25}}}", "driver: "),
+        ("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, "
+                         "constraint: {kind: box, lower: [-0.5], upper: [0.5], uper: [9.0]}}}", "driver: "),
         ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slop: [1.0]}}",
          "terminal.options.slop: "),
     ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint",
-            "terminal-option"])
+            "unread-constraint-key", "terminal-option"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qbsde as q
+from qbsde import solver
 from qbsde.drivers import ParamSet
 from qbsde.errors import MomentFailureError, SolverDivergenceError
 
@@ -174,13 +175,41 @@ class TestTransformReference:
             q.exponential_transform_reference(bundle_1d, 1.0, q.terminal_abs(0.0, [400.0]))
 
 
+def truncated_fields(bundle, driver, xi, levels, config=None):
+    """The ladder's truncated problems, each solved and stored by ``solve_backward``."""
+    return [q.solve_backward(solver._stopped_clock(bundle, driver, float(level)), driver,
+                             solver._truncated_terminal(xi, float(level)), config, feature_source=xi)
+            for level in levels]
+
+
+def surface_monotonicity(fields, tol):
+    """The ladder's monotonicity report computed from whole stored fields."""
+    ses = [np.sqrt(f.diagnostics.y_var) for f in fields]
+    worst, violations, total = -np.inf, 0, 0
+    for a in range(len(fields)):
+        for c in range(a + 1, len(fields)):
+            gap = fields[a].y - fields[c].y
+            worst = max(worst, float(np.max(gap)))
+            violations += int(np.count_nonzero(gap > tol + 3.0 * np.hypot(ses[a], ses[c])))
+            total += gap.size
+    return {"violation_fraction": violations / max(total, 1), "worst_gap": worst, "tol": tol, "pairs": total}
+
+
+def assert_ladder_is(ladder, fields, tol=0.0):
+    """The lockstep ladder reports exactly what the stored fields give."""
+    assert ladder.y0 == tuple(f.y0 for f in fields)
+    assert ladder.monotonicity == surface_monotonicity(fields, tol)
+
+
 class TestLadder:
     def test_inactive_truncation_identical_fields(self, bundle_1d):
         xi = q.terminal_abs(0.0, [0.4])  # bounded well below the levels
-        ladder = q.solve_ladder(bundle_1d, q.make_builtin("zero"), xi, [4, 8])
-        assert np.array_equal(ladder.fields[0].y, ladder.fields[1].y)
-        report = ladder.monotonicity_report()
-        assert report["violation_fraction"] == 0.0
+        zero = q.make_builtin("zero")
+        ladder = q.solve_ladder(bundle_1d, zero, xi, [4, 8])
+        fields = truncated_fields(bundle_1d, zero, xi, [4, 8])
+        assert np.array_equal(fields[0].y, fields[1].y)
+        assert_ladder_is(ladder, fields)
+        assert ladder.monotonicity["violation_fraction"] == 0.0
 
     def test_sigma_gate_from_running_integral(self):
         # alpha = 1 on [0, 1]; level 0.5 stops the clock, and with it F, halfway
@@ -188,7 +217,7 @@ class TestLadder:
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(21))
         drv = q.make_builtin("step_family", {"n": 1})
         ladder = q.solve_ladder(b, drv, q.terminal_constant(0.0, 1), [0.5])
-        assert ladder.fields[0].y0 == pytest.approx(0.5, abs=1e-12)
+        assert ladder.y0[0] == pytest.approx(0.5, abs=1e-12)
         assert ladder.alpha_l1[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_stopped_clock_switches_y_dependent_driver_off(self):
@@ -196,8 +225,10 @@ class TestLadder:
         # and from there on the field is the zero driver's, error bars included
         b = q.simulate_scenario(q.build_grid(1.0, 40), 1, 0, 2000, source=q.RandomSource(23))
         xi = q.terminal_abs(0.0, [1.0])
-        linear = q.solve_ladder(b, linear_driver(a=0.8, b0=0.5), xi, [0.5]).fields[0]
-        zero = q.solve_ladder(b, q.make_builtin("zero"), xi, [0.5]).fields[0]
+        drivers = [linear_driver(a=0.8, b0=0.5), q.make_builtin("zero")]
+        (linear,), (zero,) = (truncated_fields(b, drv, xi, [0.5]) for drv in drivers)
+        for drv, f in zip(drivers, (linear, zero)):
+            assert_ladder_is(q.solve_ladder(b, drv, xi, [0.5]), [f])
         assert np.array_equal(linear.y[:, 20:], zero.y[:, 20:])
         assert np.array_equal(linear.diagnostics.y_var[:, 20:], zero.diagnostics.y_var[:, 20:])
         assert not np.array_equal(linear.y[:, 19], zero.y[:, 19])
@@ -209,45 +240,37 @@ class TestLadder:
                                                "constraint": {"kind": "box", "lower": [-1.0], "upper": [1.0]}})
         xi = q.terminal_constant(0.0, 1)
         ladder = q.solve_ladder(b, drv, xi, [0.08])
-        zero = q.solve_ladder(b, q.make_builtin("zero"), xi, [0.08])
+        [field] = truncated_fields(b, drv, xi, [0.08])
+        [zero] = truncated_fields(b, q.make_builtin("zero"), xi, [0.08])
+        assert_ladder_is(ladder, [field])
         assert ladder.alpha_l1[0] == pytest.approx(0.08, abs=1e-12)
-        assert np.array_equal(ladder.fields[0].y[:, 10:], zero.fields[0].y[:, 10:])
+        assert np.array_equal(field.y[:, 10:], zero.y[:, 10:])
         # F = q |lam / (1 - p)|^2 = 0.08 at Z = 0 acts on [0, 0.5] only
-        assert ladder.fields[0].y0 == pytest.approx(0.04, abs=1e-9)
+        assert ladder.y0[0] == pytest.approx(0.04, abs=1e-9)
 
     def test_terminal_truncation_monotone(self):
         b = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 2**14, source=q.RandomSource(22))
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         cfg = q.SolverConfig(basis_kind="binned", bins=12, terminal_feature=False)
         ladder = q.solve_ladder(b, drv, q.terminal_abs(0.0, [1.0]), [1, 2, 4], cfg)
-        y0s = [f.y0 for f in ladder.fields]
-        assert y0s[0] <= y0s[1] <= y0s[2]
-        assert ladder.monotonicity_report()["violation_fraction"] < 1e-3
+        assert ladder.y0[0] <= ladder.y0[1] <= ladder.y0[2]
+        assert ladder.monotonicity["violation_fraction"] < 1e-3
 
     @pytest.mark.parametrize("tol", [0.0, -0.02])
     def test_streamed_report_equals_the_surface_formula(self, tol):
         b = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 4000, source=q.RandomSource(25))
         cfg = q.SolverConfig(basis_kind="binned", bins=12, terminal_feature=False)
-        ladder = q.solve_ladder(b, q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0]),
-                                [0.5, 1, 2], cfg)
-        # the whole-surface formula the report streams
-        ses = [np.sqrt(f.diagnostics.y_var) for f in ladder.fields]
-        worst, violations, total = -np.inf, 0, 0
-        for a in range(3):
-            for c in range(a + 1, 3):
-                gap = ladder.fields[a].y - ladder.fields[c].y
-                worst = max(worst, float(np.max(gap)))
-                violations += int(np.count_nonzero(gap > tol + 3.0 * np.hypot(ses[a], ses[c])))
-                total += gap.size
-        expected = {"violation_fraction": violations / total, "worst_gap": worst, "tol": tol, "pairs": total}
-        report = ladder.monotonicity_report(tol)
-        assert report == expected
-        assert tol < 0 or report["violation_fraction"] < 1e-3
-        assert tol == 0 or violations > 0
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0])
+        ladder = q.solve_ladder(b, drv, xi, [0.5, 1, 2], cfg, tol)
+        assert_ladder_is(ladder, truncated_fields(b, drv, xi, [0.5, 1, 2], cfg), tol)
+        assert tol < 0 or ladder.monotonicity["violation_fraction"] < 1e-3
+        assert tol == 0 or ladder.monotonicity["violation_fraction"] > 0
 
     def test_signed_terminal_double_truncation(self, bundle_1d):
-        ladder = q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_affine(0.0, [2.0]), [1.0])
-        capped = ladder.fields[0].y[:, -1]
+        zero, xi = q.make_builtin("zero"), q.terminal_affine(0.0, [2.0])
+        [field] = truncated_fields(bundle_1d, zero, xi, [1.0])
+        assert_ladder_is(q.solve_ladder(bundle_1d, zero, xi, [1.0]), [field])
+        capped = field.y[:, -1]
         assert capped.max() <= 1.0 + 1e-12
         assert capped.min() >= -1.0 - 1e-12
 
