@@ -64,9 +64,8 @@ from .scenarios import (
     TimeGrid,
     build_grid,
     coarsen_bundle,
-    quadratic_variation,
+    integral_by_node,
     simulate_scenario,
-    stochastic_integral,
 )
 from .solver import (
     SolutionField,

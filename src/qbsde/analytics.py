@@ -12,12 +12,13 @@ never raised.
 
 Checks reduce over (node, path) points one node row at a time: the a priori
 bound is a stream of rows (``BoundProcess``), and no check builds a (K+1, n)
-surface beside the solutions it reads.
+surface, or an (n, K, w) integrand surface, beside the solutions it reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from scipy.special import gammaincinv, ndtr
 from .drivers import DriverSpec, ParamSet, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
 from .regression import BasisSpec, NodeRegression
-from .scenarios import ScenarioBundle, integral_by_node, mean_se, quadratic_variation, stochastic_integral
+from .scenarios import ScenarioBundle, integral_by_node, mean_se
 from .solver import SolutionField, TruncationLadder
 
 
@@ -129,14 +130,6 @@ class BoundProcess:
 
     shape: tuple[int, int]
     rows: Callable[[], Iterator[tuple[np.ndarray, np.ndarray | float]]]
-
-    @property
-    def x0(self) -> float:
-        return float(np.mean(next(self.rows())[0]))
-
-    @property
-    def x0_se(self) -> float:
-        return float(np.ravel(next(self.rows())[1])[0])
 
 
 def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
@@ -312,13 +305,15 @@ def norm_bound_checks(
     The first check is the Doob-type inequality with explicit constant
     (p/(p-1))^p.  The second has no named constant; the report carries the
     implied ratio and flags non-finiteness.  Y* and the quadratic variation
-    do not depend on p, so each is computed once.
+    do not depend on p, so both are taken once, in one pass over the nodes.
     """
     if any(p <= 1 for p in orders):
         raise ValueError("norm bound needs p > 1")
     gamma, bstar = params.gamma, params.beta_star
-    sup_y = solution.sup_abs_y()
-    qv = quadratic_variation(bundle, solution.integrand)
+    sup_y = np.zeros(bundle.n_paths)
+    steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
+    for i, (_, qv) in enumerate(integral_by_node(bundle, steps)):
+        np.maximum(sup_y, np.abs(solution.y[:, i]), out=sup_y)
     out = []
     for p in map(float, orders):
         order = p * gamma * math.exp(bstar * bundle.grid.horizon)
@@ -535,25 +530,22 @@ def stability_metrics(
 ) -> list[dict]:
     """Hypothesis statistic |xi_n - xi_0| + int |F_n - F_0|(t, Y^0, Z^0) dA and
     the two conclusion statistics at each order p, all per-path then averaged:
-    one dict per order.  The hypothesis, the sup gap and the quadratic
-    variation do not depend on p, so each is computed once."""
+    one dict per order.  The hypothesis, the sup gap and the quadratic variation
+    do not depend on p, so all three are taken in one pass over the nodes."""
     if solution_n.y.shape != solution_0.y.shape:
         raise GridMismatchError("stability metrics require fields on the same bundle")
-    dA = bundle.dA
+    dA, K = bundle.dA, bundle.grid.n_steps
 
     hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
-    for i in range(bundle.grid.n_steps):
-        if dA[i] == 0:
-            continue
-        y0 = solution_0.y[:, i]
-        z0 = solution_0.z[:, i, :]
-        gap = np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0))
-        hyp = hyp + gap * dA[i]
-
-    sup_gap = np.abs(solution_n.y[:, 0] - solution_0.y[:, 0])
-    for i in range(1, solution_n.y.shape[1]):
+    sup_gap = np.zeros(bundle.n_paths)
+    steps = (solution_n.integrand[:, i] - solution_0.integrand[:, i] for i in range(K))
+    for i, (_, qv) in enumerate(integral_by_node(bundle, steps)):
         np.maximum(sup_gap, np.abs(solution_n.y[:, i] - solution_0.y[:, i]), out=sup_gap)
-    qv = quadratic_variation(bundle, solution_n.integrand - solution_0.integrand)
+        if i < K and dA[i] != 0:
+            y0 = solution_0.y[:, i]
+            z0 = solution_0.z[:, i, :]
+            gap = np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0))
+            hyp = hyp + gap * dA[i]
     h_m, h_se = mean_se(hyp)
     out = []
     for p in map(float, orders):
@@ -642,16 +634,22 @@ def _exponential_mean(integral: np.ndarray, qv: np.ndarray, q: float) -> ExpMart
     return ExpMartingaleEstimate(mean=mean, se=se, n_overflow=overflow)
 
 
+def _terminal_integral(bundle: ScenarioBundle, solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
+    """(Z.M + N)_T and its quadratic variation, per path: the last pair of ``integral_by_node``."""
+    steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
+    return deque(integral_by_node(bundle, steps), maxlen=1)[0]
+
+
 def stochastic_exponential_mean(bundle: ScenarioBundle, solution: SolutionField, q: float) -> ExpMartingaleEstimate:
     """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
-    return _exponential_mean(*stochastic_integral(bundle, solution.integrand), q)
+    return _exponential_mean(*_terminal_integral(bundle, solution), q)
 
 
 def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, qs) -> list[CheckReport]:
     """Per q in ``qs``: no path overflows and the mean of E(q (Z.M + N))_T is
     within 3 SE of 1.  The integral and its quadratic variation do not depend
     on q, so they are computed once."""
-    integral, qv = stochastic_integral(bundle, solution.integrand)
+    integral, qv = _terminal_integral(bundle, solution)
     out = []
     for q in map(float, qs):
         est = _exponential_mean(integral, qv, q)

@@ -230,49 +230,27 @@ def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBun
                                clock_values=bundle.clock_values[idx])
 
 
-def quadratic_variation(bundle: ScenarioBundle, integrand) -> np.ndarray:
-    """Quadratic variation sum_i |zeta_i|^2 dt_i of the integral of zeta against (M, W_orth), per path.
-
-    ``integrand`` holds zeta on the steps [t_i, t_{i+1}), shaped (w,), (K, w)
-    or (n_paths, K, w) with w = dim_m + dim_orth.  Returns the (n_paths,)
-    terminal values; ``integral_by_node`` gives them at every node.
-    """
-    n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]
-    z = np.asarray(integrand, dtype=float)
-    if z.ndim > 3 or z.shape != (n, K, w)[3 - z.ndim :]:
-        raise ValueError(f"integrand shape {z.shape} does not match bundle ({n} paths, {K} steps, dim {w})")
-    z = np.broadcast_to(z, (n, K, w))
-    return np.einsum("nkw,nkw,k->n", z, z, bundle.dt)
-
-
-def stochastic_integral(bundle: ScenarioBundle, integrand) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete integral sum_i zeta_i . (dM, dW_orth)_i and its ``quadratic_variation``, per path."""
-    qv = quadratic_variation(bundle, integrand)
-    states = bundle.states
-    K = bundle.grid.n_steps
-    z = np.broadcast_to(np.asarray(integrand, dtype=float), (bundle.n_paths, K, states.shape[2]))
-    # step by step from the states, so no (K, n, w) array of increments is built
-    total = np.zeros(bundle.n_paths)
-    for i in range(K):
-        total += np.einsum("nw,nw->n", z[:, i], states[i + 1] - states[i])
-    return total, qv
-
-
 def integral_by_node(bundle: ScenarioBundle, steps):
-    """``stochastic_integral`` and its quadratic variation at t_0, ..., t_K, one node at a time.
+    """The integral sum_i zeta_i . (dM, dW_orth)_i and its quadratic variation
+    sum_i |zeta_i|^2 dt_i, per path, at t_0, ..., t_K, one node at a time.
 
-    ``steps`` gives zeta on [t_0, t_1), ..., [t_{K-1}, t_K) in turn, each
-    (n_paths, w) or broadcastable to it, so a caller can form each step's
-    integrand as it goes.  Yields the (n_paths,) running values, starting
-    from 0, so no (n_paths, K+1) surface is built.  A caller that needs only
-    the terminal values calls ``stochastic_integral``, which skips the
-    running quadratic variation.
+    ``steps`` gives zeta on [t_0, t_1), ..., [t_{K-1}, t_K) in turn, K steps
+    each broadcastable to (n_paths, dim_m + dim_orth), so a caller can form
+    each step's integrand as it goes; another count or shape is a
+    ``ValueError``.  Yields the (n_paths,) running values from 0, so no
+    (n_paths, K+1) surface is built; a terminal-only caller reads the last pair.
     """
-    states, n = bundle.states, bundle.n_paths
+    states, dt, n, K = bundle.states, bundle.dt, bundle.n_paths, bundle.grid.n_steps
     integral, qv = np.zeros(n), np.zeros(n)
     yield integral, qv
-    for i, zeta in enumerate(steps):
+    i = 0
+    for zeta in steps:
+        if i == K:
+            raise ValueError(f"integrand has more than {K} steps, the bundle {K}")
         z = np.broadcast_to(np.asarray(zeta, dtype=float), (n, states.shape[2]))
         integral = integral + np.einsum("nw,nw->n", z, states[i + 1] - states[i])
-        qv = qv + np.einsum("nw,nw->n", z, z) * bundle.dt[i]
+        qv = qv + np.einsum("nw,nw->n", z, z) * dt[i]
+        i += 1
         yield integral, qv
+    if i != K:
+        raise ValueError(f"integrand has {i} steps, the bundle {K}")

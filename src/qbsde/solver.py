@@ -137,13 +137,6 @@ class SolutionField:
     def y0(self) -> float:
         return float(np.mean(self.y[:, 0]))
 
-    def sup_abs_y(self) -> np.ndarray:
-        """Per-path running maximum of |Y| over all grid nodes, taken row by row."""
-        sup = np.abs(self.y[:, 0])
-        for i in range(1, self.y.shape[1]):
-            np.maximum(sup, np.abs(self.y[:, i]), out=sup)
-        return sup
-
     def to_csv(self, path, grid_nodes: np.ndarray, max_paths: int | None = None) -> None:
         n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
         K = self.n_steps

@@ -1,4 +1,4 @@
-"""Allocation guard: the node-wise reductions stream (n,) rows instead of building (K+1, n) surfaces.
+"""Allocation guard: the node-wise reductions stream (n,) rows instead of building (K+1, n) or (n, K, w) surfaces.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
 is the most memory it held at once.  The bounds are a fixed number of (n,)
@@ -39,18 +39,22 @@ def peak_rows(fn) -> float:
         tracemalloc.stop()
 
 
-# measured 41, 8, 53 (three levels), 1, 5 and 2 rows; a single (K+1, n)
-# surface is 51, and each stored input or ladder level would add at least one
+# measured 41, 8, 53 (three levels), 1, 5, 10, 7 and 5 rows; a single (K+1, n)
+# surface is 51, each stored input or ladder level would add at least one, and
+# an (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
     ("apriori", 48),
     ("kazamaki_statistic", 12),
     ("solve_ladder", 24 * len(LEVELS)),
     ("comparison_check", 3),
     ("y0_with_se", 8),
-    ("sup_abs_y", 3),
+    ("stability_metrics", 14),
+    ("norm_bound_checks", 10),
+    ("exp_martingale_check", 8),
 ])
 def test_peak_allocation_is_a_few_rows(problem, call, rows):
     bundle, driver, xi, config, field, lower = problem
+    zero = q.make_builtin("zero")
     # the projection route with the runner's basis: x_se is a computed row, not the closed form's 0
     projected = dataclasses.replace(xi, affine=None)
     calls = {
@@ -59,7 +63,9 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),
         "y0_with_se": lambda: q.y0_with_se(bundle, driver, xi, config),
-        "sup_abs_y": field.sup_abs_y,
+        "stability_metrics": lambda: q.stability_metrics(bundle, field, lower, driver, zero, xi, xi, [1.5, 2.0]),
+        "norm_bound_checks": lambda: q.norm_bound_checks(bundle, field, xi, driver.params, [1.5, 2.0]),
+        "exp_martingale_check": lambda: q.exp_martingale_check(bundle, field, [0.5, 1.0]),
     }
     assert peak_rows(calls[call]) < rows
 

@@ -29,6 +29,12 @@ def surfaces(bound):
     return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in rows], axis=1)
 
 
+def x0(bound):
+    """The bound's X_0 and its SE, from its first row: the path mean and the SE of path 0."""
+    x_0, se_0 = next(bound.rows())
+    return float(np.mean(x_0)), float(np.ravel(se_0)[0])
+
+
 class TestFoldedMgf:
     @pytest.mark.parametrize("c,mean,var", [(1.0, 0.0, 1.0), (2.0, -0.7, 0.3), (0.5, 1.2, 2.0)])
     def test_against_quadrature(self, c, mean, var):
@@ -53,7 +59,8 @@ class TestAprioriBound:
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         assert all(np.ndim(se_i) == 0 and se_i == 0.0 for _, se_i in bound.rows())
         projected = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
-        assert abs(projected.x0 - bound.x0) <= 4.0 * projected.x0_se + 1e-12
+        (x_p, se_p), (x_c, _) = x0(projected), x0(bound)
+        assert abs(x_p - x_c) <= 4.0 * se_p + 1e-12
 
     def test_step_family_bound_is_the_solution(self):
         grid = q.build_grid(2.0, 64, [0.5])
@@ -69,13 +76,14 @@ class TestAprioriBound:
     def test_gaussian_x0_closed_form(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert bound.x0 == pytest.approx(math.log(2 * norm.cdf(1.0) * math.exp(0.5)), abs=1e-12)
+        assert x0(bound)[0] == pytest.approx(math.log(2 * norm.cdf(1.0) * math.exp(0.5)), abs=1e-12)
 
     def test_regression_x0_matches_closed_form(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
         reg = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
         closed = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert abs(reg.x0 - closed.x0) <= 4.0 * reg.x0_se
+        (x_r, se_r), (x_c, _) = x0(reg), x0(closed)
+        assert abs(x_r - x_c) <= 4.0 * se_r
 
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
         drv, field = solved(bundle_1d, "pure_quadratic", {"gamma": 1.0}, q.terminal_affine(0.0, [1.0]))
@@ -83,7 +91,7 @@ class TestAprioriBound:
         report = q.check_apriori(field, bound, tol=1e-6)
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
-        assert bound.x0 - field.y0 == pytest.approx(0.5204, abs=0.03)
+        assert x0(bound)[0] - field.y0 == pytest.approx(0.5204, abs=0.03)
 
     def test_beta_star_weighting_deterministic(self):
         # linear driver: Y_t = (b/a)(e^{a(T-t)} - 1), X_t = (a0/a)(e^{a(T-t)} - 1)
@@ -107,7 +115,7 @@ class TestAprioriBound:
         # empirical node-0 estimate obeys the power-mean inequality exactly
         projected = dataclasses.replace(xi, affine=None)
         regs = [q.apriori_bound(bundle_1d, projected, ParamSet(gamma=g)) for g in (1, 2, 4)]
-        assert regs[0].x0 <= regs[1].x0 <= regs[2].x0
+        assert x0(regs[0])[0] <= x0(regs[1])[0] <= x0(regs[2])[0]
 
     def test_moment_failure(self, bundle_1d):
         with pytest.raises(MomentFailureError):
@@ -198,6 +206,16 @@ class TestNormBounds:
             assert c2.passed
             implied.append(c2.extra["implied_constant"])
         assert max(implied) <= 10.0 * min(implied)
+
+    def test_lhs_is_the_mean_over_the_surface_maximum(self, bundle_orth):
+        """Y* and the quadratic variation, taken in one pass, against the stored surfaces."""
+        xi = q.terminal_affine(-0.3, [1.0, 0.5])
+        drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
+        c1, c2 = q.norm_bound_checks(bundle_orth, field, xi, drv.params, [2.0])
+        sup_y = np.max(np.abs(field.y), axis=1)
+        assert (c1.extra["lhs"], c1.extra["lhs_se"]) == mean_se(np.exp(2.0 * drv.params.gamma * sup_y))
+        qv = np.einsum("nkw,nkw,k->n", field.integrand, field.integrand, bundle_orth.dt)
+        assert c2.extra["lhs"] == pytest.approx(np.mean(qv), rel=1e-12)
 
     def test_requires_p_above_one(self, bundle_1d):
         drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))
@@ -301,6 +319,10 @@ class TestStability:
         sup_gap = np.max(np.abs(fn.y - f0.y), axis=1)
         assert (m["sup_gap_max"], m["sup_gap_mean"]) == (np.max(sup_gap), float(np.mean(sup_gap)))
         assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == mean_se(np.exp(2.0 * sup_gap))
+        # the quadratic variation of the integrand difference, taken step by step
+        diff = fn.integrand - f0.integrand
+        qv = np.einsum("nkw,nkw,k->n", diff, diff, bundle_orth.dt)
+        assert m["martingale_gap_p_mean"] == pytest.approx(np.mean(qv), rel=1e-12)
 
     def test_step_family_violates_conclusion(self):
         grid = q.build_grid(2.0, 64, [0.5])

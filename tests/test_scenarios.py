@@ -177,63 +177,57 @@ def test_bundle_immutable(bundle_1d):
 
 
 class TestQuadraticVariation:
-    """``stochastic_integral``: the integral against (M, W_orth) and its quadratic variation."""
+    """``integral_by_node``: the integral against (M, W_orth) and its quadratic variation."""
 
     def test_zero_integrand(self, bundle_1d):
-        integral, qv = q.stochastic_integral(bundle_1d, np.zeros(1))
-        assert np.array_equal(qv, np.zeros(bundle_1d.n_paths))
-        assert np.array_equal(integral, np.zeros(bundle_1d.n_paths))
+        integral, qv = by_node(bundle_1d, np.zeros(1))
+        assert np.array_equal(qv, np.zeros((bundle_1d.n_paths, bundle_1d.grid.n_steps + 1)))
+        assert np.array_equal(integral, np.zeros((bundle_1d.n_paths, bundle_1d.grid.n_steps + 1)))
 
     def test_unit_integrand_equals_horizon(self, bundle_1d):
-        integral, qv = q.stochastic_integral(bundle_1d, np.ones(1))
-        assert np.allclose(qv, 1.0)
-        assert np.allclose(integral, bundle_1d.terminal_state[:, 0], atol=1e-12)
+        integral, qv = by_node(bundle_1d, np.ones(1))
+        assert np.allclose(qv[:, -1], 1.0)
+        assert np.allclose(integral[:, -1], bundle_1d.terminal_state[:, 0], atol=1e-12)
 
     def test_two_components(self):
         b = q.simulate_scenario(q.build_grid(2.0, 8), 2, 0, 10, source=q.RandomSource(3))
-        qv = q.stochastic_integral(b, np.array([1.0, 1.0]))[1]
-        assert np.allclose(qv, 4.0)
+        qv = by_node(b, np.array([1.0, 1.0]))[1]
+        assert np.allclose(qv[:, -1], 4.0)
 
     def test_dimension_mismatch(self, bundle_1d):
         with pytest.raises(ValueError):
-            q.stochastic_integral(bundle_1d, np.ones((3, 2)))
+            list(q.integral_by_node(bundle_1d, [np.ones((3, 2))] * bundle_1d.grid.n_steps))
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(-3.0, 3.0))
     def test_quadratic_scaling(self, bundle_orth, c):
-        base = q.stochastic_integral(bundle_orth, np.ones(2))[1]
-        scaled = q.stochastic_integral(bundle_orth, np.full(2, c))[1]
+        base = by_node(bundle_orth, np.ones(2))[1]
+        scaled = by_node(bundle_orth, np.full(2, c))[1]
         assert np.allclose(scaled, c * c * base)
 
     def test_running_values_end_at_totals(self, bundle_orth):
         zeta = np.linspace(-1.0, 1.0, bundle_orth.grid.n_steps * 2).reshape(-1, 2)
-        integral, qv = q.stochastic_integral(bundle_orth, zeta)
+        dstates = np.diff(bundle_orth.states, axis=0)
         running, running_qv = by_node(bundle_orth, zeta)
         assert running.shape == running_qv.shape == (bundle_orth.n_paths, bundle_orth.grid.n_steps + 1)
         assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
-        assert np.allclose(running[:, -1], integral, atol=1e-12)
-        assert np.allclose(running_qv[:, -1], qv, atol=1e-12)
+        assert np.allclose(running[:, -1], np.einsum("kw,knw->n", zeta, dstates), atol=1e-12)
+        assert np.allclose(running_qv[:, -1], (zeta**2).sum(axis=1) @ bundle_orth.dt, atol=1e-12)
 
     def test_integral_matches_one_contraction_over_increments(self, bundle_orth):
         zeta = np.random.default_rng(5).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
         steps = np.einsum("nkw,knw->nk", zeta, np.diff(bundle_orth.states, axis=0))
-        integral = q.stochastic_integral(bundle_orth, zeta)[0]
         running = by_node(bundle_orth, zeta)[0]
         assert np.array_equal(running[:, 1:], np.cumsum(steps, axis=1))
-        assert np.array_equal(integral, running[:, -1])
 
     def test_quadratic_variation_alone(self, bundle_orth):
-        """``quadratic_variation`` is the integral's second output, sum_i |zeta_i|^2 dt_i."""
+        """The second output is the quadratic variation sum_i |zeta_i|^2 dt_i, node by node."""
         zeta = np.random.default_rng(4).normal(size=(bundle_orth.n_paths, bundle_orth.grid.n_steps, 2))
         steps = (zeta**2).sum(axis=2) * bundle_orth.dt
-        qv = q.quadratic_variation(bundle_orth, zeta)
         running = by_node(bundle_orth, zeta)[1]
-        assert np.allclose(qv, steps.sum(axis=1), rtol=1e-12)
+        assert np.allclose(running[:, -1], steps.sum(axis=1), rtol=1e-12)
         assert np.array_equal(running[:, 0], np.zeros(bundle_orth.n_paths))
         assert np.allclose(running[:, 1:], np.cumsum(steps, axis=1), rtol=1e-12)
-        assert np.array_equal(qv, q.stochastic_integral(bundle_orth, zeta)[1])
-        with pytest.raises(ValueError):
-            q.quadratic_variation(bundle_orth, np.ones(3))
 
     @pytest.mark.parametrize("layout", ["node_major", "path_major"])
     def test_by_node_equals_the_running_surfaces(self, bundle_orth, layout):
@@ -253,14 +247,20 @@ class TestQuadraticVariation:
         assert np.array_equal(running_qv, qv)
 
     def test_by_node_rejects_a_step_of_the_wrong_width(self, bundle_orth):
+        """A step of the wrong width, or fewer or more steps than the bundle's K."""
+        K = bundle_orth.grid.n_steps
         with pytest.raises(ValueError):
-            list(q.scenarios.integral_by_node(bundle_orth, [np.ones(3)]))
+            list(q.integral_by_node(bundle_orth, [np.ones(3)] * K))
+        with pytest.raises(ValueError, match=f"integrand has 2 steps, the bundle {K}"):
+            list(q.integral_by_node(bundle_orth, [np.ones(2)] * 2))
+        with pytest.raises(ValueError, match=f"more than {K} steps, the bundle {K}"):
+            list(q.integral_by_node(bundle_orth, [np.ones(2)] * (K + 1)))
 
 
 def by_node(bundle, zeta):
     """``integral_by_node`` stacked into (n_paths, K+1) surfaces."""
     z = np.broadcast_to(np.asarray(zeta, dtype=float), (bundle.n_paths, bundle.grid.n_steps, bundle.states.shape[2]))
-    rows = list(q.scenarios.integral_by_node(bundle, (z[:, i] for i in range(bundle.grid.n_steps))))
+    rows = list(q.integral_by_node(bundle, (z[:, i] for i in range(bundle.grid.n_steps))))
     return np.stack([r[0] for r in rows], axis=1), np.stack([r[1] for r in rows], axis=1)
 
 

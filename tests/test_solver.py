@@ -137,7 +137,8 @@ class TestQuadraticAnchor:
         assert field.y0 == pytest.approx(1.0, abs=0.05)
         assert np.mean(field.z_orth) == pytest.approx(1.0, abs=0.05)
         # <N>_T = sum |Z_orth|^2 dt: the integrand with its Z column zeroed
-        qv_n = q.stochastic_integral(bundle_orth, field.integrand * [0.0, 1.0])[1]
+        steps = (field.integrand[:, i] * [0.0, 1.0] for i in range(bundle_orth.grid.n_steps))
+        *_, (_, qv_n) = q.integral_by_node(bundle_orth, steps)
         assert qv_n.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_grid_refinement_error_profile(self):
@@ -361,8 +362,3 @@ class TestSharedSweep:
         with pytest.raises(ValueError, match=match) as batched:
             q.y0_with_se(bundle_1d, driver, xi)
         assert str(batched.value) == str(direct.value)
-
-    def test_sup_abs_y_is_the_surface_maximum(self, bundle_orth):
-        field = q.solve_backward(bundle_orth, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
-                                 q.terminal_affine(-0.3, [1.0, 0.5]))
-        assert np.array_equal(field.sup_abs_y(), np.max(np.abs(field.y), axis=1))
