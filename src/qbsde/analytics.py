@@ -69,11 +69,10 @@ def anchor_check(
     tol: float = 0.01,
     z_mean=None,
     z_orth_mean=None,
-    z_tol: float = 0.05,
 ) -> CheckReport:
     """The Y0 ``estimate`` within ``tol`` and 3 SE of the known ``y0``; with
     ``z_mean`` (``z_orth_mean``), the path mean of Z (of the orthogonal
-    integrand) within ``z_tol`` of it at every step.
+    integrand) within 0.05 of it at every step, reported as ``extra["z_tol"]``.
 
     The 3-SE clause has a floating-point floor, so deterministic problems
     (batch spread at machine precision) are judged on ``tol`` alone.
@@ -84,25 +83,24 @@ def anchor_check(
     for target, integrand, key in ((z_mean, solution.z, "z_gap"), (z_orth_mean, solution.z_orth, "z_orth_gap")):
         if target is not None:
             z_gap = float(np.max(np.abs(np.mean(integrand, axis=0) - np.asarray(target, dtype=float)[None, :])))
-            passed = passed and z_gap <= z_tol
+            passed = passed and z_gap <= 0.05
             extra[key] = z_gap
-            extra["z_tol"] = float(z_tol)
+            extra["z_tol"] = 0.05
     return CheckReport("anchor", passed, gap, tol, solution.n_paths, estimate_se, extra)
 
 
-def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int,
-                 fraction_tol: float = 1e-3) -> CheckReport:
-    """Truncation monotonicity: fewer than ``fraction_tol`` of the (node, path)
-    points break the level order beyond the ladder's ``tol`` (3 SE of Y0), and
-    the top level's Y0 is within 3 SE (of a difference of two estimates) of ``y0``."""
+def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int) -> CheckReport:
+    """Truncation monotonicity: fewer than 1e-3 of the (node, path) points
+    break the level order beyond the ladder's ``tol`` (3 SE of Y0), and the
+    top level's Y0 is within 3 SE (of a difference of two estimates) of ``y0``."""
     mono = ladder.monotonicity
     top_gap = abs(ladder.y0[-1] - y0)
     top_ok = top_gap <= 3.0 * max(y0_se, 1e-15) * math.sqrt(2.0)
     return CheckReport(
         name="truncation_ladder",
-        passed=mono["violation_fraction"] < fraction_tol and top_ok,
+        passed=mono["violation_fraction"] < 1e-3 and top_ok,
         margin=mono["violation_fraction"],
-        tol=fraction_tol,
+        tol=1e-3,
         n_paths=n_paths,
         se=y0_se,
         extra={
@@ -218,7 +216,6 @@ def apriori_bound(
 def check_apriori(
     solution: SolutionField,
     bound: BoundProcess,
-    tol: float = 1e-6,
     tight: float | None = None,
     x0: float | None = None,
 ) -> CheckReport:
@@ -230,7 +227,8 @@ def check_apriori(
     pointwise OLS standard error is scaled to a Scheffe-type simultaneous
     band (sqrt of the 99.7% chi-square quantile at the fit's width); the
     plain pointwise three-sigma band would be exceeded somewhere by
-    selection alone.  The raw maximum of |y| - x is kept in ``extra``.
+    selection alone.  The check passes iff that maximum is at most 1e-6,
+    the report's ``tol``.  The raw maximum of |y| - x is kept in ``extra``.
 
     The bound's rows stream beside the solution's, and each path keeps its
     running maxima and the node and SE of its first maximum, so the first
@@ -267,7 +265,7 @@ def check_apriori(
         np.maximum(worst, adjusted, out=worst)
         np.maximum(raw, gap, out=raw)
     path = int(np.argmax(worst))
-    margin = float(worst[path])
+    margin, tol = float(worst[path]), 1e-6
     passed = margin <= tol
     extra = {
         "argmax_node": int(arg_node[path]),
@@ -363,6 +361,8 @@ def norm_bound_checks(
 PROBE_RADIUS = 5.0
 PROBE_NODES = 33
 PROBE_TOL = 1e-9
+ASSUMPTION_PROBES = 10_000
+ORDERING_PROBES = 2000
 
 
 def _probe_nodes(rng: np.random.Generator, bundle: ScenarioBundle, n_probes: int) -> list[tuple[int, np.ndarray]]:
@@ -375,8 +375,8 @@ def _probe_nodes(rng: np.random.Generator, bundle: ScenarioBundle, n_probes: int
     return [(i, mask) for i, mask in masks if np.any(mask)]
 
 
-def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle, n_probes: int = 10_000) -> CheckReport:
-    """Probe the declared growth/Lipschitz/convexity clauses at random points.
+def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle) -> CheckReport:
+    """Probe the declared growth/Lipschitz/convexity clauses at ``ASSUMPTION_PROBES`` random points.
 
     A clause margin is the amount by which the declared inequality fails, so
     <= 0 (up to ``PROBE_TOL``) means the probe set found no violation.
@@ -387,10 +387,10 @@ def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle, n_probes: i
     params = driver.params
     rng = np.random.default_rng(0)
     nodes = bundle.grid.nodes
-    groups = _probe_nodes(rng, bundle, n_probes)
+    P = ASSUMPTION_PROBES
+    groups = _probe_nodes(rng, bundle, P)
     alpha = params.alpha_on(bundle)
 
-    P = n_probes
     y1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
     y2 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=P)
     z1 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(P, bundle.dim_m))
@@ -446,7 +446,7 @@ def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle, n_probes: i
         passed=all(c["violations"] == 0 for c in clauses.values()),
         margin=max((c["max_margin"] for c in clauses.values() if c["checked"]), default=float("-inf")),
         tol=PROBE_TOL,
-        n_paths=n_probes,
+        n_paths=P,
         se=0.0,
         extra=clauses,
     )
@@ -458,15 +458,15 @@ def sample_ordering(
     driver_prime: DriverSpec,
     xi: TerminalCondition,
     xi_prime: TerminalCondition,
-    n_probes: int = 2000,
 ) -> tuple[float, float]:
-    """(max F - F' over the probe box, max xi - xi' over the paths): the data
-    are ordered, F <= F' and xi <= xi', iff both are at most PROBE_TOL."""
+    """(max F - F' over ``ORDERING_PROBES`` points of the probe box, max xi - xi'
+    over the paths): the data are ordered, F <= F' and xi <= xi', iff both are
+    at most PROBE_TOL."""
     rng = np.random.default_rng(0)
     nodes = bundle.grid.nodes
-    groups = _probe_nodes(rng, bundle, n_probes)
-    y = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=n_probes)
-    z = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(n_probes, bundle.dim_m))
+    groups = _probe_nodes(rng, bundle, ORDERING_PROBES)
+    y = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=ORDERING_PROBES)
+    z = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=(ORDERING_PROBES, bundle.dim_m))
     max_f = -np.inf
     for i, mask in groups:
         t, b = float(nodes[i]), bundle.factor_b[i]
@@ -485,11 +485,10 @@ def comparison_check(
     solution: SolutionField,
     solution_prime: SolutionField,
     gaps: tuple[float, float],
-    tol: float = 1e-9,
-    se: float = 0.0,
 ) -> CheckReport:
     """Worst signed violation of Y <= Y' given ordered data (F <= F', xi <= xi'),
-    with ``gaps`` from ``sample_ordering``; unordered data make it vacuous."""
+    with ``gaps`` from ``sample_ordering``; unordered data make it vacuous.
+    It passes iff the data are ordered and the violation is at most 1e-9."""
     if solution.y.shape != solution_prime.y.shape:
         raise GridMismatchError("comparison requires fields on the same bundle")
     max_f_gap, max_xi_gap = gaps
@@ -498,11 +497,11 @@ def comparison_check(
     vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
     return CheckReport(
         name="comparison",
-        passed=(not vacuous) and margin <= tol + 3.0 * se,
+        passed=(not vacuous) and margin <= 1e-9,
         margin=margin,
-        tol=tol,
+        tol=1e-9,
         n_paths=solution.n_paths,
-        se=se,
+        se=0.0,
         extra={
             "vacuous": vacuous,
             "max_f_gap": max_f_gap,
@@ -572,39 +571,37 @@ def stability_check(
     metrics: list[dict],
     label: str,
     expected_hypothesis: float | None = None,
-    hyp_tol: float = 1e-6,
     converges: bool = False,
     expected_sup: float | None = None,
-    sup_tol: float = 1e-6,
 ) -> CheckReport:
     """The stability theorem on one member, from its ``stability_metrics``.
 
     With ``expected_hypothesis``, the hypothesis statistic must be within
-    ``hyp_tol`` + 3 SE of it.  A converging member must keep
-    E[exp(p sup gap)] - 1 within 2 p times the hypothesis + 3 SE at every
-    order; any other member must keep it within ``sup_tol`` + 3 SE of
-    exp(p ``expected_sup``), the gap that stays while the hypothesis vanishes.
+    1e-6 + 3 SE of it.  A converging member must keep E[exp(p sup gap)] - 1
+    within 2 p times the hypothesis + 3 SE at every order; any other member
+    must keep it within 1e-6 + 3 SE of exp(p ``expected_sup``), the gap that
+    stays while the hypothesis vanishes.  The report's ``tol`` is that 1e-6.
     """
-    first = metrics[0]
+    first, tol = metrics[0], 1e-6
     hyp = first["hypothesis_mean"]
     passed, margin = True, 0.0
     extra = {"member": label, "hypothesis": hyp, "hypothesis_se": first["hypothesis_se"],
              "sup_gap_max": first["sup_gap_max"], "metrics": {f"p{m['p']:g}": m for m in metrics}}
     if expected_hypothesis is not None:
         h_gap = abs(hyp - expected_hypothesis)
-        passed = h_gap <= hyp_tol + 3.0 * first["hypothesis_se"]
-        margin = max(margin, h_gap - hyp_tol)
+        passed = h_gap <= tol + 3.0 * first["hypothesis_se"]
+        margin = max(margin, h_gap - tol)
         extra["hypothesis_gap"] = h_gap
     for m in metrics:
         p, exp_sup = m["p"], m["exp_sup_p_mean"]
         if converges:
             key, gap, allowed = f"exp_sup_excess_p{p:g}", exp_sup - 1.0 - 2.0 * p * max(hyp, 0.0), 0.0
         else:
-            key, gap, allowed = f"exp_sup_gap_p{p:g}", abs(exp_sup - math.exp(p * expected_sup)), sup_tol
+            key, gap, allowed = f"exp_sup_gap_p{p:g}", abs(exp_sup - math.exp(p * expected_sup)), tol
         passed = passed and gap <= allowed + 3.0 * m["exp_sup_p_se"]
         margin = max(margin, gap - allowed)
         extra[key] = gap
-    return CheckReport(f"stability_{label}", passed, margin, hyp_tol, first["n_paths"], first["hypothesis_se"], extra)
+    return CheckReport(f"stability_{label}", passed, margin, tol, first["n_paths"], first["hypothesis_se"], extra)
 
 
 # ---------------------------------------------------------------------------

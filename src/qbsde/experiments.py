@@ -11,7 +11,10 @@ key that no bundled experiment sets:
 * ``solver``: the four ``SolverConfig`` fields;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
   runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
-  to the arguments of an ``analytics`` check, which returns the report.
+  to the arguments of an ``analytics`` check, which returns the report.  The
+  slack of each verdict is fixed there, not a key: 1e-6 for the a priori bound
+  and stability, 1e-9 for comparison, a 1e-3 violation fraction for the
+  ladder, 0.05 for the anchor's mean Z, and 10,000 assumption probes.
 
 Seeds are mandatory; rerunning a config reproduces the report byte for byte
 apart from the timing block.
@@ -119,8 +122,6 @@ _SCHEMA = {
 
 _SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
 _SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
-# paths written to the solution CSV
-EXPORT_PATHS = 100
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,12 @@ def _driver_blocks(config: ExperimentConfig) -> list[tuple[str, dict]]:
 def build_grid_for(config: ExperimentConfig):
     """The scenario grid, with the kink 1/n of every ``step_family`` driver
     the config names as a node, so the left-endpoint rule integrates each
-    exactly."""
+    exactly.  A kink at or past T is no kink on [0, T]."""
     sc = config.scenario
     mandatory = list(sc["mandatory_nodes"])
     for _, block in _driver_blocks(config):
         n = block.get("options", {}).get("n") if block["name"] == "step_family" else None
-        if n:
+        if n and 1.0 / float(n) < sc["T"]:
             mandatory.append(1.0 / float(n))
     return build_grid(sc["T"], sc["steps"], mandatory)
 
@@ -222,14 +223,15 @@ def validate_config(text: str) -> ExperimentConfig:
     One schema checks every block, nested ones included (a stability
     ``members[j]`` and the comparison's ``other``, each with its own driver
     block): key names, types and the domain of each value.  A key that no
-    runner reads is an error at its path.  Then what the schema cannot see:
-    the grid must build, the terminal and every driver must build on the
-    scenario's dimensions, vectors must match the state or the orders they go
-    with, ladder levels must be strictly increasing (the ladder compares
-    them in list order), and an ``apriori`` check needs a driver with
-    gamma >= 1.  Every
-    violation is collected with the path to the offending key; parse errors
-    carry the YAML line reference.
+    runner reads is an error at its path; no key sets a check's fixed slack:
+    1e-6 (a priori bound, stability), 1e-9 (comparison), 1e-3 (ladder
+    violation fraction), 0.05 (anchor mean Z) and 10,000 assumption probes.
+    Then what the schema cannot see: the grid must build, the terminal and
+    every driver must build on the scenario's dimensions, vectors must match
+    the state or the orders they go with, ladder levels must be strictly
+    increasing (the ladder compares them in list order), and an ``apriori``
+    check needs a driver with gamma >= 1.  Every violation is collected with
+    the path to the offending key; parse errors carry the YAML line reference.
     """
     try:
         raw = yaml.safe_load(text)
@@ -404,7 +406,7 @@ def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport
     lo_driver = build_driver(check["other"]["driver"])
     lo_field = solve_backward(ctx.bundle, lo_driver, ctx.xi, ctx.solver_cfg)
     gaps = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
-    return [analytics.comparison_check(lo_field, ctx.field, gaps, **_keys(check, "other"))]
+    return [analytics.comparison_check(lo_field, ctx.field, gaps)]
 
 
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -421,7 +423,7 @@ def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]
 
 def _run_ladder(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], ctx.solver_cfg, tol=3.0 * ctx.y0_se)
-    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, ctx.bundle.n_paths, **_keys(check, "levels"))]
+    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, ctx.bundle.n_paths)]
 
 
 def _run_exp_martingale(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -433,7 +435,7 @@ def _run_kazamaki(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 
 
 def _run_assumptions(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    return [validate_assumptions(ctx.driver, ctx.bundle, check.get("probes", 10_000))]
+    return [validate_assumptions(ctx.driver, ctx.bundle)]
 
 
 def _run_moments(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -456,7 +458,7 @@ _STABILITY_MEMBER = {
     "additionalProperties": False,
     "required": ["driver"],
     "properties": {"driver": _DRIVER_SCHEMA, "label": {"type": "string"}, "expected_hypothesis": _NUMBER,
-                   "hyp_tol": _TOL, "converges": {"type": "boolean"}, "expected_sup": _NUMBER, "sup_tol": _TOL},
+                   "converges": {"type": "boolean"}, "expected_sup": _NUMBER},
     # a member not declared converging states the sup gap it keeps instead
     "if": {"required": ["converges"], "properties": {"converges": {"const": True}}},
     "else": {"required": ["expected_sup"]},
@@ -466,22 +468,20 @@ _STABILITY_MEMBER = {
 # the schema of a check block is built from this table, so a block carries
 # "type" and these keys only, each value in its domain
 _CHECKS = {
-    "anchor": (_run_anchor, ["y0"],
-               {"y0": _NUMBER, "tol": _TOL, "z_mean": _VECTOR, "z_orth_mean": _VECTOR, "z_tol": _TOL}),
-    "apriori": (_run_apriori, [], {"tol": _TOL, "tight": _TOL, "x0": _NUMBER}),
+    "anchor": (_run_anchor, ["y0"], {"y0": _NUMBER, "tol": _TOL, "z_mean": _VECTOR, "z_orth_mean": _VECTOR}),
+    "apriori": (_run_apriori, [], {"tight": _TOL, "x0": _NUMBER}),
     "norm_bounds": (_run_norm_bounds, ["p"], {"p": _orders(1)}),
     "comparison": (_run_comparison, ["other"], {
         "other": {"type": "object", "additionalProperties": False, "required": ["driver"],
                   "properties": {"driver": _DRIVER_SCHEMA}},
-        "tol": _TOL,
     }),
     "stability": (_run_stability, ["members", "p"],
                   {"members": {"type": "array", "minItems": 1, "items": _STABILITY_MEMBER}, "p": _orders(0)}),
-    "ladder": (_run_ladder, ["levels"], {"levels": _orders(0), "fraction_tol": _TOL}),
+    "ladder": (_run_ladder, ["levels"], {"levels": _orders(0)}),
     "exp_martingale": (_run_exp_martingale, ["q"], {"q": {**_VECTOR, "minItems": 1}}),
     "kazamaki": (_run_kazamaki, ["eta", "q_tilde"],
                  {"eta": {"type": "number", "not": {"const": 1}}, "q_tilde": _NUMBER, "expected_sup": _NUMBER}),
-    "assumptions": (_run_assumptions, [], {"probes": {"type": "integer", "minimum": 1}}),
+    "assumptions": (_run_assumptions, [], {}),
     "moments": (_run_moments, ["p"], {"p": _orders(0), "expected": _VECTOR}),
 }
 
@@ -543,11 +543,7 @@ def run_experiment(
             fh.write(canonical_json(report.to_dict()))
         with open(os.path.join(out_dir, f"{config.name}.checks.json"), "w") as fh:
             fh.write(canonical_json([c.to_dict() for c in checks]))
-        field_.to_csv(
-            os.path.join(out_dir, f"{config.name}.solution.csv"),
-            grid_nodes=bundle.grid.nodes,
-            max_paths=EXPORT_PATHS,
-        )
+        field_.to_csv(os.path.join(out_dir, f"{config.name}.solution.csv"), grid_nodes=bundle.grid.nodes)
     return report
 
 

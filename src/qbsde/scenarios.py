@@ -20,6 +20,8 @@ from .errors import CapacityError
 
 # Hard ceiling on n_paths * n_nodes * n_components for a single bundle.
 DEFAULT_CAPACITY = 200_000_000
+# paths whose increments ``simulate_scenario`` draws at once
+SIMULATE_BLOCK = 4096
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,9 +65,9 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[i] - t) > tol:
+        if abs(self.nodes[i] - t) > 1e-9:
             raise ValueError(f"time {t} is not a grid node")
         return i
 
@@ -197,8 +199,9 @@ def simulate_scenario(
 
     The orthogonal components are drawn jointly with the driving ones from a
     single stream, which makes the draw order (hence the bundle) a pure
-    function of (seed, grid, dims, n_paths).  The clock is A(t) = t
-    at the grid nodes unless ``clock_values`` gives A there.
+    function of (seed, grid, dims, n_paths), also when drawn ``SIMULATE_BLOCK``
+    paths at a time, which keeps the transient beside the bundle to one block.
+    The clock is A(t) = t at the grid nodes unless ``clock_values`` gives A there.
     """
     if dim_m < 1 or dim_orth < 0:
         raise ValueError("need dim_m >= 1 and dim_orth >= 0")
@@ -211,10 +214,14 @@ def simulate_scenario(
         raise CapacityError(f"bundle size {total} exceeds capacity {DEFAULT_CAPACITY}")
 
     rng = source.generator()
-    incr = rng.standard_normal((n_paths, K, dim_m + dim_orth))
-    incr *= np.sqrt(grid.dt)[None, :, None]
+    sq_dt = np.sqrt(grid.dt)[None, :, None]
     states = np.zeros((K + 1, n_paths, dim_m + dim_orth))
-    np.cumsum(incr.transpose(1, 0, 2), axis=0, out=states[1:])
+    # one buffer: a fresh block would be allocated while the last one is alive
+    block = np.empty((min(SIMULATE_BLOCK, n_paths), K, dim_m + dim_orth))
+    for lo in range(0, n_paths, SIMULATE_BLOCK):
+        incr = rng.standard_normal(out=block[: min(SIMULATE_BLOCK, n_paths - lo)])
+        incr *= sq_dt
+        np.cumsum(incr.transpose(1, 0, 2), axis=0, out=states[1:, lo : lo + incr.shape[0]])
     return ScenarioBundle(grid=grid, dim_m=dim_m, states=states,
                           clock_values=grid.nodes if clock_values is None else clock_values, source=source)
 

@@ -55,6 +55,8 @@ Y0_SE_BATCHES = 8
 # change that stops it, and the iterations after which it has diverged
 PICARD_TOL = 1e-10
 PICARD_MAX = 50
+# paths written to the solution CSV
+EXPORT_PATHS = 100
 
 _log = logging.getLogger(__name__)
 
@@ -137,8 +139,8 @@ class SolutionField:
     def y0(self) -> float:
         return float(np.mean(self.y[:, 0]))
 
-    def to_csv(self, path, grid_nodes: np.ndarray, max_paths: int | None = None) -> None:
-        n = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
+    def to_csv(self, path, grid_nodes: np.ndarray) -> None:
+        n = min(EXPORT_PATHS, self.n_paths)
         K = self.n_steps
         d, w = self.dim_m, self.integrand.shape[2]
         header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(w - d)]
@@ -230,7 +232,7 @@ def _backward_steps(
 
 
 def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig,
-                         y_var: np.ndarray, regression=None):
+                         y_var: np.ndarray, regression):
     """``_backward_steps`` with the first-order error propagation of ``SolverDiagnostics``.
 
     Yields ``(i, reg, target, zeta, y, y_var)``: the step's regression, the
@@ -255,16 +257,11 @@ def solve_backward(
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig | None = None,
-    feature_source: TerminalCondition | None = None,
 ) -> SolutionField:
     """Regression-based backward recursion from Y_K = xi.
 
     Stores every row of the sweep, the terminal value pinned exactly path by
     path, with the per-node error propagation of ``SolverDiagnostics``.
-
-    ``feature_source`` overrides the terminal condition used for the adapted
-    basis column; solving a family of problems with a shared feature keeps
-    their basis-approximation bias common, so pathwise comparisons stay clean.
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
@@ -275,7 +272,7 @@ def solve_backward(
     y_var = np.zeros((K + 1, n))
     max_features = 0
 
-    steps = _sweep_with_variance(bundle, driver, xi, config, y_var, _regression_at(bundle, config, feature_source or xi))
+    steps = _sweep_with_variance(bundle, driver, xi, config, y_var, _regression_at(bundle, config, xi))
     for i, reg, target, zeta, y_i, _ in steps:
         if i == K - 1:
             y[K] = target

@@ -195,11 +195,11 @@ def test_criterion_6_comparison(catalogue):
     lo = q.solve_backward(bundle, zero, xi0)
     hi = q.solve_backward(bundle, zero, xi1)
     ev = q.sample_ordering(bundle, zero, zero, xi0, xi1)
-    pair1 = q.comparison_check(lo, hi, ev, tol=1e-9)
+    pair1 = q.comparison_check(lo, hi, ev)
 
     hi2 = q.solve_backward(bundle, const, xi0)
     ev2 = q.sample_ordering(bundle, zero, const, xi0, xi0)
-    pair2 = q.comparison_check(lo, hi2, ev2, tol=1e-9)
+    pair2 = q.comparison_check(lo, hi2, ev2)
     gap_err = abs((hi2.y0 - lo.y0) - 0.7)
 
     pair3 = [c for c in catalogue["counterexample-n2"].checks if c.name == "comparison"][0]
@@ -275,7 +275,6 @@ def test_criterion_9_measure_change(catalogue):
 
 
 def test_criterion_10_validators():
-    n_probes = 10_000
     b1 = q.simulate_scenario(q.build_grid(1.0, 16), 1, 0, 1024, source=q.RandomSource(1010))
     b2 = q.simulate_scenario(q.build_grid(1.0, 16), 2, 0, 1024, source=q.RandomSource(1011))
     cases = [
@@ -289,13 +288,13 @@ def test_criterion_10_validators():
     ]
     ok = True
     for name, options, bundle in cases:
-        report = q.validate_assumptions(q.make_builtin(name, options), bundle, n_probes)
+        report = q.validate_assumptions(q.make_builtin(name, options), bundle)
         violations = sum(c["violations"] for c in report.extra.values() if c["checked"])
         ok = ok and report.passed and violations == 0
     honest = q.make_builtin("pure_quadratic", {"gamma": 1.0})
     lying = dataclasses.replace(honest, params=dataclasses.replace(honest.params, gamma=0.5))
-    flagged = q.validate_assumptions(lying, b1, n_probes)
+    flagged = q.validate_assumptions(lying, b1)
     ok = ok and (not flagged.passed) and flagged.extra["growth"]["violations"] > 0
-    _verdict(10, ok, f"6 builtin drivers clean at {n_probes} probes; "
+    _verdict(10, ok, f"6 builtin drivers clean at {q.analytics.ASSUMPTION_PROBES} probes; "
                      f"misdeclared gamma flagged with growth margin "
                      f"{flagged.extra['growth']['max_margin']:+.3f}")

@@ -85,3 +85,14 @@ def test_run_peak_is_the_bundle_plus_one_solution(name):
     config = q.load_config(name)
     rows = peak_rows(lambda: q.run_experiment(config, n_paths=N_PATHS))
     assert rows < solution_rows(config) + 48
+
+
+def test_simulate_peak_is_the_bundle_plus_one_block():
+    # the increments are drawn SIMULATE_BLOCK paths at a time; drawing them
+    # all at once held a second bundle's worth beside the states
+    w = 2
+    bundle_rows = (N_STEPS + 1) * w
+    block_rows = q.scenarios.SIMULATE_BLOCK * N_STEPS * w / N_PATHS
+    grid = q.build_grid(1.0, N_STEPS)
+    rows = peak_rows(lambda: q.simulate_scenario(grid, 1, w - 1, N_PATHS, source=q.RandomSource(1)))
+    assert rows < bundle_rows + block_rows + 1

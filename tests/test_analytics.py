@@ -69,8 +69,8 @@ class TestAprioriBound:
         bound = q.apriori_bound(b, q.terminal_constant(0.0, 1), drv.params)
         expected = np.maximum(1.0 - 2.0 * grid.nodes, 0.0)
         assert np.abs(surfaces(bound)[0] - expected[None, :]).max() < 1e-10
-        report = q.check_apriori(field, bound, tol=1e-10)
-        assert report.passed
+        report = q.check_apriori(field, bound)
+        assert report.passed and report.margin <= 1e-10
         assert abs(report.extra["raw_margin"]) < 1e-10
 
     def test_gaussian_x0_closed_form(self, bundle_1d):
@@ -88,7 +88,7 @@ class TestAprioriBound:
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
         drv, field = solved(bundle_1d, "pure_quadratic", {"gamma": 1.0}, q.terminal_affine(0.0, [1.0]))
         bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), drv.params)
-        report = q.check_apriori(field, bound, tol=1e-6)
+        report = q.check_apriori(field, bound)
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
         assert x0(bound)[0] - field.y0 == pytest.approx(0.5204, abs=0.03)
@@ -105,7 +105,7 @@ class TestAprioriBound:
         x_expected = (alpha0 / a) * (np.exp(a * (1.0 - grid.nodes)) - 1.0)
         # grid quadrature of the weighted integral converges O(dt)
         assert np.abs(surfaces(bound)[0][0] - x_expected).max() < 5e-3
-        assert q.check_apriori(field, bound, tol=1e-6).passed
+        assert q.check_apriori(field, bound).passed
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
@@ -148,7 +148,7 @@ class TestAprioriBound:
         y[4, 1] = y[1, 3] = 2.0
         field = q.SolutionField(y.T, np.zeros((5, 5, 1)).transpose(1, 0, 2), 1)
         bound = q.BoundProcess((5, 6), lambda: ((np.ones(5), 0.0) for _ in range(6)))
-        report = q.check_apriori(field, bound, tol=0.0)
+        report = q.check_apriori(field, bound)
         assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (1, 4)
         assert report.margin == 1.0
 
@@ -157,7 +157,7 @@ class TestAprioriBound:
         other = q.simulate_scenario(q.build_grid(1.0, 5), 1, 0, 8, source=q.RandomSource(9))
         bound = q.apriori_bound(other, q.terminal_constant(0.0, 1), drv.params)
         with pytest.raises(GridMismatchError):
-            q.check_apriori(field, bound, tol=1e-6)
+            q.check_apriori(field, bound)
 
     def test_streamed_check_equals_the_surface_formula(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
@@ -166,7 +166,7 @@ class TestAprioriBound:
         bound = q.apriori_bound(bundle_orth, dataclasses.replace(xi, affine=None), drv.params)
         x, x_se = surfaces(bound)
         assert np.all(x_se[:, :-1] > 0)
-        report = q.check_apriori(field, bound, tol=1e-6)
+        report = q.check_apriori(field, bound)
         # the whole-surface formula the check streams
         gap = np.abs(field.y) - x
         se = np.hypot(x_se, np.sqrt(field.diagnostics.y_var))
@@ -229,7 +229,7 @@ class TestComparison:
         lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
         hi = q.solve_backward(bundle_1d, zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        rep = q.comparison_check(lo, hi, ev, tol=1e-9)
+        rep = q.comparison_check(lo, hi, ev)
         assert rep.passed
         assert rep.margin == pytest.approx(-1.0, abs=1e-12)
 
@@ -244,7 +244,7 @@ class TestComparison:
         expected = a * (1.0 - bundle_1d.grid.nodes)
         assert np.abs(gap - expected[None, :]).max() < 1e-12
         ev = q.sample_ordering(bundle_1d, zero, const, xi, xi)
-        rep = q.comparison_check(lo, hi, ev, tol=1e-9)
+        rep = q.comparison_check(lo, hi, ev)
         assert rep.passed
         assert hi.y0 - lo.y0 == pytest.approx(a, abs=1e-10)
 
@@ -260,8 +260,8 @@ class TestComparison:
         lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
         hi = q.solve_backward(bundle_1d, zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        fwd = q.comparison_check(lo, hi, ev, tol=1e-9)
-        rev = q.comparison_check(hi, lo, ev, tol=1e-9)
+        fwd = q.comparison_check(lo, hi, ev)
+        rev = q.comparison_check(hi, lo, ev)
         assert rev.margin == pytest.approx(-fwd.margin, abs=1e-12)
         assert rev.margin > 0
 
@@ -284,7 +284,7 @@ class TestComparison:
         lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(1.0, 1), q.terminal_constant(0.0, 1))
         assert ev == (0.0, 1.0)
-        rep = q.comparison_check(hi, lo, ev, tol=1e-9)
+        rep = q.comparison_check(hi, lo, ev)
         assert rep.extra["vacuous"]
         assert not rep.passed
 
@@ -422,5 +422,5 @@ def test_ordering_probe_has_enough_coverage(bundle_1d):
     zero = q.make_builtin("zero")
     step = q.make_builtin("step_family", {"n": 2})
     max_f_gap, max_xi_gap = q.sample_ordering(bundle_1d, zero, step, q.terminal_constant(0.0, 1),
-                                              q.terminal_constant(0.0, 1), n_probes=500)
+                                              q.terminal_constant(0.0, 1))
     assert max_f_gap <= 0.0 and max_xi_gap <= 0.0

@@ -147,12 +147,12 @@ class TestValidation:
     ])
     def test_builtins_pass_with_declared_params(self, bundle_1d, name, options):
         drv = q.make_builtin(name, options)
-        report = q.validate_assumptions(drv, bundle_1d, n_probes=10_000)
+        report = q.validate_assumptions(drv, bundle_1d)
         assert report.passed, report.extra
 
     def test_entropic_passes_and_skips_convexity(self, bundle_2d):
         drv = q.make_builtin("entropic", {"lam_s": 0.5})
-        report = q.validate_assumptions(drv, bundle_2d, n_probes=10_000)
+        report = q.validate_assumptions(drv, bundle_2d)
         assert report.passed, report.extra
         assert not report.extra["convexity_z"]["checked"]
 
@@ -166,7 +166,7 @@ class TestValidation:
     def test_misdeclared_gamma_flagged(self, bundle_1d):
         honest = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         lying = dataclasses.replace(honest, params=dataclasses.replace(honest.params, gamma=0.5))
-        report = q.validate_assumptions(lying, bundle_1d, n_probes=10_000)
+        report = q.validate_assumptions(lying, bundle_1d)
         assert not report.passed
         assert report.extra["growth"]["violations"] > 0
         assert report.extra["growth"]["max_margin"] > 0

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import yaml
 
 import qbsde as q
 from qbsde.errors import ConfigValidationError
-from qbsde.experiments import _CHECKS, _SCHEMA, EXPORT_PATHS, _driver_blocks, canonical_json
+from qbsde.experiments import _CHECKS, _SCHEMA, _STABILITY_MEMBER, _driver_blocks, canonical_json
+from qbsde.solver import EXPORT_PATHS
 
 MINIMAL = """
 name: tiny
@@ -26,7 +28,7 @@ driver: {name: constant, options: {value: 0.5}}
 terminal: {kind: constant, options: {value: 0.0}}
 checks:
   - {type: anchor, y0: 0.5, tol: 1.0e-10}
-  - {type: apriori, tol: 1.0e-6}
+  - {type: apriori}
 """
 
 
@@ -123,9 +125,20 @@ terminal: {kind: constant}
         ("{driver: {options: {value: 3.0}}}", "driver.options.value", "value"),
         ("{checks: [{type: stability, p: [1], members: [{driver: {name: constant, options: {value: 1, n: 2}}, "
          "converges: true}]}]}", "checks.0.members.0.driver.options.n", "'n'"),
+        # the fixed tolerances of the checks
+        ("{checks: [{type: apriori, tol: 1.0e-6}]}", "checks.0.tol", "tol"),
+        ("{checks: [{type: assumptions, probes: 10000}]}", "checks.0.probes", "probes"),
+        ("{checks: [{type: anchor, y0: 0.0, z_mean: [0.0], z_tol: 0.05}]}", "checks.0.z_tol", "z_tol"),
+        ("{checks: [{type: comparison, other: {driver: {name: zero}}, tol: 1.0e-9}]}", "checks.0.tol", "tol"),
+        ("{checks: [{type: ladder, levels: [1, 2], fraction_tol: 1.0e-3}]}", "checks.0.fraction_tol", "fraction_tol"),
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, hyp_tol: 1.0e-6}]}]}",
+         "checks.0.members.0.hyp_tol", "hyp_tol"),
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: false, expected_sup: 0.0, "
+         "sup_tol: 1.0e-6}]}]}", "checks.0.members.0.sup_tol", "sup_tol"),
     ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type", "stream", "clock",
             "declared", "picard_tol", "output", "x0_tol", "expected_y0_gap", "assumptions-seed", "other-terminal",
-            "terminal-option", "driver-option", "zero-driver-option", "member-driver-option"])
+            "terminal-option", "driver-option", "zero-driver-option", "member-driver-option", "apriori-tol",
+            "probes", "z_tol", "comparison-tol", "fraction_tol", "hyp_tol", "sup_tol"])
     def test_unread_key_named(self, fragment, where, key):
         with pytest.raises(ConfigValidationError) as err:
             q.validate_config(merged(fragment))
@@ -223,6 +236,12 @@ class TestRunExperiment:
         assert check.extra["hypothesis"] == pytest.approx(1.0, abs=1e-12)
         assert report.all_passed
 
+    def test_step_family_kink_past_the_horizon(self):
+        # the kink 1/n = 2 lies past T = 1, so F = n on all of [0, T) and Y0 = 0.5
+        cfg = q.validate_config(merged("driver: {name: step_family, options: {n: 0.5}}\n"
+                                       "checks: [{type: anchor, y0: 0.5, tol: 1.0e-10}]"))
+        assert q.run_experiment(cfg).all_passed
+
     def test_every_requested_check_appears_once(self):
         cfg = q.validate_config(WITH_CHECKS)
         rep = q.run_experiment(cfg)
@@ -280,6 +299,30 @@ class TestCatalogue:
                 for check in raw.get("checks", []):
                     set_somewhere.update(keys_set(check, ("checks", check["type"])))
         assert sorted(".".join(p) for p in settable - set_somewhere) == []
+
+    def test_every_defaulted_check_argument_takes_another_value(self):
+        """Each defaulted argument of a check function is a key of its block that
+        some bundled config sets to another value: one value in use is a constant."""
+        functions = {"anchor": q.anchor_check, "apriori": q.check_apriori, "norm_bounds": q.norm_bound_checks,
+                     "comparison": q.comparison_check, "stability": q.stability_check, "ladder": q.ladder_check,
+                     "exp_martingale": q.exp_martingale_check, "kazamaki": q.kazamaki_statistic,
+                     "assumptions": q.validate_assumptions, "moments": q.moment_checks}
+        assert set(functions) == set(_CHECKS)
+        values = {}
+        for cfg in q.bundled_configs():
+            for check in cfg.checks:
+                # a stability block's keys live in its members
+                for block in check.get("members", [check]):
+                    for key, value in block.items():
+                        values.setdefault((check["type"], key), []).append(value)
+        only_default = []
+        for kind, fn in functions.items():
+            keys = _STABILITY_MEMBER["properties"] if kind == "stability" else _CHECKS[kind][2]
+            for name, param in inspect.signature(fn).parameters.items():
+                if param.default is not inspect.Parameter.empty and (
+                        name not in keys or all(v == param.default for v in values.get((kind, name), []))):
+                    only_default.append(f"{kind}.{name}")
+        assert only_default == []
 
     def test_every_builtin_and_terminal_kind_is_used_by_a_bundled_config(self):
         """No driver, terminal kind or constraint kind exists that no bundled experiment uses."""
@@ -343,8 +386,11 @@ class TestCli:
                          "constraint: {kind: box, lower: [-0.5], upper: [0.5], uper: [9.0]}}}", "driver: "),
         ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slop: [1.0]}}",
          "terminal.options.slop: "),
+        ("seed: 1}", "seed: 1}\nchecks: [{type: assumptions, probes: 10000}]", "checks.0.probes: "),
+        ("seed: 1}", "seed: 1}\nchecks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, "
+                     "hyp_tol: 1.0e-6}]}]", "checks.0.members.0.hyp_tol: "),
     ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint",
-            "unread-constraint-key", "terminal-option"])
+            "unread-constraint-key", "terminal-option", "probes", "hyp_tol"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,10 +178,12 @@ class TestTransformReference:
 
 
 def truncated_fields(bundle, driver, xi, levels, config=None):
-    """The ladder's truncated problems, each solved and stored by ``solve_backward``."""
-    return [q.solve_backward(solver._stopped_clock(bundle, driver, float(level)), driver,
-                             solver._truncated_terminal(xi, float(level)), config, feature_source=xi)
-            for level in levels]
+    """The ladder's truncated problems, each solved and stored by ``solve_backward``
+    with the untruncated xi as the basis feature, as every ladder level has it."""
+    regression_at = solver._regression_at
+    with mock.patch.object(solver, "_regression_at", lambda b, c, _: regression_at(b, c, xi)):
+        return [q.solve_backward(solver._stopped_clock(bundle, driver, float(level)), driver,
+                                 solver._truncated_terminal(xi, float(level)), config) for level in levels]
 
 
 def surface_monotonicity(fields, tol):
@@ -316,10 +319,11 @@ class TestOutputs:
     def test_csv_and_field_shapes(self, tmp_path, bundle_orth):
         field = q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_constant(1.0, 2))
         out = tmp_path / "field.csv"
-        field.to_csv(out, grid_nodes=bundle_orth.grid.nodes, max_paths=3)
+        field.to_csv(out, grid_nodes=bundle_orth.grid.nodes)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "node,t,path,y,z0,zorth0"
-        assert len(lines) == 1 + 3 * (bundle_orth.grid.n_steps + 1)
+        n = min(solver.EXPORT_PATHS, bundle_orth.n_paths)
+        assert len(lines) == 1 + n * (bundle_orth.grid.n_steps + 1)
 
     def test_y0_with_se_deterministic_problem(self, bundle_1d):
         y0, se, vals = q.y0_with_se(bundle_1d, q.make_builtin("constant", {"value": 1.0}),
