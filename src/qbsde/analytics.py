@@ -27,7 +27,7 @@ from scipy.special import gammaincinv, ndtr
 
 from .drivers import DriverSpec, ParamSet, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
-from .regression import BasisSpec, NodeRegression
+from .regression import NodeRegression, SolverConfig, design
 from .scenarios import ScenarioBundle, integral_by_node, mean_se
 from .solver import SolutionField, TruncationLadder
 
@@ -144,7 +144,7 @@ def apriori_bound(
     bundle: ScenarioBundle,
     xi: TerminalCondition,
     params: ParamSet,
-    basis: BasisSpec | None = None,
+    config: SolverConfig | None = None,
 ) -> BoundProcess:
     """Per-node estimate of
     (1/gamma) log E[exp(gamma e^{b*(T-t)} |xi| + gamma int_t^T e^{b*(r-t)} alpha dA) | F_t].
@@ -153,21 +153,18 @@ def apriori_bound(
     (constant, affine or its absolute value), |xi| given F_t is a folded
     normal, because the state (M, W_orth) is Brownian, and its MGF is in
     closed form; ``x_se`` is then zero.  Otherwise the exponential target is
-    projected on ``basis`` (cubic polynomials by default), augmented with the
-    target evaluated at the current state, which pins the terminal node
-    exactly.
+    projected on the basis of ``config`` (the default ``SolverConfig``'s
+    cubic polynomials if None), augmented with the target evaluated at the
+    current state, which pins the terminal node exactly; ``terminal_feature``
+    is not read.
 
     The gamma >= 1 and moment checks run here; the rows are computed on each
     pass over the ``BoundProcess``, so an overflowing projection raises there.
     """
     if params.gamma < 1:
         raise ValueError("the a priori bound needs gamma >= 1")
-    gamma = params.gamma
-    bstar = params.beta_star
-    nodes = bundle.grid.nodes
-    T = bundle.grid.horizon
-    K = bundle.grid.n_steps
-    n = bundle.n_paths
+    gamma, bstar = params.gamma, params.beta_star
+    nodes, T, K, n = bundle.grid.nodes, bundle.grid.horizon, bundle.grid.n_steps, bundle.n_paths
 
     order = gamma * math.exp(bstar * T)
     if not math.isfinite(exponential_moment_estimate(xi, params, bundle, order)[0]):
@@ -183,7 +180,7 @@ def apriori_bound(
         R[i] = alpha[i] * (bundle.clock_values[i + 1] - bundle.clock_values[i]) + math.exp(bstar * bundle.dt[i]) * R[i + 1]
 
     c = gamma * np.exp(bstar * (T - nodes))
-    basis = basis or BasisSpec(degree=3)
+    config = config or SolverConfig()
 
     def closed_form():
         a0, a = xi.affine
@@ -202,7 +199,7 @@ def apriori_bound(
                 feature = np.exp(c[i] * np.abs(np.asarray(xi.fn(state), dtype=float)))
             if not (np.all(np.isfinite(target)) and np.all(np.isfinite(feature))):
                 raise MomentFailureError(f"exponential target overflows at node {i}")
-            reg = NodeRegression(basis.design(state, extra=feature))
+            reg = NodeRegression(design(config, state, extra=feature))
             m_hat = reg.fit(target)
             # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
             m_hat = np.maximum(m_hat, 1.0)

@@ -23,7 +23,7 @@ class SolverDivergenceError(QbsdeError):
 
 
 class DegenerateBasisError(QbsdeError):
-    """The regression design matrix is unusable (zero rank or non-finite)."""
+    """A regression design has zero rank, or it, its target or a sweep's Y row is not finite."""
 
 
 class MomentFailureError(QbsdeError):

@@ -229,9 +229,10 @@ def validate_config(text: str) -> ExperimentConfig:
     Then what the schema cannot see: the grid must build, the terminal and
     every driver must build on the scenario's dimensions, vectors must match
     the state or the orders they go with, ladder levels must be strictly
-    increasing (the ladder compares them in list order), and an ``apriori``
-    check needs a driver with gamma >= 1.  Every violation is collected with
-    the path to the offending key; parse errors carry the YAML line reference.
+    increasing (the ladder compares them in list order), a binned basis needs
+    a one-dimensional state, and an ``apriori`` check needs gamma >= 1.
+    Every violation is collected with the path to the offending key; parse
+    errors carry the YAML line reference.
     """
     try:
         raw = yaml.safe_load(text)
@@ -257,12 +258,13 @@ def validate_config(text: str) -> ExperimentConfig:
     )
 
     # semantic constraints beyond the schema
+    dim_state = scenario["dim_m"] + scenario["dim_orth"]
     try:
         build_grid_for(config)
     except Exception as exc:
         errors.append(("scenario", str(exc)))
     try:
-        build_terminal(config.terminal, scenario["dim_m"] + scenario["dim_orth"])
+        build_terminal(config.terminal, dim_state)
     except Exception as exc:
         errors.append(("terminal", str(exc)))
     driver = _checked_driver("driver", config.driver, scenario["dim_m"], errors)
@@ -280,6 +282,8 @@ def validate_config(text: str) -> ExperimentConfig:
         levels = check.get("levels", [])
         if any(b <= a for a, b in zip(levels, levels[1:])):
             errors.append((f"checks.{k}.levels", f"must be strictly increasing, got {levels}"))
+    if config.solver["basis_kind"] == "binned" and dim_state > 1:
+        errors.append(("solver.basis_kind", f"a binned basis needs a one-dimensional state, not {dim_state}"))
     if errors:
         raise ConfigValidationError(sorted(errors))
     return config
@@ -393,7 +397,7 @@ def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 
 
 def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, basis=ctx.solver_cfg.basis)
+    bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, ctx.solver_cfg)
     return [analytics.check_apriori(ctx.field, bound, **_keys(check))]
 
 

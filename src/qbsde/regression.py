@@ -1,14 +1,17 @@
-"""Least-squares projection onto a polynomial basis of the Markov state.
+"""Least-squares projection onto a polynomial or binned basis of the Markov state.
 
-One projection per time step is shared between the value regression and the
-martingale-increment regressions.  Both backends drop the eigenvalues of their
-normal matrix below ``RCOND`` times the largest, so rank-deficient designs
-(the constant state at t = 0, a terminal feature collinear with a polynomial
-column) fall back to the minimum-norm projection instead of failing.
+``SolverConfig`` is the one description of a basis, and ``design`` the one
+function that builds its design matrix.  One projection per time step is
+shared between the value regression and the martingale-increment
+regressions.  Both backends drop the eigenvalues of their normal matrix
+below ``RCOND`` times the largest, so rank-deficient designs (the constant
+state at t = 0, a terminal feature collinear with a polynomial column) fall
+back to the minimum-norm projection instead of failing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,67 +22,52 @@ RCOND = 1e-12
 
 
 @dataclass(frozen=True)
-class BasisSpec:
-    """Regression basis over the Markov state.
+class SolverConfig:
+    """The regression basis of the scheme.
 
-    kind "poly": tensor polynomials of total degree <= degree.
-    kind "binned": quantile cells of a scalar state with a linear fit per
-    cell (local regression; tracks kinked targets without global wiggle).
-    Caller-supplied feature columns are appended as-is.
+    Kind "poly" reads ``degree``: tensor polynomials of total degree <= degree.
+    Kind "binned" reads ``bins``: quantile cells of a scalar state with an
+    intercept and a slope per cell (local regression; tracks kinked targets
+    without global wiggle).  Both read ``terminal_feature``: the terminal
+    value at the current state as an extra column of the sweep's designs.
     """
 
     degree: int = 3
-    kind: str = "poly"
+    basis_kind: str = "poly"
     bins: int = 24
+    terminal_feature: bool = True
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("polynomial degree must be nonnegative")
-        if self.kind not in ("poly", "binned"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+        if self.basis_kind not in ("poly", "binned"):
+            raise ValueError(f"unknown basis kind {self.basis_kind!r}")
         if self.bins < 1:
             raise ValueError("bins must be positive")
 
-    def _exponents(self, n_vars: int) -> list[tuple[int, ...]]:
-        exps: list[tuple[int, ...]] = []
 
-        def rec(prefix, remaining, budget):
-            if remaining == 0:
-                exps.append(tuple(prefix))
-                return
-            for k in range(budget + 1):
-                rec(prefix + [k], remaining - 1, budget - k)
-
-        rec([], n_vars, self.degree)
-        return exps
-
-    def design(self, state: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-        """Design matrix for state (n, n_vars); extra columns appended as-is."""
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        n, n_vars = state.shape
-        extra = np.empty((n, 0)) if extra is None else np.atleast_2d(np.asarray(extra, dtype=float))
-        if extra.shape[0] != n:
-            extra = extra.T
-        if self.kind == "binned":
-            if n_vars != 1:
-                raise ValueError("binned basis supports a one-dimensional state only")
-            return np.column_stack([self._binned_design(state[:, 0]), extra])
-        # each monomial row is its parent (one degree lower in its last
-        # nonzero variable, listed earlier) times that variable
-        exps = self._exponents(n_vars)
-        rows = np.empty((len(exps) + extra.shape[1], n))
-        rows[0] = 1.0
-        for k, exp in enumerate(exps[1:], 1):
-            j = max(v for v, e in enumerate(exp) if e)
-            np.multiply(rows[exps.index(exp[:j] + (exp[j] - 1,) + exp[j + 1 :])], state[:, j], out=rows[k])
-        rows[len(exps) :] = extra.T
-        return rows.T
-
-    def _binned_design(self, w: np.ndarray) -> np.ndarray:
-        idx, n_cells = _quantile_cells(w, self.bins)
-        onehot = np.zeros((w.size, n_cells))
-        onehot[np.arange(w.size), idx] = 1.0
-        return np.concatenate([onehot, onehot * w[:, None]], axis=1)
+def design(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
+    """Design matrix of ``config``'s basis for state (n, n_vars); extra (n,) or (n, m) appended as-is."""
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    n, n_vars = state.shape
+    extra = np.empty((n, 0)) if extra is None else np.asarray(extra, dtype=float).reshape(n, -1)
+    if config.basis_kind == "binned":
+        if n_vars != 1:
+            raise ValueError("binned basis supports a one-dimensional state only")
+        idx, n_cells = _quantile_cells(state[:, 0], config.bins)
+        onehot = np.zeros((n, n_cells))
+        onehot[np.arange(n), idx] = 1.0
+        return np.column_stack([onehot, onehot * state, extra])
+    # each monomial row is its parent (one degree lower in its last nonzero
+    # variable, listed earlier) times that variable
+    exps = [e for e in itertools.product(range(config.degree + 1), repeat=n_vars) if sum(e) <= config.degree]
+    rows = np.empty((len(exps) + extra.shape[1], n))
+    rows[0] = 1.0
+    for k, exp in enumerate(exps[1:], 1):
+        j = max(v for v, e in enumerate(exp) if e)
+        np.multiply(rows[exps.index(exp[:j] + (exp[j] - 1,) + exp[j + 1 :])], state[:, j], out=rows[k])
+    rows[len(exps) :] = extra.T
+    return rows.T
 
 
 def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
@@ -105,16 +93,16 @@ def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
     return idx.astype(np.intp), edges.size + 1
 
 
-def make_regression(basis: BasisSpec, state: np.ndarray, extra: np.ndarray | None = None):
+def make_regression(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = None):
     """Pick the projection backend for one time step.
 
     Binned bases without extra columns use the block-diagonal per-cell
-    solver (O(n)); everything else goes through one shared projection.
+    solver (O(n)); everything else projects on the columns of ``design``.
     """
     state = np.atleast_2d(np.asarray(state, dtype=float))
-    if basis.kind == "binned" and extra is None and state.shape[1] == 1:
-        return BinnedRegression(state[:, 0], basis.bins)
-    return NodeRegression(basis.design(state, extra))
+    if config.basis_kind == "binned" and extra is None and state.shape[1] == 1:
+        return BinnedRegression(state[:, 0], config.bins)
+    return NodeRegression(design(config, state, extra))
 
 
 class _Projection:

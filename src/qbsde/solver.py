@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import DriverSpec, TerminalCondition
-from .errors import CapacityError, MomentFailureError, SolverDivergenceError
-from .regression import BasisSpec, NodeRegression, make_regression
+from .errors import CapacityError, DegenerateBasisError, MomentFailureError, SolverDivergenceError
+from .regression import NodeRegression, SolverConfig, design, make_regression
 from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
@@ -52,36 +52,16 @@ _ORACLE_SEED_LEAVES = 1 << 16
 # disjoint path batches behind the Y_0 standard error of ``y0_with_se``
 Y0_SE_BATCHES = 8
 # the per-step Picard fixed point of a driver that depends on y: sup-norm
-# change that stops it, and the iterations after which it has diverged
+# change that stops it, and the iterations after which it has diverged.
+# beta_bar * max(dA) < 1/2, which the sweep enforces, makes the map a strict
+# contraction, so the iteration converges geometrically and no problem needs
+# other limits
 PICARD_TOL = 1e-10
 PICARD_MAX = 50
 # paths written to the solution CSV
 EXPORT_PATHS = 100
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The regression basis of the scheme: polynomial of ``degree`` or
-    ``bins`` quantile bins, with the terminal value as an extra feature if
-    ``terminal_feature``.
-
-    The implicit Y-update needs beta_bar * max(dA) < 1/2 so that the Picard
-    map is a strict contraction; ``solve_backward`` enforces this.  Its limits
-    are the constants ``PICARD_TOL`` and ``PICARD_MAX``, not fields: under the
-    contraction the iteration converges geometrically, so no problem needs
-    other limits, and only a driver that depends on y iterates at all.
-    """
-
-    degree: int = 3
-    basis_kind: str = "poly"
-    bins: int = 24
-    terminal_feature: bool = True
-
-    @property
-    def basis(self) -> BasisSpec:
-        return BasisSpec(degree=self.degree, kind=self.basis_kind, bins=self.bins)
 
 
 @dataclass(frozen=True)
@@ -181,11 +161,10 @@ def _solve_y(ey, zeta, driver, bundle, i):
 def _regression_at(bundle: ScenarioBundle, config: SolverConfig, feature_source: TerminalCondition):
     """Step i's regression as a function of i: the basis of the Markov state at
     t_i, with ``feature_source`` there as an extra column if ``config.terminal_feature``."""
-    feature_fn = feature_source.fn if config.terminal_feature else None
 
     def regression(i: int):
         state = bundle.state(i)
-        return make_regression(config.basis, state, feature_fn(state) if feature_fn is not None else None)
+        return make_regression(config, state, feature_source.fn(state) if config.terminal_feature else None)
 
     return regression
 
@@ -207,6 +186,7 @@ def _backward_steps(
     is kept; a consumer stores what it needs.  ``regression(i)`` gives step
     i's regression, by default from ``_regression_at`` with xi as the
     feature; problems on the same states with the same feature can share it.
+    A non-finite row y_i raises ``DegenerateBasisError`` at its step.
     """
     if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
@@ -228,6 +208,9 @@ def _backward_steps(
         # (Z, Z_orth): projections of the centred target times the step's noise
         zeta = reg.fit((target - ey)[:, None] * (bundle.states[i + 1] - bundle.states[i])) / dt[i]
         y = _solve_y(ey, zeta, driver, bundle, i)
+        # min and max allocate no row; an isfinite row here raised the peak RSS by 4 MB
+        if not (math.isfinite(y.min()) and math.isfinite(y.max())):
+            raise DegenerateBasisError(f"non-finite Y at step {i}")
         yield i, reg, target, ey, zeta, y
 
 
@@ -512,13 +495,13 @@ def exponential_transform_reference(
     Solves the pure-quadratic problem F = (gamma/2)||B z||^2 without any
     backward recursion.  For xi affine in the terminal Gaussian state the
     conditional expectation is in closed form; otherwise e^{gamma xi} is
-    projected on the solver's polynomial basis node by node.
+    projected node by node on the default ``SolverConfig`` basis, with xi
+    at the current state as the feature.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m + bundle.dim_orth
-    nodes = bundle.grid.nodes
-    T = bundle.grid.horizon
+    nodes, T = bundle.grid.nodes, bundle.grid.horizon
 
     if xi.affine is not None and not xi.folded:
         a0, a = xi.affine
@@ -531,21 +514,19 @@ def exponential_transform_reference(
             u = np.exp(gamma * xi.evaluate(bundle.terminal_state))
         if not np.all(np.isfinite(u)):
             raise MomentFailureError("exp(gamma * xi) overflows on some paths")
-        basis = BasisSpec(degree=3)
         y = np.empty((K + 1, n))
         integrand = np.empty((K, n, w))
         y[K] = np.log(u) / gamma
-        dt = bundle.dt
         for i in range(K):
             state = bundle.state(i)
-            reg = NodeRegression(basis.design(state, extra=xi.fn(state)))
+            reg = NodeRegression(design(SolverConfig(), state, extra=xi.fn(state)))
             m_hat = reg.fit(u)
             if np.any(m_hat <= 0):
                 raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
             y[i] = np.log(m_hat) / gamma
             # Z = grad u / (gamma u): projections of (u - m) times the step's noise
             dw = bundle.states[i + 1] - bundle.states[i]
-            integrand[i] = reg.fit((u - m_hat)[:, None] * dw) / (dt[i] * gamma * m_hat[:, None])
+            integrand[i] = reg.fit((u - m_hat)[:, None] * dw) / (bundle.dt[i] * gamma * m_hat[:, None])
 
     return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
 

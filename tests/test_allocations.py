@@ -58,7 +58,7 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
     # the projection route with the runner's basis: x_se is a computed row, not the closed form's 0
     projected = dataclasses.replace(xi, affine=None)
     calls = {
-        "apriori": lambda: q.check_apriori(field, q.apriori_bound(bundle, projected, driver.params, config.basis)),
+        "apriori": lambda: q.check_apriori(field, q.apriori_bound(bundle, projected, driver.params, config)),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),

@@ -389,8 +389,10 @@ class TestCli:
         ("seed: 1}", "seed: 1}\nchecks: [{type: assumptions, probes: 10000}]", "checks.0.probes: "),
         ("seed: 1}", "seed: 1}\nchecks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, "
                      "hyp_tol: 1.0e-6}]}]", "checks.0.members.0.hyp_tol: "),
+        ("seed: 1}", "seed: 1, dim_orth: 1}\nsolver: {basis_kind: binned, terminal_feature: false}",
+         "solver.basis_kind: "),
     ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint",
-            "unread-constraint-key", "terminal-option", "probes", "hyp_tol"])
+            "unread-constraint-key", "terminal-option", "probes", "hyp_tol", "binned-2d"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))
@@ -423,7 +425,12 @@ class TestCli:
          "checks.0: the a priori bound needs gamma >= 1"),
         ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slope: [1.0e308]}}", (),
          "experiment failed: terminal condition"),
-    ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one", "terminal-overflow"])
+        # the default cubic basis overflows on this kinked terminal; no Infinity reaches the report
+        ("steps: 4, n_paths: 64, seed: 1}\ndriver: {name: zero}\nterminal: {kind: constant, options: {value: 0.0}}",
+         "steps: 100, n_paths: 20000, seed: 1}\ndriver: {name: pure_quadratic, options: {gamma: 2.0}}\n"
+         "terminal: {kind: abs, options: {slope: [1.0]}}", (), "experiment failed: non-finite Y at step"),
+    ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one", "terminal-overflow",
+            "non-finite-y"])
     def test_run_bad_input_exit_2(self, tmp_path, old, new, args, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new) if old else MINIMAL)

@@ -4,17 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbsde.errors import DegenerateBasisError
-from qbsde.regression import RCOND, BasisSpec, BinnedRegression, NodeRegression, _quantile_cells, make_regression
+from qbsde.regression import (RCOND, BinnedRegression, NodeRegression, SolverConfig, _quantile_cells, design,
+                              make_regression)
 
 
 def test_poly_design_columns():
-    basis = BasisSpec(degree=2)
+    config = SolverConfig(degree=2)
     state = np.array([[1.0, 2.0], [3.0, 4.0]])
-    design = basis.design(state)
+    columns = design(config, state)
     # six monomials of total degree <= 2 in two variables
-    assert design.shape == (2, 6)
-    assert {1.0, 2.0, 4.0} <= set(design[0])
-    extra = basis.design(state, extra=np.array([7.0, 8.0]))
+    assert columns.shape == (2, 6)
+    assert {1.0, 2.0, 4.0} <= set(columns[0])
+    extra = design(config, state, extra=np.array([7.0, 8.0]))
     assert extra.shape == (2, 7)
     assert np.array_equal(extra[:, -1], [7.0, 8.0])
 
@@ -23,7 +24,7 @@ def test_constant_state_falls_back_to_mean():
     rng = np.random.default_rng(0)
     state = np.zeros((200, 1))
     target = rng.normal(2.0, 1.0, 200)
-    reg = NodeRegression(BasisSpec(degree=3).design(state))
+    reg = NodeRegression(design(SolverConfig(degree=3), state))
     fitted = reg.fit(target)
     assert np.allclose(fitted, target.mean())
 
@@ -31,7 +32,7 @@ def test_constant_state_falls_back_to_mean():
 def test_exact_fit_of_in_span_target(rng):
     state = rng.normal(size=(500, 1))
     target = 1.5 - 2.0 * state[:, 0] + 0.25 * state[:, 0] ** 3
-    reg = NodeRegression(BasisSpec(degree=3).design(state))
+    reg = NodeRegression(design(SolverConfig(degree=3), state))
     assert np.allclose(reg.fit(target), target, atol=1e-10)
 
 
@@ -41,7 +42,7 @@ def test_degenerate_basis_errors(rng):
     with pytest.raises(DegenerateBasisError):
         NodeRegression(np.full((10, 2), np.nan))
     state = rng.normal(size=(50, 1))
-    reg = NodeRegression(BasisSpec(degree=1).design(state))
+    reg = NodeRegression(design(SolverConfig(degree=1), state))
     with pytest.raises(DegenerateBasisError):
         reg.fit(np.full(50, np.inf))
 
@@ -50,8 +51,7 @@ def test_pointwise_se_matches_sampling_spread(rng):
     # repeated fits of pure-noise targets: the empirical spread of the fitted
     # value at a fixed point should match the OLS formula
     state = rng.normal(size=(2000, 1))
-    basis = BasisSpec(degree=2)
-    reg = NodeRegression(basis.design(state))
+    reg = NodeRegression(design(SolverConfig(degree=2), state))
     fits = []
     for _ in range(300):
         t = rng.normal(size=2000)
@@ -64,9 +64,9 @@ def test_pointwise_se_matches_sampling_spread(rng):
 def test_binned_agrees_with_explicit_design(rng):
     w = rng.normal(size=(3000, 1))
     target = np.sin(w[:, 0]) + 0.1 * rng.normal(size=3000)
-    basis = BasisSpec(kind="binned", bins=8)
-    fast = make_regression(basis, w)
-    slow = NodeRegression(basis.design(w))
+    config = SolverConfig(basis_kind="binned", bins=8)
+    fast = make_regression(config, w)
+    slow = NodeRegression(design(config, w))
     assert isinstance(fast, BinnedRegression)
     assert np.allclose(fast.fit(target), slow.fit(target), atol=1e-8)
 
@@ -74,25 +74,25 @@ def test_binned_agrees_with_explicit_design(rng):
 def test_binned_exact_on_affine_target(rng):
     w = rng.normal(size=(4000, 1))
     target = 0.3 + 1.7 * w[:, 0]
-    reg = make_regression(BasisSpec(kind="binned", bins=12), w)
+    reg = make_regression(SolverConfig(basis_kind="binned", bins=12), w)
     assert np.allclose(reg.fit(target), target, atol=1e-9)
 
 
 def test_binned_constant_state(rng):
     w = np.zeros((100, 1))
     target = rng.normal(size=100)
-    reg = make_regression(BasisSpec(kind="binned", bins=12), w)
+    reg = make_regression(SolverConfig(basis_kind="binned", bins=12), w)
     assert np.allclose(reg.fit(target), target.mean())
 
 
 def test_binned_rejects_multidim():
     with pytest.raises(ValueError):
-        BasisSpec(kind="binned").design(np.zeros((10, 2)))
+        design(SolverConfig(basis_kind="binned"), np.zeros((10, 2)))
 
 
 def test_fit_variance_positive(rng):
     w = rng.normal(size=(1000, 1))
-    reg = make_regression(BasisSpec(kind="binned", bins=6), w)
+    reg = make_regression(SolverConfig(basis_kind="binned", bins=6), w)
     var = reg.fit_variance(2.0)
     assert var.shape == (1000,)
     assert np.all(var >= 0)
@@ -141,10 +141,12 @@ def test_quantile_cells_match_numpy_quantile_and_searchsorted(kind, n, bins, exp
 def test_design_recurrence_matches_explicit_monomials(degree, n_vars, rng):
     state = rng.normal(size=(64, n_vars))
     feature = rng.normal(size=64)
-    basis = BasisSpec(degree=degree)
-    explicit = np.column_stack([np.prod(state ** np.array(e), axis=1) for e in basis._exponents(n_vars)])
-    np.testing.assert_allclose(basis.design(state), explicit, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(basis.design(state, extra=feature), np.column_stack([explicit, feature]),
+    config = SolverConfig(degree=degree)
+    # every exponent tuple of total degree <= degree, in lexicographic order
+    exponents = sorted(e for e in np.ndindex(*(degree + 1,) * n_vars) if sum(e) <= degree)
+    explicit = np.column_stack([np.prod(state ** np.array(e), axis=1) for e in exponents])
+    np.testing.assert_allclose(design(config, state), explicit, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(design(config, state, extra=feature), np.column_stack([explicit, feature]),
                                rtol=1e-14, atol=0)
 
 
@@ -172,14 +174,14 @@ def test_projection_matches_lstsq_reference(kind, degree, n_vars, n, level, targ
         state = np.full((n, n_vars), level)
     elif kind == "zero_column":
         extra = np.zeros(n)
-    design = BasisSpec(degree=degree).design(state, extra)
+    columns = design(SolverConfig(degree=degree), state, extra)
     target = target_scale * rng.normal(size=n)
     # reference: minimum-norm least squares by SVD with the cut-off on
     # singular values of the column-scaled design
-    scale = np.max(np.abs(design), axis=0)
+    scale = np.max(np.abs(columns), axis=0)
     scale[scale == 0.0] = 1.0
-    coef, _, rank, _ = np.linalg.lstsq(design / scale, target, rcond=RCOND)
-    reg = NodeRegression(design)
+    coef, _, rank, _ = np.linalg.lstsq(columns / scale, target, rcond=RCOND)
+    reg = NodeRegression(columns)
     assert reg.rank == rank
-    assert np.max(np.abs(reg.fit(target) - (design / scale) @ coef)) <= 1e-10 * np.max(np.abs(target))
+    assert np.max(np.abs(reg.fit(target) - (columns / scale) @ coef)) <= 1e-10 * np.max(np.abs(target))
     assert reg.leverage().sum() == pytest.approx(rank, abs=1e-10)

@@ -8,7 +8,7 @@ import pytest
 import qbsde as q
 from qbsde import solver
 from qbsde.drivers import ParamSet
-from qbsde.errors import MomentFailureError, SolverDivergenceError
+from qbsde.errors import DegenerateBasisError, MomentFailureError, SolverDivergenceError
 
 
 def linear_driver(a, b0, alpha0=None):
@@ -102,6 +102,14 @@ class TestPicard:
         with pytest.raises(SolverDivergenceError) as err:
             q.solve_backward(b, drv, q.terminal_constant(1.0, 1))
         assert err.value.step == 4
+
+    def test_non_finite_row_raises_at_its_step(self):
+        # |W_T| under gamma = 2 on the default cubic basis: a batch's Y row
+        # overflows, which must not reach y0_with_se as inf +- nan
+        b = q.simulate_scenario(q.build_grid(1.0, 100), 1, 0, 20_000, source=q.RandomSource(1))
+        drv = q.make_builtin("pure_quadratic", {"gamma": 2.0})
+        with pytest.raises(DegenerateBasisError, match=r"non-finite Y at step \d+"):
+            q.y0_with_se(b, drv, q.terminal_abs(0.0, [1.0]))
 
 
 class TestQuadraticAnchor:
@@ -313,6 +321,13 @@ class TestLayout:
                              ids=["closed_form", "regression"])
     def test_transform_reference_node_major(self, bundle_1d, xi):
         assert_node_major(q.exponential_transform_reference(bundle_1d, 1.0, xi))
+
+
+@pytest.mark.parametrize("field", [{"degree": -1}, {"basis_kind": "spline"}, {"bins": 0}],
+                         ids=["degree", "basis_kind", "bins"])
+def test_solver_config_rejects_bad_basis_when_built(field):
+    with pytest.raises(ValueError):
+        q.SolverConfig(**field)
 
 
 class TestOutputs:
