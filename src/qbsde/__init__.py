@@ -71,7 +71,6 @@ from .solver import (
     SolutionField,
     SolverConfig,
     TruncationLadder,
-    exponential_transform_reference,
     nested_mc_oracle,
     solve_backward,
     solve_ladder,

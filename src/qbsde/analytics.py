@@ -238,8 +238,8 @@ def check_apriori(
         raise GridMismatchError(
             f"solution field {solution.y.shape} and bound process {bound.shape} disagree"
         )
-    y_var = None if solution.diagnostics is None else solution.diagnostics.y_var
-    dof = 1 if y_var is None else max(1, solution.diagnostics.max_features)
+    y_var = solution.y_var
+    dof = max(1, solution.max_features)
     # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u): scipy.stats is slow to import
     band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
 
@@ -568,16 +568,16 @@ def stability_check(
     metrics: list[dict],
     label: str,
     expected_hypothesis: float | None = None,
-    converges: bool = False,
     expected_sup: float | None = None,
 ) -> CheckReport:
     """The stability theorem on one member, from its ``stability_metrics``.
 
     With ``expected_hypothesis``, the hypothesis statistic must be within
-    1e-6 + 3 SE of it.  A converging member must keep E[exp(p sup gap)] - 1
-    within 2 p times the hypothesis + 3 SE at every order; any other member
-    must keep it within 1e-6 + 3 SE of exp(p ``expected_sup``), the gap that
-    stays while the hypothesis vanishes.  The report's ``tol`` is that 1e-6.
+    1e-6 + 3 SE of it.  A member without ``expected_sup`` converges: it must
+    keep E[exp(p sup gap)] - 1 within 2 p times the hypothesis + 3 SE at
+    every order.  A member with it must keep E[exp(p sup gap)] within
+    1e-6 + 3 SE of exp(p ``expected_sup``), the gap that stays while the
+    hypothesis vanishes.  The report's ``tol`` is that 1e-6.
     """
     first, tol = metrics[0], 1e-6
     hyp = first["hypothesis_mean"]
@@ -591,7 +591,7 @@ def stability_check(
         extra["hypothesis_gap"] = h_gap
     for m in metrics:
         p, exp_sup = m["p"], m["exp_sup_p_mean"]
-        if converges:
+        if expected_sup is None:
             key, gap, allowed = f"exp_sup_excess_p{p:g}", exp_sup - 1.0 - 2.0 * p * max(hyp, 0.0), 0.0
         else:
             key, gap, allowed = f"exp_sup_gap_p{p:g}", abs(exp_sup - math.exp(p * expected_sup)), tol

@@ -17,17 +17,6 @@ from .errors import MomentFailureError, UnknownDriverError
 from .scenarios import ScenarioBundle
 
 
-def _as_time_fn(value, dim: int | None = None) -> Callable[[float], np.ndarray | float]:
-    """Normalize a constant (scalar / vector) or callable of t to a callable."""
-    if callable(value):
-        return value
-    if dim is None:
-        v = float(value)
-        return lambda t: v
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (dim,)).copy()
-    return lambda t: arr
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """Declared driver parameters.
@@ -108,14 +97,13 @@ class DriverSpec:
 class TerminalCondition:
     """Terminal value xi as a function of the terminal Markov state.
 
-    ``affine = (a0, a)`` marks xi = a0 + a . state (or its absolute value when
-    ``folded`` is set), which unlocks closed forms downstream.
+    ``affine = (a0, a)`` marks xi = a0 + a . state or its absolute value,
+    which unlocks closed forms downstream.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str
     affine: tuple[float, np.ndarray] | None = None
-    folded: bool = False
 
     def evaluate(self, terminal_state: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.fn(np.atleast_2d(terminal_state)), dtype=float)
@@ -171,7 +159,6 @@ def terminal_abs(intercept: float, slope) -> TerminalCondition:
         fn=lambda s: np.abs(_affine(a0, a, s)),
         tag=f"abs({a0}, {a.tolist()})",
         affine=(a0, a),
-        folded=True,
     )
 
 
@@ -244,22 +231,6 @@ def _build_pure_quadratic(options: dict) -> DriverSpec:
     )
 
 
-class _BoxSet:
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float).ravel()
-        self.upper = np.asarray(upper, dtype=float).ravel()
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("box bounds must have matching shapes")
-        if np.any(self.lower > self.upper):
-            raise ValueError("empty constraint set: lower bound exceeds upper bound")
-        if np.any(self.lower > 0) or np.any(self.upper < 0):
-            raise ValueError("constraint set must contain 0 for the declared growth bound")
-        self.dim = self.lower.size
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
-
 def _build_power_utility(options: dict) -> DriverSpec:
     p = float(_require(options, "power_utility", "p"))
     if p >= 1 or p == 0:
@@ -270,38 +241,44 @@ def _build_power_utility(options: dict) -> DriverSpec:
     unread = sorted(set(spec) - {"kind", "lower", "upper"})
     if unread:
         raise ValueError(f"box constraint does not read {', '.join(map(repr, unread))}")
-    constraint = _BoxSet(spec["lower"], spec["upper"])
-    d = constraint.dim
-    lam_m = _as_time_fn(_require(options, "power_utility", "lam"), dim=d)
+    lower = np.asarray(spec["lower"], dtype=float).ravel()
+    upper = np.asarray(spec["upper"], dtype=float).ravel()
+    if lower.shape != upper.shape:
+        raise ValueError("box bounds must have matching shapes")
+    if np.any(lower > upper):
+        raise ValueError("empty constraint set: lower bound exceeds upper bound")
+    if np.any(lower > 0) or np.any(upper < 0):
+        raise ValueError("constraint set must contain 0 for the declared growth bound")
+    d = lower.size
+    lam = np.broadcast_to(np.asarray(_require(options, "power_utility", "lam"), dtype=float), (d,)).copy()
     q = 0.5 * p * (1.0 - p)
     c1 = abs(p) / (1.0 - p)
 
     def f(t, y, z, b):
-        x = (z - np.asarray(lam_m(t))[None, :]) / (1.0 - p)
-        proj = constraint.project(x)
+        x = (z - lam[None, :]) / (1.0 - p)
+        proj = np.clip(x, lower, upper)
         gain = np.einsum("ni,ni->n", x, x) - np.einsum("ni,ni->n", x - proj, x - proj)
         return b**2 * (q * gain + 0.5 * np.einsum("ni,ni->n", z, z))
 
-    lam_param = lambda t: math.sqrt(c1) * np.asarray(lam_m(t), dtype=float)
+    lam_param = math.sqrt(c1) * lam
     return DriverSpec(
         name="power_utility",
         f=f,
         params=ParamSet(
             gamma=2.0 * c1 + 1.0,
             beta_f=max(c1 + 0.5, 2.0 * math.sqrt(c1)),
-            lam_fn=lam_param,
+            lam_fn=lambda t: lam_param,
         ),
         dim_m=d,
     )
 
 
 def _build_entropic(options: dict) -> DriverSpec:
-    lam_s = _as_time_fn(_require(options, "entropic", "lam_s"))
+    ls = float(_require(options, "entropic", "lam_s"))
 
     def f(t, y, z, b):
         if z.shape[1] != 2:
             raise ValueError("entropic driver needs a 2-dimensional control")
-        ls = float(lam_s(t))
         return 0.5 * (ls**2 - 2.0 * ls * z[:, 0] - z[:, 1] ** 2)
 
     # Concave in the second control component; convexity is declared off and
@@ -309,7 +286,7 @@ def _build_entropic(options: dict) -> DriverSpec:
     return DriverSpec(
         name="entropic",
         f=f,
-        params=ParamSet(gamma=1.0, alpha_fn=lambda t: float(lam_s(t)) ** 2),
+        params=ParamSet(gamma=1.0, alpha_fn=lambda t: ls**2),
         convex_in_z=False,
         dim_m=2,
     )

@@ -461,11 +461,9 @@ _STABILITY_MEMBER = {
     "type": "object",
     "additionalProperties": False,
     "required": ["driver"],
+    # a member that states the sup gap it keeps does not converge; any other does
     "properties": {"driver": _DRIVER_SCHEMA, "label": {"type": "string"}, "expected_hypothesis": _NUMBER,
-                   "converges": {"type": "boolean"}, "expected_sup": _NUMBER},
-    # a member not declared converging states the sup gap it keeps instead
-    "if": {"required": ["converges"], "properties": {"converges": {"const": True}}},
-    "else": {"required": ["expected_sup"]},
+                   "expected_sup": _NUMBER},
 }
 
 # check type -> (runner, required keys, schema of every key the runner reads);

@@ -1,6 +1,6 @@
 """Backward solvers for dY = Z.dM + dN - F(t,Y,Z) dA - 1/2 d<N>.
 
-Three routes to the same object:
+Two routes to the same object:
 
 * ``solve_backward`` -- least-squares regression scheme, implicit in Y
   (per-step Picard fixed point), explicit in Z.  Z comes from regressing the
@@ -9,9 +9,6 @@ Three routes to the same object:
 * ``nested_mc_oracle`` -- brute-force dynamic programming by resimulation
   from every node/path state; exponential cost, tiny grids only.  Serves as
   the independent check on the regression route.
-* ``exponential_transform_reference`` -- for the pure-quadratic driver,
-  Y_t = (1/gamma) log E[exp(gamma xi) | F_t]; exact in closed form for affine
-  terminal conditions.
 
 ``solve_ladder`` runs the truncated problems used by the existence
 construction (xi capped at n, the clock A stopped once the running integral
@@ -41,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import DriverSpec, TerminalCondition
-from .errors import CapacityError, DegenerateBasisError, MomentFailureError, SolverDivergenceError
-from .regression import NodeRegression, SolverConfig, design, make_regression
+from .errors import CapacityError, DegenerateBasisError, SolverDivergenceError
+# NodeRegression is unused here but stays bound: the benchmark's tracing patches solver.NodeRegression
+from .regression import NodeRegression, SolverConfig, make_regression
 from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
@@ -65,21 +63,6 @@ _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class SolverDiagnostics:
-    """Sampling-error metadata for the fitted Y surface.
-
-    ``y_var`` accumulates, per (path, node), the pointwise variance of the
-    node's own projection plus the smoothed variance inherited from all
-    later steps (first-order error propagation through the backward
-    recursion; each step's residual variance is used once and not kept).
-    ``max_features`` is the widest design used, which sizes the
-    simultaneous confidence bands downstream."""
-
-    y_var: np.ndarray
-    max_features: int
-
-
-@dataclass(frozen=True)
 class SolutionField:
     """Grid estimates of Y and of the integrand of the martingale part Z.M + N.
 
@@ -91,13 +74,21 @@ class SolutionField:
     is outermost in memory, as in ``ScenarioBundle.states``; ``y[:, i]`` is
     contiguous.  ``meta`` holds what a solver reports beside the field: the
     oracle's ``y0_se``, and nothing for the other solvers.
+
+    The regression sweep also gives its error bars.  ``y_var`` (n_paths, K+1)
+    is, per path and node, the pointwise variance of the node's own
+    projection plus the smoothed variance inherited from all later steps
+    (first-order error propagation through the backward recursion); it is
+    None for the oracle.  ``max_features`` is the widest design used, which
+    sizes the simultaneous confidence bands downstream.
     """
 
     y: np.ndarray
     integrand: np.ndarray
     dim_m: int
     meta: dict = field(default_factory=dict)
-    diagnostics: SolverDiagnostics | None = None
+    y_var: np.ndarray | None = None
+    max_features: int = 0
 
     @property
     def z(self) -> np.ndarray:
@@ -216,7 +207,7 @@ def _backward_steps(
 
 def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig,
                          y_var: np.ndarray, regression):
-    """``_backward_steps`` with the first-order error propagation of ``SolverDiagnostics``.
+    """``_backward_steps`` with the first-order error propagation of ``SolutionField.y_var``.
 
     Yields ``(i, reg, target, zeta, y, y_var)``: the step's regression, the
     target row y_{i+1}, the integrand on [t_i, t_{i+1}), the new row y_i and
@@ -244,7 +235,7 @@ def solve_backward(
     """Regression-based backward recursion from Y_K = xi.
 
     Stores every row of the sweep, the terminal value pinned exactly path by
-    path, with the per-node error propagation of ``SolverDiagnostics``.
+    path, with the per-node error propagation of ``SolutionField.y_var``.
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
@@ -263,8 +254,7 @@ def solve_backward(
         y[i] = y_i
         max_features = max(max_features, reg.n_features)
 
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m,
-                         diagnostics=SolverDiagnostics(y_var=y_var.T, max_features=max_features))
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, y_var=y_var.T, max_features=max_features)
 
 
 def y0_with_se(
@@ -478,57 +468,6 @@ def nested_mc_oracle(
                 y0_se = float(se[0])
 
     return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta={"y0_se": y0_se})
-
-
-# ---------------------------------------------------------------------------
-# exponential transform reference
-# ---------------------------------------------------------------------------
-
-
-def exponential_transform_reference(
-    bundle: ScenarioBundle,
-    gamma: float,
-    xi: TerminalCondition,
-) -> SolutionField:
-    """Reference solution Y_t = (1/gamma) log E[e^{gamma xi} | F_t].
-
-    Solves the pure-quadratic problem F = (gamma/2)||B z||^2 without any
-    backward recursion.  For xi affine in the terminal Gaussian state the
-    conditional expectation is in closed form; otherwise e^{gamma xi} is
-    projected node by node on the default ``SolverConfig`` basis, with xi
-    at the current state as the feature.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    n, K, w = bundle.n_paths, bundle.grid.n_steps, bundle.dim_m + bundle.dim_orth
-    nodes, T = bundle.grid.nodes, bundle.grid.horizon
-
-    if xi.affine is not None and not xi.folded:
-        a0, a = xi.affine
-        a = np.broadcast_to(np.asarray(a, dtype=float), (w,))
-        drift = 0.5 * gamma * float(a @ a) * (T - nodes)
-        y = a0 + bundle.states @ a + drift[:, None]
-        integrand = np.broadcast_to(a, (K, n, w)).copy()
-    else:
-        with np.errstate(over="ignore"):
-            u = np.exp(gamma * xi.evaluate(bundle.terminal_state))
-        if not np.all(np.isfinite(u)):
-            raise MomentFailureError("exp(gamma * xi) overflows on some paths")
-        y = np.empty((K + 1, n))
-        integrand = np.empty((K, n, w))
-        y[K] = np.log(u) / gamma
-        for i in range(K):
-            state = bundle.state(i)
-            reg = NodeRegression(design(SolverConfig(), state, extra=xi.fn(state)))
-            m_hat = reg.fit(u)
-            if np.any(m_hat <= 0):
-                raise MomentFailureError("fitted exponential mass is nonpositive; basis too coarse")
-            y[i] = np.log(m_hat) / gamma
-            # Z = grad u / (gamma u): projections of (u - m) times the step's noise
-            dw = bundle.states[i + 1] - bundle.states[i]
-            integrand[i] = reg.fit((u - m_hat)[:, None] * dw) / (bundle.dt[i] * gamma * m_hat[:, None])
-
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
 
 
 # ---------------------------------------------------------------------------

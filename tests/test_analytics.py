@@ -169,7 +169,7 @@ class TestAprioriBound:
         report = q.check_apriori(field, bound)
         # the whole-surface formula the check streams
         gap = np.abs(field.y) - x
-        se = np.hypot(x_se, np.sqrt(field.diagnostics.y_var))
+        se = np.hypot(x_se, np.sqrt(field.y_var))
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se
         path, node = np.unravel_index(int(np.argmax(adjusted)), adjusted.shape)
@@ -310,6 +310,17 @@ class TestStability:
             assert m["sup_gap_max"] == pytest.approx(1.0 / n, abs=1e-9)
             assert m["exp_sup_p_mean"] == pytest.approx(math.exp(p / n), abs=1e-9)
             assert m["exp_sup_p_mean"] - 1.0 <= p * (2.0 / n)
+
+    def test_member_without_expected_sup_converges(self, bundle_1d):
+        xi = q.terminal_constant(0.0, 1)
+        base, f0 = solved(bundle_1d, "constant", {"value": 1.0}, xi)
+        member, fn = solved(bundle_1d, "constant", {"value": 1.25}, xi)
+        metrics = q.stability_metrics(bundle_1d, fn, f0, member, base, xi, xi, [1.0, 2.0])
+        rep = q.stability_check(metrics, "n4")
+        assert rep.passed
+        assert set(rep.extra) >= {"exp_sup_excess_p1", "exp_sup_excess_p2"}
+        # exp(p / 4) - 1 lies within 2 p / 4: the converging rule's allowance
+        assert rep.extra["exp_sup_excess_p2"] == pytest.approx(math.exp(0.5) - 2.0, abs=1e-9)
 
     def test_streamed_sup_gap_is_the_surface_formula(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])

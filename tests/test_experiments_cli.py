@@ -123,17 +123,17 @@ terminal: {kind: constant}
         ("{terminal: {kind: affine, options: {slop: [1.0]}}}", "terminal.options.slop", "slop"),
         ("{driver: {name: pure_quadratic, options: {gamma: 1.0, gama: 3.0}}}", "driver.options.gama", "gama"),
         ("{driver: {options: {value: 3.0}}}", "driver.options.value", "value"),
-        ("{checks: [{type: stability, p: [1], members: [{driver: {name: constant, options: {value: 1, n: 2}}, "
-         "converges: true}]}]}", "checks.0.members.0.driver.options.n", "'n'"),
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: constant, options: {value: 1, n: 2}}}]}]}",
+         "checks.0.members.0.driver.options.n", "'n'"),
         # the fixed tolerances of the checks
         ("{checks: [{type: apriori, tol: 1.0e-6}]}", "checks.0.tol", "tol"),
         ("{checks: [{type: assumptions, probes: 10000}]}", "checks.0.probes", "probes"),
         ("{checks: [{type: anchor, y0: 0.0, z_mean: [0.0], z_tol: 0.05}]}", "checks.0.z_tol", "z_tol"),
         ("{checks: [{type: comparison, other: {driver: {name: zero}}, tol: 1.0e-9}]}", "checks.0.tol", "tol"),
         ("{checks: [{type: ladder, levels: [1, 2], fraction_tol: 1.0e-3}]}", "checks.0.fraction_tol", "fraction_tol"),
-        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, hyp_tol: 1.0e-6}]}]}",
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, hyp_tol: 1.0e-6}]}]}",
          "checks.0.members.0.hyp_tol", "hyp_tol"),
-        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: false, expected_sup: 0.0, "
+        ("{checks: [{type: stability, p: [1], members: [{driver: {name: zero}, expected_sup: 0.0, "
          "sup_tol: 1.0e-6}]}]}", "checks.0.members.0.sup_tol", "sup_tol"),
     ], ids=["implicit", "se_batches", "apriori-mode", "misspelt-check-key", "unknown-check-type", "stream", "clock",
             "declared", "picard_tol", "output", "x0_tol", "expected_y0_gap", "assumptions-seed", "other-terminal",
@@ -158,11 +158,11 @@ terminal: {kind: constant}
         ("{type: kazamaki, eta: 1, q_tilde: 1}", "checks.0.eta"),
         ("{type: moments, p: [1, 2], expected: [2.7]}", "checks.0.expected"),
         ("{type: comparison, other: {driver: {name: frob}}}", "checks.0.other.driver"),
-        ("{type: stability, p: [1], members: [{driver: {name: step_family}, converges: true}]}",
+        ("{type: stability, p: [1], members: [{driver: {name: step_family}}]}",
          "checks.0.members.0.driver"),
-        ("{type: stability, p: [1], members: [{driver: {name: entropic, options: {lam_s: 0.5}}, converges: true}]}",
+        ("{type: stability, p: [1], members: [{driver: {name: entropic, options: {lam_s: 0.5}}}]}",
          "checks.0.members.0.driver"),
-        ("{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, hyp_tl: 5}]}",
+        ("{type: stability, p: [1], members: [{driver: {name: zero}, hyp_tl: 5}]}",
          "checks.0.members.0.hyp_tl"),
         ("{type: comparison, other: {driver: {name: zero}, termnal: {kind: constant}}}", "checks.0.other.termnal"),
         ("{type: comparison, other: {driver: {name: zero}}, direction: sideways}", "checks.0.direction"),
@@ -181,14 +181,15 @@ terminal: {kind: constant}
             q.validate_config(MINIMAL + f"checks:\n  - {check}\n")
         assert where in [path for path, _ in err.value.errors], err.value.errors
 
-    def test_stability_member_needs_expected_sup(self):
+    def test_stability_member_converging_flag_rejected(self):
+        # a member converges iff it names no expected_sup; no flag says so
         text = MINIMAL + """
 checks:
-  - {type: stability, p: [1], members: [{driver: {name: zero}, converges: false}]}
+  - {type: stability, p: [1], members: [{driver: {name: zero}, converges: true}]}
 """
         with pytest.raises(ConfigValidationError) as err:
             q.validate_config(text)
-        assert any("expected_sup" in path for path, _ in err.value.errors)
+        assert "checks.0.members.0.converges" in [path for path, _ in err.value.errors], err.value.errors
 
 
 class TestRunExperiment:
@@ -230,7 +231,7 @@ class TestRunExperiment:
         cfg = q.validate_config(merged(
             "scenario: {steps: 10}\n"
             "checks: [{type: stability, p: [1], members: [{driver: {name: step_family, options: {n: 3}}, "
-            "expected_hypothesis: 1.0, converges: false, expected_sup: 1.0}]}]"))
+            "expected_hypothesis: 1.0, expected_sup: 1.0}]}]"))
         report = q.run_experiment(cfg)
         (check,) = report.checks
         assert check.extra["hypothesis"] == pytest.approx(1.0, abs=1e-12)
@@ -387,7 +388,7 @@ class TestCli:
         ("{kind: constant, options: {value: 0.0}}", "{kind: affine, options: {slop: [1.0]}}",
          "terminal.options.slop: "),
         ("seed: 1}", "seed: 1}\nchecks: [{type: assumptions, probes: 10000}]", "checks.0.probes: "),
-        ("seed: 1}", "seed: 1}\nchecks: [{type: stability, p: [1], members: [{driver: {name: zero}, converges: true, "
+        ("seed: 1}", "seed: 1}\nchecks: [{type: stability, p: [1], members: [{driver: {name: zero}, "
                      "hyp_tol: 1.0e-6}]}]", "checks.0.members.0.hyp_tol: "),
         ("seed: 1}", "seed: 1, dim_orth: 1}\nsolver: {basis_kind: binned, terminal_feature: false}",
          "solver.basis_kind: "),

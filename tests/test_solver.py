@@ -8,7 +8,7 @@ import pytest
 import qbsde as q
 from qbsde import solver
 from qbsde.drivers import ParamSet
-from qbsde.errors import DegenerateBasisError, MomentFailureError, SolverDivergenceError
+from qbsde.errors import DegenerateBasisError, SolverDivergenceError
 
 
 def linear_driver(a, b0, alpha0=None):
@@ -163,28 +163,6 @@ class TestQuadraticAnchor:
         assert errs[2] <= errs[0] + 0.005
 
 
-class TestTransformReference:
-    def test_constant(self, bundle_1d):
-        ref = q.exponential_transform_reference(bundle_1d, 2.0, q.terminal_constant(1.5, 1))
-        assert np.allclose(ref.y, 1.5)
-
-    @pytest.mark.parametrize("gamma,expected", [(1.0, 0.5), (2.0, 1.0)])
-    def test_affine_closed_form(self, bundle_1d, gamma, expected):
-        ref = q.exponential_transform_reference(bundle_1d, gamma, q.terminal_affine(0.0, [1.0]))
-        assert ref.y[:, 0].mean() == pytest.approx(expected, abs=1e-12)
-        assert np.allclose(ref.z, 1.0)
-
-    def test_regression_mode_for_folded_terminal(self, bundle_1d):
-        ref = q.exponential_transform_reference(bundle_1d, 1.0, q.terminal_abs(0.0, [1.0]))
-        target = math.log(2 * 0.8413447460685429 * math.exp(0.5))
-        assert ref.y0 == pytest.approx(target, abs=0.02)
-
-    def test_moment_failure(self, bundle_1d):
-        # folded terminal forces the regression branch, where exp must overflow
-        with pytest.raises(MomentFailureError):
-            q.exponential_transform_reference(bundle_1d, 1.0, q.terminal_abs(0.0, [400.0]))
-
-
 def truncated_fields(bundle, driver, xi, levels, config=None):
     """The ladder's truncated problems, each solved and stored by ``solve_backward``
     with the untruncated xi as the basis feature, as every ladder level has it."""
@@ -196,7 +174,7 @@ def truncated_fields(bundle, driver, xi, levels, config=None):
 
 def surface_monotonicity(fields, tol):
     """The ladder's monotonicity report computed from whole stored fields."""
-    ses = [np.sqrt(f.diagnostics.y_var) for f in fields]
+    ses = [np.sqrt(f.y_var) for f in fields]
     worst, violations, total = -np.inf, 0, 0
     for a in range(len(fields)):
         for c in range(a + 1, len(fields)):
@@ -242,7 +220,7 @@ class TestLadder:
         for drv, f in zip(drivers, (linear, zero)):
             assert_ladder_is(q.solve_ladder(b, drv, xi, [0.5]), [f])
         assert np.array_equal(linear.y[:, 20:], zero.y[:, 20:])
-        assert np.array_equal(linear.diagnostics.y_var[:, 20:], zero.diagnostics.y_var[:, 20:])
+        assert np.array_equal(linear.y_var[:, 20:], zero.y_var[:, 20:])
         assert not np.array_equal(linear.y[:, 19], zero.y[:, 19])
 
     def test_lambda_declared_driver_stops_at_level(self):
@@ -301,8 +279,8 @@ def assert_node_major(field):
     """The node axis is outermost in memory: every node's rows are contiguous."""
     assert field.y.T.flags.c_contiguous
     assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
-    if field.diagnostics is not None:
-        assert field.diagnostics.y_var.T.flags.c_contiguous
+    if field.y_var is not None:
+        assert field.y_var.T.flags.c_contiguous
 
 
 class TestLayout:
@@ -311,16 +289,11 @@ class TestLayout:
         config = q.SolverConfig(basis_kind=basis_kind, terminal_feature=basis_kind == "poly")
         field = q.solve_backward(bundle_1d, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
                                  q.terminal_abs(0.0, [1.0]), config)
-        assert field.diagnostics is not None
+        assert field.y_var is not None
         assert_node_major(field)
 
     def test_solve_backward_node_major_with_orth(self, bundle_orth):
         assert_node_major(q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0, 0.5])))
-
-    @pytest.mark.parametrize("xi", [q.terminal_affine(0.0, [1.0]), q.terminal_abs(0.0, [1.0])],
-                             ids=["closed_form", "regression"])
-    def test_transform_reference_node_major(self, bundle_1d, xi):
-        assert_node_major(q.exponential_transform_reference(bundle_1d, 1.0, xi))
 
 
 @pytest.mark.parametrize("field", [{"degree": -1}, {"basis_kind": "spline"}, {"bins": 0}],
