@@ -13,6 +13,11 @@ never raised.
 Checks reduce over (node, path) points one node row at a time: the a priori
 bound is a stream of rows (``BoundProcess``), and no check builds a (K+1, n)
 surface, or an (n, K, w) integrand surface, beside the solutions it reads.
+
+Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
+unless every value, the mean and its SE are finite, both are inf and every
+check that reads them fails (the norm bound raises ``MomentFailureError``),
+so an overflow never passes on an infinite SE or turns into a NaN.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaincinv, ndtr
@@ -54,6 +60,26 @@ class CheckReport:
             "se": float(self.se),
             "extra": dict(self.extra),
         }
+
+
+class ExpMartingaleEstimate(NamedTuple):
+    """Mean and SE over the paths of exp(x), x a per-path exponent such as log E(q (Z.M + N))_T
+    (both inf unless both are finite), and the number of paths whose exp(x) is not finite."""
+
+    mean: float
+    se: float
+    n_overflow: int
+
+
+def _exponential_mean(exponent: np.ndarray) -> ExpMartingaleEstimate:
+    """The estimator of every mean of exp(.) in this module."""
+    with np.errstate(over="ignore"):
+        vals = np.exp(exponent)
+        n_overflow = int(np.count_nonzero(~np.isfinite(vals)))
+        mean, se = mean_se(vals) if n_overflow == 0 else (math.inf, math.inf)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        mean = se = math.inf
+    return ExpMartingaleEstimate(mean, se, n_overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +340,11 @@ def norm_bound_checks(
         order = p * gamma * math.exp(bstar * bundle.grid.horizon)
         m_r1, se_r1 = exponential_moment_estimate(xi, params, bundle, order)
         m_r2, se_r2 = exponential_moment_estimate(xi, params, bundle, 4.0 * order)
-        with np.errstate(over="ignore"):
-            lhs1 = np.exp(p * gamma * sup_y)
-        if not (math.isfinite(m_r1) and np.all(np.isfinite(lhs1))):
+        m_l1, se_l1, _ = _exponential_mean(p * gamma * sup_y)
+        if not (math.isfinite(m_r1) and math.isfinite(m_l1)):
             raise MomentFailureError("exponential moment in the norm bound overflows on the sample")
 
         const = (p / (p - 1.0)) ** p
-        m_l1, se_l1 = mean_se(lhs1)
         se1 = math.hypot(se_l1, const * se_r1)
         margin1 = m_l1 - const * m_r1
         out.append(CheckReport(
@@ -342,7 +366,7 @@ def norm_bound_checks(
             margin=0.0,
             tol=0.0,
             n_paths=bundle.n_paths,
-            se=math.hypot(se_l2, se_r2) if finite2 else float("inf"),
+            se=math.hypot(se_l2, se_r2),
             extra={"implied_constant": implied, "lhs": m_l2, "rhs": m_r2},
         ))
     return out
@@ -545,9 +569,7 @@ def stability_metrics(
     h_m, h_se = mean_se(hyp)
     out = []
     for p in map(float, orders):
-        with np.errstate(over="ignore"):
-            exp_sup = np.exp(p * sup_gap)
-        e_m, e_se = mean_se(exp_sup)
+        e_m, e_se, _ = _exponential_mean(p * sup_gap)
         m_m, m_se = mean_se(qv ** (p / 2.0))
         out.append({
             "p": p,
@@ -577,7 +599,8 @@ def stability_check(
     keep E[exp(p sup gap)] - 1 within 2 p times the hypothesis + 3 SE at
     every order.  A member with it must keep E[exp(p sup gap)] within
     1e-6 + 3 SE of exp(p ``expected_sup``), the gap that stays while the
-    hypothesis vanishes.  The report's ``tol`` is that 1e-6.
+    hypothesis vanishes.  Either way E[exp(p sup gap)] must be finite at
+    every order.  The report's ``tol`` is that 1e-6.
     """
     first, tol = metrics[0], 1e-6
     hyp = first["hypothesis_mean"]
@@ -595,7 +618,7 @@ def stability_check(
             key, gap, allowed = f"exp_sup_excess_p{p:g}", exp_sup - 1.0 - 2.0 * p * max(hyp, 0.0), 0.0
         else:
             key, gap, allowed = f"exp_sup_gap_p{p:g}", abs(exp_sup - math.exp(p * expected_sup)), tol
-        passed = passed and gap <= allowed + 3.0 * m["exp_sup_p_se"]
+        passed = passed and math.isfinite(exp_sup) and gap <= allowed + 3.0 * m["exp_sup_p_se"]
         margin = max(margin, gap - allowed)
         extra[key] = gap
     return CheckReport(f"stability_{label}", passed, margin, tol, first["n_paths"], first["hypothesis_se"], extra)
@@ -606,28 +629,6 @@ def stability_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpMartingaleEstimate:
-    """Mean and SE of E(q (Z.M + N))_T where it is finite; the paths where it overflows."""
-
-    mean: float
-    se: float
-    n_overflow: int
-
-
-def _exponential_mean(integral: np.ndarray, qv: np.ndarray, q: float) -> ExpMartingaleEstimate:
-    with np.errstate(over="ignore"):
-        vals = np.exp(q * integral - 0.5 * q * q * qv)
-    overflow = int(np.count_nonzero(~np.isfinite(vals)))
-    finite = vals[np.isfinite(vals)]
-    if finite.size:
-        with np.errstate(over="ignore"):
-            mean, se = mean_se(finite)
-    else:
-        mean, se = float("inf"), float("inf")
-    return ExpMartingaleEstimate(mean=mean, se=se, n_overflow=overflow)
-
-
 def _terminal_integral(bundle: ScenarioBundle, solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
     """(Z.M + N)_T and its quadratic variation, per path: the last pair of ``integral_by_node``."""
     steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
@@ -636,19 +637,20 @@ def _terminal_integral(bundle: ScenarioBundle, solution: SolutionField) -> tuple
 
 def stochastic_exponential_mean(bundle: ScenarioBundle, solution: SolutionField, q: float) -> ExpMartingaleEstimate:
     """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
-    return _exponential_mean(*_terminal_integral(bundle, solution), q)
+    integral, qv = _terminal_integral(bundle, solution)
+    return _exponential_mean(q * integral - 0.5 * q * q * qv)
 
 
 def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, qs) -> list[CheckReport]:
-    """Per q in ``qs``: no path overflows and the mean of E(q (Z.M + N))_T is
-    within 3 SE of 1.  The integral and its quadratic variation do not depend
-    on q, so they are computed once."""
+    """Per q in ``qs``: the mean of E(q (Z.M + N))_T is finite and within 3 SE
+    of 1.  The integral and its quadratic variation do not depend on q, so
+    they are computed once."""
     integral, qv = _terminal_integral(bundle, solution)
     out = []
     for q in map(float, qs):
-        est = _exponential_mean(integral, qv, q)
+        est = _exponential_mean(q * integral - 0.5 * q * q * qv)
         gap = abs(est.mean - 1.0)
-        out.append(CheckReport(f"exp_martingale_q{q:g}", est.n_overflow == 0 and gap <= 3.0 * est.se, gap, 0.0,
+        out.append(CheckReport(f"exp_martingale_q{q:g}", math.isfinite(est.mean) and gap <= 3.0 * est.se, gap, 0.0,
                                bundle.n_paths, est.se, {"mean": est.mean, "n_overflow": est.n_overflow, "q": q}))
     return out
 
@@ -676,17 +678,12 @@ def kazamaki_statistic(
         raise GridMismatchError(f"solution field {solution.y.shape} is not on the bundle's paths and grid")
 
     steps = (q_tilde * solution.integrand[:, i] for i in range(bundle.grid.n_steps))
-    sup, sup_se, sup_node, finite = -math.inf, 0.0, 0, True
+    sup, sup_se, sup_node = -math.inf, 0.0, 0
     for i, (mt, qv) in enumerate(integral_by_node(bundle, steps)):
-        with np.errstate(over="ignore"):
-            vals = np.exp(eta * mt + (0.5 - eta) * qv)
-        if np.all(np.isfinite(vals)):
-            m, s = mean_se(vals)
-        else:
-            finite, m, s = False, math.inf, math.inf
+        m, s, _ = _exponential_mean(eta * mt + (0.5 - eta) * qv)
         if m > sup:
             sup, sup_se, sup_node = m, s, i
-    passed, margin = finite, 0.0
+    passed, margin = math.isfinite(sup), 0.0
     extra = {"sup": sup, "sup_node": sup_node, "eta": float(eta), "q_tilde": float(q_tilde)}
     if expected_sup is not None:
         margin = abs(sup - expected_sup)
@@ -706,15 +703,13 @@ def exponential_moment_estimate(
     bundle: ScenarioBundle,
     p: float,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E[exp(p(|xi| + |alpha|_1))] and its SE, or
-    (inf, inf) when the sample mean is not finite."""
+    """Monte Carlo estimate of E[exp(p(|xi| + |alpha|_1))] and its SE, both
+    inf unless both are finite."""
     if p <= 0:
         raise ValueError("moment order p must be positive")
     xi_vals = xi.evaluate(bundle.terminal_state)
-    a1 = params.alpha_l1(bundle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        est, se = mean_se(np.exp(p * (np.abs(xi_vals) + a1)))
-    return (est, se) if math.isfinite(est) else (math.inf, math.inf)
+    est = _exponential_mean(p * (np.abs(xi_vals) + params.alpha_l1(bundle)))
+    return est.mean, est.se
 
 
 def moment_checks(

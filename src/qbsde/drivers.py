@@ -77,14 +77,14 @@ class DriverSpec:
 
     ``f(t, y, z, b)`` must be a pure function, vectorized over paths:
     y has shape (n,), z has shape (n, d), b is the step's scalar factor, with
-    B = b I the factor of the clock at time t.
+    B = b I the factor of the clock at time t.  Every solver passes Z, which
+    a z-free F ignores; ``depends_on_y`` makes the Y-update iterate.
     """
 
     name: str
     f: Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]
     params: ParamSet
     depends_on_y: bool = False
-    depends_on_z: bool = True
     convex_in_z: bool = True
     dim_m: int | None = None
 
@@ -178,8 +178,6 @@ def _build_zero(options: dict) -> DriverSpec:
         name="zero",
         f=lambda t, y, z, b: np.zeros(np.shape(y)),
         params=ParamSet(gamma=1.0),
-        depends_on_y=False,
-        depends_on_z=False,
     )
 
 
@@ -190,8 +188,6 @@ def _build_constant(options: dict) -> DriverSpec:
         name="constant",
         f=lambda t, y, z, b: np.full(np.shape(y), value),
         params=ParamSet(gamma=1.0, alpha_fn=lambda t: mag),
-        depends_on_y=False,
-        depends_on_z=False,
     )
 
 
@@ -210,8 +206,6 @@ def _build_step_family(options: dict) -> DriverSpec:
         name="step_family",
         f=f,
         params=ParamSet(gamma=1.0, alpha_fn=lambda t: n if t < cut else 0.0),
-        depends_on_y=False,
-        depends_on_z=False,
     )
 
 

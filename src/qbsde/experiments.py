@@ -35,7 +35,7 @@ import jsonschema
 import numpy as np
 import yaml
 
-from . import analytics
+from . import __version__, analytics
 from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
@@ -533,7 +533,7 @@ def run_experiment(
         checks=checks,
         timing={"wall_clock_s": time.perf_counter() - t_start},
         versions={
-            "qbsde": _package_version(),
+            "qbsde": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
@@ -547,9 +547,3 @@ def run_experiment(
             fh.write(canonical_json([c.to_dict() for c in checks]))
         field_.to_csv(os.path.join(out_dir, f"{config.name}.solution.csv"), grid_nodes=bundle.grid.nodes)
     return report
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__

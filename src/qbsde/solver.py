@@ -366,10 +366,7 @@ class _OracleRun:
         zeta = np.zeros((n, self.w)) if want_z else None
         se = np.zeros(n) if want_se else None
         dt_i = float(self.bundle.dt[i])
-        inner_z = self.driver.depends_on_z
         leaf = i + 1 == self.K
-        # Z_orth enters Y through N's quadratic variation
-        need_zeta = want_z or inner_z or self.bundle.dim_orth > 0
 
         def run_chunk(lo, hi, inner_pool):
             c = hi - lo
@@ -378,19 +375,16 @@ class _OracleRun:
                 succ = np.concatenate((succ, -succ), axis=1)
             succ *= self.sq_dt[i]
             succ += states[lo:hi].astype(np.float32)[:, None, :]
-            v, _, _ = self.value(i + 1, succ.reshape(c * self.b, -1), (first + lo) * self.b, inner_z, pool=inner_pool)
+            v, _, _ = self.value(i + 1, succ.reshape(c * self.b, -1), (first + lo) * self.b, False, pool=inner_pool)
             v = v.reshape(c, self.b)
             ey = v.mean(axis=1, dtype=np.float64)
             if leaf:
                 # a non-finite float32 leaf makes its state's float64 mean
                 # non-finite, and finite leaves cannot overflow that sum
                 self.xi.require_finite(ey)
-            if need_zeta or want_se:
-                dv = v - ey.astype(np.float32)[:, None]
-            if need_zeta:
-                ez = np.matmul(dv[:, None, :], succ)[:, 0, :].astype(np.float64) / (self.b * dt_i)
-            else:
-                ez = np.zeros((c, self.w))
+            # F may read Z, and Z_orth enters Y through N's quadratic variation
+            dv = v - ey.astype(np.float32)[:, None]
+            ez = np.matmul(dv[:, None, :], succ)[:, 0, :].astype(np.float64) / (self.b * dt_i)
             y[lo:hi] = _solve_y(ey, ez, self.driver, self.bundle, i)
             if want_z:
                 zeta[lo:hi] = ez

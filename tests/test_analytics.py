@@ -29,6 +29,15 @@ def surfaces(bound):
     return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in rows], axis=1)
 
 
+def overflow_field(n_steps, n_paths, paths):
+    """A bundle and a field with zeta_i = dW_i / dt_i on ``paths``, zero elsewhere:
+    log E(zeta.W)_T = 1/2 sum dW_i^2 / dt_i, about K/2, on those paths, 0 on the others."""
+    bundle = q.simulate_scenario(q.build_grid(1.0, n_steps), 1, 0, n_paths, source=q.RandomSource(4))
+    zeta = np.zeros((n_paths, n_steps, 1))
+    zeta[paths] = (np.diff(bundle.states, axis=0) / bundle.dt[:, None, None]).transpose(1, 0, 2)[paths]
+    return bundle, q.SolutionField(np.zeros((n_paths, n_steps + 1)), zeta, 1)
+
+
 def x0(bound):
     """The bound's X_0 and its SE, from its first row: the path mean and the SE of path 0."""
     x_0, se_0 = next(bound.rows())
@@ -322,6 +331,21 @@ class TestStability:
         # exp(p / 4) - 1 lies within 2 p / 4: the converging rule's allowance
         assert rep.extra["exp_sup_excess_p2"] == pytest.approx(math.exp(0.5) - 2.0, abs=1e-9)
 
+    def test_overflowing_exp_sup_fails_without_nan(self):
+        # a sup gap of 800 on every path: exp(800) overflows, and the check must
+        # fail on it rather than pass on an infinite SE or report a NaN SE
+        b = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 64, source=q.RandomSource(3))
+        xi = q.terminal_constant(0.0, 1)
+        base, f0 = solved(b, "constant", {"value": 0.0}, xi)
+        member, fn = solved(b, "constant", {"value": 800.0}, xi)
+        [m] = q.stability_metrics(b, fn, f0, member, base, xi, xi, [1.0])
+        assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == (math.inf, math.inf)
+        rep = q.stability_check([m], "big", expected_hypothesis=800.0)
+        assert not rep.passed
+        assert rep.extra["hypothesis_gap"] <= 1e-6
+        numbers = [v for d in (rep.to_dict(), rep.extra, m) for v in d.values() if isinstance(v, float)]
+        assert not any(math.isnan(v) for v in numbers)
+
     def test_streamed_sup_gap_is_the_surface_formula(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         zero, f0 = solved(bundle_orth, "zero", {}, xi)
@@ -375,13 +399,30 @@ class TestMeasureChange:
             assert (rep.extra["mean"], rep.se, rep.extra["n_overflow"]) == (est.mean, est.se, est.n_overflow)
 
     def test_overflow_flagged(self):
-        # zeta_i = dW_i / dt_i makes log E(zeta.W)_T = 1/2 sum dW_i^2 / dt_i,
-        # about K/2 = 1000 > log(max float) on every path
-        bundle = q.simulate_scenario(q.build_grid(1.0, 2000), 1, 0, 16, source=q.RandomSource(4))
-        zeta = (np.diff(bundle.states, axis=0) / bundle.dt[:, None, None]).transpose(1, 0, 2)
-        field = q.SolutionField(np.zeros((bundle.n_paths, bundle.grid.n_steps + 1)), zeta, 1)
+        # log E(zeta.W)_T is about K/2 = 1000 > log(max float) on every path
+        bundle, field = overflow_field(2000, 16, slice(None))
         est = q.stochastic_exponential_mean(bundle, field, q=1.0)
         assert est.n_overflow > 0
+        assert (est.mean, est.se) == (math.inf, math.inf)
+        [rep] = q.exp_martingale_check(bundle, field, [1.0])
+        assert not rep.passed
+
+    def test_partial_overflow_is_an_infinite_mean(self):
+        # paths 8-15 carry E = 1 exactly; the mean of the surviving paths is not the mean
+        bundle, field = overflow_field(2000, 16, slice(0, 8))
+        est = q.stochastic_exponential_mean(bundle, field, q=1.0)
+        assert 0 < est.n_overflow <= 8
+        assert (est.mean, est.se) == (math.inf, math.inf)
+
+    def test_overflowing_se_fails(self):
+        # path 0 alone carries E(zeta.W)_T near exp(450): the mean is finite, its SE is not
+        bundle, field = overflow_field(900, 16, [0])
+        [rep] = q.exp_martingale_check(bundle, field, [1.0])
+        assert (rep.extra["mean"], rep.se, rep.extra["n_overflow"]) == (math.inf, math.inf, 0)
+        assert not rep.passed
+        kaz = q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=1.0, expected_sup=1.0)
+        assert (kaz.extra["sup"], kaz.se) == (math.inf, math.inf)
+        assert not kaz.passed
 
 
 class TestKazamaki:

@@ -219,6 +219,10 @@ class TestMoments:
     def test_overflow_flagged(self, bundle_1d):
         xi = q.terminal_affine(0.0, [400.0])
         assert q.exponential_moment_estimate(xi, ParamSet(gamma=1.0), bundle_1d, 2.0) == (math.inf, math.inf)
+        # one path near exp(460): every value and the mean are finite, the SE is not
+        spike = q.TerminalCondition(fn=lambda s: np.where(np.arange(len(s)) == 0, 230.0, 0.0), tag="spike")
+        assert q.exponential_moment_estimate(spike, ParamSet(gamma=1.0), bundle_1d, 2.0) == (math.inf, math.inf)
+        assert not q.moment_checks(spike, ParamSet(gamma=1.0), bundle_1d, [2.0])[0].passed
 
     def test_estimate_at_least_one(self, bundle_1d):
         xi = q.terminal_affine(0.1, [0.5])

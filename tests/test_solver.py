@@ -19,7 +19,6 @@ def linear_driver(a, b0, alpha0=None):
         params=ParamSet(gamma=1.0, beta=a / (alpha0 or max(b0, 1.0)), beta_bar=a, c_A=1.0,
                         alpha_fn=lambda t: alpha0 or max(b0, 1.0)),
         depends_on_y=True,
-        depends_on_z=False,
     )
 
 
