@@ -10,9 +10,10 @@ properties, and the ordering of two drivers, are falsified (not proved) by
 randomized sampling over a probe box; violations are reported with margins,
 never raised.
 
-Checks reduce over (node, path) points one node row at a time: the a priori
-bound is a stream of rows (``BoundProcess``), and no check builds a (K+1, n)
-surface, or an (n, K, w) integrand surface, beside the solutions it reads.
+No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
+reads: the a priori bound streams rows (``BoundProcess``), and the other
+checks reduce the stored arrays.  A value that a report cannot define is
+None (JSON null), never a NaN or infinite sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
 unless every value, the mean and its SE are finite, both are inf and every
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr
 
 from .drivers import DriverSpec, ParamSet, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
@@ -133,7 +133,7 @@ def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int
             "levels": list(ladder.levels),
             "y0_by_level": list(ladder.y0),
             "alpha_l1_by_level": list(ladder.alpha_l1),
-            "worst_gap": mono["worst_gap"],
+            "worst_gap": mono["worst_gap"] if mono["pairs"] else None,
             "untruncated_y0": y0,
             "top_gap": top_gap,
         },
@@ -158,6 +158,7 @@ class BoundProcess:
 
 def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     """E[exp(c |X|)] for X ~ N(mean, var), vectorized over the mean."""
+    from scipy.special import ndtr  # imported on use: it doubles the package's import time
     if var <= 0:
         return np.exp(c * np.abs(mean))
     sd = math.sqrt(var)
@@ -229,7 +230,7 @@ def apriori_bound(
             m_hat = reg.fit(target)
             # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
             m_hat = np.maximum(m_hat, 1.0)
-            sigma2 = float(reg.residual_variance(target, m_hat)[0])
+            sigma2 = reg.residual_variance(target, m_hat)
             yield np.log(m_hat) / gamma + R[i], np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
         yield np.abs(xi_vals), 0.0
 
@@ -266,7 +267,8 @@ def check_apriori(
         )
     y_var = solution.y_var
     dof = max(1, solution.max_features)
-    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u): scipy.stats is slow to import
+    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_mgf``'s ndtr
+    from scipy.special import gammaincinv
     band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
 
     # per path: running maxima of the adjusted and the raw gap, and the node and SE of the first
@@ -325,16 +327,14 @@ def norm_bound_checks(
 
     The first check is the Doob-type inequality with explicit constant
     (p/(p-1))^p.  The second has no named constant; the report carries the
-    implied ratio and flags non-finiteness.  Y* and the quadratic variation
-    do not depend on p, so both are taken once, in one pass over the nodes.
+    implied ratio (None if undefined) and flags non-finiteness.  Y* and
+    <Z.M + N>_T do not depend on p: each is one reduction of the stored arrays.
     """
     if any(p <= 1 for p in orders):
         raise ValueError("norm bound needs p > 1")
     gamma, bstar = params.gamma, params.beta_star
-    sup_y = np.zeros(bundle.n_paths)
-    steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
-    for i, (_, qv) in enumerate(integral_by_node(bundle, steps)):
-        np.maximum(sup_y, np.abs(solution.y[:, i]), out=sup_y)
+    sup_y = np.maximum(solution.y.max(axis=1), -solution.y.min(axis=1))
+    qv = np.einsum("nkw,nkw,k->n", solution.integrand, solution.integrand, bundle.dt)
     out = []
     for p in map(float, orders):
         order = p * gamma * math.exp(bstar * bundle.grid.horizon)
@@ -359,7 +359,7 @@ def norm_bound_checks(
 
         m_l2, se_l2 = mean_se(qv ** (p / 2.0))
         finite2 = math.isfinite(m_r2)
-        implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else float("nan"))
+        implied = m_l2 / m_r2 if (finite2 and m_r2 > 0) else (0.0 if m_l2 == 0 else None)
         out.append(CheckReport(
             name=f"norm_bound_martingale_p{p:g}",
             passed=finite2 and np.isfinite(m_l2),
@@ -451,9 +451,9 @@ def validate_assumptions(driver: DriverSpec, bundle: ScenarioBundle) -> CheckRep
 
     def clause(checked, values):
         if not checked:
-            return {"checked": False, "max_margin": float("nan"), "violations": 0}
-        m = float(np.max(values)) if np.size(values) else float("-inf")
-        return {"checked": True, "max_margin": m, "violations": int(np.count_nonzero(np.asarray(values) > PROBE_TOL))}
+            return {"checked": False, "max_margin": None, "violations": 0}
+        return {"checked": True, "max_margin": float(np.max(values)),
+                "violations": int(np.count_nonzero(np.asarray(values) > PROBE_TOL))}
 
     beta_pos = params.beta > 0
     checked = {"convexity_z": driver.convex_in_z, "y_zero": beta_pos}

@@ -78,13 +78,14 @@ class DriverSpec:
     ``f(t, y, z, b)`` must be a pure function, vectorized over paths:
     y has shape (n,), z has shape (n, d), b is the step's scalar factor, with
     B = b I the factor of the clock at time t.  Every solver passes Z, which
-    a z-free F ignores; ``depends_on_y`` makes the Y-update iterate.
+    a z-free F ignores.  A positive ``params.beta_bar`` makes the Y-update
+    iterate, so an F that reads y must declare one; ``validate_assumptions``'
+    ``lipschitz_y`` probe checks that it did.
     """
 
     name: str
     f: Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]
     params: ParamSet
-    depends_on_y: bool = False
     convex_in_z: bool = True
     dim_m: int | None = None
 

@@ -106,13 +106,11 @@ def make_regression(config: SolverConfig, state: np.ndarray, extra: np.ndarray |
 
 
 class _Projection:
-    """What both projection backends share: the residual variance of a fit."""
+    """What both projection backends share: the residual variance of one (n,) target's fit."""
 
-    def residual_variance(self, targets: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-        t = np.asarray(targets, dtype=float).reshape(self.n_samples, -1)
-        f = np.asarray(fitted, dtype=float).reshape(self.n_samples, -1)
+    def residual_variance(self, target: np.ndarray, fitted: np.ndarray) -> float:
         dof = max(self.n_samples - self.rank, 1)
-        return np.sum((t - f) ** 2, axis=0) / dof
+        return float(np.sum((target - fitted) ** 2) / dof)
 
 
 class BinnedRegression(_Projection):

@@ -2,13 +2,13 @@
 
 Two routes to the same object:
 
-* ``solve_backward`` -- least-squares regression scheme, implicit in Y
-  (per-step Picard fixed point), explicit in Z.  Z comes from regressing the
-  centered one-step target against the martingale increments, which keeps the
+* ``solve_backward`` -- least-squares regression scheme, implicit in Y (a
+  Picard fixed point where beta_bar * dA > 0), explicit in Z.  Z regresses the
+  centered one-step target on the martingale increments, which keeps the
   estimator unbiased and kills the dominant variance term.
 * ``nested_mc_oracle`` -- brute-force dynamic programming by resimulation
   from every node/path state; exponential cost, tiny grids only.  Serves as
-  the independent check on the regression route.
+  the independent check on the regression route, whose Y-step it shares.
 
 ``solve_ladder`` runs the truncated problems used by the existence
 construction (xi capped at n, the clock A stopped once the running integral
@@ -49,11 +49,9 @@ ORACLE_CAPACITY = 4_000_000_000
 _ORACLE_SEED_LEAVES = 1 << 16
 # disjoint path batches behind the Y_0 standard error of ``y0_with_se``
 Y0_SE_BATCHES = 8
-# the per-step Picard fixed point of a driver that depends on y: sup-norm
-# change that stops it, and the iterations after which it has diverged.
-# beta_bar * max(dA) < 1/2, which the sweep enforces, makes the map a strict
-# contraction, so the iteration converges geometrically and no problem needs
-# other limits
+# the Picard fixed point of a step with beta_bar * dA_i > 0: the sup-norm change that
+# stops it and the iterations after which it has diverged.  ``_solve_y`` keeps
+# beta_bar * dA_i < 1/2, a strict contraction, so the iteration needs no other limits
 PICARD_TOL = 1e-10
 PICARD_MAX = 50
 # paths written to the solution CSV
@@ -111,33 +109,33 @@ class SolutionField:
         return float(np.mean(self.y[:, 0]))
 
     def to_csv(self, path, grid_nodes: np.ndarray) -> None:
-        n = min(EXPORT_PATHS, self.n_paths)
-        K = self.n_steps
-        d, w = self.dim_m, self.integrand.shape[2]
+        n, K, d, w = min(EXPORT_PATHS, self.n_paths), self.n_steps, self.dim_m, self.integrand.shape[2]
+        # node-major rows of the first n paths; node K repeats the last step's integrand
+        node, p = np.divmod(np.arange((K + 1) * n), n)
+        table = np.column_stack([node, grid_nodes[node], p, self.y[p, node], self.integrand[p, np.minimum(node, K - 1)]])
         header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(w - d)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(K + 1):
-                zi = self.integrand[:, min(i, K - 1), :]
-                for p in range(n):
-                    row = [str(i), f"{grid_nodes[i]:.12g}", str(p), f"{self.y[p, i]:.12g}"]
-                    row += [f"{v:.12g}" for v in zi[p]]
-                    fh.write(",".join(row) + "\n")
+        np.savetxt(path, table, fmt=["%d", "%.12g", "%d"] + ["%.12g"] * (w + 1), delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _solve_y(ey, zeta, driver, bundle, i):
     """Y at node i: the fixed point y = ey + F(t_i, y, Z) dA_i + 1/2 |Z_orth|^2 dt_i, vectorized over paths.
 
     ``zeta`` is the step's integrand (Z, Z_orth), shape (n, dim_m + dim_orth);
-    the last term is N's half quadratic variation over the step.
+    the last term is N's half quadratic variation over the step.  Picard
+    iterates where beta_bar * dA_i > 0, which must be below 1/2 (else
+    ``ValueError``); elsewhere one evaluation at ey is the fixed point.
     """
     z, z_orth = zeta[:, : bundle.dim_m], zeta[:, bundle.dim_m :]
     half_qv = 0.5 * np.einsum("nq,nq->n", z_orth, z_orth) * bundle.dt[i] if bundle.dim_orth else 0.0
     dA_i = bundle.dA[i]
     if not dA_i > 0:
         return ey + half_qv
+    contraction = driver.params.beta_bar * dA_i
+    if contraction >= 0.5:
+        raise ValueError(f"contraction constraint violated at step {i}: beta_bar * dA = {contraction:.3g} >= 0.5")
     y = ey + driver.evaluate(bundle, i, ey, z) * dA_i + half_qv
-    if not driver.depends_on_y:
+    if not contraction > 0:
         return y
     last = np.inf
     for _ in range(PICARD_MAX):
@@ -181,11 +179,6 @@ def _backward_steps(
     """
     if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
         raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
-    bb_max = driver.params.beta_bar * float(np.max(bundle.dA))
-    if bb_max >= 0.5:
-        raise ValueError(
-            f"contraction constraint violated: beta_bar * max dA = {bb_max:.3g} >= 0.5; refine the grid"
-        )
 
     dt = bundle.dt
     y = xi.evaluate(bundle.terminal_state)
@@ -219,9 +212,9 @@ def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: Termina
     """
     dA, m = bundle.dA, y_var.shape[0]
     for i, reg, target, ey, zeta, y in _backward_steps(bundle, driver, xi, config, regression):
-        sigma2_y = float(reg.residual_variance(target, ey)[0])
+        sigma2_y = reg.residual_variance(target, ey)
         inherited = np.maximum(reg.fit(y_var[(i + 1) % m]), 0.0)
-        amp = 1.0 / (1.0 - min(driver.params.beta_bar * dA[i], 0.5))
+        amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
         y_var[i % m] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
         yield i, reg, target, zeta, y, y_var[i % m]
 
@@ -324,8 +317,8 @@ class _OracleRun:
     every call starts at a block boundary (its first id is 0 or a chunk start
     times b), so the only partial block is the last one of a level, which is
     always drawn at the same size.  The draws, and with them the field, are
-    therefore the same for every chunk size and thread count.  A driver that
-    depends on y stops its Picard iteration on a chunk's sup-norm, so its
+    therefore the same for every chunk size and thread count.  A driver with
+    beta_bar > 0 stops its Picard iteration on a chunk's sup-norm, so its
     field agrees across chunk sizes to ``PICARD_TOL`` rather than bit for bit.
 
     Threads.  The chunks of the first level that has more than one chunk run

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -423,6 +424,14 @@ class TestMeasureChange:
         kaz = q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=1.0, expected_sup=1.0)
         assert (kaz.extra["sup"], kaz.se) == (math.inf, math.inf)
         assert not kaz.passed
+
+
+def test_one_level_ladder_report_is_strict_json(bundle_1d):
+    # one level compares no pair, so there is no worst gap to report
+    ladder = q.solve_ladder(bundle_1d, q.make_builtin("zero"), q.terminal_constant(0.0, 1), [1.0])
+    report = q.ladder_check(ladder, 0.0, 0.0, bundle_1d.n_paths).to_dict()
+    assert report["extra"]["worst_gap"] is None
+    json.dumps(report, allow_nan=False)
 
 
 class TestKazamaki:

@@ -179,7 +179,6 @@ class TestValidation:
             base,
             name="steep",
             f=lambda t, y, z, b: 3.0 * np.asarray(y),
-            depends_on_y=True,
             params=dataclasses.replace(base.params, beta_bar=1.0, beta=1.0, c_A=1.0,
                                        alpha_fn=lambda t: 10.0),
         )

@@ -363,6 +363,13 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy.special alone takes about 0.3 s to import; the two checks that call it import it on use
+    proc = run_python("-c", "import sys, qbsde; qbsde.bundled_configs(); print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestCli:
     def test_list(self):
         proc = run_cli("list")

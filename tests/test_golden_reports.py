@@ -53,6 +53,15 @@ def test_report_matches_golden(config):
     assert _mismatches(got, want) == []
 
 
+def test_stored_copies_hold_no_nan_or_infinity():
+    # an undefined value is null in a report, so every copy is strict JSON
+    def refuse(constant):
+        raise ValueError(f"sentinel {constant}")
+
+    for path in sorted(DATA.glob("*.json")):
+        json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_mismatches_reads_every_leaf():
     want = {"a": 1.0, "b": [True, "x", float("nan")], "c": {"d": 2}}
     assert _mismatches(json.loads(json.dumps(want)), want) == []

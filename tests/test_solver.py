@@ -18,7 +18,6 @@ def linear_driver(a, b0, alpha0=None):
         f=lambda t, y, z, b: b0 + a * np.asarray(y),
         params=ParamSet(gamma=1.0, beta=a / (alpha0 or max(b0, 1.0)), beta_bar=a, c_A=1.0,
                         alpha_fn=lambda t: alpha0 or max(b0, 1.0)),
-        depends_on_y=True,
     )
 
 
@@ -97,10 +96,36 @@ class TestPicard:
         # passes but the fixed point iteration blows up
         grid = q.build_grid(1.0, 5)
         b = q.simulate_scenario(grid, 1, 0, 16, source=q.RandomSource(2))
-        drv = dataclasses.replace(linear_driver(a=9.0, b0=0.0), params=ParamSet(gamma=1.0))
+        drv = dataclasses.replace(linear_driver(a=9.0, b0=0.0), params=ParamSet(gamma=1.0, beta_bar=0.1))
         with pytest.raises(SolverDivergenceError) as err:
             q.solve_backward(b, drv, q.terminal_constant(1.0, 1))
         assert err.value.step == 4
+
+    def test_oracle_refuses_what_solve_backward_refuses(self):
+        grid = q.build_grid(1.0, 2)  # beta_bar * dA = 0.6
+        b = q.simulate_scenario(grid, 1, 0, 4, source=q.RandomSource(1))
+        drv, xi = linear_driver(a=1.2, b0=0.1), q.terminal_constant(0.0, 1)
+        with pytest.raises(ValueError, match="contraction constraint violated at step 1") as oracle:
+            q.nested_mc_oracle(b, drv, xi, branching=1000)
+        with pytest.raises(ValueError) as direct:
+            q.solve_backward(b, drv, xi)
+        assert str(oracle.value) == str(direct.value)
+
+    def test_beta_bar_alone_makes_the_step_implicit(self):
+        # F reads y, and its declared Lipschitz constant is the only sign of it
+        drv = q.DriverSpec(name="reads-y", f=lambda t, y, z, b: 0.5 + 0.8 * np.asarray(y),
+                           params=ParamSet(gamma=1.0, beta_bar=0.8))
+        grid = q.build_grid(1.0, 10)
+        b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(9))
+        field = q.solve_backward(b, drv, q.terminal_constant(0.0, 1))
+        assert field.y0 == pytest.approx(implicit_ode_oracle(grid, 0.8, 0.5), abs=1e-9)
+
+    def test_oracle_picard_matches_discrete_recursion(self):
+        # two steps keep the resimulation tree at 10^6 leaves
+        grid = q.build_grid(1.0, 2)
+        b = q.simulate_scenario(grid, 1, 0, 4, source=q.RandomSource(3))
+        field = q.nested_mc_oracle(b, linear_driver(a=0.8, b0=0.5), q.terminal_constant(0.0, 1), branching=1000)
+        assert field.y0 == pytest.approx(implicit_ode_oracle(grid, 0.8, 0.5), abs=1e-9)
 
     def test_non_finite_row_raises_at_its_step(self):
         # |W_T| under gamma = 2 on the default cubic basis: a batch's Y row
