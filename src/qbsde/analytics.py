@@ -11,8 +11,10 @@ randomized sampling over a probe box; violations are reported with margins,
 never raised.
 
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
-reads: the a priori bound streams rows (``BoundProcess``), and the other
-checks reduce the stored arrays.  A value that a report cannot define is
+reads.  The a priori check streams through the backward sweep: the sweep
+hands it each node's Y row and variance row as it makes them, and the check
+asks the bound (``BoundProcess``) for the same node's row.  The other checks
+reduce the stored arrays.  A value that a report cannot define is
 None (JSON null), never a NaN or infinite sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,13 +149,14 @@ def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int
 
 @dataclass(frozen=True)
 class BoundProcess:
-    """Estimate of the conditional-expectation bound X_t, streamed: ``rows()``
-    computes and yields ``(x_i, x_se_i)`` for t_0, ..., t_K on every call, the
-    (n_paths,) row of X and its SE (a row by projection, the scalar 0 in
-    closed form).  ``shape`` is (n_paths, K+1), that of ``SolutionField.y``."""
+    """Estimate of the conditional-expectation bound X_t, row by row: ``row(i)``
+    computes ``(x_i, x_se_i)`` at node t_i on every call, the (n_paths,) row
+    of X and its SE (a row by projection, the scalar 0 in closed form).  Each
+    node is computed on its own, so rows may be asked for in any order.
+    ``shape`` is (n_paths, K+1), that of ``SolutionField.y``."""
 
     shape: tuple[int, int]
-    rows: Callable[[], Iterator[tuple[np.ndarray, np.ndarray | float]]]
+    row: Callable[[int], tuple[np.ndarray, np.ndarray | float]]
 
 
 def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
@@ -185,8 +188,9 @@ def apriori_bound(
     current state, which pins the terminal node exactly; ``terminal_feature``
     is not read.
 
-    The gamma >= 1 and moment checks run here; the rows are computed on each
-    pass over the ``BoundProcess``, so an overflowing projection raises there.
+    The gamma >= 1 and moment checks run here; a row is computed when the
+    ``BoundProcess`` is asked for it, by node index and in any order, so an
+    overflowing projection raises there.
     """
     if params.gamma < 1:
         raise ValueError("the a priori bound needs gamma >= 1")
@@ -209,105 +213,128 @@ def apriori_bound(
     c = gamma * np.exp(bstar * (T - nodes))
     config = config or SolverConfig()
 
-    def closed_form():
+    def closed_form(i):
         a0, a = xi.affine
         a = np.broadcast_to(np.asarray(a, dtype=float), (bundle.dim_m + bundle.dim_orth,))
-        for i in range(K):
-            mean = a0 + bundle.state(i) @ a
-            var = float(a @ a) * (T - nodes[i])
-            yield np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i], 0.0
-        yield np.abs(xi_vals), 0.0
+        mean = a0 + bundle.state(i) @ a
+        var = float(a @ a) * (T - nodes[i])
+        return np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i], 0.0
 
-    def projected():
-        for i in range(K):
-            state = bundle.state(i)
-            with np.errstate(over="ignore"):
-                target = np.exp(c[i] * np.abs(xi_vals))
-                feature = np.exp(c[i] * np.abs(np.asarray(xi.fn(state), dtype=float)))
-            if not (np.all(np.isfinite(target)) and np.all(np.isfinite(feature))):
-                raise MomentFailureError(f"exponential target overflows at node {i}")
-            reg = NodeRegression(design(config, state, extra=feature))
-            m_hat = reg.fit(target)
-            # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
-            m_hat = np.maximum(m_hat, 1.0)
-            sigma2 = reg.residual_variance(target, m_hat)
-            yield np.log(m_hat) / gamma + R[i], np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
-        yield np.abs(xi_vals), 0.0
+    def projected(i):
+        state = bundle.state(i)
+        with np.errstate(over="ignore"):
+            target = np.exp(c[i] * np.abs(xi_vals))
+            feature = np.exp(c[i] * np.abs(np.asarray(xi.fn(state), dtype=float)))
+        if not (np.all(np.isfinite(target)) and np.all(np.isfinite(feature))):
+            raise MomentFailureError(f"exponential target overflows at node {i}")
+        reg = NodeRegression(design(config, state, extra=feature))
+        m_hat = reg.fit(target)
+        # the integrand is >= 1, so E[.|F_t] >= 1 surely; floor the fit there
+        m_hat = np.maximum(m_hat, 1.0)
+        sigma2 = reg.residual_variance(target, m_hat)
+        return np.log(m_hat) / gamma + R[i], np.sqrt(reg.fit_variance(sigma2)) / (gamma * m_hat)
 
-    return BoundProcess((n, K + 1), closed_form if xi.affine is not None else projected)
+    before_t_K = closed_form if xi.affine is not None else projected
+
+    def row(i):
+        return (np.abs(xi_vals), 0.0) if i == K else before_t_K(i)
+
+    return BoundProcess((n, K + 1), row)
+
+
+class AprioriCheck:
+    """The running state of ``check_apriori``, fed one node row at a time.
+
+    A call ``check(i, y_i, y_var_i)`` takes node i's (n_paths,) row of Y and
+    its variance row (or the scalar 0), in any node order, and asks the bound
+    for the same node's row; ``solve_backward(..., checks=[check])`` makes
+    the calls.  Each path keeps its running maxima of the adjusted and the
+    raw gap, and the node and SE of its worst adjusted gap, a tie going to
+    the earlier node; ``report()`` takes the first path with the largest
+    maximum.  That is the first maximum in path-major order, as a flat
+    argmax over the (n_paths, K+1) surfaces would give.
+    """
+
+    def __init__(self, bound: BoundProcess, band: float, tight: float | None, x0: float | None):
+        n, nodes = bound.shape
+        self.bound, self.band, self.tight, self.x0 = bound, band, tight, x0
+        self.worst, self.raw = np.full(n, -np.inf), np.full(n, -np.inf)
+        self.arg_node, self.arg_se = np.full(n, nodes, dtype=np.intp), np.zeros(n)
+        self.seen = np.zeros(nodes, dtype=bool)
+        self.bound_x0 = self.bound_x0_se = None  # from node 0's row
+
+    def __call__(self, i: int, y_i: np.ndarray, y_var_i: np.ndarray | float) -> None:
+        n, nodes = self.bound.shape
+        if np.shape(y_i) != (n,) or not 0 <= i < nodes:
+            raise GridMismatchError(
+                f"row {i} of {np.shape(y_i)} paths is not a row of the bound process {self.bound.shape}"
+            )
+        x_i, x_se_i = self.bound.row(i)
+        if i == 0:
+            self.bound_x0, self.bound_x0_se = float(np.mean(x_i)), float(np.ravel(x_se_i)[0])
+        gap = np.abs(y_i) - x_i
+        # hypot(0, s) is s: skip it where the bound is exact, as on the closed form
+        se = np.hypot(x_se_i, np.sqrt(y_var_i)) if np.any(x_se_i) else np.sqrt(y_var_i)
+        adjusted = gap - 3.0 * self.band * se
+        better = (adjusted > self.worst) | ((adjusted == self.worst) & (i < self.arg_node))
+        np.copyto(self.arg_node, i, where=better)
+        np.copyto(self.arg_se, se, where=better)
+        np.maximum(self.worst, adjusted, out=self.worst)
+        np.maximum(self.raw, gap, out=self.raw)
+        self.seen[i] = True
+
+    def report(self) -> CheckReport:
+        n, nodes = self.bound.shape
+        if not self.seen.all():
+            raise GridMismatchError(f"the check was handed {int(self.seen.sum())} of the bound's {nodes} node rows")
+        path = int(np.argmax(self.worst))
+        margin, tol = float(self.worst[path]), 1e-6
+        passed = margin <= tol
+        extra = {
+            "argmax_node": int(self.arg_node[path]),
+            "argmax_path": path,
+            "raw_margin": float(np.max(self.raw)),
+            "band_factor": self.band,
+            "x0": self.bound_x0,
+            "x0_se": self.bound_x0_se,
+        }
+        if self.tight is not None:
+            extra["tight"] = float(self.tight)
+            passed = passed and abs(extra["raw_margin"]) <= self.tight
+        if self.x0 is not None:
+            extra["expected_x0"] = float(self.x0)
+            extra["x0_gap"] = abs(self.bound_x0 - self.x0)
+            passed = passed and extra["x0_gap"] <= 3.0 * self.bound_x0_se + 1e-12
+        return CheckReport("apriori_bound", passed, margin, tol, n, float(self.band * self.arg_se[path]), extra)
 
 
 def check_apriori(
-    solution: SolutionField,
     bound: BoundProcess,
+    dof: int,
     tight: float | None = None,
     x0: float | None = None,
-) -> CheckReport:
-    """Worst violation of |Y| <= X over all nodes and paths.
+) -> AprioriCheck:
+    """Worst violation of |Y| <= X over all nodes and paths, as a check that
+    the backward sweep feeds (``AprioriCheck``); its ``report()`` is the verdict.
 
     Both surfaces are compared at every (node, path) point, with a
     statistical allowance applied pointwise before taking the maximum.
     Because the comparison is a supremum over the whole fitted surface, the
-    pointwise OLS standard error is scaled to a Scheffe-type simultaneous
-    band (sqrt of the 99.7% chi-square quantile at the fit's width); the
-    plain pointwise three-sigma band would be exceeded somewhere by
-    selection alone.  The check passes iff that maximum is at most 1e-6,
-    the report's ``tol``.  The raw maximum of |y| - x is kept in ``extra``.
-
-    The bound's rows stream beside the solution's, and each path keeps its
-    running maxima and the node and SE of its first maximum, so the first
-    maximum in path-major order wins, as a flat argmax would give.
+    pointwise standard error (the bound's and the sweep's error propagation,
+    combined) is scaled to a Scheffe-type simultaneous band: the sqrt of the
+    99.7% chi-square quantile at ``dof``, the sweep's widest design
+    (``solver.widest_design``).  The plain pointwise three-sigma band would
+    be exceeded somewhere by selection alone.  The check passes iff that
+    maximum is at most 1e-6, the report's ``tol``.  The raw maximum of
+    |y| - x is kept in ``extra``.
 
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 3 SE of it.
     """
-    if solution.y.shape != bound.shape:
-        raise GridMismatchError(
-            f"solution field {solution.y.shape} and bound process {bound.shape} disagree"
-        )
-    y_var = solution.y_var
-    dof = max(1, solution.max_features)
     # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_mgf``'s ndtr
     from scipy.special import gammaincinv
-    band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
-
-    # per path: running maxima of the adjusted and the raw gap, and the node and SE of the first
-    n = solution.n_paths
-    worst, raw = np.full(n, -np.inf), np.full(n, -np.inf)
-    arg_node, arg_se = np.zeros(n, dtype=np.intp), np.zeros(n)
-    for i, (x_i, x_se_i) in enumerate(bound.rows()):
-        if i == 0:
-            bound_x0, bound_x0_se = float(np.mean(x_i)), float(np.ravel(x_se_i)[0])
-        gap = np.abs(solution.y[:, i]) - x_i
-        se = x_se_i
-        if y_var is not None:
-            # hypot(0, s) is s: skip it where the bound is exact, as on the closed form
-            se = np.hypot(x_se_i, np.sqrt(y_var[:, i])) if np.any(x_se_i) else np.sqrt(y_var[:, i])
-        adjusted = gap - 3.0 * band * se
-        better = adjusted > worst
-        np.copyto(arg_node, i, where=better)
-        np.copyto(arg_se, se, where=better)
-        np.maximum(worst, adjusted, out=worst)
-        np.maximum(raw, gap, out=raw)
-    path = int(np.argmax(worst))
-    margin, tol = float(worst[path]), 1e-6
-    passed = margin <= tol
-    extra = {
-        "argmax_node": int(arg_node[path]),
-        "argmax_path": path,
-        "raw_margin": float(np.max(raw)),
-        "band_factor": band,
-        "x0": bound_x0,
-        "x0_se": bound_x0_se,
-    }
-    if tight is not None:
-        extra["tight"] = float(tight)
-        passed = passed and abs(extra["raw_margin"]) <= tight
-    if x0 is not None:
-        extra["expected_x0"] = float(x0)
-        extra["x0_gap"] = abs(bound_x0 - x0)
-        passed = passed and extra["x0_gap"] <= 3.0 * bound_x0_se + 1e-12
-    return CheckReport("apriori_bound", passed, margin, tol, n, float(band * arg_se[path]), extra)
+    band = math.sqrt(2.0 * gammaincinv(max(1, dof) / 2.0, 1.0 - 0.003)) / 3.0
+    return AprioriCheck(bound, band, tight, x0)
 
 
 # ---------------------------------------------------------------------------

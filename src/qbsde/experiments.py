@@ -11,10 +11,12 @@ key that no bundled experiment sets:
 * ``solver``: the four ``SolverConfig`` fields;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
   runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
-  to the arguments of an ``analytics`` check, which returns the report.  The
-  slack of each verdict is fixed there, not a key: 1e-6 for the a priori bound
-  and stability, 1e-9 for comparison, a 1e-3 violation fraction for the
-  ladder, 0.05 for the anchor's mean Z, and 10,000 assumption probes.
+  to the arguments of an ``analytics`` check, which returns the report; an
+  ``apriori`` block's check is built before the solve, which feeds it, and
+  its runner reads the report.  The slack of each verdict is fixed there, not
+  a key: 1e-6 for the a priori bound and stability, 1e-9 for comparison, a
+  1e-3 violation fraction for the ladder, 0.05 for the anchor's mean Z, and
+  10,000 assumption probes.
 
 Seeds are mandatory; rerunning a config reproduces the report byte for byte
 apart from the timing block.
@@ -28,6 +30,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -40,7 +43,7 @@ from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
-from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
+from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, widest_design, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -390,6 +393,8 @@ class _RunContext:
     field: SolutionField
     y0: float
     y0_se: float
+    # the streamed checks of the apriori blocks, in block order, fed by the solve of ``field``
+    apriori: Iterator[analytics.AprioriCheck]
 
 
 def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -397,8 +402,7 @@ def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 
 
 def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    bound = analytics.apriori_bound(ctx.bundle, ctx.xi, ctx.driver.params, ctx.solver_cfg)
-    return [analytics.check_apriori(ctx.field, bound, **_keys(check))]
+    return [next(ctx.apriori).report()]
 
 
 def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -516,9 +520,17 @@ def run_experiment(
     driver = build_driver(config.driver)
     xi = build_terminal(config.terminal, bundle.dim_m + bundle.dim_orth)
     cfg = SolverConfig(**config.solver)
-    field_ = solve_backward(bundle, driver, xi, cfg)
+    # the a priori check streams through the solve, so its bound and band are built first
+    blocks = [check for check in config.checks if check["type"] == "apriori"]
+    apriori = []
+    if blocks:
+        bound = analytics.apriori_bound(bundle, xi, driver.params, cfg)
+        dof = widest_design(bundle, cfg)
+        apriori = [analytics.check_apriori(bound, dof, **_keys(block)) for block in blocks]
+    field_ = solve_backward(bundle, driver, xi, cfg, checks=apriori)
     y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)
-    ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, field=field_, y0=y0, y0_se=y0_se)
+    ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, field=field_, y0=y0, y0_se=y0_se,
+                      apriori=iter(apriori))
 
     checks: list[analytics.CheckReport] = []
     for check in config.checks:

@@ -1,17 +1,19 @@
 """Least-squares projection onto a polynomial or binned basis of the Markov state.
 
-``SolverConfig`` is the one description of a basis, and ``design`` the one
-function that builds its design matrix.  One projection per time step is
-shared between the value regression and the martingale-increment
-regressions.  Both backends drop the eigenvalues of their normal matrix
-below ``RCOND`` times the largest, so rank-deficient designs (the constant
-state at t = 0, a terminal feature collinear with a polynomial column) fall
-back to the minimum-norm projection instead of failing.
+``SolverConfig`` is the one description of a basis, ``design`` the one
+function that builds its design matrix, and ``n_columns`` counts its columns
+without building it.  One projection per time step is shared between the
+value regression and the martingale-increment regressions.  Both backends
+drop the eigenvalues of their normal matrix below ``RCOND`` times the
+largest, so rank-deficient designs (the constant state at t = 0, a terminal
+feature collinear with a polynomial column) fall back to the minimum-norm
+projection instead of failing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,21 +72,36 @@ def design(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = N
     return rows.T
 
 
-def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
-    """Cell index of every sample and the cell count.
+def n_columns(config: SolverConfig, state: np.ndarray, n_extra: int) -> int:
+    """Column count of ``design(config, state, extra)`` with ``n_extra`` extra
+    columns, which is the ``n_features`` of ``make_regression``, without
+    building it: a binned basis sorts the state once, a polynomial basis reads
+    only its dimension."""
+    state = np.atleast_2d(np.asarray(state, dtype=float))
+    if config.basis_kind == "binned":
+        return 2 * (_cell_edges(state[:, 0], config.bins).size + 1) + n_extra
+    return math.comb(state.shape[1] + config.degree, config.degree) + n_extra
 
-    Cell edges are sample quantiles of the full cross-section, read off one
-    sort with numpy's "linear" rule: virtual index (n - 1) q, and the
-    two-sided lerp of ``np.quantile``.  A sample's cell is the number of
-    distinct edges at or below it; a degenerate (constant) state collapses
-    to a single active cell.
-    """
+
+def _cell_edges(w: np.ndarray, bins: int) -> np.ndarray:
+    """The distinct cell edges: sample quantiles of the full cross-section,
+    read off one sort with numpy's "linear" rule (virtual index (n - 1) q, and
+    the two-sided lerp of ``np.quantile``)."""
     s = np.sort(w)
     vi = (s.size - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
     lo = np.floor(vi).astype(np.intp)
     g = vi - lo
     a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
-    edges = np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
+    return np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
+
+
+def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
+    """Cell index of every sample and the cell count.
+
+    A sample's cell is the number of distinct ``_cell_edges`` at or below
+    it; a degenerate (constant) state collapses to a single active cell.
+    """
+    edges = _cell_edges(w, bins)
     # counted in the narrowest type that holds the cell count, widened once
     # for bincount and take
     idx = np.zeros(w.size, dtype=np.min_scalar_type(edges.size))

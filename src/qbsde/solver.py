@@ -21,6 +21,12 @@ only Y_0 of each path batch, so it keeps the current row alone, and
 ``solve_ladder`` compares its levels as their sweeps run in lockstep.  A
 (K+1, n) float64 surface is 81 MB at 100,000 paths and 101 nodes, and a
 supremum or a count needs none.
+
+The sweep's error bars, the pointwise variance of each Y row by first-order
+error propagation, exist only inside a sweep whose rows are checked as they
+come: the ladder's comparison, and the checks (the a priori bound's) that
+``solve_backward`` is handed.  Each keeps the variance rows of the current
+and the next node; no solver stores a variance surface.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalCondition
 from .errors import CapacityError, DegenerateBasisError, SolverDivergenceError
 # NodeRegression is unused here but stays bound: the benchmark's tracing patches solver.NodeRegression
-from .regression import NodeRegression, SolverConfig, make_regression
+from .regression import NodeRegression, SolverConfig, make_regression, n_columns
 from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
@@ -73,20 +79,15 @@ class SolutionField:
     contiguous.  ``meta`` holds what a solver reports beside the field: the
     oracle's ``y0_se``, and nothing for the other solvers.
 
-    The regression sweep also gives its error bars.  ``y_var`` (n_paths, K+1)
-    is, per path and node, the pointwise variance of the node's own
-    projection plus the smoothed variance inherited from all later steps
-    (first-order error propagation through the backward recursion); it is
-    None for the oracle.  ``max_features`` is the widest design used, which
-    sizes the simultaneous confidence bands downstream.
+    The field holds no error bars: the variance rows of the regression sweep
+    exist only inside a sweep that checks the bound (``solve_backward``'s
+    ``checks``), one node at a time.
     """
 
     y: np.ndarray
     integrand: np.ndarray
     dim_m: int
     meta: dict = field(default_factory=dict)
-    y_var: np.ndarray | None = None
-    max_features: int = 0
 
     @property
     def z(self) -> np.ndarray:
@@ -199,24 +200,31 @@ def _backward_steps(
 
 
 def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig,
-                         y_var: np.ndarray, regression):
-    """``_backward_steps`` with the first-order error propagation of ``SolutionField.y_var``.
+                         regression=None):
+    """``_backward_steps`` with first-order error propagation through the backward recursion.
 
-    Yields ``(i, reg, target, zeta, y, y_var)``: the step's regression, the
-    target row y_{i+1}, the integrand on [t_i, t_{i+1}), the new row y_i and
-    its variance row.  The variance is this node's fit variance plus the
-    smoothed variance inherited from the next node (0 at t_K), amplified by
-    the implicit-step contraction factor.  Node i's row is row i % m of the
-    caller's zeroed (m, n) buffer ``y_var``: m = K + 1 keeps every row, m = 2
-    those of the current and the next node.
+    Yields the tuple of ``_backward_steps`` with the variance row of y_i
+    appended: per path, the pointwise variance of this node's projection plus
+    the smoothed variance inherited from the next node (0 at t_K), amplified
+    by the implicit-step contraction factor.  Only the current and the next
+    node's rows are kept, so a yielded variance row is overwritten once the
+    sweep has advanced two more steps.
     """
-    dA, m = bundle.dA, y_var.shape[0]
+    dA, y_var = bundle.dA, np.zeros((2, bundle.n_paths))
     for i, reg, target, ey, zeta, y in _backward_steps(bundle, driver, xi, config, regression):
         sigma2_y = reg.residual_variance(target, ey)
-        inherited = np.maximum(reg.fit(y_var[(i + 1) % m]), 0.0)
+        inherited = np.maximum(reg.fit(y_var[(i + 1) % 2]), 0.0)
         amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
-        y_var[i % m] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
-        yield i, reg, target, zeta, y, y_var[i % m]
+        y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
+        yield i, reg, target, ey, zeta, y, y_var[i % 2]
+
+
+def widest_design(bundle: ScenarioBundle, config: SolverConfig) -> int:
+    """The most columns of any step's design in the sweep of ``solve_backward``,
+    counted without building one: the basis of the state at t_0, ..., t_{K-1}
+    plus the feature column if ``config.terminal_feature``."""
+    extra = int(config.terminal_feature)
+    return max(n_columns(config, bundle.state(i), extra) for i in range(bundle.grid.n_steps))
 
 
 def solve_backward(
@@ -224,11 +232,16 @@ def solve_backward(
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig | None = None,
+    checks=(),
 ) -> SolutionField:
     """Regression-based backward recursion from Y_K = xi.
 
     Stores every row of the sweep, the terminal value pinned exactly path by
-    path, with the per-node error propagation of ``SolutionField.y_var``.
+    path.  Each of ``checks`` is called with every node's ``(i, y_i, y_var_i)``
+    as the sweep makes it, the terminal row first (its variance the scalar
+    0), where ``y_var_i`` is the row's variance by first-order error
+    propagation; a row is valid only during the call.  Without checks the
+    sweep propagates no variance.
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
@@ -236,18 +249,20 @@ def solve_backward(
     # node-major, like the bundle: each step reads and writes contiguous rows
     y = np.empty((K + 1, n))
     integrand = np.empty((K, n, bundle.states.shape[2]))
-    y_var = np.zeros((K + 1, n))
-    max_features = 0
 
-    steps = _sweep_with_variance(bundle, driver, xi, config, y_var, _regression_at(bundle, config, xi))
-    for i, reg, target, zeta, y_i, _ in steps:
+    steps = _sweep_with_variance(bundle, driver, xi, config) if checks else _backward_steps(bundle, driver, xi, config)
+    # a checked sweep appends the variance row to each step
+    for i, _, target, _, zeta, y_i, *y_var_i in steps:
         if i == K - 1:
             y[K] = target
+            for check in checks:
+                check(K, target, 0.0)
         integrand[i] = zeta
         y[i] = y_i
-        max_features = max(max_features, reg.n_features)
+        for check in checks:
+            check(i, y_i, *y_var_i)
 
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, y_var=y_var.T, max_features=max_features)
+    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
 
 
 def y0_with_se(
@@ -510,7 +525,7 @@ def solve_ladder(
     by more than ``tol`` plus 3 combined pointwise standard errors, the worst
     gap, ``tol`` and the number of points compared (``pairs``).
 
-    The sweeps, with the error propagation of ``solve_backward``, run in
+    The sweeps, with the error propagation of ``_sweep_with_variance``, run in
     lockstep and share each step's regression (same states, same feature),
     and the levels are compared node row by node row, terminal row first:
     every statistic is a count or a maximum, so no level stores a field.
@@ -524,8 +539,8 @@ def solve_ladder(
     # each step's regression is built once, by the first level to reach the
     # step, and kept until the next step's is built
     regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
-    sweeps = [_sweep_with_variance(b, driver, _truncated_terminal(xi, float(level)), config,
-                                   np.zeros((2, bundle.n_paths)), regression) for b, level in zip(stopped, levels)]
+    sweeps = [_sweep_with_variance(b, driver, _truncated_terminal(xi, float(level)), config, regression)
+              for b, level in zip(stopped, levels)]
     worst, violations, total = -np.inf, 0, 0
 
     def compare(ys, y_vars):

@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 import qbsde as q
+from qbsde import solver
 
 N_PATHS, N_STEPS = 20_000, 50
 ROW_BYTES = 8 * N_PATHS
@@ -39,9 +40,20 @@ def peak_rows(fn) -> float:
         tracemalloc.stop()
 
 
-# measured 41, 8, 53 (three levels), 1, 5, 10, 7 and 5 rows; a single (K+1, n)
-# surface is 51, each stored input or ladder level would add at least one, and
-# an (n, K, w) integrand surface is 100
+def checked_sweep(bundle, driver, xi, config, check):
+    """The sweep of a checked ``solve_backward``, storing no row: it hands the
+    check every node's Y and variance rows, the terminal row first."""
+    K = bundle.grid.n_steps
+    for i, _, target, _, _, y, y_var in solver._sweep_with_variance(bundle, driver, xi, config):
+        if i == K - 1:
+            check(K, target, 0.0)
+        check(i, y, y_var)
+    return check.report()
+
+
+# measured 43 (the sweep itself 37), 8, 53 (three levels), 1, 5, 10, 7 and 5
+# rows; a single (K+1, n) surface is 51, each stored input or ladder level
+# would add at least one, and an (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
     ("apriori", 48),
     ("kazamaki_statistic", 12),
@@ -58,7 +70,8 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
     # the projection route with the runner's basis: x_se is a computed row, not the closed form's 0
     projected = dataclasses.replace(xi, affine=None)
     calls = {
-        "apriori": lambda: q.check_apriori(field, q.apriori_bound(bundle, projected, driver.params, config)),
+        "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(
+            q.apriori_bound(bundle, projected, driver.params, config), solver.widest_design(bundle, config))),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),
@@ -71,15 +84,15 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
 
 
 def solution_rows(config) -> int:
-    """Rows of the bundle plus one stored solution: states, then y, integrand and y_var."""
+    """Rows of the bundle plus one stored solution: states, then y and the integrand."""
     K = config.scenario["steps"]
     w = config.scenario.get("dim_m", 1) + config.scenario.get("dim_orth", 0)
-    return (K + 1) * w + (K + 1) + K * w + (K + 1)
+    return (K + 1) * w + (K + 1) + K * w
 
 
-# measured 14 rows above the bundle and solution on quadratic-gaussian and 36
-# on truncation-ladder (four levels); the parent stored the bound's surfaces
-# and every level's field, 209 and 501 rows above
+# measured 20 rows above the bundle and solution on quadratic-gaussian and 42
+# on truncation-ladder (four levels); a solve that stored its variance surface
+# as well measured 115 and 77 rows above
 @pytest.mark.parametrize("name", ["quadratic-gaussian", "truncation-ladder"])
 def test_run_peak_is_the_bundle_plus_one_solution(name):
     config = q.load_config(name)

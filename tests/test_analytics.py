@@ -15,7 +15,7 @@ from qbsde.analytics import _folded_mgf
 from qbsde.drivers import ParamSet
 from qbsde.errors import GridMismatchError, MomentFailureError
 from qbsde.scenarios import mean_se
-from tests.test_solver import linear_driver
+from tests.test_solver import linear_driver, solved_with_variance
 
 
 def solved(bundle, name, options, xi, cfg=None):
@@ -23,11 +23,24 @@ def solved(bundle, name, options, xi, cfg=None):
     return drv, q.solve_backward(bundle, drv, xi, cfg)
 
 
+def checked(bundle, drv, xi, bound, cfg=None, **keys):
+    """The a priori check streamed through ``solve_backward``: the field, the
+    check's report and the variance surface of the rows the sweep handed it."""
+    check = q.check_apriori(bound, q.solver.widest_design(bundle, cfg or q.SolverConfig()), **keys)
+    field, y_var = solved_with_variance(bundle, drv, xi, cfg, [check])
+    return field, check.report(), y_var
+
+
+def rows(bound):
+    """The bound's node rows, t_0 first."""
+    return [bound.row(i) for i in range(bound.shape[1])]
+
+
 def surfaces(bound):
     """The bound's node rows stacked into (n_paths, K+1) surfaces of X and of its SE."""
-    rows = list(bound.rows())
-    x = np.stack([x_i for x_i, _ in rows], axis=1)
-    return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in rows], axis=1)
+    node_rows = rows(bound)
+    x = np.stack([x_i for x_i, _ in node_rows], axis=1)
+    return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in node_rows], axis=1)
 
 
 def overflow_field(n_steps, n_paths, paths):
@@ -41,7 +54,7 @@ def overflow_field(n_steps, n_paths, paths):
 
 def x0(bound):
     """The bound's X_0 and its SE, from its first row: the path mean and the SE of path 0."""
-    x_0, se_0 = next(bound.rows())
+    x_0, se_0 = bound.row(0)
     return float(np.mean(x_0)), float(np.ravel(se_0)[0])
 
 
@@ -67,7 +80,7 @@ class TestAprioriBound:
                              ids=["constant", "affine", "abs"])
     def test_affine_terminals_take_the_closed_form(self, bundle_1d, xi):
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert all(np.ndim(se_i) == 0 and se_i == 0.0 for _, se_i in bound.rows())
+        assert all(np.ndim(se_i) == 0 and se_i == 0.0 for _, se_i in rows(bound))
         projected = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
         (x_p, se_p), (x_c, _) = x0(projected), x0(bound)
         assert abs(x_p - x_c) <= 4.0 * se_p + 1e-12
@@ -75,11 +88,11 @@ class TestAprioriBound:
     def test_step_family_bound_is_the_solution(self):
         grid = q.build_grid(2.0, 64, [0.5])
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(1))
-        drv, field = solved(b, "step_family", {"n": 2}, q.terminal_constant(0.0, 1))
+        drv = q.make_builtin("step_family", {"n": 2})
         bound = q.apriori_bound(b, q.terminal_constant(0.0, 1), drv.params)
         expected = np.maximum(1.0 - 2.0 * grid.nodes, 0.0)
         assert np.abs(surfaces(bound)[0] - expected[None, :]).max() < 1e-10
-        report = q.check_apriori(field, bound)
+        _, report, _ = checked(b, drv, q.terminal_constant(0.0, 1), bound)
         assert report.passed and report.margin <= 1e-10
         assert abs(report.extra["raw_margin"]) < 1e-10
 
@@ -96,9 +109,9 @@ class TestAprioriBound:
         assert abs(x_r - x_c) <= 4.0 * se_r
 
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
-        drv, field = solved(bundle_1d, "pure_quadratic", {"gamma": 1.0}, q.terminal_affine(0.0, [1.0]))
+        drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), drv.params)
-        report = q.check_apriori(field, bound)
+        field, report, _ = checked(bundle_1d, drv, q.terminal_affine(0.0, [1.0]), bound)
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
         assert x0(bound)[0] - field.y0 == pytest.approx(0.5204, abs=0.03)
@@ -109,13 +122,12 @@ class TestAprioriBound:
         grid = q.build_grid(1.0, 200)
         bundle = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(3))
         drv = linear_driver(a, b0, alpha0=alpha0)
-        field = q.solve_backward(bundle, drv, q.terminal_constant(0.0, 1))
         bound = q.apriori_bound(bundle, q.terminal_constant(0.0, 1), drv.params)
         assert drv.params.beta_star == pytest.approx(a)
         x_expected = (alpha0 / a) * (np.exp(a * (1.0 - grid.nodes)) - 1.0)
         # grid quadrature of the weighted integral converges O(dt)
         assert np.abs(surfaces(bound)[0][0] - x_expected).max() < 5e-3
-        assert q.check_apriori(field, bound).passed
+        assert checked(bundle, drv, q.terminal_constant(0.0, 1), bound)[1].passed
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
@@ -137,49 +149,70 @@ class TestAprioriBound:
 
     @pytest.mark.parametrize("affine", [True, False], ids=["closed_form", "regression"])
     def test_bound_node_major(self, bundle_1d, affine):
-        # one contiguous (n,) row per node from t_0 to t_K, computed again on every pass
+        # one contiguous (n,) row per node from t_0 to t_K, computed again on every call, in any order
         xi = q.terminal_affine(0.0, [1.0])
         if not affine:
             xi = dataclasses.replace(xi, affine=None)
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         n, K = bundle_1d.n_paths, bundle_1d.grid.n_steps
-        rows = list(bound.rows())
-        assert bound.shape == (n, K + 1) and len(rows) == K + 1
-        for i, (x_i, se_i) in enumerate(rows):
+        forward = rows(bound)
+        assert bound.shape == (n, K + 1)
+        for i, (x_i, se_i) in enumerate(forward):
             assert x_i.shape == (n,) and x_i.flags.c_contiguous
             assert np.shape(se_i) == (() if affine or i == K else (n,))
-        assert np.array_equal(rows[-1][0], np.abs(xi.evaluate(bundle_1d.terminal_state)))
-        assert all(np.array_equal(x_i, again) for (x_i, _), (again, _) in zip(rows, bound.rows()))
+        assert np.array_equal(forward[-1][0], np.abs(xi.evaluate(bundle_1d.terminal_state)))
+        backward = [bound.row(i) for i in range(K, -1, -1)][::-1]
+        assert all(np.array_equal(x_i, again) for (x_i, _), (again, _) in zip(forward, backward))
+
+    @staticmethod
+    def backward_report(y):
+        """The check of |y| <= 1 on the (K+1, n) rows ``y``, handed them as a
+        sweep does: terminal row first, exact rows (variance 0)."""
+        check = q.check_apriori(q.BoundProcess(y.shape[::-1], lambda i: (np.ones(y.shape[1]), 0.0)), 1)
+        for i in range(y.shape[0] - 1, -1, -1):
+            check(i, y[i], 0.0)
+        return check.report()
 
     def test_argmax_is_first_in_path_major_order(self):
         # tied worst points at (path 1, node 4) and (path 3, node 1): a flat
         # argmax over (path, node) picks the first, node-major order the second
         y = np.zeros((6, 5))
         y[4, 1] = y[1, 3] = 2.0
-        field = q.SolutionField(y.T, np.zeros((5, 5, 1)).transpose(1, 0, 2), 1)
-        bound = q.BoundProcess((5, 6), lambda: ((np.ones(5), 0.0) for _ in range(6)))
-        report = q.check_apriori(field, bound)
+        report = self.backward_report(y)
         assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (1, 4)
         assert report.margin == 1.0
 
+    def test_argmax_tie_on_one_path_is_its_first_node(self):
+        # tied worst points at (path 2, node 4) and (path 2, node 1) reach the
+        # check node 4 first; path-major order takes node 1
+        y = np.zeros((6, 5))
+        y[4, 2] = y[1, 2] = 2.0
+        report = self.backward_report(y)
+        assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (2, 1)
+        assert report.margin == 1.0
+
     def test_grid_mismatch(self, bundle_1d):
-        drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))
+        drv, xi = q.make_builtin("zero"), q.terminal_constant(0.0, 1)
         other = q.simulate_scenario(q.build_grid(1.0, 5), 1, 0, 8, source=q.RandomSource(9))
-        bound = q.apriori_bound(other, q.terminal_constant(0.0, 1), drv.params)
         with pytest.raises(GridMismatchError):
-            q.check_apriori(field, bound)
+            q.solve_backward(bundle_1d, drv, xi, checks=[q.check_apriori(q.apriori_bound(other, xi, drv.params), 1)])
+        # a check handed only some of the bound's node rows has no report
+        check = q.check_apriori(q.apriori_bound(bundle_1d, xi, drv.params), 1)
+        check(0, np.zeros(bundle_1d.n_paths), 0.0)
+        with pytest.raises(GridMismatchError):
+            check.report()
 
     def test_streamed_check_equals_the_surface_formula(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
-        drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi, q.SolverConfig(degree=2))
+        drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         # the projection route, where x_se is not zero
         bound = q.apriori_bound(bundle_orth, dataclasses.replace(xi, affine=None), drv.params)
         x, x_se = surfaces(bound)
         assert np.all(x_se[:, :-1] > 0)
-        report = q.check_apriori(field, bound)
+        field, report, y_var = checked(bundle_orth, drv, xi, bound, q.SolverConfig(degree=2))
         # the whole-surface formula the check streams
         gap = np.abs(field.y) - x
-        se = np.hypot(x_se, np.sqrt(field.y_var))
+        se = np.hypot(x_se, np.sqrt(y_var))
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se
         path, node = np.unravel_index(int(np.argmax(adjusted)), adjusted.shape)

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import yaml
 
 import qbsde as q
 from qbsde.errors import ConfigValidationError
-from qbsde.experiments import _CHECKS, _SCHEMA, _STABILITY_MEMBER, _driver_blocks, canonical_json
+from qbsde import solver
+from qbsde.experiments import (_CHECKS, _SCHEMA, _STABILITY_MEMBER, _driver_blocks, build_bundle, build_driver,
+                               build_terminal, canonical_json)
 from qbsde.solver import EXPORT_PATHS
 
 MINIMAL = """
@@ -249,8 +252,28 @@ class TestRunExperiment:
         names = [c.name for c in rep.checks]
         assert names == ["anchor", "apriori_bound"]
 
+    def test_each_apriori_block_reports_its_own_streamed_check(self):
+        # one solve feeds both checks; each report keeps its block's keys and place
+        cfg = q.validate_config(merged("checks: [{type: apriori}, {type: anchor, y0: 0.0}, {type: apriori, tight: 0.5}]"))
+        first, anchor, second = q.run_experiment(cfg).checks
+        assert (first.name, anchor.name, second.name) == ("apriori_bound", "anchor", "apriori_bound")
+        assert "tight" not in first.extra and second.extra["tight"] == 0.5
+        assert first.margin == second.margin
+
 
 class TestCatalogue:
+    @pytest.mark.parametrize("cfg", q.bundled_configs(), ids=lambda c: c.name)
+    def test_apriori_band_is_sized_by_the_sweeps_widest_design(self, cfg):
+        from scipy.stats import chi2
+        cfg = dataclasses.replace(cfg, scenario={**cfg.scenario, "n_paths": min(cfg.scenario["n_paths"], 1024)})
+        bundle, solver_cfg = build_bundle(cfg), q.SolverConfig(**cfg.solver)
+        xi = build_terminal(cfg.terminal, bundle.dim_m + bundle.dim_orth)
+        steps = solver._backward_steps(bundle, build_driver(cfg.driver), xi, solver_cfg)
+        widest = max(reg.n_features for _, reg, *_ in steps)
+        assert solver.widest_design(bundle, solver_cfg) == widest
+        bands = [c.extra["band_factor"] for c in q.run_experiment(cfg).checks if c.name == "apriori_bound"]
+        assert bands == pytest.approx([math.sqrt(chi2.ppf(0.997, widest)) / 3.0] * len(bands), rel=1e-9)
+
     def test_all_bundled_configs_validate(self):
         names = [c.name for c in q.bundled_configs()]
         assert len(names) == 12

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qbsde.errors import DegenerateBasisError
 from qbsde.regression import (RCOND, BinnedRegression, NodeRegression, SolverConfig, _quantile_cells, design,
-                              make_regression)
+                              make_regression, n_columns)
 
 
 def test_poly_design_columns():
@@ -18,6 +18,20 @@ def test_poly_design_columns():
     extra = design(config, state, extra=np.array([7.0, 8.0]))
     assert extra.shape == (2, 7)
     assert np.array_equal(extra[:, -1], [7.0, 8.0])
+
+
+@pytest.mark.parametrize("kind,n_vars,feature,state", [
+    ("poly", 1, False, "normal"), ("poly", 1, True, "normal"), ("poly", 2, False, "normal"),
+    ("poly", 2, True, "normal"), ("binned", 1, False, "normal"), ("binned", 1, True, "normal"),
+    ("binned", 1, False, "ties"), ("poly", 2, True, "constant"), ("binned", 1, True, "constant"),
+])
+def test_n_columns_is_the_regressions_width(rng, kind, n_vars, feature, state):
+    # counted without a design: the a priori band needs it before the sweep's first row
+    config = SolverConfig(degree=3, basis_kind=kind, bins=12)
+    states = {"normal": rng.normal(size=(500, n_vars)), "ties": rng.integers(0, 5, size=(500, n_vars)) * 1.0,
+              "constant": np.zeros((500, n_vars))}[state]
+    extra = np.abs(states[:, 0]) + 1.0 if feature else None
+    assert n_columns(config, states, int(feature)) == make_regression(config, states, extra).n_features
 
 
 def test_constant_state_falls_back_to_mean():

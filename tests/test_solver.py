@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -187,22 +188,35 @@ class TestQuadraticAnchor:
         assert errs[2] <= errs[0] + 0.005
 
 
+def solved_with_variance(bundle, driver, xi, config=None, checks=()):
+    """``solve_backward`` with a recorder beside ``checks``: the field and the
+    (n_paths, K+1) surface of the variance rows that the sweep hands its checks."""
+    y_var = np.empty((bundle.grid.n_steps + 1, bundle.n_paths))
+
+    def record(i, y_i, y_var_i):
+        y_var[i] = y_var_i
+
+    field = q.solve_backward(bundle, driver, xi, config, checks=[record, *checks])
+    return field, y_var.T
+
+
 def truncated_fields(bundle, driver, xi, levels, config=None):
     """The ladder's truncated problems, each solved and stored by ``solve_backward``
-    with the untruncated xi as the basis feature, as every ladder level has it."""
+    with the untruncated xi as the basis feature, as every ladder level has it:
+    (field, variance surface) per level."""
     regression_at = solver._regression_at
     with mock.patch.object(solver, "_regression_at", lambda b, c, _: regression_at(b, c, xi)):
-        return [q.solve_backward(solver._stopped_clock(bundle, driver, float(level)), driver,
-                                 solver._truncated_terminal(xi, float(level)), config) for level in levels]
+        return [solved_with_variance(solver._stopped_clock(bundle, driver, float(level)), driver,
+                                     solver._truncated_terminal(xi, float(level)), config) for level in levels]
 
 
 def surface_monotonicity(fields, tol):
-    """The ladder's monotonicity report computed from whole stored fields."""
-    ses = [np.sqrt(f.y_var) for f in fields]
+    """The ladder's monotonicity report computed from whole stored fields and variance surfaces."""
+    ses = [np.sqrt(y_var) for _, y_var in fields]
     worst, violations, total = -np.inf, 0, 0
     for a in range(len(fields)):
         for c in range(a + 1, len(fields)):
-            gap = fields[a].y - fields[c].y
+            gap = fields[a][0].y - fields[c][0].y
             worst = max(worst, float(np.max(gap)))
             violations += int(np.count_nonzero(gap > tol + 3.0 * np.hypot(ses[a], ses[c])))
             total += gap.size
@@ -211,7 +225,7 @@ def surface_monotonicity(fields, tol):
 
 def assert_ladder_is(ladder, fields, tol=0.0):
     """The lockstep ladder reports exactly what the stored fields give."""
-    assert ladder.y0 == tuple(f.y0 for f in fields)
+    assert ladder.y0 == tuple(f.y0 for f, _ in fields)
     assert ladder.monotonicity == surface_monotonicity(fields, tol)
 
 
@@ -221,7 +235,7 @@ class TestLadder:
         zero = q.make_builtin("zero")
         ladder = q.solve_ladder(bundle_1d, zero, xi, [4, 8])
         fields = truncated_fields(bundle_1d, zero, xi, [4, 8])
-        assert np.array_equal(fields[0].y, fields[1].y)
+        assert np.array_equal(fields[0][0].y, fields[1][0].y)
         assert_ladder_is(ladder, fields)
         assert ladder.monotonicity["violation_fraction"] == 0.0
 
@@ -243,8 +257,9 @@ class TestLadder:
         (linear,), (zero,) = (truncated_fields(b, drv, xi, [0.5]) for drv in drivers)
         for drv, f in zip(drivers, (linear, zero)):
             assert_ladder_is(q.solve_ladder(b, drv, xi, [0.5]), [f])
+        (linear, linear_var), (zero, zero_var) = linear, zero
         assert np.array_equal(linear.y[:, 20:], zero.y[:, 20:])
-        assert np.array_equal(linear.y_var[:, 20:], zero.y_var[:, 20:])
+        assert np.array_equal(linear_var[:, 20:], zero_var[:, 20:])
         assert not np.array_equal(linear.y[:, 19], zero.y[:, 19])
 
     def test_lambda_declared_driver_stops_at_level(self):
@@ -255,10 +270,10 @@ class TestLadder:
         xi = q.terminal_constant(0.0, 1)
         ladder = q.solve_ladder(b, drv, xi, [0.08])
         [field] = truncated_fields(b, drv, xi, [0.08])
-        [zero] = truncated_fields(b, q.make_builtin("zero"), xi, [0.08])
+        [(zero, _)] = truncated_fields(b, q.make_builtin("zero"), xi, [0.08])
         assert_ladder_is(ladder, [field])
         assert ladder.alpha_l1[0] == pytest.approx(0.08, abs=1e-12)
-        assert np.array_equal(field.y[:, 10:], zero.y[:, 10:])
+        assert np.array_equal(field[0].y[:, 10:], zero.y[:, 10:])
         # F = q |lam / (1 - p)|^2 = 0.08 at Z = 0 acts on [0, 0.5] only
         assert ladder.y0[0] == pytest.approx(0.04, abs=1e-9)
 
@@ -284,7 +299,7 @@ class TestLadder:
         zero, xi = q.make_builtin("zero"), q.terminal_affine(0.0, [2.0])
         [field] = truncated_fields(bundle_1d, zero, xi, [1.0])
         assert_ladder_is(q.solve_ladder(bundle_1d, zero, xi, [1.0]), [field])
-        capped = field.y[:, -1]
+        capped = field[0].y[:, -1]
         assert capped.max() <= 1.0 + 1e-12
         assert capped.min() >= -1.0 - 1e-12
 
@@ -303,8 +318,6 @@ def assert_node_major(field):
     """The node axis is outermost in memory: every node's rows are contiguous."""
     assert field.y.T.flags.c_contiguous
     assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
-    if field.y_var is not None:
-        assert field.y_var.T.flags.c_contiguous
 
 
 class TestLayout:
@@ -313,7 +326,6 @@ class TestLayout:
         config = q.SolverConfig(basis_kind=basis_kind, terminal_feature=basis_kind == "poly")
         field = q.solve_backward(bundle_1d, q.make_builtin("pure_quadratic", {"gamma": 1.0}),
                                  q.terminal_abs(0.0, [1.0]), config)
-        assert field.y_var is not None
         assert_node_major(field)
 
     def test_solve_backward_node_major_with_orth(self, bundle_orth):
@@ -378,3 +390,22 @@ class TestSharedSweep:
         with pytest.raises(ValueError, match=match) as batched:
             q.y0_with_se(bundle_1d, driver, xi)
         assert str(batched.value) == str(direct.value)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_unchecked_solve_does_no_variance_work(self, request, case):
+        # no residual or fit variance and no variance buffer, and the field of a checked solve bit for bit
+        name, make_driver, xi, config = self.CASES[case]
+        bundle, driver = request.getfixturevalue(name), make_driver()
+        targets = [(q.regression._Projection, "residual_variance"), (q.regression.NodeRegression, "fit_variance"),
+                   (q.regression.BinnedRegression, "fit_variance")]
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(owner, attr, autospec=True, side_effect=getattr(owner, attr)))
+                     for owner, attr in targets]
+            sweep = stack.enter_context(mock.patch.object(solver, "_sweep_with_variance",
+                                                          wraps=solver._sweep_with_variance))
+            plain = q.solve_backward(bundle, driver, xi, config)
+            assert sweep.call_count == 0 and all(spy.call_count == 0 for spy in spies)
+            checked, _ = solved_with_variance(bundle, driver, xi, config)
+            assert sweep.call_count == 1 and spies[0].call_count == bundle.grid.n_steps
+        assert np.array_equal(plain.y, checked.y)
+        assert np.array_equal(plain.integrand, checked.integrand)
