@@ -246,13 +246,14 @@ class AprioriCheck:
     """The running state of ``check_apriori``, fed one node row at a time.
 
     A call ``check(i, y_i, y_var_i)`` takes node i's (n_paths,) row of Y and
-    its variance row (or the scalar 0), in any node order, and asks the bound
-    for the same node's row; ``solve_backward(..., checks=[check])`` makes
-    the calls.  Each path keeps its running maxima of the adjusted and the
-    raw gap, and the node and SE of its worst adjusted gap, a tie going to
-    the earlier node; ``report()`` takes the first path with the largest
-    maximum.  That is the first maximum in path-major order, as a flat
-    argmax over the (n_paths, K+1) surfaces would give.
+    its variance row, in any node order, and asks the bound for the same
+    node's row; ``solve_backward(..., checks=[check])`` makes the calls, and
+    a caller that feeds rows by hand may pass the scalar 0 for an exact row.
+    Each path keeps its running maxima of the adjusted and the raw gap, and
+    the node and SE of its worst adjusted gap, a tie going to the earlier
+    node; ``report()`` takes the first path with the largest maximum.  That
+    is the first maximum in path-major order, as a flat argmax over the
+    (n_paths, K+1) surfaces would give.
     """
 
     def __init__(self, bound: BoundProcess, band: float, tight: float | None, x0: float | None):

@@ -15,18 +15,18 @@ construction (xi capped at n, the clock A stopped once the running integral
 of alpha dA exceeds n, so the driver acts only before that time) and reports
 monotonicity across levels.
 
-The regression scheme is one backward sweep that yields a step at a time.
-``solve_backward`` stores its rows as a solution field; ``y0_with_se`` needs
-only Y_0 of each path batch, so it keeps the current row alone, and
-``solve_ladder`` compares its levels as their sweeps run in lockstep.  A
-(K+1, n) float64 surface is 81 MB at 100,000 paths and 101 nodes, and a
-supremum or a count needs none.
+The regression scheme is one backward sweep, ``_backward_steps``, that
+yields the rows of one node at a time, t_K first.  ``solve_backward`` stores
+them as a solution field; ``y0_with_se`` needs only Y_0 of each path batch,
+so it keeps the last row alone, and ``solve_ladder`` compares its levels as
+their sweeps run in lockstep.  A (K+1, n) float64 surface is 81 MB at
+100,000 paths and 101 nodes, and a supremum or a count needs none.
 
 The sweep's error bars, the pointwise variance of each Y row by first-order
-error propagation, exist only inside a sweep whose rows are checked as they
-come: the ladder's comparison, and the checks (the a priori bound's) that
-``solve_backward`` is handed.  Each keeps the variance rows of the current
-and the next node; no solver stores a variance surface.
+error propagation, are computed only when the sweep is asked for them: by
+the ladder's comparison, and by ``solve_backward`` when it is handed checks
+(the a priori bound's).  The sweep then keeps the variance rows of the
+current and the next node; no solver stores a variance surface.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class SolutionField:
     contiguous.  ``meta`` holds what a solver reports beside the field: the
     oracle's ``y0_se``, and nothing for the other solvers.
 
-    The field holds no error bars: the variance rows of the regression sweep
-    exist only inside a sweep that checks the bound (``solve_backward``'s
-    ``checks``), one node at a time.
+    The field holds no error bars: the regression sweep hands its variance
+    rows, one node at a time, to the checks that ``solve_backward`` is given.
     """
 
     y: np.ndarray
@@ -159,32 +158,49 @@ def _regression_at(bundle: ScenarioBundle, config: SolverConfig, feature_source:
     return regression
 
 
+def _require_dim_m(driver: DriverSpec, bundle: ScenarioBundle) -> None:
+    """``ValueError`` unless the driver takes the bundle's martingale dimension."""
+    if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
+        raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
+
+
 def _backward_steps(
     bundle: ScenarioBundle,
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig,
     regression=None,
+    variance: bool = False,
 ):
-    """The regression scheme's backward sweep, one step at a time from i = K - 1 down to 0.
+    """The regression scheme's backward sweep, one node at a time from i = K down to 0.
 
+    Yields ``(i, y_i, zeta_i, y_var_i)``: node i's row of Y, the integrand
+    (Z, Z_orth) on [t_i, t_{i+1}) and, with ``variance``, the row's variance
+    by first-order error propagation (else None).  Node K comes first: xi at
+    the terminal states, integrand None and, with ``variance``, a zero row.
     Per step: project y_{i+1} on the basis of the Markov state, read Z off
-    the increment regressions of the centred target, then solve the implicit
-    Y-update.  Yields ``(i, reg, target, ey, zeta, y)``: the step's
-    regression, the target row y_{i+1}, its projection, the integrand
-    (Z, Z_orth) on [t_i, t_{i+1}) and the new row y_i.  Only the current row
-    is kept; a consumer stores what it needs.  ``regression(i)`` gives step
-    i's regression, by default from ``_regression_at`` with xi as the
-    feature; problems on the same states with the same feature can share it.
-    A non-finite row y_i raises ``DegenerateBasisError`` at its step.
-    """
-    if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
-        raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
+    the increment regressions of the centred target, then solve the
+    implicit Y-update.  The variance of y_i is, per path, the pointwise variance of
+    the step's projection plus the smoothed variance inherited from node
+    i + 1, amplified by the implicit-step contraction factor.
 
-    dt = bundle.dt
+    Only the current Y row is kept, and the variance rows of the current and
+    the next node, so a yielded variance row is overwritten once the sweep
+    has advanced two more nodes; a consumer stores what it needs.
+    ``regression(i)`` gives step i's regression, by default from
+    ``_regression_at`` with xi as the feature; problems on the same states
+    with the same feature can share it.  A non-finite row y_i raises
+    ``DegenerateBasisError`` at its step.
+    """
+    _require_dim_m(driver, bundle)
+
+    dt, dA, K = bundle.dt, bundle.dA, bundle.grid.n_steps
     y = xi.evaluate(bundle.terminal_state)
+    # the variance rows of the current and the next node; without variance both are None
+    y_var = np.zeros((2, bundle.n_paths)) if variance else (None, None)
+    yield K, y, None, y_var[K % 2]
     regression = regression or _regression_at(bundle, config, xi)
-    for i in range(bundle.grid.n_steps - 1, -1, -1):
+    for i in range(K - 1, -1, -1):
         # temporaries stay unnamed, so none outlives its step into the next
         # regression build, the sweep's peak
         reg = regression(i)
@@ -196,27 +212,12 @@ def _backward_steps(
         # min and max allocate no row; an isfinite row here raised the peak RSS by 4 MB
         if not (math.isfinite(y.min()) and math.isfinite(y.max())):
             raise DegenerateBasisError(f"non-finite Y at step {i}")
-        yield i, reg, target, ey, zeta, y
-
-
-def _sweep_with_variance(bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, config: SolverConfig,
-                         regression=None):
-    """``_backward_steps`` with first-order error propagation through the backward recursion.
-
-    Yields the tuple of ``_backward_steps`` with the variance row of y_i
-    appended: per path, the pointwise variance of this node's projection plus
-    the smoothed variance inherited from the next node (0 at t_K), amplified
-    by the implicit-step contraction factor.  Only the current and the next
-    node's rows are kept, so a yielded variance row is overwritten once the
-    sweep has advanced two more steps.
-    """
-    dA, y_var = bundle.dA, np.zeros((2, bundle.n_paths))
-    for i, reg, target, ey, zeta, y in _backward_steps(bundle, driver, xi, config, regression):
-        sigma2_y = reg.residual_variance(target, ey)
-        inherited = np.maximum(reg.fit(y_var[(i + 1) % 2]), 0.0)
-        amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
-        y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
-        yield i, reg, target, ey, zeta, y, y_var[i % 2]
+        if variance:
+            sigma2_y = reg.residual_variance(target, ey)
+            inherited = np.maximum(reg.fit(y_var[(i + 1) % 2]), 0.0)
+            amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
+            y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
+        yield i, y, zeta, y_var[i % 2]
 
 
 def widest_design(bundle: ScenarioBundle, config: SolverConfig) -> int:
@@ -238,8 +239,8 @@ def solve_backward(
 
     Stores every row of the sweep, the terminal value pinned exactly path by
     path.  Each of ``checks`` is called with every node's ``(i, y_i, y_var_i)``
-    as the sweep makes it, the terminal row first (its variance the scalar
-    0), where ``y_var_i`` is the row's variance by first-order error
+    as the sweep makes it, the terminal row first (its variance a zero row),
+    where ``y_var_i`` is the row's variance by first-order error
     propagation; a row is valid only during the call.  Without checks the
     sweep propagates no variance.
     """
@@ -250,17 +251,12 @@ def solve_backward(
     y = np.empty((K + 1, n))
     integrand = np.empty((K, n, bundle.states.shape[2]))
 
-    steps = _sweep_with_variance(bundle, driver, xi, config) if checks else _backward_steps(bundle, driver, xi, config)
-    # a checked sweep appends the variance row to each step
-    for i, _, target, _, zeta, y_i, *y_var_i in steps:
-        if i == K - 1:
-            y[K] = target
-            for check in checks:
-                check(K, target, 0.0)
-        integrand[i] = zeta
+    for i, y_i, zeta, y_var_i in _backward_steps(bundle, driver, xi, config, variance=bool(checks)):
         y[i] = y_i
+        if i < K:
+            integrand[i] = zeta
         for check in checks:
-            check(i, y_i, *y_var_i)
+            check(i, y_i, y_var_i)
 
     return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
 
@@ -288,7 +284,7 @@ def y0_with_se(
     edges = np.linspace(0, bundle.n_paths, k + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        for *_, y in _backward_steps(bundle.slice_paths(int(lo), int(hi)), driver, xi, config):
+        for _, y, _, _ in _backward_steps(bundle.slice_paths(int(lo), int(hi)), driver, xi, config):
             pass
         vals.append(float(np.mean(y)))
     mean, se = mean_se(vals)
@@ -442,8 +438,7 @@ def nested_mc_oracle(
         raise CapacityError(
             f"branching**n_steps = {branching ** bundle.grid.n_steps:.3g} exceeds capacity {ORACLE_CAPACITY:.3g}"
         )
-    if driver.dim_m is not None and driver.dim_m != bundle.dim_m:
-        raise ValueError(f"driver {driver.name!r} needs dim_m={driver.dim_m}, bundle has {bundle.dim_m}")
+    _require_dim_m(driver, bundle)
 
     n, K = bundle.n_paths, bundle.grid.n_steps
     y = np.empty((K + 1, n))
@@ -525,10 +520,10 @@ def solve_ladder(
     by more than ``tol`` plus 3 combined pointwise standard errors, the worst
     gap, ``tol`` and the number of points compared (``pairs``).
 
-    The sweeps, with the error propagation of ``_sweep_with_variance``, run in
-    lockstep and share each step's regression (same states, same feature),
-    and the levels are compared node row by node row, terminal row first:
-    every statistic is a count or a maximum, so no level stores a field.
+    The sweeps, each with its error propagation, run in lockstep and share
+    each step's regression (same states, same feature), and the levels are
+    compared node row by node row, terminal row first: every statistic is a
+    count or a maximum, so no level stores a field.
     """
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
@@ -539,7 +534,7 @@ def solve_ladder(
     # each step's regression is built once, by the first level to reach the
     # step, and kept until the next step's is built
     regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
-    sweeps = [_sweep_with_variance(b, driver, _truncated_terminal(xi, float(level)), config, regression)
+    sweeps = [_backward_steps(b, driver, _truncated_terminal(xi, float(level)), config, regression, variance=True)
               for b, level in zip(stopped, levels)]
     worst, violations, total = -np.inf, 0, 0
 
@@ -557,11 +552,9 @@ def solve_ladder(
 
     ys = []
     for steps in zip(*sweeps):
-        if steps[0][0] == bundle.grid.n_steps - 1:
-            compare([target for _, _, target, *_ in steps], [np.zeros(bundle.n_paths)] * len(steps))
-        ys = [y for *_, y, _ in steps]
+        ys = [y for _, y, _, _ in steps]
         compare(ys, [y_var for *_, y_var in steps])
-        del steps  # a level that advances releases this step's rows and regression
+        del steps  # a level that advances releases this node's rows
     report = {"violation_fraction": violations / max(total, 1), "worst_gap": worst, "tol": tol, "pairs": total}
     return TruncationLadder(tuple(float(v) for v in levels), tuple(float(np.mean(y)) for y in ys),
                             tuple(driver.params.alpha_l1(b) for b in stopped), report)

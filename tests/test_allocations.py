@@ -43,10 +43,7 @@ def peak_rows(fn) -> float:
 def checked_sweep(bundle, driver, xi, config, check):
     """The sweep of a checked ``solve_backward``, storing no row: it hands the
     check every node's Y and variance rows, the terminal row first."""
-    K = bundle.grid.n_steps
-    for i, _, target, _, _, y, y_var in solver._sweep_with_variance(bundle, driver, xi, config):
-        if i == K - 1:
-            check(K, target, 0.0)
+    for i, y, _, y_var in solver._backward_steps(bundle, driver, xi, config, variance=True):
         check(i, y, y_var)
     return check.report()
 
@@ -90,7 +87,7 @@ def solution_rows(config) -> int:
     return (K + 1) * w + (K + 1) + K * w
 
 
-# measured 20 rows above the bundle and solution on quadratic-gaussian and 42
+# measured 18 rows above the bundle and solution on quadratic-gaussian and 40
 # on truncation-ladder (four levels); a solve that stored its variance surface
 # as well measured 115 and 77 rows above
 @pytest.mark.parametrize("name", ["quadratic-gaussian", "truncation-ladder"])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from unittest import mock
 
 import pytest
 import yaml
@@ -268,8 +269,21 @@ class TestCatalogue:
         cfg = dataclasses.replace(cfg, scenario={**cfg.scenario, "n_paths": min(cfg.scenario["n_paths"], 1024)})
         bundle, solver_cfg = build_bundle(cfg), q.SolverConfig(**cfg.solver)
         xi = build_terminal(cfg.terminal, bundle.dim_m + bundle.dim_orth)
-        steps = solver._backward_steps(bundle, build_driver(cfg.driver), xi, solver_cfg)
-        widest = max(reg.n_features for _, reg, *_ in steps)
+        widths, regression_at = [], solver._regression_at
+
+        def recording_regression_at(*args):
+            regression = regression_at(*args)
+
+            def step(i):
+                reg = regression(i)
+                widths.append(reg.n_features)
+                return reg
+            return step
+
+        with mock.patch.object(solver, "_regression_at", recording_regression_at):
+            q.solve_backward(bundle, build_driver(cfg.driver), xi, solver_cfg)
+        assert len(widths) == bundle.grid.n_steps
+        widest = max(widths)
         assert solver.widest_design(bundle, solver_cfg) == widest
         bands = [c.extra["band_factor"] for c in q.run_experiment(cfg).checks if c.name == "apriori_bound"]
         assert bands == pytest.approx([math.sqrt(chi2.ppf(0.997, widest)) / 3.0] * len(bands), rel=1e-9)

@@ -379,21 +379,27 @@ class TestSharedSweep:
                     for lo, hi in zip(edges[:-1], edges[1:])]
         assert vals == expected
 
-    @pytest.mark.parametrize("driver,match", [
-        (dataclasses.replace(q.make_builtin("zero"), dim_m=2), "needs dim_m=2"),
-        (linear_driver(a=30.0, b0=0.5), "contraction constraint violated"),
+    @pytest.mark.parametrize("driver,match,oracle_too", [
+        (dataclasses.replace(q.make_builtin("zero"), dim_m=2), "needs dim_m=2", True),
+        (linear_driver(a=30.0, b0=0.5), "contraction constraint violated", False),
     ], ids=["dim_m", "contraction"])
-    def test_same_errors_as_solve_backward(self, bundle_1d, driver, match):
+    def test_same_errors_as_solve_backward(self, bundle_1d, driver, match, oracle_too):
         xi = q.terminal_constant(0.0, 1)
         with pytest.raises(ValueError, match=match) as direct:
             q.solve_backward(bundle_1d, driver, xi)
         with pytest.raises(ValueError, match=match) as batched:
             q.y0_with_se(bundle_1d, driver, xi)
         assert str(batched.value) == str(direct.value)
+        if oracle_too:
+            # the oracle takes at most 4 nodes; the step a contraction fails at depends on the grid
+            tiny = q.simulate_scenario(q.build_grid(1.0, 3), 1, 0, 4, source=q.RandomSource(1))
+            with pytest.raises(ValueError, match=match) as oracle:
+                q.nested_mc_oracle(tiny, driver, xi, branching=1000)
+            assert str(oracle.value) == str(direct.value)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_unchecked_solve_does_no_variance_work(self, request, case):
-        # no residual or fit variance and no variance buffer, and the field of a checked solve bit for bit
+        # no residual or fit variance in a sweep asked for none, and the field of a checked solve bit for bit
         name, make_driver, xi, config = self.CASES[case]
         bundle, driver = request.getfixturevalue(name), make_driver()
         targets = [(q.regression._Projection, "residual_variance"), (q.regression.NodeRegression, "fit_variance"),
@@ -401,11 +407,36 @@ class TestSharedSweep:
         with contextlib.ExitStack() as stack:
             spies = [stack.enter_context(mock.patch.object(owner, attr, autospec=True, side_effect=getattr(owner, attr)))
                      for owner, attr in targets]
-            sweep = stack.enter_context(mock.patch.object(solver, "_sweep_with_variance",
-                                                          wraps=solver._sweep_with_variance))
+            sweep = stack.enter_context(mock.patch.object(solver, "_backward_steps", wraps=solver._backward_steps))
             plain = q.solve_backward(bundle, driver, xi, config)
-            assert sweep.call_count == 0 and all(spy.call_count == 0 for spy in spies)
+            assert sweep.call_args.kwargs["variance"] is False and all(spy.call_count == 0 for spy in spies)
             checked, _ = solved_with_variance(bundle, driver, xi, config)
-            assert sweep.call_count == 1 and spies[0].call_count == bundle.grid.n_steps
+            assert sweep.call_args.kwargs["variance"] is True and spies[0].call_count == bundle.grid.n_steps
+            assert sweep.call_count == 2
         assert np.array_equal(plain.y, checked.y)
         assert np.array_equal(plain.integrand, checked.integrand)
+
+
+class TestSweepContract:
+    """``_backward_steps`` yields each node's ``(i, y_i, zeta_i, y_var_i)`` once, from t_K down to t_0."""
+
+    @pytest.mark.parametrize("variance", [False, True], ids=["plain", "variance"])
+    @pytest.mark.parametrize("case", list(TestSharedSweep.CASES))
+    def test_nodes_from_t_K_down(self, request, case, variance):
+        name, make_driver, xi, config = TestSharedSweep.CASES[case]
+        bundle = request.getfixturevalue(name)
+        K, n, w = bundle.grid.n_steps, bundle.n_paths, bundle.states.shape[2]
+        steps = solver._backward_steps(bundle, make_driver(), xi, config, variance=variance)
+        i, y_K, zeta_K, y_var_K = next(steps)
+        assert i == K and zeta_K is None
+        assert np.array_equal(y_K, xi.evaluate(bundle.terminal_state))
+        if variance:
+            assert y_var_K.shape == (n,) and not np.any(y_var_K)
+        else:
+            assert y_var_K is None
+        nodes = [i]
+        for i, y_i, zeta_i, y_var_i in steps:
+            nodes.append(i)
+            assert y_i.shape == (n,) and zeta_i.shape == (n, w)
+            assert (y_var_i is not None) == variance
+        assert nodes == list(range(K, -1, -1))
