@@ -544,11 +544,7 @@ def run_experiment(
         y0_se=y0_se,
         checks=checks,
         timing={"wall_clock_s": time.perf_counter() - t_start},
-        versions={
-            "qbsde": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
+        versions={"qbsde": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
     )
 
     if out_dir is not None:

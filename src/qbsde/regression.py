@@ -2,12 +2,12 @@
 
 ``SolverConfig`` is the one description of a basis, ``design`` the one
 function that builds its design matrix, and ``n_columns`` counts its columns
-without building it.  One projection per time step is shared between the
-value regression and the martingale-increment regressions.  Both backends
-drop the eigenvalues of their normal matrix below ``RCOND`` times the
-largest, so rank-deficient designs (the constant state at t = 0, a terminal
-feature collinear with a polynomial column) fall back to the minimum-norm
-projection instead of failing.
+without building it.  One projection per time step serves the value and the
+martingale-increment regressions; the dense one consumes its design, scaled
+in place.  Both backends drop the eigenvalues of their normal matrix below
+``RCOND`` times the largest, so rank-deficient designs (the constant state
+at t = 0, a terminal feature collinear with a polynomial column) fall back
+to the minimum-norm projection instead of failing.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
 def make_regression(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = None):
     """Pick the projection backend for one time step.
 
-    Binned bases without extra columns use the block-diagonal per-cell
-    solver (O(n)); everything else projects on the columns of ``design``.
+    Binned bases without extra columns use the block-diagonal per-cell solver
+    (O(n)); everything else projects on a fresh ``design``, which it consumes.
     """
     state = np.atleast_2d(np.asarray(state, dtype=float))
     if config.basis_kind == "binned" and extra is None and state.shape[1] == 1:
@@ -189,29 +189,33 @@ class BinnedRegression(_Projection):
 class NodeRegression(_Projection):
     """Projection machinery for one time step, reusable across targets.
 
-    With S the design scaled to unit column maxima and (lam, V) the
-    eigenpairs of G = S^T S, U = S V diag(lam^-1/2) over the kept eigenvalues
-    is orthonormal and every fit is U U^T t.  ``eigh``, not Cholesky: the
-    terminal feature makes most designs rank-deficient.
+    The design (n, p) is consumed: scaled in place to unit column maxima, it
+    is S^T, the only (p, n) block kept.  With (lam, V) the eigenpairs of
+    G = S S^T, P = V diag(1/lam) V^T over the eigenvalues above ``RCOND``
+    times the largest, and every fit is S^T (P (S t)).  ``eigh``, not
+    Cholesky: the terminal feature makes most designs rank-deficient.
     """
 
     def __init__(self, design: np.ndarray):
         design = np.asarray(design, dtype=float)
         if design.ndim != 2 or design.size == 0:
             raise DegenerateBasisError("empty regression design")
-        if not np.all(np.isfinite(design)):
-            raise DegenerateBasisError("non-finite values in regression design")
+        # max, min and maximum propagate NaN and +-inf, so the scale is the finite check
         scale = np.maximum(design.max(axis=0), -design.min(axis=0))
+        if not np.all(np.isfinite(scale)):
+            raise DegenerateBasisError("non-finite values in regression design")
         scale[scale == 0.0] = 1.0
         # scaled before the product, so columns far from unit size neither
         # underflow nor overflow in the normal matrix
-        scaled = design / scale
-        lam, v = np.linalg.eigh(scaled.T @ scaled)
+        design /= scale
+        self._s = design.T
+        lam, v = np.linalg.eigh(self._s @ design)
         keep = lam > RCOND * lam[-1]
         self.rank = int(np.count_nonzero(keep))
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
-        self._u = scaled @ (v[:, keep] / np.sqrt(lam[keep]))
+        self._w = v[:, keep] / np.sqrt(lam[keep])  # W W^T = P
+        self._p = self._w @ self._w.T
         self.n_samples, self.n_features = design.shape
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
@@ -219,14 +223,12 @@ class NodeRegression(_Projection):
         t = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(t)):
             raise DegenerateBasisError("non-finite regression target")
-        squeeze = t.ndim == 1
-        t = t.reshape(self.n_samples, -1)
-        fitted = self._u @ (self._u.T @ t)
-        return fitted[:, 0] if squeeze else fitted
+        # (c^T S)^T, not S^T c: the long product runs along the rows of S
+        return ((self._p @ (self._s @ t)).T @ self._s).T
 
     def leverage(self) -> np.ndarray:
-        """Diagonal of the hat matrix at the sample points."""
-        return np.einsum("ij,ij->i", self._u, self._u)
+        """Diagonal of the hat matrix at the sample points: column sums of (W^T S)^2."""
+        return np.square(self._w.T @ self._s).sum(axis=0)
 
     def fit_variance(self, sigma2: float) -> np.ndarray:
         """Variance of the fitted value at the sample points."""

@@ -200,8 +200,9 @@ def simulate_scenario(
     The orthogonal components are drawn jointly with the driving ones from a
     single stream, which makes the draw order (hence the bundle) a pure
     function of (seed, grid, dims, n_paths), also when drawn ``SIMULATE_BLOCK``
-    paths at a time, which keeps the transient beside the bundle to one block.
-    The clock is A(t) = t at the grid nodes unless ``clock_values`` gives A there.
+    paths at a time (one block beside the bundle) and summed node by node into
+    the node-major states: a cumsum's additions, in its order.  The clock is
+    A(t) = t at the grid nodes unless ``clock_values`` gives A there.
     """
     if dim_m < 1 or dim_orth < 0:
         raise ValueError("need dim_m >= 1 and dim_orth >= 0")
@@ -214,14 +215,15 @@ def simulate_scenario(
         raise CapacityError(f"bundle size {total} exceeds capacity {DEFAULT_CAPACITY}")
 
     rng = source.generator()
-    sq_dt = np.sqrt(grid.dt)[None, :, None]
+    sq_dt = np.sqrt(grid.dt)
     states = np.zeros((K + 1, n_paths, dim_m + dim_orth))
     # one buffer: a fresh block would be allocated while the last one is alive
     block = np.empty((min(SIMULATE_BLOCK, n_paths), K, dim_m + dim_orth))
     for lo in range(0, n_paths, SIMULATE_BLOCK):
-        incr = rng.standard_normal(out=block[: min(SIMULATE_BLOCK, n_paths - lo)])
-        incr *= sq_dt
-        np.cumsum(incr.transpose(1, 0, 2), axis=0, out=states[1:, lo : lo + incr.shape[0]])
+        rows = states[:, lo : lo + SIMULATE_BLOCK]
+        normals = rng.standard_normal(out=block[: rows.shape[1]])
+        for k in range(K):
+            np.add(rows[k], normals[:, k] * sq_dt[k], out=rows[k + 1])
     return ScenarioBundle(grid=grid, dim_m=dim_m, states=states,
                           clock_values=grid.nodes if clock_values is None else clock_values, source=source)
 

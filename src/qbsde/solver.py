@@ -201,8 +201,8 @@ def _backward_steps(
     yield K, y, None, y_var[K % 2]
     regression = regression or _regression_at(bundle, config, xi)
     for i in range(K - 1, -1, -1):
-        # temporaries stay unnamed, so none outlives its step into the next
-        # regression build, the sweep's peak
+        # the step's regression and rows are released before the next build,
+        # the sweep's peak, and its other temporaries stay unnamed
         reg = regression(i)
         target = y
         ey = reg.fit(target)
@@ -218,6 +218,7 @@ def _backward_steps(
             amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
             y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
         yield i, y, zeta, y_var[i % 2]
+        del reg, target, ey, zeta
 
 
 def widest_design(bundle: ScenarioBundle, config: SolverConfig) -> int:
@@ -287,8 +288,7 @@ def y0_with_se(
         for _, y, _, _ in _backward_steps(bundle.slice_paths(int(lo), int(hi)), driver, xi, config):
             pass
         vals.append(float(np.mean(y)))
-    mean, se = mean_se(vals)
-    return mean, se, vals
+    return (*mean_se(vals), vals)
 
 
 # ---------------------------------------------------------------------------

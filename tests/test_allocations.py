@@ -48,7 +48,7 @@ def checked_sweep(bundle, driver, xi, config, check):
     return check.report()
 
 
-# measured 43 (the sweep itself 37), 8, 53 (three levels), 1, 5, 10, 7 and 5
+# measured 39 (the sweep itself 25), 7, 48 (three levels), 1, 2, 10, 6 and 5
 # rows; a single (K+1, n) surface is 51, each stored input or ladder level
 # would add at least one, and an (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
@@ -78,6 +78,16 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
         "exp_martingale_check": lambda: q.exp_martingale_check(bundle, field, [0.5, 1.0]),
     }
     assert peak_rows(calls[call]) < rows
+
+
+# measured 17 rows above the solution, 7 of them the step's design; a
+# projection that kept a scaled copy of the design and an orthonormal basis
+# beside it, alive into the next step's build, measured 34
+def test_unchecked_solve_peak_is_the_solution_plus_one_design(problem):
+    bundle, driver, xi, config, field, _ = problem
+    solution = field.y.size + field.integrand.size
+    rows = peak_rows(lambda: q.solve_backward(bundle, driver, xi, config))
+    assert rows < solution / N_PATHS + solver.widest_design(bundle, config) + 12
 
 
 def solution_rows(config) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +61,53 @@ def test_degenerate_basis_errors(rng):
     reg = NodeRegression(design(SolverConfig(degree=1), state))
     with pytest.raises(DegenerateBasisError):
         reg.fit(np.full(50, np.inf))
+
+
+@pytest.mark.parametrize("n_vars", [1, 2])
+def test_fit_is_the_lstsq_min_norm_projection(rng, n_vars):
+    # rank-deficient poly-plus-feature designs: the feature is affine in the
+    # state, and at t = 0 the state is constant
+    config = SolverConfig(degree=3)
+    for state in (rng.normal(size=(3000, n_vars)), np.full((3000, n_vars), 0.7)):
+        feature = 0.5 + state @ np.arange(1.0, n_vars + 1.0)
+        columns = design(config, state, feature)
+        targets = np.column_stack([np.sin(state @ np.ones(n_vars)), rng.normal(size=(3000, 2))])
+        scaled = columns / np.max(np.abs(columns), axis=0)
+        coef, _, rank, _ = np.linalg.lstsq(scaled, targets, rcond=RCOND)
+        reference = scaled @ coef
+        reg = NodeRegression(columns)
+        assert reg.rank == rank < reg.n_features
+        tol = 1e-10 * np.max(np.abs(targets))
+        assert np.max(np.abs(reg.fit(targets) - reference)) <= tol
+        assert np.max(np.abs(reg.fit(targets[:, 0]) - reference[:, 0])) <= tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_raises(rng, bad):
+    columns = design(SolverConfig(degree=2), rng.normal(size=(100, 1)))
+    columns[17, 1] = bad
+    with pytest.raises(DegenerateBasisError, match="non-finite"):
+        NodeRegression(columns)
+
+
+def test_projection_holds_one_design_block(rng):
+    # the design is scaled in place and kept as the only (p, n) block: no
+    # scaled copy and no (n, rank) orthonormal basis beside it, during the
+    # build or after it
+    n = 20_000
+    state = rng.normal(size=(n, 2))
+    feature = np.abs(state[:, 0])
+    config = SolverConfig(degree=3)
+    tracemalloc.start()
+    try:
+        reg = NodeRegression(design(config, state, feature))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * reg.n_features * n
+    assert reg.n_features == 11
+    assert held < 1.1 * block
+    assert peak < 1.1 * block
 
 
 def test_pointwise_se_matches_sampling_spread(rng):
@@ -195,7 +244,8 @@ def test_projection_matches_lstsq_reference(kind, degree, n_vars, n, level, targ
     scale = np.max(np.abs(columns), axis=0)
     scale[scale == 0.0] = 1.0
     coef, _, rank, _ = np.linalg.lstsq(columns / scale, target, rcond=RCOND)
-    reg = NodeRegression(columns)
+    reference = (columns / scale) @ coef
+    reg = NodeRegression(columns)  # consumes the design
     assert reg.rank == rank
-    assert np.max(np.abs(reg.fit(target) - (columns / scale) @ coef)) <= 1e-10 * np.max(np.abs(target))
+    assert np.max(np.abs(reg.fit(target) - reference)) <= 1e-10 * np.max(np.abs(target))
     assert reg.leverage().sum() == pytest.approx(rank, abs=1e-10)

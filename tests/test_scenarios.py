@@ -141,6 +141,17 @@ def test_reproducibility_bit_identical():
     assert np.array_equal(q.RandomSource(5).generator().standard_normal(8), ref)
 
 
+def test_states_are_the_cumsum_of_the_draws():
+    # blockwise, node-by-node sums do the additions of one cumsum over all
+    # paths' draws, in its order; the last block is partial
+    grid = q.build_grid(1.0, 7)
+    n_paths = q.scenarios.SIMULATE_BLOCK + 905
+    bundle = q.simulate_scenario(grid, 1, 1, n_paths, source=q.RandomSource(3))
+    draws = q.RandomSource(3).generator().standard_normal((n_paths, 7, 2)) * np.sqrt(grid.dt)[None, :, None]
+    want = np.concatenate([np.zeros((n_paths, 1, 2)), np.cumsum(draws, axis=1)], axis=1)
+    assert bundle.states.transpose(1, 0, 2).tobytes() == want.tobytes()
+
+
 def test_refinement_consistency_by_coarsening():
     fine = q.simulate_scenario(q.build_grid(1.0, 16), 1, 1, 300, source=q.RandomSource(11))
     coarse = q.coarsen_bundle(fine, q.build_grid(1.0, 4))
