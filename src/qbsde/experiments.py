@@ -524,7 +524,7 @@ def run_experiment(
     blocks = [check for check in config.checks if check["type"] == "apriori"]
     apriori = []
     if blocks:
-        bound = analytics.apriori_bound(bundle, xi, driver.params, cfg)
+        bound = analytics.apriori_bound(bundle, xi, driver.params)
         dof = widest_design(bundle, cfg)
         apriori = [analytics.check_apriori(bound, dof, **_keys(block)) for block in blocks]
     field_ = solve_backward(bundle, driver, xi, cfg, checks=apriori)

@@ -6,7 +6,6 @@ float64 rows, independent of the K + 1 = 51 nodes of the grid; building any
 one surface of the inputs' size would exceed them.
 """
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -48,7 +47,7 @@ def checked_sweep(bundle, driver, xi, config, check):
     return check.report()
 
 
-# measured 39 (the sweep itself 25), 7, 48 (three levels), 1, 2, 10, 6 and 5
+# measured 36 (the sweep itself 25), 7, 48 (three levels), 1, 2, 10, 6 and 5
 # rows; a single (K+1, n) surface is 51, each stored input or ladder level
 # would add at least one, and an (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
@@ -64,11 +63,9 @@ def checked_sweep(bundle, driver, xi, config, check):
 def test_peak_allocation_is_a_few_rows(problem, call, rows):
     bundle, driver, xi, config, field, lower = problem
     zero = q.make_builtin("zero")
-    # the projection route with the runner's basis: x_se is a computed row, not the closed form's 0
-    projected = dataclasses.replace(xi, affine=None)
     calls = {
         "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(
-            q.apriori_bound(bundle, projected, driver.params, config), solver.widest_design(bundle, config))),
+            q.apriori_bound(bundle, xi, driver.params), solver.widest_design(bundle, config))),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),

@@ -36,11 +36,9 @@ def rows(bound):
     return [bound.row(i) for i in range(bound.shape[1])]
 
 
-def surfaces(bound):
-    """The bound's node rows stacked into (n_paths, K+1) surfaces of X and of its SE."""
-    node_rows = rows(bound)
-    x = np.stack([x_i for x_i, _ in node_rows], axis=1)
-    return x, np.stack([np.broadcast_to(se_i, x_i.shape) for x_i, se_i in node_rows], axis=1)
+def surface(bound):
+    """The bound's node rows stacked into the (n_paths, K+1) surface of X."""
+    return np.stack(rows(bound), axis=1)
 
 
 def overflow_field(n_steps, n_paths, paths):
@@ -53,9 +51,8 @@ def overflow_field(n_steps, n_paths, paths):
 
 
 def x0(bound):
-    """The bound's X_0 and its SE, from its first row: the path mean and the SE of path 0."""
-    x_0, se_0 = bound.row(0)
-    return float(np.mean(x_0)), float(np.ravel(se_0)[0])
+    """The bound's X_0: the path mean of its first row."""
+    return float(np.mean(bound.row(0)))
 
 
 class TestFoldedMgf:
@@ -74,16 +71,20 @@ class TestFoldedMgf:
 class TestAprioriBound:
     def test_zero_data_gives_zero_bound(self, bundle_1d):
         bound = q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=1.0))
-        assert np.allclose(surfaces(bound)[0], 0.0, atol=1e-12)
+        assert np.allclose(surface(bound), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("xi", [q.terminal_constant(0.4, 1), q.terminal_affine(0.1, [1.0]), q.terminal_abs(0.1, [1.0])],
                              ids=["constant", "affine", "abs"])
     def test_affine_terminals_take_the_closed_form(self, bundle_1d, xi):
+        # independent oracle: X_0 = log E[exp|xi(W_1)|], by quadrature against the N(0, 1) density
+        oracle, _ = quad(lambda w: math.exp(abs(float(xi.fn(np.array([[w]]))[0]))) * norm.pdf(w), -40, 40)
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert all(np.ndim(se_i) == 0 and se_i == 0.0 for _, se_i in rows(bound))
-        projected = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
-        (x_p, se_p), (x_c, _) = x0(projected), x0(bound)
-        assert abs(x_p - x_c) <= 4.0 * se_p + 1e-12
+        np.testing.assert_allclose(bound.row(0), math.log(oracle), rtol=1e-9)
+
+    def test_terminal_without_an_affine_form_is_rejected(self, bundle_1d):
+        xi = dataclasses.replace(q.terminal_affine(0.0, [1.0]), affine=None)
+        with pytest.raises(ValueError, match="affine form"):
+            q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
 
     def test_step_family_bound_is_the_solution(self):
         grid = q.build_grid(2.0, 64, [0.5])
@@ -91,7 +92,7 @@ class TestAprioriBound:
         drv = q.make_builtin("step_family", {"n": 2})
         bound = q.apriori_bound(b, q.terminal_constant(0.0, 1), drv.params)
         expected = np.maximum(1.0 - 2.0 * grid.nodes, 0.0)
-        assert np.abs(surfaces(bound)[0] - expected[None, :]).max() < 1e-10
+        assert np.abs(surface(bound) - expected[None, :]).max() < 1e-10
         _, report, _ = checked(b, drv, q.terminal_constant(0.0, 1), bound)
         assert report.passed and report.margin <= 1e-10
         assert abs(report.extra["raw_margin"]) < 1e-10
@@ -99,14 +100,7 @@ class TestAprioriBound:
     def test_gaussian_x0_closed_form(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        assert x0(bound)[0] == pytest.approx(math.log(2 * norm.cdf(1.0) * math.exp(0.5)), abs=1e-12)
-
-    def test_regression_x0_matches_closed_form(self, bundle_1d):
-        xi = q.terminal_affine(0.0, [1.0])
-        reg = q.apriori_bound(bundle_1d, dataclasses.replace(xi, affine=None), ParamSet(gamma=1.0))
-        closed = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        (x_r, se_r), (x_c, _) = x0(reg), x0(closed)
-        assert abs(x_r - x_c) <= 4.0 * se_r
+        assert x0(bound) == pytest.approx(math.log(2 * norm.cdf(1.0) * math.exp(0.5)), abs=1e-12)
 
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
@@ -114,7 +108,7 @@ class TestAprioriBound:
         field, report, _ = checked(bundle_1d, drv, q.terminal_affine(0.0, [1.0]), bound)
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
-        assert x0(bound)[0] - field.y0 == pytest.approx(0.5204, abs=0.03)
+        assert x0(bound) - field.y0 == pytest.approx(0.5204, abs=0.03)
 
     def test_beta_star_weighting_deterministic(self):
         # linear driver: Y_t = (b/a)(e^{a(T-t)} - 1), X_t = (a0/a)(e^{a(T-t)} - 1)
@@ -126,18 +120,14 @@ class TestAprioriBound:
         assert drv.params.beta_star == pytest.approx(a)
         x_expected = (alpha0 / a) * (np.exp(a * (1.0 - grid.nodes)) - 1.0)
         # grid quadrature of the weighted integral converges O(dt)
-        assert np.abs(surfaces(bound)[0][0] - x_expected).max() < 5e-3
+        assert np.abs(surface(bound)[0] - x_expected).max() < 5e-3
         assert checked(bundle, drv, q.terminal_constant(0.0, 1), bound)[1].passed
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        closed = [surfaces(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g)))[0] for g in (1, 2, 4)]
+        closed = [surface(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g))) for g in (1, 2, 4)]
         assert np.all(closed[0] <= closed[1] + 1e-12)
         assert np.all(closed[1] <= closed[2] + 1e-12)
-        # empirical node-0 estimate obeys the power-mean inequality exactly
-        projected = dataclasses.replace(xi, affine=None)
-        regs = [q.apriori_bound(bundle_1d, projected, ParamSet(gamma=g)) for g in (1, 2, 4)]
-        assert x0(regs[0])[0] <= x0(regs[1])[0] <= x0(regs[2])[0]
 
     def test_moment_failure(self, bundle_1d):
         with pytest.raises(MomentFailureError):
@@ -147,28 +137,23 @@ class TestAprioriBound:
         with pytest.raises(ValueError):
             q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=0.5))
 
-    @pytest.mark.parametrize("affine", [True, False], ids=["closed_form", "regression"])
-    def test_bound_node_major(self, bundle_1d, affine):
+    def test_bound_node_major(self, bundle_1d):
         # one contiguous (n,) row per node from t_0 to t_K, computed again on every call, in any order
         xi = q.terminal_affine(0.0, [1.0])
-        if not affine:
-            xi = dataclasses.replace(xi, affine=None)
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         n, K = bundle_1d.n_paths, bundle_1d.grid.n_steps
         forward = rows(bound)
         assert bound.shape == (n, K + 1)
-        for i, (x_i, se_i) in enumerate(forward):
-            assert x_i.shape == (n,) and x_i.flags.c_contiguous
-            assert np.shape(se_i) == (() if affine or i == K else (n,))
-        assert np.array_equal(forward[-1][0], np.abs(xi.evaluate(bundle_1d.terminal_state)))
+        assert all(x_i.shape == (n,) and x_i.flags.c_contiguous for x_i in forward)
+        assert np.array_equal(forward[-1], np.abs(xi.evaluate(bundle_1d.terminal_state)))
         backward = [bound.row(i) for i in range(K, -1, -1)][::-1]
-        assert all(np.array_equal(x_i, again) for (x_i, _), (again, _) in zip(forward, backward))
+        assert all(np.array_equal(x_i, again) for x_i, again in zip(forward, backward))
 
     @staticmethod
     def backward_report(y):
         """The check of |y| <= 1 on the (K+1, n) rows ``y``, handed them as a
         sweep does: terminal row first, exact rows (variance 0)."""
-        check = q.check_apriori(q.BoundProcess(y.shape[::-1], lambda i: (np.ones(y.shape[1]), 0.0)), 1)
+        check = q.check_apriori(q.BoundProcess(y.shape[::-1], lambda i: np.ones(y.shape[1])), 1)
         for i in range(y.shape[0] - 1, -1, -1):
             check(i, y[i], 0.0)
         return check.report()
@@ -205,14 +190,11 @@ class TestAprioriBound:
     def test_streamed_check_equals_the_surface_formula(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
-        # the projection route, where x_se is not zero
-        bound = q.apriori_bound(bundle_orth, dataclasses.replace(xi, affine=None), drv.params)
-        x, x_se = surfaces(bound)
-        assert np.all(x_se[:, :-1] > 0)
+        bound = q.apriori_bound(bundle_orth, xi, drv.params)
         field, report, y_var = checked(bundle_orth, drv, xi, bound, q.SolverConfig(degree=2))
         # the whole-surface formula the check streams
-        gap = np.abs(field.y) - x
-        se = np.hypot(x_se, np.sqrt(y_var))
+        gap = np.abs(field.y) - surface(bound)
+        se = np.sqrt(y_var)
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se
         path, node = np.unravel_index(int(np.argmax(adjusted)), adjusted.shape)
