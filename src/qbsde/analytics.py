@@ -160,15 +160,20 @@ class BoundProcess:
     row: Callable[[int], np.ndarray]
 
 
-def _folded_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
-    """E[exp(c |X|)] for X ~ N(mean, var), vectorized over the mean."""
+def _folded_log_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
+    """log E[exp(c |X|)] for X ~ N(mean, var) and c >= 0, vectorized over the mean.
+
+    With m = |mean| and s = sqrt(var) it is
+    c m + c^2 s^2 / 2 + log(Phi(m/s + c s) + e^{-2cm} Phi(-m/s + c s)),
+    whose log argument lies in [1/2, 2], so no term overflows.
+    """
     from scipy.special import ndtr  # imported on use: it doubles the package's import time
+    m = np.abs(mean)
     if var <= 0:
-        return np.exp(c * np.abs(mean))
+        return c * m
     sd = math.sqrt(var)
-    up = np.exp(c * mean + 0.5 * c * c * var) * ndtr(mean / sd + c * sd)
-    dn = np.exp(-c * mean + 0.5 * c * c * var) * ndtr(-mean / sd + c * sd)
-    return up + dn
+    z = m / sd
+    return c * m + 0.5 * c * c * var + np.log(ndtr(z + c * sd) + np.exp(-2.0 * c * m) * ndtr(c * sd - z))
 
 
 def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSet) -> BoundProcess:
@@ -211,7 +216,7 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
             return np.abs(xi_vals)
         mean = a0 + bundle.state(i) @ a
         var = float(a @ a) * (T - nodes[i])
-        return np.log(_folded_mgf(float(c[i]), mean, var)) / gamma + R[i]
+        return _folded_log_mgf(float(c[i]), mean, var) / gamma + R[i]
 
     return BoundProcess((n, K + 1), row)
 
@@ -305,7 +310,7 @@ def check_apriori(
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 1e-12 of it.
     """
-    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_mgf``'s ndtr
+    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_log_mgf``'s ndtr
     from scipy.special import gammaincinv
     band = math.sqrt(2.0 * gammaincinv(max(1, dof) / 2.0, 1.0 - 0.003)) / 3.0
     return AprioriCheck(bound, band, tight, x0)

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import qbsde as q
-from qbsde.analytics import _folded_mgf
+from qbsde.analytics import _folded_log_mgf
 from qbsde.drivers import ParamSet
 from qbsde.errors import GridMismatchError, MomentFailureError
 from qbsde.scenarios import mean_se
@@ -61,11 +61,11 @@ class TestFoldedMgf:
         # independent oracle: direct numerical integration of e^{c|x|} phi(x)
         sd = math.sqrt(var)
         oracle, _ = quad(lambda x: math.exp(c * abs(x)) * norm.pdf(x, mean, sd), -40, 40)
-        ours = _folded_mgf(c, np.array([mean]), var)[0]
-        assert ours == pytest.approx(oracle, rel=1e-9)
+        ours = _folded_log_mgf(c, np.array([mean]), var)[0]
+        assert ours == pytest.approx(math.log(oracle), rel=1e-9)
 
     def test_degenerate_variance(self):
-        assert _folded_mgf(2.0, np.array([-1.5]), 0.0)[0] == pytest.approx(math.exp(3.0))
+        assert _folded_log_mgf(2.0, np.array([-1.5]), 0.0)[0] == pytest.approx(3.0)
 
 
 class TestAprioriBound:
@@ -128,6 +128,14 @@ class TestAprioriBound:
         closed = [surface(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g))) for g in (1, 2, 4)]
         assert np.all(closed[0] <= closed[1] + 1e-12)
         assert np.all(closed[1] <= closed[2] + 1e-12)
+
+    def test_steep_terminal_has_a_finite_bound(self):
+        # xi = 40 W_1, gamma = 1: X_0 = log E[e^{40|W_1|}] = 800 + log 2 + log Phi(40),
+        # and log Phi(40) is below 1e-300; e^{40|x| + 800} overflowed on the nodes near t_0
+        b = q.simulate_scenario(q.build_grid(1.0, 20), 1, 0, 64, source=q.RandomSource(2))
+        bound = q.apriori_bound(b, q.terminal_affine(0.0, [40.0]), ParamSet(gamma=1.0))
+        assert all(np.all(np.isfinite(x_i)) for x_i in rows(bound))
+        np.testing.assert_allclose(bound.row(0), 800.0 + math.log(2.0), rtol=0, atol=1e-12)
 
     def test_moment_failure(self, bundle_1d):
         with pytest.raises(MomentFailureError):
