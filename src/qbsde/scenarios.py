@@ -192,7 +192,6 @@ def simulate_scenario(
     dim_m: int,
     dim_orth: int,
     n_paths: int,
-    clock_values: np.ndarray | None = None,
     source: RandomSource | None = None,
 ) -> ScenarioBundle:
     """Simulate independent Gaussian increments with variance dt per component.
@@ -202,7 +201,8 @@ def simulate_scenario(
     function of (seed, grid, dims, n_paths), also when drawn ``SIMULATE_BLOCK``
     paths at a time (one block beside the bundle) and summed node by node into
     the node-major states: a cumsum's additions, in its order.  The clock is
-    A(t) = t at the grid nodes unless ``clock_values`` gives A there.
+    A(t) = t at the grid nodes; the draws do not depend on it, so another
+    clock is ``dataclasses.replace(bundle, clock_values=...)``.
     """
     if dim_m < 1 or dim_orth < 0:
         raise ValueError("need dim_m >= 1 and dim_orth >= 0")
@@ -224,8 +224,7 @@ def simulate_scenario(
         normals = rng.standard_normal(out=block[: rows.shape[1]])
         for k in range(K):
             np.add(rows[k], normals[:, k] * sq_dt[k], out=rows[k + 1])
-    return ScenarioBundle(grid=grid, dim_m=dim_m, states=states,
-                          clock_values=grid.nodes if clock_values is None else clock_values, source=source)
+    return ScenarioBundle(grid=grid, dim_m=dim_m, states=states, clock_values=grid.nodes, source=source)
 
 
 def coarsen_bundle(bundle: ScenarioBundle, coarse_grid: TimeGrid) -> ScenarioBundle:

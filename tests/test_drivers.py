@@ -33,7 +33,8 @@ class TestParamSet:
     def test_alpha_l1_matches_lambda_quadratic_variation(self):
         # |alpha|_1 of a lambda-declared set must equal sum ||B lam||^2 dA on a clock with B != I
         grid = q.build_grid(1.0, 8)
-        b = q.simulate_scenario(grid, 2, 0, 4, clock_values=2.0 * grid.nodes, source=q.RandomSource(3))
+        b = q.simulate_scenario(grid, 2, 0, 4, source=q.RandomSource(3))
+        b = dataclasses.replace(b, clock_values=2.0 * grid.nodes)
         assert not np.allclose(b.factor_b, 1.0)
         lam = lambda t: np.array([0.3 + t, -0.2 * t])
         p = ParamSet(gamma=1.0, lam_fn=lam)

@@ -56,8 +56,8 @@ def test_grid_properties(T, n, extra):
 
 def test_clock_kinds():
     # the clock-side Lipschitz constant c_A of A(t) <= c_A t is 0.8, checked by validate_assumptions
-    b = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 4, clock_values=[0.0, 0.2, 0.4, 0.4, 0.4],
-                            source=q.RandomSource(0))
+    b = q.simulate_scenario(q.build_grid(1.0, 4), 1, 0, 4, source=q.RandomSource(0))
+    b = dataclasses.replace(b, clock_values=[0.0, 0.2, 0.4, 0.4, 0.4])
 
     def slope_clause(c_A):
         zero = q.make_builtin("zero")
@@ -69,7 +69,7 @@ def test_clock_kinds():
     tight = slope_clause(0.79)
     assert tight["violations"] == 2 and tight["max_margin"] == pytest.approx(0.005, abs=1e-12)
     with pytest.raises(ValueError):
-        q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 4, clock_values=[0.0, -1.0], source=q.RandomSource(0))
+        dataclasses.replace(q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 4), clock_values=[0.0, -1.0])
 
 
 @pytest.mark.parametrize("values, match", [
@@ -80,13 +80,13 @@ def test_clock_kinds():
 ], ids=["wrong-length", "nonzero-start", "decreasing", "nan"])
 def test_bundle_rejects_bad_clock(values, match):
     with pytest.raises(ValueError, match=match):
-        q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4, clock_values=values, source=q.RandomSource(0))
+        dataclasses.replace(q.simulate_scenario(q.build_grid(1.0, 2), 1, 0, 4), clock_values=values)
 
 
 def test_factorization_consistency_under_scaled_clock():
     # B^T B dA must reproduce d<M> = I dt for any clock choice
     grid = q.build_grid(1.0, 8)
-    b = q.simulate_scenario(grid, 1, 0, 10, clock_values=2.0 * grid.nodes, source=q.RandomSource(1))
+    b = dataclasses.replace(q.simulate_scenario(grid, 1, 0, 10, source=q.RandomSource(1)), clock_values=2 * grid.nodes)
     assert b.factor_b.shape == (grid.n_steps + 1,)
     assert np.allclose(b.factor_b[:-1] ** 2 * b.dA, grid.dt)
 
@@ -301,7 +301,9 @@ def test_derived_copies_keep_paths_and_clock(seed, steps, dims, n_paths, clock):
         clock = clock * grid.nodes
     elif clock is not None:
         clock = np.concatenate([[0.0], np.cumsum(clock[:steps])])
-    b = q.simulate_scenario(grid, *dims, n_paths, clock_values=clock, source=q.RandomSource(seed))
+    b = q.simulate_scenario(grid, *dims, n_paths, source=q.RandomSource(seed))
+    if clock is not None:
+        b = dataclasses.replace(b, clock_values=clock)
     sub = b.slice_paths(n_paths // 2, n_paths)
     # every derived copy rebuilds the same clock, factor, paths and states
     for copy in (b.slice_paths(0, n_paths), q.coarsen_bundle(b, b.grid)):
@@ -318,8 +320,8 @@ def test_factor_finite_for_tiny_clock_step():
     # dt / dA overflows here although sqrt(dt) / sqrt(dA) is finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, clock_values=[0.0, 2.2250738585e-313],
-                                source=q.RandomSource(0))
+        b = q.simulate_scenario(q.build_grid(1.0, 1), 1, 0, 2, source=q.RandomSource(0))
+        b = dataclasses.replace(b, clock_values=[0.0, 2.2250738585e-313])
     assert np.all(np.isfinite(b.factor_b))
     assert b.factor_b[0] == pytest.approx(1.0 / math.sqrt(2.2250738585e-313), rel=1e-12)
 

@@ -53,13 +53,14 @@ class TestExactProblems:
     def test_deterministic_driver_on_scaled_clock(self):
         # Y_0 = int F dA = value * A(T)
         grid = q.build_grid(1.0, 10)
-        b = q.simulate_scenario(grid, 1, 0, 64, clock_values=2.0 * grid.nodes, source=q.RandomSource(5))
+        b = dataclasses.replace(q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(5)), clock_values=2.0 * grid.nodes)
         field = q.solve_backward(b, q.make_builtin("constant", {"value": 0.7}), q.terminal_constant(0.0, 1))
         assert field.y0 == pytest.approx(1.4, abs=1e-12)
 
     def test_flat_clock_steps_contribute_nothing(self):
         grid = q.build_grid(1.0, 10)
-        b = q.simulate_scenario(grid, 1, 0, 64, clock_values=np.minimum(grid.nodes, 0.5), source=q.RandomSource(6))
+        b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(6))
+        b = dataclasses.replace(b, clock_values=np.minimum(grid.nodes, 0.5))
         field = q.solve_backward(b, q.make_builtin("constant", {"value": 1.0}), q.terminal_constant(0.0, 1))
         assert field.y0 == pytest.approx(0.5, abs=1e-12)
         # Y is flat over the second half where dA = 0
