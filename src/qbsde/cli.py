@@ -36,6 +36,9 @@ def _cmd_run(args) -> int:
     except QbsdeError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     print(f"experiment {report.name}  (config {report.config_hash})")
     print(f"  Y0 = {report.y0:.6g} +- {report.y0_se:.2g}")
     for check in report.checks:

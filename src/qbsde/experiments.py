@@ -149,7 +149,8 @@ class ExperimentConfig:
 
 def _round_floats(obj):
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        # JSON has no NaN or infinity: a value that is not finite is null
+        return float(f"{float(obj):.12g}") if np.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, dict):
@@ -160,8 +161,9 @@ def _round_floats(obj):
 
 
 def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, floats at 12 significant digits."""
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2)
+    """Strict, stable JSON: sorted keys, floats at 12 significant digits, a
+    NaN or infinity as null."""
+    return json.dumps(_round_floats(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +512,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment: simulate, solve, execute every requested check.
 
-    ``n_paths``/``seed`` override the scenario block (for CLI sweeps)."""
+    ``n_paths``/``seed`` override the scenario block (for CLI sweeps).  ``out_dir``
+    is made before the solve, so a path that cannot be a directory fails first."""
     t_start = time.perf_counter()
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     overrides = {key: int(v) for key, v in (("n_paths", n_paths), ("seed", seed)) if v is not None}
     if overrides:
         config = dataclasses.replace(config, scenario={**config.scenario, **overrides})
@@ -548,7 +553,6 @@ def run_experiment(
     )
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, f"{config.name}.report.json"), "w") as fh:
             fh.write(canonical_json(report.to_dict()))
         with open(os.path.join(out_dir, f"{config.name}.checks.json"), "w") as fh:

@@ -217,6 +217,21 @@ class TestRunExperiment:
         b = q.run_experiment(cfg)
         assert canonical_json(a.to_dict(include_timing=False)) == canonical_json(b.to_dict(include_timing=False))
 
+    def test_infinite_moment_is_null_in_strict_json(self, tmp_path):
+        # E[exp(300 |W_1|)] overflows on the sample: the check fails, and the files hold null, not Infinity
+        cfg = q.validate_config(merged("terminal: {kind: affine, options: {slope: [1.0]}}\n"
+                                       "checks: [{type: moments, p: [300]}]"))
+        report = q.run_experiment(cfg, out_dir=tmp_path)
+        assert not report.all_passed and math.isinf(report.checks[0].extra["estimate"])
+
+        def refuse(constant):
+            raise ValueError(f"sentinel {constant}")
+
+        stored = json.loads((tmp_path / "tiny.report.json").read_text(), parse_constant=refuse)
+        checks = json.loads((tmp_path / "tiny.checks.json").read_text(), parse_constant=refuse)
+        assert stored["checks"] == checks
+        assert (checks[0]["extra"]["estimate"], checks[0]["se"]) == (None, None)
+
     def test_overrides(self):
         cfg = q.validate_config(MINIMAL)
         rep = q.run_experiment(cfg, n_paths=32, seed=99)
@@ -496,6 +511,16 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.strip().startswith("cannot read config") and len(proc.stderr.strip().splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_run_out_on_a_file_exit_2(self, tmp_path):
+        # the output directory is made before the solve, so nothing runs and no traceback is printed
+        path, out = tmp_path / "ok.yaml", tmp_path / "taken"
+        path.write_text(WITH_CHECKS)
+        out.write_text("a file, not a directory")
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cannot write to --out") and len(proc.stderr.strip().splitlines()) == 1
 
     def test_run_invalid_check_exit_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
