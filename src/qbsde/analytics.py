@@ -13,10 +13,9 @@ never raised.
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
 reads.  The a priori check streams through the backward sweep: the sweep
 hands it each node's Y row and variance row as it makes them, and the check
-asks the bound (``BoundProcess``) for the same node's row, which is in
-closed form and exact.  The other checks
-reduce the stored arrays.  A value that a report cannot define is
-None (JSON null), never a NaN or infinite sentinel.
+asks the bound (``BoundProcess``) for the same node's row, an exact closed
+form.  The other checks reduce the stored arrays.  A value that a report
+cannot define is None (JSON null), never a NaN or infinite sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
 unless every value, the mean and its SE are finite, both are inf and every

@@ -130,8 +130,8 @@ class TestAprioriBound:
         assert np.all(closed[1] <= closed[2] + 1e-12)
 
     def test_steep_terminal_has_a_finite_bound(self):
-        # xi = 40 W_1, gamma = 1: X_0 = log E[e^{40|W_1|}] = 800 + log 2 + log Phi(40),
-        # and log Phi(40) is below 1e-300; e^{40|x| + 800} overflowed on the nodes near t_0
+        # xi = 40 W_1, gamma = 1: X_0 = log E[e^{40|W_1|}] = 800 + log 2 + log Phi(40), and
+        # |log Phi(40)| < 1e-300; the MGF itself, e^{800} at t_0, overflows where c^2 var / 2 > 709
         b = q.simulate_scenario(q.build_grid(1.0, 20), 1, 0, 64, source=q.RandomSource(2))
         bound = q.apriori_bound(b, q.terminal_affine(0.0, [40.0]), ParamSet(gamma=1.0))
         assert all(np.all(np.isfinite(x_i)) for x_i in rows(bound))
