@@ -171,8 +171,18 @@ def _folded_log_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     if var <= 0:
         return c * m
     sd = math.sqrt(var)
-    z = m / sd
-    return c * m + 0.5 * c * c * var + np.log(ndtr(z + c * sd) + np.exp(-2.0 * c * m) * ndtr(c * sd - z))
+    # in place, so that at most four (n,) rows are alive at once
+    hi = m / sd
+    lo = np.subtract(c * sd, hi)
+    hi += c * sd
+    tail = np.multiply(m, -2.0 * c)
+    np.exp(tail, out=tail)
+    tail *= ndtr(lo, out=lo)
+    tail += ndtr(hi, out=hi)
+    m *= c
+    m += 0.5 * c * c * var
+    m += np.log(tail, out=tail)
+    return m
 
 
 def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSet) -> BoundProcess:
