@@ -310,11 +310,11 @@ def check_apriori(
     Because the comparison is a supremum over the whole fitted surface, the
     pointwise standard error (the sweep's error propagation; the bound is
     exact) is scaled to a Scheffe-type simultaneous band: the sqrt of the
-    99.7% chi-square quantile at ``dof``, the sweep's widest design
-    (``solver.widest_design``).  The plain pointwise three-sigma band would
-    be exceeded somewhere by selection alone.  The check passes iff that
-    maximum is at most 1e-6, the report's ``tol``.  The raw maximum of
-    |y| - x is kept in ``extra``.
+    99.7% chi-square quantile at ``dof``, the nominal column count of the
+    sweep's basis (``regression.n_columns``, read off the solver config).
+    The plain pointwise three-sigma band would be exceeded somewhere by
+    selection alone.  The check passes iff that maximum is at most 1e-6,
+    the report's ``tol``.  The raw maximum of |y| - x is kept in ``extra``.
 
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 1e-12 of it.

@@ -8,7 +8,7 @@ key that no bundled experiment sets:
   ``dim_m``, ``dim_orth`` and ``mandatory_nodes``.  The clock is A(t) = t;
 * ``driver``: a builtin ``name`` and the ``options`` its builder reads;
 * ``terminal``: ``kind`` (constant, affine or abs) and the ``options`` it reads;
-* ``solver``: the four ``SolverConfig`` fields;
+* ``solver``: ``basis_kind`` and the ``degree`` or ``bins`` it reads;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
   runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
   to the arguments of an ``analytics`` check, which returns the report; an
@@ -43,7 +43,8 @@ from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
-from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, widest_design, y0_with_se
+from .regression import n_columns
+from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -115,7 +116,6 @@ _SCHEMA = {
                 "degree": {"type": "integer", "minimum": 0},
                 "basis_kind": {"enum": ["poly", "binned"]},
                 "bins": {"type": "integer", "minimum": 1},
-                "terminal_feature": {"type": "boolean"},
             },
         },
         # items: one schema per check type, built from the _CHECKS table below
@@ -124,7 +124,7 @@ _SCHEMA = {
 }
 
 _SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
-_SOLVER_DEFAULTS = dataclasses.asdict(SolverConfig())
+_SOLVER_DEFAULTS = {key: getattr(SolverConfig(), key) for key in _SCHEMA["properties"]["solver"]["properties"]}
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,11 @@ def validate_config(text: str) -> ExperimentConfig:
 
     One schema checks every block, nested ones included (a stability
     ``members[j]`` and the comparison's ``other``, each with its own driver
-    block): key names, types and the domain of each value.  A key that no
-    runner reads is an error at its path; no key sets a check's fixed slack:
-    1e-6 (a priori bound, stability), 1e-9 (comparison), 1e-3 (ladder
-    violation fraction), 0.05 (anchor mean Z) and 10,000 assumption probes.
+    block): key names, types (an integer is never 1.0) and the domain of
+    each value.  A key that no runner reads (``solver`` reads ``basis_kind``,
+    ``degree`` and ``bins``) is an error at its path; no key sets a check's
+    fixed slack: 1e-6 (a priori bound, stability), 1e-9 (comparison), 1e-3
+    (ladder violation fraction), 0.05 (anchor mean Z) and 10,000 probes.
     Then what the schema cannot see: the grid must build, the terminal and
     every driver must build on the scenario's dimensions, vectors must match
     the state or the orders they go with, ladder levels must be strictly
@@ -455,6 +456,7 @@ def _run_moments(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
 _NUMBER = {"type": "number"}
 _TOL = {"type": "number", "minimum": 0}
 _VECTOR = {"type": "array", "items": _NUMBER}
+_NONEMPTY = {**_VECTOR, "minItems": 1}
 
 
 def _orders(above: float) -> dict:
@@ -476,7 +478,7 @@ _STABILITY_MEMBER = {
 # the schema of a check block is built from this table, so a block carries
 # "type" and these keys only, each value in its domain
 _CHECKS = {
-    "anchor": (_run_anchor, ["y0"], {"y0": _NUMBER, "tol": _TOL, "z_mean": _VECTOR, "z_orth_mean": _VECTOR}),
+    "anchor": (_run_anchor, ["y0"], {"y0": _NUMBER, "tol": _TOL, "z_mean": _NONEMPTY, "z_orth_mean": _NONEMPTY}),
     "apriori": (_run_apriori, [], {"tight": _TOL, "x0": _NUMBER}),
     "norm_bounds": (_run_norm_bounds, ["p"], {"p": _orders(1)}),
     "comparison": (_run_comparison, ["other"], {
@@ -486,7 +488,7 @@ _CHECKS = {
     "stability": (_run_stability, ["members", "p"],
                   {"members": {"type": "array", "minItems": 1, "items": _STABILITY_MEMBER}, "p": _orders(0)}),
     "ladder": (_run_ladder, ["levels"], {"levels": _orders(0)}),
-    "exp_martingale": (_run_exp_martingale, ["q"], {"q": {**_VECTOR, "minItems": 1}}),
+    "exp_martingale": (_run_exp_martingale, ["q"], {"q": _NONEMPTY}),
     "kazamaki": (_run_kazamaki, ["eta", "q_tilde"],
                  {"eta": {"type": "number", "not": {"const": 1}}, "q_tilde": _NUMBER, "expected_sup": _NUMBER}),
     "assumptions": (_run_assumptions, [], {}),
@@ -500,8 +502,11 @@ _SCHEMA["properties"]["checks"]["items"] = {
     "allOf": _when("type", {t: {"additionalProperties": False, "required": req, "properties": {"type": True, **props}}
                             for t, (_, req, props) in _CHECKS.items()}),
 }
-# built once: validation runs for every config loaded
-_VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
+# built once: validation runs for every config loaded.  An integer is an int
+# and not a bool; JSON Schema's integer also admits 1.0, which no count can be
+_INTEGER = jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+    "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+_VALIDATOR = jsonschema.validators.extend(jsonschema.Draft202012Validator, type_checker=_INTEGER)(_SCHEMA)
 
 
 def run_experiment(
@@ -530,7 +535,7 @@ def run_experiment(
     apriori = []
     if blocks:
         bound = analytics.apriori_bound(bundle, xi, driver.params)
-        dof = widest_design(bundle, cfg)
+        dof = n_columns(cfg, bundle.states.shape[2])
         apriori = [analytics.check_apriori(bound, dof, **_keys(block)) for block in blocks]
     field_ = solve_backward(bundle, driver, xi, cfg, checks=apriori)
     y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)

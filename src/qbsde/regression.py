@@ -1,13 +1,14 @@
 """Least-squares projection onto a polynomial or binned basis of the Markov state.
 
-``SolverConfig`` is the one description of a basis, ``design`` the one
-function that builds its design matrix, and ``n_columns`` counts its columns
-without building it.  One projection per time step serves the value and the
-martingale-increment regressions; the dense one consumes its design, scaled
-in place.  Both backends drop the eigenvalues of their normal matrix below
-``RCOND`` times the largest, so rank-deficient designs (the constant state
-at t = 0, a terminal feature collinear with a polynomial column) fall back
-to the minimum-norm projection instead of failing.
+The one module that knows a step's columns: ``make_regression`` builds a
+step's projection on the basis a ``SolverConfig`` describes, and
+``n_columns`` counts its columns from the config alone.  One backend per
+basis kind, each serving its step's value and martingale-increment fits:
+``NodeRegression`` consumes the polynomial ``design``, scaled in place, and
+``BinnedRegression`` forms none.  Both drop the eigenvalues of their normal
+matrix below ``RCOND`` times the largest, so rank-deficient designs (the
+constant state at t = 0, a terminal feature collinear with a polynomial
+column) fall back to the minimum-norm projection instead of failing.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ RCOND = 1e-12
 class SolverConfig:
     """The regression basis of the scheme.
 
-    Kind "poly" reads ``degree``: tensor polynomials of total degree <= degree.
-    Kind "binned" reads ``bins``: quantile cells of a scalar state with an
-    intercept and a slope per cell (local regression; tracks kinked targets
-    without global wiggle).  Both read ``terminal_feature``: the terminal
-    value at the current state as an extra column of the sweep's designs.
+    Kind "poly" reads ``degree`` and ``terminal_feature``: tensor polynomials
+    of total degree <= degree, and the terminal value at the current state
+    as an extra column if ``terminal_feature``.  Kind "binned" reads ``bins``:
+    quantile cells of a scalar state with an intercept and a slope per cell
+    (local regression; tracks kinked targets without global wiggle).
     """
 
     degree: int = 3
@@ -49,17 +50,10 @@ class SolverConfig:
 
 
 def design(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-    """Design matrix of ``config``'s basis for state (n, n_vars); extra (n,) or (n, m) appended as-is."""
+    """Polynomial design matrix of ``config`` for state (n, n_vars); extra (n,) or (n, m) appended as-is."""
     state = np.atleast_2d(np.asarray(state, dtype=float))
     n, n_vars = state.shape
     extra = np.empty((n, 0)) if extra is None else np.asarray(extra, dtype=float).reshape(n, -1)
-    if config.basis_kind == "binned":
-        if n_vars != 1:
-            raise ValueError("binned basis supports a one-dimensional state only")
-        idx, n_cells = _quantile_cells(state[:, 0], config.bins)
-        onehot = np.zeros((n, n_cells))
-        onehot[np.arange(n), idx] = 1.0
-        return np.column_stack([onehot, onehot * state, extra])
     # each monomial row is its parent (one degree lower in its last nonzero
     # variable, listed earlier) times that variable
     exps = [e for e in itertools.product(range(config.degree + 1), repeat=n_vars) if sum(e) <= config.degree]
@@ -72,36 +66,30 @@ def design(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = N
     return rows.T
 
 
-def n_columns(config: SolverConfig, state: np.ndarray, n_extra: int) -> int:
-    """Column count of ``design(config, state, extra)`` with ``n_extra`` extra
-    columns, which is the ``n_features`` of ``make_regression``, without
-    building it: a binned basis sorts the state once, a polynomial basis reads
-    only its dimension."""
-    state = np.atleast_2d(np.asarray(state, dtype=float))
+def n_columns(config: SolverConfig, width: int) -> int:
+    """Nominal column count of ``make_regression``'s basis on a state of
+    ``width`` variables, from the config alone: the monomials and the feature
+    for a polynomial basis, two per cell for a binned one.  A tied or
+    constant state that merges cells has fewer ``n_features``."""
     if config.basis_kind == "binned":
-        return 2 * (_cell_edges(state[:, 0], config.bins).size + 1) + n_extra
-    return math.comb(state.shape[1] + config.degree, config.degree) + n_extra
-
-
-def _cell_edges(w: np.ndarray, bins: int) -> np.ndarray:
-    """The distinct cell edges: sample quantiles of the full cross-section,
-    read off one sort with numpy's "linear" rule (virtual index (n - 1) q, and
-    the two-sided lerp of ``np.quantile``)."""
-    s = np.sort(w)
-    vi = (s.size - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
-    lo = np.floor(vi).astype(np.intp)
-    g = vi - lo
-    a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
-    return np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
+        return 2 * config.bins
+    return math.comb(width + config.degree, config.degree) + int(config.terminal_feature)
 
 
 def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
     """Cell index of every sample and the cell count.
 
-    A sample's cell is the number of distinct ``_cell_edges`` at or below
-    it; a degenerate (constant) state collapses to a single active cell.
+    A sample's cell is the number of edges at or below it: the distinct
+    sample quantiles, read off one sort with numpy's "linear" rule (virtual
+    index (n - 1) q, and the two-sided lerp of ``np.quantile``).  A
+    degenerate (constant) state collapses to a single active cell.
     """
-    edges = _cell_edges(w, bins)
+    s = np.sort(w)
+    vi = (s.size - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    lo = np.floor(vi).astype(np.intp)
+    g = vi - lo
+    a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
+    edges = np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
     # counted in the narrowest type that holds the cell count, widened once
     # for bincount and take
     idx = np.zeros(w.size, dtype=np.min_scalar_type(edges.size))
@@ -110,16 +98,20 @@ def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
     return idx.astype(np.intp), edges.size + 1
 
 
-def make_regression(config: SolverConfig, state: np.ndarray, extra: np.ndarray | None = None):
-    """Pick the projection backend for one time step.
+def make_regression(config: SolverConfig, state: np.ndarray, feature=None):
+    """The projection of one time step on ``config``'s basis of state (n, n_vars).
 
-    Binned bases without extra columns use the block-diagonal per-cell solver
-    (O(n)); everything else projects on a fresh ``design``, which it consumes.
+    A binned basis is the block-diagonal per-cell solver (O(n)) of a scalar
+    state, else ``ValueError``.  A polynomial basis projects on a fresh
+    ``design``, which it consumes; if ``config.terminal_feature``, its last
+    column is ``feature(state)``, the terminal's ``fn``, called only then.
     """
     state = np.atleast_2d(np.asarray(state, dtype=float))
-    if config.basis_kind == "binned" and extra is None and state.shape[1] == 1:
+    if config.basis_kind == "binned":
+        if state.shape[1] != 1:
+            raise ValueError("binned basis supports a one-dimensional state only")
         return BinnedRegression(state[:, 0], config.bins)
-    return NodeRegression(design(config, state, extra))
+    return NodeRegression(design(config, state, feature(state) if config.terminal_feature else None))
 
 
 class _Projection:

@@ -46,7 +46,7 @@ import numpy as np
 from .drivers import DriverSpec, TerminalCondition
 from .errors import CapacityError, DegenerateBasisError, SolverDivergenceError
 # NodeRegression is unused here but stays bound: the benchmark's tracing patches solver.NodeRegression
-from .regression import NodeRegression, SolverConfig, make_regression, n_columns
+from .regression import NodeRegression, SolverConfig, make_regression
 from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
@@ -148,12 +148,11 @@ def _solve_y(ey, zeta, driver, bundle, i):
 
 
 def _regression_at(bundle: ScenarioBundle, config: SolverConfig, feature_source: TerminalCondition):
-    """Step i's regression as a function of i: the basis of the Markov state at
-    t_i, with ``feature_source`` there as an extra column if ``config.terminal_feature``."""
+    """Step i's regression as a function of i: ``make_regression`` on the
+    Markov state at t_i, handed ``feature_source.fn`` as the feature."""
 
     def regression(i: int):
-        state = bundle.state(i)
-        return make_regression(config, state, feature_source.fn(state) if config.terminal_feature else None)
+        return make_regression(config, bundle.state(i), feature_source.fn)
 
     return regression
 
@@ -178,18 +177,18 @@ def _backward_steps(
     (Z, Z_orth) on [t_i, t_{i+1}) and, with ``variance``, the row's variance
     by first-order error propagation (else None).  Node K comes first: xi at
     the terminal states, integrand None and, with ``variance``, a zero row.
-    Per step: project y_{i+1} on the basis of the Markov state, read Z off
-    the increment regressions of the centred target, then solve the
-    implicit Y-update.  The variance of y_i is, per path, the pointwise variance of
-    the step's projection plus the smoothed variance inherited from node
-    i + 1, amplified by the implicit-step contraction factor.
+    Per step: project y_{i+1} on ``make_regression``'s basis of the Markov
+    state, read Z off the increment regressions of the centred target, then
+    solve the implicit Y-update.  The variance of y_i is, per path, the
+    pointwise variance of the step's projection plus the smoothed variance
+    inherited from node i + 1, amplified by the implicit-step contraction factor.
 
     Only the current Y row is kept, and the variance rows of the current and
     the next node, so a yielded variance row is overwritten once the sweep
     has advanced two more nodes; a consumer stores what it needs.
     ``regression(i)`` gives step i's regression, by default from
-    ``_regression_at`` with xi as the feature; problems on the same states
-    with the same feature can share it.  A non-finite row y_i raises
+    ``_regression_at`` with ``xi.fn`` as the feature; problems on the same
+    states with the same feature can share it.  A non-finite row y_i raises
     ``DegenerateBasisError`` at its step.
     """
     _require_dim_m(driver, bundle)
@@ -219,14 +218,6 @@ def _backward_steps(
             y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
         yield i, y, zeta, y_var[i % 2]
         del reg, target, ey, zeta
-
-
-def widest_design(bundle: ScenarioBundle, config: SolverConfig) -> int:
-    """The most columns of any step's design in the sweep of ``solve_backward``,
-    counted without building one: the basis of the state at t_0, ..., t_{K-1}
-    plus the feature column if ``config.terminal_feature``."""
-    extra = int(config.terminal_feature)
-    return max(n_columns(config, bundle.state(i), extra) for i in range(bundle.grid.n_steps))
 
 
 def solve_backward(

@@ -12,6 +12,7 @@ import pytest
 
 import qbsde as q
 from qbsde import solver
+from qbsde.regression import n_columns
 
 N_PATHS, N_STEPS = 20_000, 50
 ROW_BYTES = 8 * N_PATHS
@@ -65,7 +66,7 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
     zero = q.make_builtin("zero")
     calls = {
         "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(
-            q.apriori_bound(bundle, xi, driver.params), solver.widest_design(bundle, config))),
+            q.apriori_bound(bundle, xi, driver.params), n_columns(config, bundle.states.shape[2]))),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),
@@ -84,7 +85,7 @@ def test_unchecked_solve_peak_is_the_solution_plus_one_design(problem):
     bundle, driver, xi, config, field, _ = problem
     solution = field.y.size + field.integrand.size
     rows = peak_rows(lambda: q.solve_backward(bundle, driver, xi, config))
-    assert rows < solution / N_PATHS + solver.widest_design(bundle, config) + 12
+    assert rows < solution / N_PATHS + n_columns(config, bundle.states.shape[2]) + 12
 
 
 def solution_rows(config) -> int:

@@ -26,7 +26,7 @@ def solved(bundle, name, options, xi, cfg=None):
 def checked(bundle, drv, xi, bound, cfg=None, **keys):
     """The a priori check streamed through ``solve_backward``: the field, the
     check's report and the variance surface of the rows the sweep handed it."""
-    check = q.check_apriori(bound, q.solver.widest_design(bundle, cfg or q.SolverConfig()), **keys)
+    check = q.check_apriori(bound, q.regression.n_columns(cfg or q.SolverConfig(), bundle.states.shape[2]), **keys)
     field, y_var = solved_with_variance(bundle, drv, xi, cfg, [check])
     return field, check.report(), y_var
 

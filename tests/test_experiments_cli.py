@@ -49,7 +49,9 @@ class TestValidateConfig:
         cfg = q.validate_config(MINIMAL)
         assert cfg.scenario == {"T": 1.0, "steps": 4, "n_paths": 64, "seed": 1,
                                 "dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
-        assert cfg.solver == dataclasses.asdict(q.SolverConfig())
+        defaults = dataclasses.asdict(q.SolverConfig())
+        del defaults["terminal_feature"]
+        assert cfg.solver == defaults
         assert set(cfg.canonical()) == {"name", "description", "scenario", "driver", "terminal", "solver", "checks"}
 
     def test_missing_driver_option(self):
@@ -150,7 +152,9 @@ terminal: {kind: constant}
 
     def test_solver_block_keys_are_solver_config_fields(self):
         keys = set(_SCHEMA["properties"]["solver"]["properties"])
-        assert keys == {f.name for f in dataclasses.fields(q.SolverConfig)}
+        # terminal_feature is a field for callers that pass it by keyword; the
+        # basis kind fixes it for a config (poly has the feature, binned reads none)
+        assert keys == {f.name for f in dataclasses.fields(q.SolverConfig)} - {"terminal_feature"}
 
     @pytest.mark.parametrize("check, where", [
         ("{type: norm_bounds, p: 2}", "checks.0.p"),
@@ -299,7 +303,7 @@ class TestCatalogue:
             q.solve_backward(bundle, build_driver(cfg.driver), xi, solver_cfg)
         assert len(widths) == bundle.grid.n_steps
         widest = max(widths)
-        assert solver.widest_design(bundle, solver_cfg) == widest
+        assert q.regression.n_columns(solver_cfg, bundle.states.shape[2]) == widest
         bands = [c.extra["band_factor"] for c in q.run_experiment(cfg).checks if c.name == "apriori_bound"]
         assert bands == pytest.approx([math.sqrt(chi2.ppf(0.997, widest)) / 3.0] * len(bands), rel=1e-9)
 
@@ -449,10 +453,19 @@ class TestCli:
         ("seed: 1}", "seed: 1}\nchecks: [{type: assumptions, probes: 10000}]", "checks.0.probes: "),
         ("seed: 1}", "seed: 1}\nchecks: [{type: stability, p: [1], members: [{driver: {name: zero}, "
                      "hyp_tol: 1.0e-6}]}]", "checks.0.members.0.hyp_tol: "),
-        ("seed: 1}", "seed: 1, dim_orth: 1}\nsolver: {basis_kind: binned, terminal_feature: false}",
+        ("seed: 1}", "seed: 1, dim_orth: 1}\nsolver: {basis_kind: binned}",
          "solver.basis_kind: "),
+        # integer keys refuse a float, which the run could not use
+        ("seed: 1}", "seed: 1.0}", "scenario.seed: "),
+        ("n_paths: 64", "n_paths: 64.0", "scenario.n_paths: "),
+        ("steps: 4", "steps: 4.0", "scenario.steps: "),
+        ("seed: 1}", "seed: 1, dim_m: 1.0}", "scenario.dim_m: "),
+        ("seed: 1}", "seed: 1}\nsolver: {degree: 2.0}", "solver.degree: "),
+        ("seed: 1}", "seed: 1}\nsolver: {basis_kind: binned, bins: 8.0}", "solver.bins: "),
+        ("seed: 1}", "seed: 1}\nchecks: [{type: anchor, y0: 0.0, z_orth_mean: []}]", "checks.0.z_orth_mean: "),
     ], ids=["unknown-driver", "node-outside-horizon", "negative-seed", "negative-stream", "halfspace-constraint",
-            "unread-constraint-key", "terminal-option", "probes", "hyp_tol", "binned-2d"])
+            "unread-constraint-key", "terminal-option", "probes", "hyp_tol", "binned-2d", "float-seed",
+            "float-n_paths", "float-steps", "float-dim_m", "float-degree", "float-bins", "empty-anchor-vector"])
     def test_validate_bad_exit_2(self, tmp_path, old, new, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new))

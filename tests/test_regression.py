@@ -28,12 +28,17 @@ def test_poly_design_columns():
     ("binned", 1, False, "ties"), ("poly", 2, True, "constant"), ("binned", 1, True, "constant"),
 ])
 def test_n_columns_is_the_regressions_width(rng, kind, n_vars, feature, state):
-    # counted without a design: the a priori band needs it before the sweep's first row
-    config = SolverConfig(degree=3, basis_kind=kind, bins=12)
+    # counted from the config alone: the a priori band needs it before the
+    # sweep's first row.  Tied or constant states merge binned cells, which
+    # still count their nominal columns
+    config = SolverConfig(degree=3, basis_kind=kind, bins=12, terminal_feature=feature)
     states = {"normal": rng.normal(size=(500, n_vars)), "ties": rng.integers(0, 5, size=(500, n_vars)) * 1.0,
               "constant": np.zeros((500, n_vars))}[state]
-    extra = np.abs(states[:, 0]) + 1.0 if feature else None
-    assert n_columns(config, states, int(feature)) == make_regression(config, states, extra).n_features
+    width = make_regression(config, states, lambda s: np.abs(s[:, 0]) + 1.0).n_features
+    if state == "normal":
+        assert n_columns(config, n_vars) == width
+    else:
+        assert n_columns(config, n_vars) >= width
 
 
 def test_constant_state_falls_back_to_mean():
@@ -129,7 +134,11 @@ def test_binned_agrees_with_explicit_design(rng):
     target = np.sin(w[:, 0]) + 0.1 * rng.normal(size=3000)
     config = SolverConfig(basis_kind="binned", bins=8)
     fast = make_regression(config, w)
-    slow = NodeRegression(design(config, w))
+    # the explicit design: a one-hot intercept and a slope column per cell
+    idx, n_cells = _quantile_cells(w[:, 0], config.bins)
+    onehot = np.zeros((w.shape[0], n_cells))
+    onehot[np.arange(w.shape[0]), idx] = 1.0
+    slow = NodeRegression(np.column_stack([onehot, onehot * w]))
     assert isinstance(fast, BinnedRegression)
     assert np.allclose(fast.fit(target), slow.fit(target), atol=1e-8)
 
@@ -149,8 +158,8 @@ def test_binned_constant_state(rng):
 
 
 def test_binned_rejects_multidim():
-    with pytest.raises(ValueError):
-        design(SolverConfig(basis_kind="binned"), np.zeros((10, 2)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        make_regression(SolverConfig(basis_kind="binned"), np.zeros((10, 2)))
 
 
 def test_fit_variance_positive(rng):

@@ -340,6 +340,25 @@ def test_solver_config_rejects_bad_basis_when_built(field):
         q.SolverConfig(**field)
 
 
+def test_binned_basis_has_one_backend(bundle_1d):
+    # terminal_feature, True by default, is a polynomial column: a binned
+    # solve builds only BinnedRegression and ignores the flag bit for bit
+    drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0])
+    built, make = [], solver.make_regression
+
+    def recording(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    with mock.patch.object(solver, "make_regression", recording):
+        default = q.solve_backward(bundle_1d, drv, xi, q.SolverConfig(basis_kind="binned"))
+    assert len(built) == bundle_1d.grid.n_steps
+    assert all(type(reg) is q.regression.BinnedRegression for reg in built)
+    plain = q.solve_backward(bundle_1d, drv, xi, q.SolverConfig(basis_kind="binned", terminal_feature=False))
+    assert np.array_equal(default.y, plain.y)
+    assert np.array_equal(default.integrand, plain.integrand)
+
+
 class TestOutputs:
     def test_csv_and_field_shapes(self, tmp_path, bundle_orth):
         field = q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_constant(1.0, 2))
