@@ -11,7 +11,6 @@ martingale part.
 __version__ = "0.1.0"
 
 from .analytics import (
-    BoundProcess,
     CheckReport,
     ExpMartingaleEstimate,
     anchor_check,

@@ -13,9 +13,10 @@ never raised.
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
 reads.  The a priori check streams through the backward sweep: the sweep
 hands it each node's Y row and variance row as it makes them, and the check
-asks the bound (``BoundProcess``) for the same node's row, an exact closed
-form.  The other checks reduce the stored arrays.  A value that a report
-cannot define is None (JSON null), never a NaN or infinite sentinel.
+asks the bound's row function (``apriori_bound``) for the same node's row,
+an exact closed form; it keeps only running maxima.  The other checks
+reduce the stored arrays.  A value that a report cannot define is None
+(JSON null), never a NaN or infinite sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
 unless every value, the mean and its SE are finite, both are inf and every
@@ -35,8 +36,9 @@ import numpy as np
 
 from .drivers import DriverSpec, ParamSet, TerminalCondition
 from .errors import GridMismatchError, MomentFailureError
-# NodeRegression is unused here but stays bound: the benchmark's tracing patches analytics.NodeRegression
-from .regression import NodeRegression
+# of these, only NodeRegression is unused here; it stays bound because the
+# benchmark's tracing patches analytics.NodeRegression
+from .regression import NodeRegression, SolverConfig, n_columns
 from .scenarios import ScenarioBundle, integral_by_node, mean_se
 from .solver import SolutionField, TruncationLadder
 
@@ -148,17 +150,6 @@ def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundProcess:
-    """The conditional-expectation bound X_t, row by row: ``row(i)`` computes
-    the (n_paths,) row of X at node t_i on every call.  Each node is computed
-    on its own, so rows may be asked for in any order.  ``shape`` is
-    (n_paths, K+1), that of ``SolutionField.y``."""
-
-    shape: tuple[int, int]
-    row: Callable[[int], np.ndarray]
-
-
 def _folded_log_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     """log E[exp(c |X|)] for X ~ N(mean, var) and c >= 0, vectorized over the mean.
 
@@ -185,23 +176,22 @@ def _folded_log_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     return m
 
 
-def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSet) -> BoundProcess:
-    """Per-node value of
-    (1/gamma) log E[exp(gamma e^{b*(T-t)} |xi| + gamma int_t^T e^{b*(r-t)} alpha dA) | F_t].
+def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSet) -> Callable[[int], np.ndarray]:
+    """The row function ``row(i)`` of the bound X, computing its (n_paths,) row
+    (1/gamma) log E[exp(gamma e^{b*(T-t)} |xi| + gamma int_t^T e^{b*(r-t)} alpha dA) | F_t]
+    at node t_i on every call, so rows may be asked for in any order.
 
     xi must have an affine form (constant, affine or its absolute value;
     ``ValueError`` otherwise): |xi| given F_t is then a folded normal,
     because the state (M, W_orth) is Brownian, and its MGF is in closed form.
-
-    The gamma >= 1 and moment checks run here; a row is computed when the
-    ``BoundProcess`` is asked for it, by node index and in any order.
+    The gamma >= 1 and moment checks run here, before any row.
     """
     if params.gamma < 1:
         raise ValueError("the a priori bound needs gamma >= 1")
     if xi.affine is None:
         raise ValueError("the a priori bound needs a terminal with an affine form (constant, affine or abs)")
     gamma, bstar = params.gamma, params.beta_star
-    nodes, T, K, n = bundle.grid.nodes, bundle.grid.horizon, bundle.grid.n_steps, bundle.n_paths
+    nodes, T, K = bundle.grid.nodes, bundle.grid.horizon, bundle.grid.n_steps
 
     order = gamma * math.exp(bstar * T)
     if not math.isfinite(exponential_moment_estimate(xi, params, bundle, order)[0]):
@@ -227,61 +217,57 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
         var = float(a @ a) * (T - nodes[i])
         return _folded_log_mgf(float(c[i]), mean, var) / gamma + R[i]
 
-    return BoundProcess((n, K + 1), row)
+    return row
 
 
 class AprioriCheck:
     """The running state of ``check_apriori``, fed one node row at a time.
 
     A call ``check(i, y_i, y_var_i)`` takes node i's (n_paths,) row of Y and
-    its variance row, in any node order, and asks the bound for the same
-    node's row; ``solve_backward(..., checks=[check])`` makes the calls, and
-    a caller that feeds rows by hand may pass the scalar 0 for an exact row.
-    Each path keeps its running maxima of the adjusted and the raw gap, and
-    the node and SE of its worst adjusted gap, a tie going to the earlier
-    node; ``report()`` takes the first path with the largest maximum.  That
-    is the first maximum in path-major order, as a flat argmax over the
-    (n_paths, K+1) surfaces would give.
+    its variance row, in any node order, and asks ``row(i)`` for the bound's
+    row; ``shape`` is (n_paths, K+1).  ``solve_backward(..., checks=[check])``
+    makes the calls; a caller feeding rows by hand may pass the scalar 0 for
+    an exact row.  The check keeps the largest raw gap and the largest
+    adjusted gap as (gap, -path, -node) with its SE: tuple order takes the
+    first maximum in path-major order, as a flat argmax over the surfaces would.
     """
 
-    def __init__(self, bound: BoundProcess, band: float, tight: float | None, x0: float | None):
-        n, nodes = bound.shape
-        self.bound, self.band, self.tight, self.x0 = bound, band, tight, x0
-        self.worst, self.raw = np.full(n, -np.inf), np.full(n, -np.inf)
-        self.arg_node, self.arg_se = np.full(n, nodes, dtype=np.intp), np.zeros(n)
-        self.seen = np.zeros(nodes, dtype=bool)
+    def __init__(self, row: Callable[[int], np.ndarray], shape: tuple[int, int], band: float,
+                 tight: float | None, x0: float | None):
+        self.row, self.shape, self.band, self.tight, self.x0 = row, shape, band, tight, x0
+        self.worst, self.worst_se, self.raw = None, 0.0, -np.inf
+        self.seen = np.zeros(shape[1], dtype=bool)
         self.bound_x0 = None  # from node 0's row
 
     def __call__(self, i: int, y_i: np.ndarray, y_var_i: np.ndarray | float) -> None:
-        n, nodes = self.bound.shape
+        n, nodes = self.shape
         if np.shape(y_i) != (n,) or not 0 <= i < nodes:
-            raise GridMismatchError(
-                f"row {i} of {np.shape(y_i)} paths is not a row of the bound process {self.bound.shape}"
-            )
-        x_i = self.bound.row(i)
+            raise GridMismatchError(f"row {i} of {np.shape(y_i)} paths is not a row of the bound process {self.shape}")
+        x_i = self.row(i)
         if i == 0:
             self.bound_x0 = float(np.mean(x_i))
         gap = np.abs(y_i) - x_i
-        se = np.sqrt(y_var_i)
+        se = np.broadcast_to(np.sqrt(y_var_i), gap.shape)
         adjusted = gap - 3.0 * self.band * se
-        better = (adjusted > self.worst) | ((adjusted == self.worst) & (i < self.arg_node))
-        np.copyto(self.arg_node, i, where=better)
-        np.copyto(self.arg_se, se, where=better)
-        np.maximum(self.worst, adjusted, out=self.worst)
-        np.maximum(self.raw, gap, out=self.raw)
+        path = int(np.argmax(adjusted))
+        worst = (float(adjusted[path]), -path, -i)
+        # a NaN compares False with everything, so it is taken explicitly and then kept
+        if self.worst is None or math.isnan(worst[0]) or worst > self.worst:
+            self.worst, self.worst_se = worst, float(se[path])
+        self.raw = np.maximum(self.raw, np.max(gap))
         self.seen[i] = True
 
     def report(self) -> CheckReport:
-        n, nodes = self.bound.shape
+        n, nodes = self.shape
         if not self.seen.all():
             raise GridMismatchError(f"the check was handed {int(self.seen.sum())} of the bound's {nodes} node rows")
-        path = int(np.argmax(self.worst))
-        margin, tol = float(self.worst[path]), 1e-6
+        margin, path, node = self.worst
+        tol = 1e-6
         passed = margin <= tol
         extra = {
-            "argmax_node": int(self.arg_node[path]),
-            "argmax_path": path,
-            "raw_margin": float(np.max(self.raw)),
+            "argmax_node": -node,
+            "argmax_path": -path,
+            "raw_margin": float(self.raw),
             "band_factor": self.band,
             "x0": self.bound_x0,
             "x0_se": 0.0,
@@ -293,36 +279,41 @@ class AprioriCheck:
             extra["expected_x0"] = float(self.x0)
             extra["x0_gap"] = abs(self.bound_x0 - self.x0)
             passed = passed and extra["x0_gap"] <= 1e-12
-        return CheckReport("apriori_bound", passed, margin, tol, n, float(self.band * self.arg_se[path]), extra)
+        return CheckReport("apriori_bound", passed, margin, tol, n, self.band * self.worst_se, extra)
 
 
 def check_apriori(
-    bound: BoundProcess,
-    dof: int,
+    bundle: ScenarioBundle,
+    xi: TerminalCondition,
+    params: ParamSet,
+    config: SolverConfig,
     tight: float | None = None,
     x0: float | None = None,
 ) -> AprioriCheck:
-    """Worst violation of |Y| <= X over all nodes and paths, as a check that
-    the backward sweep feeds (``AprioriCheck``); its ``report()`` is the verdict.
+    """Worst violation of |Y| <= X, X = ``apriori_bound(bundle, xi, params)``,
+    over all nodes and paths, as a check that the backward sweep feeds
+    (``AprioriCheck``); its ``report()`` is the verdict.
 
     Both surfaces are compared at every (node, path) point, with a
     statistical allowance applied pointwise before taking the maximum.
     Because the comparison is a supremum over the whole fitted surface, the
     pointwise standard error (the sweep's error propagation; the bound is
     exact) is scaled to a Scheffe-type simultaneous band: the sqrt of the
-    99.7% chi-square quantile at ``dof``, the nominal column count of the
-    sweep's basis (``regression.n_columns``, read off the solver config).
-    The plain pointwise three-sigma band would be exceeded somewhere by
-    selection alone.  The check passes iff that maximum is at most 1e-6,
-    the report's ``tol``.  The raw maximum of |y| - x is kept in ``extra``.
+    99.7% chi-square quantile at the nominal column count of the sweep's
+    basis (``regression.n_columns`` of the solver ``config``).  The plain
+    pointwise three-sigma band would be exceeded somewhere by selection
+    alone.  The check passes iff that maximum is at most 1e-6, the report's
+    ``tol``.  The raw maximum of |y| - x is kept in ``extra``.
 
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 1e-12 of it.
     """
     # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_log_mgf``'s ndtr
     from scipy.special import gammaincinv
-    band = math.sqrt(2.0 * gammaincinv(max(1, dof) / 2.0, 1.0 - 0.003)) / 3.0
-    return AprioriCheck(bound, band, tight, x0)
+    dof = n_columns(config, bundle.states.shape[2])
+    band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
+    shape = (bundle.n_paths, bundle.grid.n_steps + 1)
+    return AprioriCheck(apriori_bound(bundle, xi, params), shape, band, tight, x0)
 
 
 # ---------------------------------------------------------------------------

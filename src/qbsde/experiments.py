@@ -5,18 +5,18 @@ key that no bundled experiment sets:
 
 * ``name`` and an optional ``description``;
 * ``scenario``: ``T``, ``steps``, ``n_paths``, ``seed`` and the optional
-  ``dim_m``, ``dim_orth`` and ``mandatory_nodes``.  The clock is A(t) = t;
+  ``dim_m`` and ``dim_orth``.  The clock is A(t) = t;
 * ``driver``: a builtin ``name`` and the ``options`` its builder reads;
 * ``terminal``: ``kind`` (constant, affine or abs) and the ``options`` it reads;
 * ``solver``: ``basis_kind`` and the ``degree`` or ``bins`` it reads;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
   runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
   to the arguments of an ``analytics`` check, which returns the report; an
-  ``apriori`` block's check is built before the solve, which feeds it, and
-  its runner reads the report.  The slack of each verdict is fixed there, not
-  a key: 1e-6 for the a priori bound and stability, 1e-9 for comparison, a
-  1e-3 violation fraction for the ladder, 0.05 for the anchor's mean Z, and
-  10,000 assumption probes.
+  ``apriori`` block's check is built by one ``check_apriori`` call before the
+  solve, which feeds it, and its runner reads the report.  The slack of each
+  verdict is fixed there, not a key: 1e-6 for the a priori bound and
+  stability, 1e-9 for comparison, a 1e-3 violation fraction for the ladder,
+  0.05 for the anchor's mean Z, and 10,000 assumption probes.
 
 Seeds are mandatory; rerunning a config reproduces the report byte for byte
 apart from the timing block.
@@ -43,7 +43,6 @@ from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
-from .regression import n_columns
 from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
@@ -95,7 +94,6 @@ _SCHEMA = {
                 "dim_orth": {"type": "integer", "minimum": 0},
                 "n_paths": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "mandatory_nodes": {"type": "array", "items": {"type": "number"}},
             },
         },
         "driver": _DRIVER_SCHEMA,
@@ -123,7 +121,7 @@ _SCHEMA = {
     },
 }
 
-_SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
+_SCENARIO_DEFAULTS = {"dim_m": 1, "dim_orth": 0}
 _SOLVER_DEFAULTS = {key: getattr(SolverConfig(), key) for key in _SCHEMA["properties"]["solver"]["properties"]}
 
 
@@ -203,12 +201,12 @@ def build_grid_for(config: ExperimentConfig):
     the config names as a node, so the left-endpoint rule integrates each
     exactly.  A kink at or past T is no kink on [0, T]."""
     sc = config.scenario
-    mandatory = list(sc["mandatory_nodes"])
+    kinks = []
     for _, block in _driver_blocks(config):
         n = block.get("options", {}).get("n") if block["name"] == "step_family" else None
         if n and 1.0 / float(n) < sc["T"]:
-            mandatory.append(1.0 / float(n))
-    return build_grid(sc["T"], sc["steps"], mandatory)
+            kinks.append(1.0 / float(n))
+    return build_grid(sc["T"], sc["steps"], kinks)
 
 
 def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
@@ -228,13 +226,14 @@ def validate_config(text: str) -> ExperimentConfig:
     One schema checks every block, nested ones included (a stability
     ``members[j]`` and the comparison's ``other``, each with its own driver
     block): key names, types (an integer is never 1.0) and the domain of
-    each value.  A key that no runner reads (``solver`` reads ``basis_kind``,
-    ``degree`` and ``bins``) is an error at its path; no key sets a check's
-    fixed slack: 1e-6 (a priori bound, stability), 1e-9 (comparison), 1e-3
-    (ladder violation fraction), 0.05 (anchor mean Z) and 10,000 probes.
-    Then what the schema cannot see: the grid must build, the terminal and
-    every driver must build on the scenario's dimensions, vectors must match
-    the state or the orders they go with, ladder levels must be strictly
+    each value.  A key that no runner reads (``scenario`` reads ``T``,
+    ``steps``, ``n_paths``, ``seed``, ``dim_m`` and ``dim_orth``; ``solver``
+    reads ``basis_kind``, ``degree`` and ``bins``) is an error at its path;
+    no key sets a check's fixed slack: 1e-6 (a priori bound, stability), 1e-9
+    (comparison), 1e-3 (ladder violation fraction), 0.05 (anchor mean Z) and
+    10,000 probes.  Then what the schema cannot see: the terminal and every
+    driver must build on the scenario's dimensions, vectors must match the
+    state or the orders they go with, ladder levels must be strictly
     increasing (the ladder compares them in list order), a binned basis needs
     a one-dimensional state, and an ``apriori`` check needs gamma >= 1.
     Every violation is collected with the path to the offending key; parse
@@ -265,10 +264,6 @@ def validate_config(text: str) -> ExperimentConfig:
 
     # semantic constraints beyond the schema
     dim_state = scenario["dim_m"] + scenario["dim_orth"]
-    try:
-        build_grid_for(config)
-    except Exception as exc:
-        errors.append(("scenario", str(exc)))
     try:
         build_terminal(config.terminal, dim_state)
     except Exception as exc:
@@ -530,13 +525,9 @@ def run_experiment(
     driver = build_driver(config.driver)
     xi = build_terminal(config.terminal, bundle.dim_m + bundle.dim_orth)
     cfg = SolverConfig(**config.solver)
-    # the a priori check streams through the solve, so its bound and band are built first
-    blocks = [check for check in config.checks if check["type"] == "apriori"]
-    apriori = []
-    if blocks:
-        bound = analytics.apriori_bound(bundle, xi, driver.params)
-        dof = n_columns(cfg, bundle.states.shape[2])
-        apriori = [analytics.check_apriori(bound, dof, **_keys(block)) for block in blocks]
+    # each a priori check streams through the solve, so it is built first
+    apriori = [analytics.check_apriori(bundle, xi, driver.params, cfg, **_keys(block))
+               for block in config.checks if block["type"] == "apriori"]
     field_ = solve_backward(bundle, driver, xi, cfg, checks=apriori)
     y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)
     ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, field=field_, y0=y0, y0_se=y0_se,

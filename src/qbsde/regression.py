@@ -118,7 +118,10 @@ class _Projection:
     """What both projection backends share: the residual variance of one (n,) target's fit."""
 
     def residual_variance(self, target: np.ndarray, fitted: np.ndarray) -> float:
-        dof = max(self.n_samples - self.rank, 1)
+        dof = self.n_samples - self.rank
+        if dof <= 0:  # the fit interpolates: no residual is left to estimate a variance from
+            raise DegenerateBasisError(f"a fit of rank {self.rank} on {self.n_samples} samples has no residual "
+                                       "degrees of freedom")
         return float(np.sum((target - fitted) ** 2) / dof)
 
 

@@ -8,6 +8,7 @@ one surface of the inputs' size would exceed them.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import qbsde as q
@@ -48,7 +49,7 @@ def checked_sweep(bundle, driver, xi, config, check):
     return check.report()
 
 
-# measured 36 (the sweep itself 25), 7, 48 (three levels), 1, 2, 10, 6 and 5
+# measured 32 (the variance sweep itself 31), 7, 48 (three levels), 1, 2, 10, 6 and 5
 # rows; a single (K+1, n) surface is 51, each stored input or ladder level
 # would add at least one, and an (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
@@ -65,8 +66,7 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
     bundle, driver, xi, config, field, lower = problem
     zero = q.make_builtin("zero")
     calls = {
-        "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(
-            q.apriori_bound(bundle, xi, driver.params), n_columns(config, bundle.states.shape[2]))),
+        "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(bundle, xi, driver.params, config)),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
         "comparison_check": lambda: q.comparison_check(lower, field, (0.0, 0.0)),
@@ -76,6 +76,30 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
         "exp_martingale_check": lambda: q.exp_martingale_check(bundle, field, [0.5, 1.0]),
     }
     assert peak_rows(calls[call]) < rows
+
+
+def retained_rows(fn) -> float:
+    """Rows still allocated by ``fn`` while what it returns is alive."""
+    fn()  # first call outside the trace: scipy's first import allocates
+    tracemalloc.start()
+    try:
+        kept = fn()  # alive while the memory is read
+        return tracemalloc.get_traced_memory()[0] / ROW_BYTES
+    finally:
+        tracemalloc.stop()
+
+
+def test_apriori_check_keeps_no_row_of_its_own(problem):
+    # fed a row, the check holds scalars and its node mask; what stays is the
+    # bound's terminal row |xi|.  Per-path running maxima would keep a row each
+    bundle, driver, xi, config, field, _ = problem
+    y, y_var = field.y[:, 0].copy(), np.zeros(N_PATHS)
+
+    def fed():
+        check = q.check_apriori(bundle, xi, driver.params, config)
+        check(0, y, y_var)
+        return check
+    assert retained_rows(fed) <= 1.1
 
 
 # measured 17 rows above the solution, 7 of them the step's design; a

@@ -23,22 +23,22 @@ def solved(bundle, name, options, xi, cfg=None):
     return drv, q.solve_backward(bundle, drv, xi, cfg)
 
 
-def checked(bundle, drv, xi, bound, cfg=None, **keys):
+def checked(bundle, drv, xi, cfg=None, **keys):
     """The a priori check streamed through ``solve_backward``: the field, the
     check's report and the variance surface of the rows the sweep handed it."""
-    check = q.check_apriori(bound, q.regression.n_columns(cfg or q.SolverConfig(), bundle.states.shape[2]), **keys)
+    check = q.check_apriori(bundle, xi, drv.params, cfg or q.SolverConfig(), **keys)
     field, y_var = solved_with_variance(bundle, drv, xi, cfg, [check])
     return field, check.report(), y_var
 
 
-def rows(bound):
-    """The bound's node rows, t_0 first."""
-    return [bound.row(i) for i in range(bound.shape[1])]
+def rows(row, nodes):
+    """The bound's ``nodes`` node rows from its row function, t_0 first."""
+    return [row(i) for i in range(nodes)]
 
 
-def surface(bound):
+def surface(row, nodes):
     """The bound's node rows stacked into the (n_paths, K+1) surface of X."""
-    return np.stack(rows(bound), axis=1)
+    return np.stack(rows(row, nodes), axis=1)
 
 
 def overflow_field(n_steps, n_paths, paths):
@@ -50,9 +50,9 @@ def overflow_field(n_steps, n_paths, paths):
     return bundle, q.SolutionField(np.zeros((n_paths, n_steps + 1)), zeta, 1)
 
 
-def x0(bound):
+def x0(row):
     """The bound's X_0: the path mean of its first row."""
-    return float(np.mean(bound.row(0)))
+    return float(np.mean(row(0)))
 
 
 class TestFoldedMgf:
@@ -71,7 +71,7 @@ class TestFoldedMgf:
 class TestAprioriBound:
     def test_zero_data_gives_zero_bound(self, bundle_1d):
         bound = q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=1.0))
-        assert np.allclose(surface(bound), 0.0, atol=1e-12)
+        assert np.allclose(surface(bound, bundle_1d.grid.n_steps + 1), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("xi", [q.terminal_constant(0.4, 1), q.terminal_affine(0.1, [1.0]), q.terminal_abs(0.1, [1.0])],
                              ids=["constant", "affine", "abs"])
@@ -79,7 +79,7 @@ class TestAprioriBound:
         # independent oracle: X_0 = log E[exp|xi(W_1)|], by quadrature against the N(0, 1) density
         oracle, _ = quad(lambda w: math.exp(abs(float(xi.fn(np.array([[w]]))[0]))) * norm.pdf(w), -40, 40)
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
-        np.testing.assert_allclose(bound.row(0), math.log(oracle), rtol=1e-9)
+        np.testing.assert_allclose(bound(0), math.log(oracle), rtol=1e-9)
 
     def test_terminal_without_an_affine_form_is_rejected(self, bundle_1d):
         xi = dataclasses.replace(q.terminal_affine(0.0, [1.0]), affine=None)
@@ -92,8 +92,8 @@ class TestAprioriBound:
         drv = q.make_builtin("step_family", {"n": 2})
         bound = q.apriori_bound(b, q.terminal_constant(0.0, 1), drv.params)
         expected = np.maximum(1.0 - 2.0 * grid.nodes, 0.0)
-        assert np.abs(surface(bound) - expected[None, :]).max() < 1e-10
-        _, report, _ = checked(b, drv, q.terminal_constant(0.0, 1), bound)
+        assert np.abs(surface(bound, grid.n_steps + 1) - expected[None, :]).max() < 1e-10
+        _, report, _ = checked(b, drv, q.terminal_constant(0.0, 1))
         assert report.passed and report.margin <= 1e-10
         assert abs(report.extra["raw_margin"]) < 1e-10
 
@@ -105,7 +105,7 @@ class TestAprioriBound:
     def test_dominates_quadratic_solution_with_slack(self, bundle_1d):
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         bound = q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [1.0]), drv.params)
-        field, report, _ = checked(bundle_1d, drv, q.terminal_affine(0.0, [1.0]), bound)
+        field, report, _ = checked(bundle_1d, drv, q.terminal_affine(0.0, [1.0]))
         assert report.passed
         # strict slack at time zero: X_0 - Y_0 ~ 1.0204 - 0.5
         assert x0(bound) - field.y0 == pytest.approx(0.5204, abs=0.03)
@@ -120,12 +120,13 @@ class TestAprioriBound:
         assert drv.params.beta_star == pytest.approx(a)
         x_expected = (alpha0 / a) * (np.exp(a * (1.0 - grid.nodes)) - 1.0)
         # grid quadrature of the weighted integral converges O(dt)
-        assert np.abs(surface(bound)[0] - x_expected).max() < 5e-3
-        assert checked(bundle, drv, q.terminal_constant(0.0, 1), bound)[1].passed
+        assert np.abs(surface(bound, grid.n_steps + 1)[0] - x_expected).max() < 5e-3
+        assert checked(bundle, drv, q.terminal_constant(0.0, 1))[1].passed
 
     def test_monotone_in_gamma(self, bundle_1d):
         xi = q.terminal_affine(0.0, [1.0])
-        closed = [surface(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g))) for g in (1, 2, 4)]
+        nodes = bundle_1d.grid.n_steps + 1
+        closed = [surface(q.apriori_bound(bundle_1d, xi, ParamSet(gamma=g)), nodes) for g in (1, 2, 4)]
         assert np.all(closed[0] <= closed[1] + 1e-12)
         assert np.all(closed[1] <= closed[2] + 1e-12)
 
@@ -134,8 +135,8 @@ class TestAprioriBound:
         # |log Phi(40)| < 1e-300; the MGF itself, e^{800} at t_0, overflows where c^2 var / 2 > 709
         b = q.simulate_scenario(q.build_grid(1.0, 20), 1, 0, 64, source=q.RandomSource(2))
         bound = q.apriori_bound(b, q.terminal_affine(0.0, [40.0]), ParamSet(gamma=1.0))
-        assert all(np.all(np.isfinite(x_i)) for x_i in rows(bound))
-        np.testing.assert_allclose(bound.row(0), 800.0 + math.log(2.0), rtol=0, atol=1e-12)
+        assert all(np.all(np.isfinite(x_i)) for x_i in rows(bound, b.grid.n_steps + 1))
+        np.testing.assert_allclose(bound(0), 800.0 + math.log(2.0), rtol=0, atol=1e-12)
 
     def test_moment_failure(self, bundle_1d):
         with pytest.raises(MomentFailureError):
@@ -150,18 +151,18 @@ class TestAprioriBound:
         xi = q.terminal_affine(0.0, [1.0])
         bound = q.apriori_bound(bundle_1d, xi, ParamSet(gamma=1.0))
         n, K = bundle_1d.n_paths, bundle_1d.grid.n_steps
-        forward = rows(bound)
-        assert bound.shape == (n, K + 1)
+        forward = rows(bound, K + 1)
+        assert q.check_apriori(bundle_1d, xi, ParamSet(gamma=1.0), q.SolverConfig()).shape == (n, K + 1)
         assert all(x_i.shape == (n,) and x_i.flags.c_contiguous for x_i in forward)
         assert np.array_equal(forward[-1], np.abs(xi.evaluate(bundle_1d.terminal_state)))
-        backward = [bound.row(i) for i in range(K, -1, -1)][::-1]
+        backward = [bound(i) for i in range(K, -1, -1)][::-1]
         assert all(np.array_equal(x_i, again) for x_i, again in zip(forward, backward))
 
     @staticmethod
     def backward_report(y):
         """The check of |y| <= 1 on the (K+1, n) rows ``y``, handed them as a
         sweep does: terminal row first, exact rows (variance 0)."""
-        check = q.check_apriori(q.BoundProcess(y.shape[::-1], lambda i: np.ones(y.shape[1])), 1)
+        check = q.analytics.AprioriCheck(lambda i: np.ones(y.shape[1]), y.shape[::-1], 1.0, None, None)
         for i in range(y.shape[0] - 1, -1, -1):
             check(i, y[i], 0.0)
         return check.report()
@@ -184,13 +185,21 @@ class TestAprioriBound:
         assert (report.extra["argmax_path"], report.extra["argmax_node"]) == (2, 1)
         assert report.margin == 1.0
 
+    @pytest.mark.parametrize("node", [5, 3, 0], ids=["first-fed", "middle", "last-fed"])
+    def test_nan_row_fails(self, node):
+        # a NaN compares False with every margin, so it must not be passed over as smaller
+        y = np.zeros((6, 5))
+        y[node, 2] = np.nan
+        report = self.backward_report(y)
+        assert not report.passed
+
     def test_grid_mismatch(self, bundle_1d):
         drv, xi = q.make_builtin("zero"), q.terminal_constant(0.0, 1)
         other = q.simulate_scenario(q.build_grid(1.0, 5), 1, 0, 8, source=q.RandomSource(9))
         with pytest.raises(GridMismatchError):
-            q.solve_backward(bundle_1d, drv, xi, checks=[q.check_apriori(q.apriori_bound(other, xi, drv.params), 1)])
+            q.solve_backward(bundle_1d, drv, xi, checks=[q.check_apriori(other, xi, drv.params, q.SolverConfig())])
         # a check handed only some of the bound's node rows has no report
-        check = q.check_apriori(q.apriori_bound(bundle_1d, xi, drv.params), 1)
+        check = q.check_apriori(bundle_1d, xi, drv.params, q.SolverConfig())
         check(0, np.zeros(bundle_1d.n_paths), 0.0)
         with pytest.raises(GridMismatchError):
             check.report()
@@ -199,9 +208,9 @@ class TestAprioriBound:
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         bound = q.apriori_bound(bundle_orth, xi, drv.params)
-        field, report, y_var = checked(bundle_orth, drv, xi, bound, q.SolverConfig(degree=2))
+        field, report, y_var = checked(bundle_orth, drv, xi, q.SolverConfig(degree=2))
         # the whole-surface formula the check streams
-        gap = np.abs(field.y) - surface(bound)
+        gap = np.abs(field.y) - surface(bound, bundle_orth.grid.n_steps + 1)
         se = np.sqrt(y_var)
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se

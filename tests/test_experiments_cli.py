@@ -48,7 +48,7 @@ class TestValidateConfig:
     def test_minimal_fills_defaults(self):
         cfg = q.validate_config(MINIMAL)
         assert cfg.scenario == {"T": 1.0, "steps": 4, "n_paths": 64, "seed": 1,
-                                "dim_m": 1, "dim_orth": 0, "mandatory_nodes": []}
+                                "dim_m": 1, "dim_orth": 0}
         defaults = dataclasses.asdict(q.SolverConfig())
         del defaults["terminal_feature"]
         assert cfg.solver == defaults
@@ -441,7 +441,7 @@ class TestCli:
 
     @pytest.mark.parametrize("old, new, where", [
         ("zero", "frob", "driver"),
-        ("seed: 1}", "seed: 1, mandatory_nodes: [2.0]}", "scenario: "),
+        ("seed: 1}", "seed: 1, mandatory_nodes: [2.0]}", "scenario.mandatory_nodes: "),
         ("seed: 1}", "seed: -1}", "scenario.seed: "),
         ("seed: 1}", "seed: 1, stream: -1}", "scenario.stream: "),
         ("{name: zero}", "{name: power_utility, options: {p: 0.5, lam: 0.0, "
@@ -502,8 +502,11 @@ class TestCli:
         ("steps: 4, n_paths: 64, seed: 1}\ndriver: {name: zero}\nterminal: {kind: constant, options: {value: 0.0}}",
          "steps: 100, n_paths: 20000, seed: 1}\ndriver: {name: pure_quadratic, options: {gamma: 2.0}}\n"
          "terminal: {kind: abs, options: {slope: [1.0]}}", (), "experiment failed: non-finite Y at step"),
+        # a fit on one path interpolates: no residual is left for the a priori check's variance
+        ("seed: 1}", "seed: 1}\nchecks: [{type: apriori}]", ("--paths", "1"),
+         "experiment failed: a fit of rank 1 on 1 samples has no residual degrees of freedom"),
     ], ids=["negative-stream", "zero-paths", "negative-seed", "apriori-gamma-below-one", "terminal-overflow",
-            "non-finite-y"])
+            "non-finite-y", "one-path-apriori"])
     def test_run_bad_input_exit_2(self, tmp_path, old, new, args, where):
         path = tmp_path / "bad.yaml"
         path.write_text(MINIMAL.replace(old, new) if old else MINIMAL)

@@ -68,6 +68,20 @@ def test_degenerate_basis_errors(rng):
         reg.fit(np.full(50, np.inf))
 
 
+@pytest.mark.parametrize("kind", ["binned", "node"])
+def test_zero_residual_dof_raises(rng, kind):
+    # a fit of rank n_samples interpolates: its residual, about 1e-31, would
+    # pass for a variance estimate
+    if kind == "binned":
+        reg = BinnedRegression(rng.normal(size=3), 24)
+    else:
+        reg = NodeRegression(design(SolverConfig(degree=3), rng.normal(size=(4, 1))))
+    assert reg.rank == reg.n_samples
+    target = rng.normal(size=reg.n_samples)
+    with pytest.raises(DegenerateBasisError, match=f"rank {reg.rank} on {reg.n_samples} samples"):
+        reg.residual_variance(target, reg.fit(target))
+
+
 @pytest.mark.parametrize("n_vars", [1, 2])
 def test_fit_is_the_lstsq_min_norm_projection(rng, n_vars):
     # rank-deficient poly-plus-feature designs: the feature is affine in the

@@ -30,11 +30,11 @@ def test_counterexample_kinks_are_grid_nodes():
         assert node in grid.nodes
 
 
-@pytest.mark.parametrize("bad", [(0.0, 4), (-1.0, 4), (1.0, 0)])
+@pytest.mark.parametrize("bad", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 4, [2.0]), (1.0, 4, [-0.5])])
 def test_grid_rejects_bad_arguments(bad):
-    T, n = bad
+    # a mandatory node must lie in [0, T]
     with pytest.raises(ValueError):
-        q.build_grid(T, n)
+        q.build_grid(*bad)
 
 
 @settings(max_examples=60, deadline=None)
