@@ -70,6 +70,7 @@ from .solver import (
     SolutionField,
     SolverConfig,
     TruncationLadder,
+    lockstep_sweeps,
     nested_mc_oracle,
     solve_backward,
     solve_ladder,

@@ -11,12 +11,17 @@ randomized sampling over a probe box; violations are reported with margins,
 never raised.
 
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
-reads.  The a priori check streams through the backward sweep: the sweep
-hands it each node's Y row and variance row as it makes them, and the check
-asks the bound's row function (``apriori_bound``) for the same node's row,
-an exact closed form; it keeps only running maxima.  The other checks
-reduce the stored arrays.  A value that a report cannot define is None
-(JSON null), never a NaN or infinite sentinel.
+reads, and no solution holds a Y surface (``SolutionField``).  The a priori
+check streams through the backward sweep: the sweep hands it each node's Y
+row and variance row as it makes them, and the check asks the bound's row
+function (``apriori_bound``) for the same node's row, an exact closed form;
+it keeps only running maxima.  Comparison and stability read the Y rows of
+two problems node by node from their sweeps run in lockstep
+(``solver.lockstep_sweeps``).  The other checks reduce a field's stored
+parts: Y* and the integrand; each first checks that the integrand lies on
+the bundle's paths and steps (``GridMismatchError`` otherwise).  A value
+that a report cannot define is None (JSON null), never a NaN or infinite
+sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
 unless every value, the mean and its SE are finite, both are inf and every
@@ -85,6 +90,14 @@ def _exponential_mean(exponent: np.ndarray) -> ExpMartingaleEstimate:
     if not (math.isfinite(mean) and math.isfinite(se)):
         mean = se = math.inf
     return ExpMartingaleEstimate(mean, se, n_overflow)
+
+
+def _require_grid(bundle: ScenarioBundle, shape: tuple[int, ...]) -> None:
+    """``GridMismatchError`` unless ``shape``, an integrand's, starts with the
+    bundle's (n_paths, n_steps)."""
+    if tuple(shape[:2]) != (bundle.n_paths, bundle.grid.n_steps):
+        raise GridMismatchError(f"an integrand on {tuple(shape[:2])} (paths, steps) is not on the bundle's "
+                                f"{(bundle.n_paths, bundle.grid.n_steps)}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +347,14 @@ def norm_bound_checks(
     The first check is the Doob-type inequality with explicit constant
     (p/(p-1))^p.  The second has no named constant; the report carries the
     implied ratio (None if undefined) and flags non-finiteness.  Y* and
-    <Z.M + N>_T do not depend on p: each is one reduction of the stored arrays.
+    <Z.M + N>_T do not depend on p: Y* is the field's ``y_sup``, kept by the
+    sweep, and the quadratic variation one reduction of its integrand.
     """
     if any(p <= 1 for p in orders):
         raise ValueError("norm bound needs p > 1")
+    _require_grid(bundle, solution.integrand.shape)
     gamma, bstar = params.gamma, params.beta_star
-    sup_y = np.maximum(solution.y.max(axis=1), -solution.y.min(axis=1))
+    sup_y = solution.y_sup
     qv = np.einsum("nkw,nkw,k->n", solution.integrand, solution.integrand, bundle.dt)
     out = []
     for p in map(float, orders):
@@ -508,33 +523,39 @@ def sample_ordering(
 # ---------------------------------------------------------------------------
 
 
-def comparison_check(
-    solution: SolutionField,
-    solution_prime: SolutionField,
-    gaps: tuple[float, float],
-) -> CheckReport:
+def comparison_check(steps, gaps: tuple[float, float]) -> CheckReport:
     """Worst signed violation of Y <= Y' given ordered data (F <= F', xi <= xi'),
     with ``gaps`` from ``sample_ordering``; unordered data make it vacuous.
-    It passes iff the data are ordered and the violation is at most 1e-9."""
-    if solution.y.shape != solution_prime.y.shape:
-        raise GridMismatchError("comparison requires fields on the same bundle")
+    It passes iff the data are ordered and the violation is at most 1e-9.
+
+    ``steps`` yields, node by node in any order, the pair of sweep steps
+    ``(i, y_i, zeta_i, y_var_i)`` of the two problems, as
+    ``solver.lockstep_sweeps`` runs them.  The margin is a maximum over the
+    nodes, so it is taken one node row at a time: no (n, K+1) difference
+    surface, and no stored Y.
+    """
     max_f_gap, max_xi_gap = gaps
-    # one node row at a time: no (n, K+1) difference surface
-    margin = max(float(np.max(solution.y[:, i] - solution_prime.y[:, i])) for i in range(solution.y.shape[1]))
+    margin, y0 = -math.inf, None
+    for (i, y, _, _), (_, y_prime, _, _) in steps:
+        if y.shape != y_prime.shape:
+            raise GridMismatchError("comparison requires solutions on the same bundle")
+        margin = max(margin, float(np.max(y - y_prime)))
+        if i == 0:
+            y0 = (float(np.mean(y)), float(np.mean(y_prime)))
     vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
     return CheckReport(
         name="comparison",
         passed=(not vacuous) and margin <= 1e-9,
         margin=margin,
         tol=1e-9,
-        n_paths=solution.n_paths,
+        n_paths=y.size,
         se=0.0,
         extra={
             "vacuous": vacuous,
             "max_f_gap": max_f_gap,
             "max_xi_gap": max_xi_gap,
-            "y0": solution.y0,
-            "y0_prime": solution_prime.y0,
+            "y0": y0[0],
+            "y0_prime": y0[1],
         },
     )
 
@@ -546,8 +567,7 @@ def comparison_check(
 
 def stability_metrics(
     bundle: ScenarioBundle,
-    solution_n: SolutionField,
-    solution_0: SolutionField,
+    steps,
     driver_n: DriverSpec,
     driver_0: DriverSpec,
     xi_n: TerminalCondition,
@@ -556,22 +576,33 @@ def stability_metrics(
 ) -> list[dict]:
     """Hypothesis statistic |xi_n - xi_0| + int |F_n - F_0|(t, Y^0, Z^0) dA and
     the two conclusion statistics at each order p, all per-path then averaged:
-    one dict per order.  The hypothesis, the sup gap and the quadratic variation
-    do not depend on p, so all three are taken in one pass over the nodes."""
-    if solution_n.y.shape != solution_0.y.shape:
-        raise GridMismatchError("stability metrics require fields on the same bundle")
-    dA, K = bundle.dA, bundle.grid.n_steps
+    one dict per order.
+
+    ``steps`` yields, node by node from t_K down, the pair of sweep steps
+    ``(i, y_i, zeta_i, y_var_i)`` of the member (F_n, xi_n) and the base
+    (F_0, xi_0), as ``solver.lockstep_sweeps`` runs them.  The sup gap is a
+    maximum, taken as the rows arrive.  The hypothesis and the quadratic
+    variation of the integrand difference are sums over the nodes from t_0
+    on, and a different order would change their rounding, so the check
+    keeps each step's base Y and Z rows and the member's integrand rows, and
+    sums forward once the sweep is done.  None of them depends on p.
+    """
+    sup_gap, kept = None, []
+    for (_, y_n, zeta_n, _), (_, y_0, zeta_0, _) in steps:
+        gap = np.abs(y_n - y_0)
+        sup_gap = gap if sup_gap is None else np.maximum(sup_gap, gap, out=sup_gap)
+        if zeta_n is not None:
+            kept.append((y_0, zeta_0, zeta_n))
+    kept.reverse()
+    _require_grid(bundle, (sup_gap.size, len(kept)))
+    dA, m = bundle.dA, bundle.dim_m
 
     hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
-    sup_gap = np.zeros(bundle.n_paths)
-    steps = (solution_n.integrand[:, i] - solution_0.integrand[:, i] for i in range(K))
-    for i, (_, qv) in enumerate(integral_by_node(bundle, steps)):
-        np.maximum(sup_gap, np.abs(solution_n.y[:, i] - solution_0.y[:, i]), out=sup_gap)
-        if i < K and dA[i] != 0:
-            y0 = solution_0.y[:, i]
-            z0 = solution_0.z[:, i, :]
-            gap = np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0))
-            hyp = hyp + gap * dA[i]
+    for i, (y0, zeta0, _) in enumerate(kept):
+        if dA[i] != 0:
+            z0 = zeta0[:, :m]
+            hyp = hyp + np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0)) * dA[i]
+    _, qv = deque(integral_by_node(bundle, (zeta_n - zeta_0 for _, zeta_0, zeta_n in kept)), maxlen=1)[0]
     h_m, h_se = mean_se(hyp)
     out = []
     for p in map(float, orders):
@@ -636,7 +667,9 @@ def stability_check(
 
 
 def _terminal_integral(bundle: ScenarioBundle, solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
-    """(Z.M + N)_T and its quadratic variation, per path: the last pair of ``integral_by_node``."""
+    """(Z.M + N)_T and its quadratic variation, per path: the last pair of ``integral_by_node``.
+    ``GridMismatchError`` unless the integrand lies on the bundle's paths and steps."""
+    _require_grid(bundle, solution.integrand.shape)
     steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
     return deque(integral_by_node(bundle, steps), maxlen=1)[0]
 
@@ -676,12 +709,12 @@ def kazamaki_statistic(
     Each node needs only its own mean, so Mt and <Mt> stream from
     ``integral_by_node`` one (n,) row at a time, with the integrand scaled
     step by step: no (n, K+1) surface of either is built.  The first node
-    with the largest mean is the sup's.
+    with the largest mean is the sup's.  The integrand must lie on the
+    bundle's paths and steps (``GridMismatchError``).
     """
     if eta == 1.0:
         raise ValueError("the criterion needs eta != 1")
-    if solution.y.shape != (bundle.n_paths, bundle.grid.n_steps + 1):
-        raise GridMismatchError(f"solution field {solution.y.shape} is not on the bundle's paths and grid")
+    _require_grid(bundle, solution.integrand.shape)
 
     steps = (q_tilde * solution.integrand[:, i] for i in range(bundle.grid.n_steps))
     sup, sup_se, sup_node = -math.inf, 0.0, 0

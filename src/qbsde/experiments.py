@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from collections.abc import Iterator
@@ -43,7 +44,7 @@ from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
-from .solver import SolutionField, SolverConfig, solve_backward, solve_ladder, y0_with_se
+from .solver import SolutionField, SolverConfig, lockstep_sweeps, solve_backward, solve_ladder, y0_with_se
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -220,6 +221,17 @@ def build_bundle(config: ExperimentConfig) -> ScenarioBundle:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader with YAML 1.2's float rule for exponents: 1e-2,
+    -2E+1 and 1.e2 are numbers, as in JSON, where YAML 1.1 reads them as
+    strings.  The rule runs after the int rule, so 7 stays an int."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                              list("-+.0123456789"))
+
+
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config.
 
@@ -240,7 +252,7 @@ def validate_config(text: str) -> ExperimentConfig:
     errors carry the YAML line reference.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "?"
@@ -407,21 +419,26 @@ def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckRepor
     return analytics.norm_bound_checks(ctx.bundle, ctx.field, ctx.xi, ctx.driver.params, check["p"])
 
 
+def _lockstep_with_base(ctx: _RunContext, driver: DriverSpec):
+    """The sweeps of ``driver`` and of the experiment's own driver, both with
+    its terminal, side by side: the Y rows of both, node by node."""
+    return lockstep_sweeps(ctx.bundle, ctx.xi, [(ctx.bundle, driver, ctx.xi), (ctx.bundle, ctx.driver, ctx.xi)],
+                           ctx.solver_cfg)
+
+
 def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     # the other problem, the same terminal under the other driver, is the lower one
     lo_driver = build_driver(check["other"]["driver"])
-    lo_field = solve_backward(ctx.bundle, lo_driver, ctx.xi, ctx.solver_cfg)
     gaps = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
-    return [analytics.comparison_check(lo_field, ctx.field, gaps)]
+    return [analytics.comparison_check(_lockstep_with_base(ctx, lo_driver), gaps)]
 
 
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     out = []
     for j, member in enumerate(check["members"]):
         m_driver = build_driver(member["driver"])
-        m_field = solve_backward(ctx.bundle, m_driver, ctx.xi, ctx.solver_cfg)
-        metrics = analytics.stability_metrics(ctx.bundle, m_field, ctx.field, m_driver, ctx.driver, ctx.xi, ctx.xi,
-                                              check["p"])
+        metrics = analytics.stability_metrics(ctx.bundle, _lockstep_with_base(ctx, m_driver), m_driver, ctx.driver,
+                                              ctx.xi, ctx.xi, check["p"])
         label = member.get("label", f"member{j}")
         out.append(analytics.stability_check(metrics, label, **_keys(member, "driver", "label")))
     return out

@@ -16,11 +16,17 @@ of alpha dA exceeds n, so the driver acts only before that time) and reports
 monotonicity across levels.
 
 The regression scheme is one backward sweep, ``_backward_steps``, that
-yields the rows of one node at a time, t_K first.  ``solve_backward`` stores
-them as a solution field; ``y0_with_se`` needs only Y_0 of each path batch,
-so it keeps the last row alone, and ``solve_ladder`` compares its levels as
-their sweeps run in lockstep.  A (K+1, n) float64 surface is 81 MB at
-100,000 paths and 101 nodes, and a supremum or a count needs none.
+yields the rows of one node at a time, t_K first.  No solution field holds
+a Y surface: a (K+1, n) float64 surface is 81 MB at 100,000 paths and 101
+nodes, and the paper reads Y only through Y_0, the pathwise supremum
+Y* = sup_t |Y_t| and the node-by-node gap between two solutions.  So
+``solve_backward`` keeps the integrand, its only surface, and of Y the row
+at t_0, the running Y* and the first ``EXPORT_PATHS`` paths for the CSV
+(the oracle, on at most 4 nodes, takes the same parts from its small Y);
+``y0_with_se`` keeps the last row of each path batch alone; and
+``lockstep_sweeps`` runs several problems on the same states side by side,
+sharing each step's regression, so that ``solve_ladder`` and the comparison
+and stability checks read their Y rows node by node as the sweeps make them.
 
 The sweep's error bars, the pointwise variance of each Y row by first-order
 error propagation, are computed only when the sweep is asked for them: by
@@ -68,22 +74,30 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolutionField:
-    """Grid estimates of Y and of the integrand of the martingale part Z.M + N.
+    """The integrand of the martingale part Z.M + N, and the parts of Y that are read.
 
-    ``y`` has shape (n_paths, K+1).  ``integrand`` has shape
-    (n_paths, K, dim_m + dim_orth) and holds (Z, Z_orth) on [t_i, t_{i+1}),
-    where N = Z_orth.W_orth; it is the only stored copy of both.  ``z`` and
-    ``z_orth`` are views of its first ``dim_m`` and of its remaining columns.
-    The solvers pass transposed views of node-major buffers, so the node axis
-    is outermost in memory, as in ``ScenarioBundle.states``; ``y[:, i]`` is
-    contiguous.  ``meta`` holds what a solver reports beside the field: the
-    oracle's ``y0_se``, and nothing for the other solvers.
+    ``integrand`` has shape (n_paths, K, dim_m + dim_orth) and holds
+    (Z, Z_orth) on [t_i, t_{i+1}), where N = Z_orth.W_orth; it is the only
+    stored copy of both, and the field's only surface.  ``z`` and ``z_orth``
+    are views of its first ``dim_m`` and of its remaining columns.  Of Y the
+    field keeps two (n_paths,) rows, ``y_start`` (Y at t_0) and ``y_sup``
+    (Y* = max_i |Y_i| over the nodes), and ``y_export``, the (K+1, m) rows of
+    the first m = min(``EXPORT_PATHS``, n_paths) paths that ``to_csv``
+    writes.  The integrand is a transposed view of a node-major buffer and
+    ``y_export`` is node-major, so the node axis is outermost in memory, as
+    in ``ScenarioBundle.states``.  ``meta`` holds what a solver reports
+    beside the field: the oracle's ``y0_se``, and nothing for the other
+    solvers.
 
-    The field holds no error bars: the regression sweep hands its variance
-    rows, one node at a time, to the checks that ``solve_backward`` is given.
+    The field holds no error bars and no other Y: the regression sweep hands
+    its Y and variance rows, one node at a time, to the checks that
+    ``solve_backward`` is given, and ``lockstep_sweeps`` hands them to
+    checks that compare two problems.
     """
 
-    y: np.ndarray
+    y_start: np.ndarray
+    y_sup: np.ndarray
+    y_export: np.ndarray
     integrand: np.ndarray
     dim_m: int
     meta: dict = field(default_factory=dict)
@@ -98,21 +112,22 @@ class SolutionField:
 
     @property
     def n_paths(self) -> int:
-        return self.y.shape[0]
+        return self.integrand.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.y.shape[1] - 1
+        return self.integrand.shape[1]
 
     @property
     def y0(self) -> float:
-        return float(np.mean(self.y[:, 0]))
+        return float(np.mean(self.y_start))
 
     def to_csv(self, path, grid_nodes: np.ndarray) -> None:
-        n, K, d, w = min(EXPORT_PATHS, self.n_paths), self.n_steps, self.dim_m, self.integrand.shape[2]
+        n, K, d, w = self.y_export.shape[1], self.n_steps, self.dim_m, self.integrand.shape[2]
         # node-major rows of the first n paths; node K repeats the last step's integrand
         node, p = np.divmod(np.arange((K + 1) * n), n)
-        table = np.column_stack([node, grid_nodes[node], p, self.y[p, node], self.integrand[p, np.minimum(node, K - 1)]])
+        table = np.column_stack([node, grid_nodes[node], p, self.y_export[node, p],
+                                 self.integrand[p, np.minimum(node, K - 1)]])
         header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(w - d)]
         np.savetxt(path, table, fmt=["%d", "%.12g", "%d"] + ["%.12g"] * (w + 1), delimiter=",",
                    header=",".join(header), comments="")
@@ -229,28 +244,59 @@ def solve_backward(
 ) -> SolutionField:
     """Regression-based backward recursion from Y_K = xi.
 
-    Stores every row of the sweep, the terminal value pinned exactly path by
-    path.  Each of ``checks`` is called with every node's ``(i, y_i, y_var_i)``
-    as the sweep makes it, the terminal row first (its variance a zero row),
-    where ``y_var_i`` is the row's variance by first-order error
-    propagation; a row is valid only during the call.  Without checks the
-    sweep propagates no variance.
+    Stores the integrand of every step and, of Y, what a ``SolutionField``
+    keeps: the row at t_0, the running per-path supremum of |Y| (the
+    terminal value, pinned exactly path by path, included) and the rows of
+    the first ``EXPORT_PATHS`` paths; no (K+1, n) array is made.  Each of
+    ``checks`` is called with every node's ``(i, y_i, y_var_i)`` as the sweep
+    makes it, the terminal row first (its variance a zero row), where
+    ``y_var_i`` is the row's variance by first-order error propagation; a
+    row is valid only during the call.  Without checks the sweep propagates
+    no variance.
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
 
-    # node-major, like the bundle: each step reads and writes contiguous rows
-    y = np.empty((K + 1, n))
+    # node-major, like the bundle: each step writes contiguous rows
     integrand = np.empty((K, n, bundle.states.shape[2]))
+    y_export = np.empty((K + 1, min(EXPORT_PATHS, n)))
+    y_sup = np.zeros(n)
 
     for i, y_i, zeta, y_var_i in _backward_steps(bundle, driver, xi, config, variance=bool(checks)):
-        y[i] = y_i
+        np.maximum(y_sup, np.abs(y_i), out=y_sup)
+        y_export[i] = y_i[: y_export.shape[1]]
         if i < K:
             integrand[i] = zeta
         for check in checks:
             check(i, y_i, y_var_i)
 
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m)
+    # the sweep makes every row afresh, so node 0's is kept as it is
+    return SolutionField(y_i, y_sup, y_export, integrand.transpose(1, 0, 2), bundle.dim_m)
+
+
+def lockstep_sweeps(
+    bundle: ScenarioBundle,
+    xi: TerminalCondition,
+    problems,
+    config: SolverConfig | None = None,
+    variance: bool = False,
+):
+    """The backward sweeps of several problems on the states of ``bundle``, run side by side.
+
+    ``problems`` are (bundle, driver, terminal) triples whose bundles share
+    ``bundle``'s states; their clocks may differ.  Yields one tuple per node,
+    t_K first, of each problem's ``_backward_steps`` step ``(i, y_i, zeta_i,
+    y_var_i)``.  Each step's regression is built once, on the states of
+    ``bundle`` with ``xi.fn`` as the feature, by the first sweep to reach
+    the step, and is kept until the next step's is built; a problem whose
+    terminal is ``xi`` therefore gets exactly the rows of its own
+    ``solve_backward``.  Every Y and integrand row is made afresh, so a
+    consumer may keep it; a variance row is overwritten two nodes on.
+    """
+    config = config or SolverConfig()
+    regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
+    return zip(*(_backward_steps(b, driver, terminal, config, regression, variance)
+                 for b, driver, terminal in problems))
 
 
 def y0_with_se(
@@ -268,7 +314,7 @@ def y0_with_se(
 
     Each batch runs the sweep of ``solve_backward`` and keeps only its
     current row: a batch Y_0 equals ``solve_backward`` on that batch's
-    ``slice_paths`` exactly, without the (K+1, n) surfaces or the error
+    ``slice_paths`` exactly, without the integrand surface or the error
     propagation that only a stored solution needs.
     """
     config = config or SolverConfig()
@@ -412,6 +458,8 @@ def nested_mc_oracle(
     is the standard error of the branching/2 pair means.  It is the only
     key of ``meta``, 0 when the paths do not share one state at node 0.
     ``branching ** n_steps`` above ``ORACLE_CAPACITY`` raises ``CapacityError``.
+    The field's parts of Y come from the oracle's own (K+1, n) Y, at most
+    four rows.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
     block of about 2^16 float32 leaf states, when ``xi.affine`` is set: the
@@ -455,7 +503,8 @@ def nested_mc_oracle(
             if i == 0 and shared:
                 y0_se = float(se[0])
 
-    return SolutionField(y.T, integrand.transpose(1, 0, 2), bundle.dim_m, meta={"y0_se": y0_se})
+    return SolutionField(y[0].copy(), np.abs(y).max(axis=0), y[:, :EXPORT_PATHS].copy(),
+                         integrand.transpose(1, 0, 2), bundle.dim_m, meta={"y0_se": y0_se})
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +560,17 @@ def solve_ladder(
     by more than ``tol`` plus 3 combined pointwise standard errors, the worst
     gap, ``tol`` and the number of points compared (``pairs``).
 
-    The sweeps, each with its error propagation, run in lockstep and share
-    each step's regression (same states, same feature), and the levels are
-    compared node row by node row, terminal row first: every statistic is a
-    count or a maximum, so no level stores a field.
+    The sweeps, each with its error propagation, run in lockstep
+    (``lockstep_sweeps``, with the untruncated xi as every level's feature)
+    and the levels are compared node row by node row, terminal row first:
+    every statistic is a count or a maximum, so no level stores a field.
     """
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
     if any(level <= 0 for level in levels):
         raise ValueError("truncation levels must be positive")
-    config = config or SolverConfig()
     stopped = [_stopped_clock(bundle, driver, float(level)) for level in levels]
-    # each step's regression is built once, by the first level to reach the
-    # step, and kept until the next step's is built
-    regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
-    sweeps = [_backward_steps(b, driver, _truncated_terminal(xi, float(level)), config, regression, variance=True)
-              for b, level in zip(stopped, levels)]
+    problems = [(b, driver, _truncated_terminal(xi, float(level))) for b, level in zip(stopped, levels)]
     worst, violations, total = -np.inf, 0, 0
 
     def compare(ys, y_vars):
@@ -542,7 +586,7 @@ def solve_ladder(
                 total += gap.size
 
     ys = []
-    for steps in zip(*sweeps):
+    for steps in lockstep_sweeps(bundle, xi, problems, config, variance=True):
         ys = [y for _, y, _, _ in steps]
         compare(ys, [y_var for *_, y_var in steps])
         del steps  # a level that advances releases this node's rows

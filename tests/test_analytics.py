@@ -15,12 +15,24 @@ from qbsde.analytics import _folded_log_mgf
 from qbsde.drivers import ParamSet
 from qbsde.errors import GridMismatchError, MomentFailureError
 from qbsde.scenarios import mean_se
-from tests.test_solver import linear_driver, solved_with_variance
+from tests.test_solver import linear_driver, solved_with_variance, y_surface
 
 
 def solved(bundle, name, options, xi, cfg=None):
     drv = q.make_builtin(name, options)
     return drv, q.solve_backward(bundle, drv, xi, cfg)
+
+
+def lockstep(bundle, xi, *problems):
+    """The sweeps of (driver, terminal) ``problems`` on the bundle, side by
+    side, sharing each step's regression with ``xi`` as its feature."""
+    return q.lockstep_sweeps(bundle, xi, [(bundle, drv, x) for drv, x in problems])
+
+
+def integrand_field(zeta, dim_m):
+    """A field with the integrand ``zeta`` and Y = 0."""
+    n, K = zeta.shape[:2]
+    return q.SolutionField(np.zeros(n), np.zeros(n), np.zeros((K + 1, min(q.solver.EXPORT_PATHS, n))), zeta, dim_m)
 
 
 def checked(bundle, drv, xi, cfg=None, **keys):
@@ -47,7 +59,7 @@ def overflow_field(n_steps, n_paths, paths):
     bundle = q.simulate_scenario(q.build_grid(1.0, n_steps), 1, 0, n_paths, source=q.RandomSource(4))
     zeta = np.zeros((n_paths, n_steps, 1))
     zeta[paths] = (np.diff(bundle.states, axis=0) / bundle.dt[:, None, None]).transpose(1, 0, 2)[paths]
-    return bundle, q.SolutionField(np.zeros((n_paths, n_steps + 1)), zeta, 1)
+    return bundle, integrand_field(zeta, 1)
 
 
 def x0(row):
@@ -210,7 +222,8 @@ class TestAprioriBound:
         bound = q.apriori_bound(bundle_orth, xi, drv.params)
         field, report, y_var = checked(bundle_orth, drv, xi, q.SolverConfig(degree=2))
         # the whole-surface formula the check streams
-        gap = np.abs(field.y) - surface(bound, bundle_orth.grid.n_steps + 1)
+        y = y_surface(bundle_orth, drv, xi, q.SolverConfig(degree=2))
+        gap = np.abs(y) - surface(bound, bundle_orth.grid.n_steps + 1)
         se = np.sqrt(y_var)
         band = report.extra["band_factor"]
         adjusted = gap - 3.0 * band * se
@@ -254,7 +267,7 @@ class TestNormBounds:
         xi = q.terminal_affine(-0.3, [1.0, 0.5])
         drv, field = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
         c1, c2 = q.norm_bound_checks(bundle_orth, field, xi, drv.params, [2.0])
-        sup_y = np.max(np.abs(field.y), axis=1)
+        sup_y = np.max(np.abs(y_surface(bundle_orth, drv, xi)), axis=1)
         assert (c1.extra["lhs"], c1.extra["lhs_se"]) == mean_se(np.exp(2.0 * drv.params.gamma * sup_y))
         qv = np.einsum("nkw,nkw,k->n", field.integrand, field.integrand, bundle_orth.dt)
         assert c2.extra["lhs"] == pytest.approx(np.mean(qv), rel=1e-12)
@@ -268,10 +281,9 @@ class TestNormBounds:
 class TestComparison:
     def test_ordered_terminals(self, bundle_1d):
         zero = q.make_builtin("zero")
-        lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
-        hi = q.solve_backward(bundle_1d, zero, q.terminal_constant(1.0, 1))
+        lo, hi = (zero, q.terminal_constant(0.0, 1)), (zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        rep = q.comparison_check(lo, hi, ev)
+        rep = q.comparison_check(lockstep(bundle_1d, lo[1], lo, hi), ev)
         assert rep.passed
         assert rep.margin == pytest.approx(-1.0, abs=1e-12)
 
@@ -282,28 +294,27 @@ class TestComparison:
         xi = q.terminal_constant(0.0, 1)
         lo = q.solve_backward(bundle_1d, zero, xi)
         hi = q.solve_backward(bundle_1d, const, xi)
-        gap = hi.y - lo.y
+        gap = y_surface(bundle_1d, const, xi) - y_surface(bundle_1d, zero, xi)
         expected = a * (1.0 - bundle_1d.grid.nodes)
         assert np.abs(gap - expected[None, :]).max() < 1e-12
         ev = q.sample_ordering(bundle_1d, zero, const, xi, xi)
-        rep = q.comparison_check(lo, hi, ev)
+        rep = q.comparison_check(lockstep(bundle_1d, xi, (zero, xi), (const, xi)), ev)
         assert rep.passed
         assert hi.y0 - lo.y0 == pytest.approx(a, abs=1e-10)
+        assert (rep.extra["y0"], rep.extra["y0_prime"]) == (lo.y0, hi.y0)
 
     def test_streamed_margin_is_the_surface_maximum(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
-        _, lo = solved(bundle_orth, "zero", {}, xi)
-        _, hi = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
-        rep = q.comparison_check(hi, lo, (0.0, 0.0))
-        assert rep.margin == np.max(hi.y - lo.y) > 0
+        zero, quad = q.make_builtin("zero"), q.make_builtin("pure_quadratic", {"gamma": 1.0})
+        rep = q.comparison_check(lockstep(bundle_orth, xi, (quad, xi), (zero, xi)), (0.0, 0.0))
+        assert rep.margin == np.max(y_surface(bundle_orth, quad, xi) - y_surface(bundle_orth, zero, xi)) > 0
 
     def test_antisymmetry_of_margin(self, bundle_1d):
         zero = q.make_builtin("zero")
-        lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
-        hi = q.solve_backward(bundle_1d, zero, q.terminal_constant(1.0, 1))
+        lo, hi = (zero, q.terminal_constant(0.0, 1)), (zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        fwd = q.comparison_check(lo, hi, ev)
-        rev = q.comparison_check(hi, lo, ev)
+        fwd = q.comparison_check(lockstep(bundle_1d, lo[1], lo, hi), ev)
+        rev = q.comparison_check(lockstep(bundle_1d, lo[1], hi, lo), ev)
         assert rev.margin == pytest.approx(-fwd.margin, abs=1e-12)
         assert rev.margin > 0
 
@@ -322,19 +333,18 @@ class TestComparison:
 
     def test_vacuous_label(self, bundle_1d):
         zero = q.make_builtin("zero")
-        hi = q.solve_backward(bundle_1d, zero, q.terminal_constant(1.0, 1))
-        lo = q.solve_backward(bundle_1d, zero, q.terminal_constant(0.0, 1))
+        hi, lo = (zero, q.terminal_constant(1.0, 1)), (zero, q.terminal_constant(0.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(1.0, 1), q.terminal_constant(0.0, 1))
         assert ev == (0.0, 1.0)
-        rep = q.comparison_check(hi, lo, ev)
+        rep = q.comparison_check(lockstep(bundle_1d, hi[1], hi, lo), ev)
         assert rep.extra["vacuous"]
         assert not rep.passed
 
 
 class TestStability:
     def test_identical_problems(self, bundle_1d):
-        drv, field = solved(bundle_1d, "constant", {"value": 1.0}, q.terminal_constant(0.0, 1))
-        [m] = q.stability_metrics(bundle_1d, field, field, drv, drv,
+        drv, xi = q.make_builtin("constant", {"value": 1.0}), q.terminal_constant(0.0, 1)
+        [m] = q.stability_metrics(bundle_1d, lockstep(bundle_1d, xi, (drv, xi), (drv, xi)), drv, drv,
                                   q.terminal_constant(0.0, 1), q.terminal_constant(0.0, 1), [2.0])
         assert m["p"] == 2.0
         assert m["hypothesis_mean"] == 0.0
@@ -344,9 +354,10 @@ class TestStability:
     @pytest.mark.parametrize("n", [4, 8])
     def test_scaled_family_exact(self, bundle_1d, n):
         xi = q.terminal_constant(0.0, 1)
-        base, f0 = solved(bundle_1d, "constant", {"value": 1.0}, xi)
-        member, fn = solved(bundle_1d, "constant", {"value": 1.0 + 1.0 / n}, xi)
-        for p, m in zip((1.0, 2.0), q.stability_metrics(bundle_1d, fn, f0, member, base, xi, xi, [1.0, 2.0])):
+        base = q.make_builtin("constant", {"value": 1.0})
+        member = q.make_builtin("constant", {"value": 1.0 + 1.0 / n})
+        steps = lockstep(bundle_1d, xi, (member, xi), (base, xi))
+        for p, m in zip((1.0, 2.0), q.stability_metrics(bundle_1d, steps, member, base, xi, xi, [1.0, 2.0])):
             assert m["p"] == p
             assert m["hypothesis_mean"] == pytest.approx(1.0 / n, abs=1e-9)
             assert m["sup_gap_max"] == pytest.approx(1.0 / n, abs=1e-9)
@@ -355,9 +366,9 @@ class TestStability:
 
     def test_member_without_expected_sup_converges(self, bundle_1d):
         xi = q.terminal_constant(0.0, 1)
-        base, f0 = solved(bundle_1d, "constant", {"value": 1.0}, xi)
-        member, fn = solved(bundle_1d, "constant", {"value": 1.25}, xi)
-        metrics = q.stability_metrics(bundle_1d, fn, f0, member, base, xi, xi, [1.0, 2.0])
+        base, member = q.make_builtin("constant", {"value": 1.0}), q.make_builtin("constant", {"value": 1.25})
+        metrics = q.stability_metrics(bundle_1d, lockstep(bundle_1d, xi, (member, xi), (base, xi)), member, base,
+                                      xi, xi, [1.0, 2.0])
         rep = q.stability_check(metrics, "n4")
         assert rep.passed
         assert set(rep.extra) >= {"exp_sup_excess_p1", "exp_sup_excess_p2"}
@@ -369,9 +380,8 @@ class TestStability:
         # fail on it rather than pass on an infinite SE or report a NaN SE
         b = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 64, source=q.RandomSource(3))
         xi = q.terminal_constant(0.0, 1)
-        base, f0 = solved(b, "constant", {"value": 0.0}, xi)
-        member, fn = solved(b, "constant", {"value": 800.0}, xi)
-        [m] = q.stability_metrics(b, fn, f0, member, base, xi, xi, [1.0])
+        base, member = q.make_builtin("constant", {"value": 0.0}), q.make_builtin("constant", {"value": 800.0})
+        [m] = q.stability_metrics(b, lockstep(b, xi, (member, xi), (base, xi)), member, base, xi, xi, [1.0])
         assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == (math.inf, math.inf)
         rep = q.stability_check([m], "big", expected_hypothesis=800.0)
         assert not rep.passed
@@ -383,8 +393,9 @@ class TestStability:
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         zero, f0 = solved(bundle_orth, "zero", {}, xi)
         quad, fn = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
-        [m] = q.stability_metrics(bundle_orth, fn, f0, quad, zero, xi, xi, [2.0])
-        sup_gap = np.max(np.abs(fn.y - f0.y), axis=1)
+        [m] = q.stability_metrics(bundle_orth, lockstep(bundle_orth, xi, (quad, xi), (zero, xi)), quad, zero, xi, xi,
+                                  [2.0])
+        sup_gap = np.max(np.abs(y_surface(bundle_orth, quad, xi) - y_surface(bundle_orth, zero, xi)), axis=1)
         assert (m["sup_gap_max"], m["sup_gap_mean"]) == (np.max(sup_gap), float(np.mean(sup_gap)))
         assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == mean_se(np.exp(2.0 * sup_gap))
         # the quadratic variation of the integrand difference, taken step by step
@@ -396,9 +407,9 @@ class TestStability:
         grid = q.build_grid(2.0, 64, [0.5])
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(7))
         xi = q.terminal_constant(0.0, 1)
-        zero, f0 = solved(b, "zero", {}, xi)
-        stepd, fn = solved(b, "step_family", {"n": 2}, xi)
-        for p, m in zip((1.0, 2.0), q.stability_metrics(b, fn, f0, stepd, zero, xi, xi, [1.0, 2.0])):
+        zero, stepd = q.make_builtin("zero"), q.make_builtin("step_family", {"n": 2})
+        steps = lockstep(b, xi, (stepd, xi), (zero, xi))
+        for p, m in zip((1.0, 2.0), q.stability_metrics(b, steps, stepd, zero, xi, xi, [1.0, 2.0])):
             assert m["hypothesis_mean"] == pytest.approx(1.0, abs=1e-6)
             assert m["sup_gap_max"] == pytest.approx(1.0, abs=1e-12)
             assert m["exp_sup_p_mean"] == pytest.approx(math.exp(p), abs=1e-6)
@@ -417,7 +428,7 @@ class TestMeasureChange:
     def test_constant_integrand_unit_mean(self, bundle_1d, qq):
         # E(q c W) has unit mean for any constant integrand
         K, d = bundle_1d.grid.n_steps, bundle_1d.dim_m
-        field = q.SolutionField(np.zeros((bundle_1d.n_paths, K + 1)), np.full((bundle_1d.n_paths, K, d), 0.8), d)
+        field = integrand_field(np.full((bundle_1d.n_paths, K, d), 0.8), d)
         est = q.stochastic_exponential_mean(bundle_1d, field, q=qq)
         assert abs(est.mean - 1.0) <= 3.0 * est.se
 
@@ -469,7 +480,7 @@ def test_one_level_ladder_report_is_strict_json(bundle_1d):
 class TestKazamaki:
     def unit_field(self, bundle):
         K, d = bundle.grid.n_steps, bundle.dim_m
-        return q.SolutionField(np.zeros((bundle.n_paths, K + 1)), np.ones((bundle.n_paths, K, d)), d)
+        return integrand_field(np.ones((bundle.n_paths, K, d)), d)
 
     def test_zero_martingale(self, bundle_1d):
         drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))
@@ -517,3 +528,29 @@ def test_ordering_probe_has_enough_coverage(bundle_1d):
     max_f_gap, max_xi_gap = q.sample_ordering(bundle_1d, zero, step, q.terminal_constant(0.0, 1),
                                               q.terminal_constant(0.0, 1))
     assert max_f_gap <= 0.0 and max_xi_gap <= 0.0
+
+
+class TestGridGuard:
+    """Every check that reads a field, or two sweeps, beside a bundle refuses
+    one made on other paths or another grid.  With 300 of its 500 paths the
+    norm bounds passed, and the measure change raised numpy's broadcast error."""
+
+    CHECKS = {
+        "norm_bound_checks": lambda b, field, steps, drv, xi: q.norm_bound_checks(b, field, xi, drv.params, [2.0]),
+        "stochastic_exponential_mean": lambda b, field, steps, drv, xi: q.stochastic_exponential_mean(b, field, 1.0),
+        "exp_martingale_check": lambda b, field, steps, drv, xi: q.exp_martingale_check(b, field, [1.0]),
+        "kazamaki_statistic": lambda b, field, steps, drv, xi: q.kazamaki_statistic(b, field, eta=2.0, q_tilde=1.0),
+        "stability_metrics": lambda b, field, steps, drv, xi: q.stability_metrics(b, steps, drv, drv, xi, xi, [2.0]),
+    }
+
+    @pytest.mark.parametrize("other", [(8, 300), (6, 500)], ids=["paths", "steps"])
+    @pytest.mark.parametrize("check", list(CHECKS))
+    def test_field_off_the_bundle_is_refused(self, check, other):
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_affine(0.0, [1.0])
+        bundle = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 500, source=q.RandomSource(41))
+        field = q.solve_backward(bundle, drv, xi)
+        steps = lockstep(bundle, xi, (drv, xi), (drv, xi))
+        steps_k, paths = other
+        off = q.simulate_scenario(q.build_grid(1.0, steps_k), 1, 0, paths, source=q.RandomSource(42))
+        with pytest.raises(GridMismatchError):
+            self.CHECKS[check](off, field, steps, drv, xi)

@@ -27,7 +27,7 @@ def test_traced_mode_installs_measures_and_restores(monkeypatch):
     assert (scenarios.simulate_scenario, solver.solve_backward) == originals
     assert tracer.maxima["scenarios.path_bytes"] == bundle.states.nbytes
     assert tracer.counts["solver.path_steps"] == field.n_paths * field.n_steps
-    assert np.all(field.y == 0.0)
+    assert np.all(field.y_export == 0.0) and np.all(field.y_sup == 0.0)
 
 
 def test_workloads_construct(monkeypatch):

@@ -189,6 +189,26 @@ terminal: {kind: constant}
             q.validate_config(MINIMAL + f"checks:\n  - {check}\n")
         assert where in [path for path, _ in err.value.errors], err.value.errors
 
+    @pytest.mark.parametrize("bare,dotted", [
+        ("{type: anchor, y0: 0.5, tol: 1e-2}", "{type: anchor, y0: 0.5, tol: 1.0e-2}"),
+        ("{type: norm_bounds, p: [1e3]}", "{type: norm_bounds, p: [1000.0]}"),
+        ("{type: anchor, y0: -2E+1}", "{type: anchor, y0: -20.0}"),
+    ], ids=["tol", "p", "signed-upper"])
+    def test_exponent_without_a_dot_is_a_number(self, bare, dotted):
+        # YAML 1.1 reads 1e-2 as a string; a config follows YAML 1.2 and JSON
+        got, want = (q.validate_config(MINIMAL + f"checks:\n  - {c}\n") for c in (bare, dotted))
+        assert got == want
+
+    def test_quoted_exponent_is_still_a_string(self):
+        with pytest.raises(ConfigValidationError) as err:
+            q.validate_config(MINIMAL + "checks:\n  - {type: anchor, y0: 0.5, tol: '1e-2'}\n")
+        assert "checks.0.tol" in [path for path, _ in err.value.errors], err.value.errors
+
+    def test_plain_integer_is_still_an_int(self):
+        # the schema refuses 7.0 for a count, so the float rule must not take 7
+        cfg = q.validate_config(MINIMAL.replace("seed: 1", "seed: 7"))
+        assert type(cfg.scenario["seed"]) is int and cfg.scenario["seed"] == 7
+
     def test_stability_member_converging_flag_rejected(self):
         # a member converges iff it names no expected_sup; no flag says so
         text = MINIMAL + """

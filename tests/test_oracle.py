@@ -22,7 +22,8 @@ def small_bundle(steps, seed, dim_m=1, nodes=None):
 def test_constant_terminal_exact():
     b = small_bundle(1, 1)
     field = q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_constant(2.5, 1), branching=1000)
-    assert np.allclose(field.y, 2.5, atol=1e-6)
+    # 32 paths: the export rows are all of Y
+    assert np.allclose(field.y_export, 2.5, atol=1e-6)
 
 
 def test_antithetic_leaves_exact_for_affine_terminal():
@@ -95,7 +96,7 @@ def test_reproducible_given_source(monkeypatch):
                 fields.append(q.nested_mc_oracle(b, drv, xi, branching=1000))
         ref = fields[0]
         for field in fields[1:]:
-            assert np.array_equal(field.y, ref.y)
+            assert np.array_equal(field.y_export, ref.y_export)
             assert np.array_equal(field.z, ref.z)
             assert np.array_equal(field.z_orth, ref.z_orth)
             assert field.meta["y0_se"] == ref.meta["y0_se"]
@@ -116,14 +117,25 @@ def test_terminal_without_affine_form_runs_on_one_thread(monkeypatch):
     field = q.nested_mc_oracle(b, q.make_builtin("zero"), dataclasses.replace(affine, fn=fn, affine=None), branching=1000)
     assert threads == {threading.get_ident()}
     # the draws do not depend on the thread count
-    assert np.array_equal(field.y, q.nested_mc_oracle(b, q.make_builtin("zero"), affine, branching=1000).y)
+    again = q.nested_mc_oracle(b, q.make_builtin("zero"), affine, branching=1000)
+    assert np.array_equal(field.y_export, again.y_export)
+
+
+def test_field_parts_come_from_the_oracle_y():
+    """Y_0, Y* and the export rows are the oracle's own Y, which on 32 paths the export rows hold whole."""
+    b = small_bundle(2, 8)
+    field = q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), branching=1000)
+    assert field.y_export.shape == (3, 32)
+    assert np.array_equal(field.y_start, field.y_export[0])
+    assert np.array_equal(field.y_sup, np.abs(field.y_export).max(axis=0))
+    assert np.array_equal(field.y_export[-1], b.terminal_state[:, 0])
 
 
 def test_field_node_major():
     """Like the regression fields, the oracle's node axis is outermost in memory."""
     b = small_bundle(2, 8)
     field = q.nested_mc_oracle(b, q.make_builtin("zero"), q.terminal_affine(0.0, [1.0]), branching=1000)
-    assert field.y.T.flags.c_contiguous
+    assert field.y_export.flags.c_contiguous
     assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
 
 

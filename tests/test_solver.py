@@ -29,17 +29,26 @@ def implicit_ode_oracle(grid, a, b0):
     return y
 
 
+def y_surface(bundle, driver, xi, config=None):
+    """Y of ``solve_backward``'s sweep at every (path, node): the rows of
+    ``_backward_steps`` stacked into an (n_paths, K+1) surface whose node axis
+    is outermost in memory.  No solution field keeps this surface."""
+    rows = {i: y for i, y, _, _ in solver._backward_steps(bundle, driver, xi, config or q.SolverConfig())}
+    return np.stack([rows[i] for i in range(len(rows))]).T
+
+
 class TestExactProblems:
     def test_constant_terminal_zero_driver(self, bundle_orth):
-        field = q.solve_backward(bundle_orth, q.make_builtin("zero"), q.terminal_constant(3.0, 2))
-        assert np.allclose(field.y, 3.0, atol=1e-11)
+        zero, xi = q.make_builtin("zero"), q.terminal_constant(3.0, 2)
+        field = q.solve_backward(bundle_orth, zero, xi)
+        assert np.allclose(y_surface(bundle_orth, zero, xi), 3.0, atol=1e-11)
         assert np.abs(field.z).max() < 1e-11
         assert np.abs(field.z_orth).max() < 1e-11
 
     def test_terminal_pin_exact(self, bundle_1d):
         xi = q.terminal_affine(0.2, [1.3])
-        field = q.solve_backward(bundle_1d, q.make_builtin("pure_quadratic", {"gamma": 1.0}), xi)
-        assert np.array_equal(field.y[:, -1], xi.evaluate(bundle_1d.terminal_state))
+        y = y_surface(bundle_1d, q.make_builtin("pure_quadratic", {"gamma": 1.0}), xi)
+        assert np.array_equal(y[:, -1], xi.evaluate(bundle_1d.terminal_state))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_step_family_solution(self, n):
@@ -47,7 +56,8 @@ class TestExactProblems:
         b = q.simulate_scenario(grid, 1, 0, 128, source=q.RandomSource(42))
         field = q.solve_backward(b, q.make_builtin("step_family", {"n": n}), q.terminal_constant(0.0, 1))
         expected = np.maximum(1.0 - n * grid.nodes, 0.0)
-        assert np.abs(field.y - expected[None, :]).max() < 1e-12
+        y = y_surface(b, q.make_builtin("step_family", {"n": n}), q.terminal_constant(0.0, 1))
+        assert np.abs(y - expected[None, :]).max() < 1e-12
         assert np.abs(field.z).max() < 1e-10
 
     def test_deterministic_driver_on_scaled_clock(self):
@@ -64,7 +74,8 @@ class TestExactProblems:
         field = q.solve_backward(b, q.make_builtin("constant", {"value": 1.0}), q.terminal_constant(0.0, 1))
         assert field.y0 == pytest.approx(0.5, abs=1e-12)
         # Y is flat over the second half where dA = 0
-        assert np.allclose(field.y[:, grid.index_of(0.5):], 0.0, atol=1e-12)
+        y = y_surface(b, q.make_builtin("constant", {"value": 1.0}), q.terminal_constant(0.0, 1))
+        assert np.allclose(y[:, grid.index_of(0.5):], 0.0, atol=1e-12)
 
 
 class TestPicard:
@@ -150,13 +161,14 @@ class TestQuadraticAnchor:
         drv = q.make_builtin("pure_quadratic", {"gamma": 1.0})
         xi = q.terminal_affine(0.0, [1.0])
         field = q.solve_backward(bundle_1d, drv, xi)
+        y = y_surface(bundle_1d, drv, xi)
         n = bundle_1d.n_paths
         for i in range(bundle_1d.grid.n_steps):
             hedge = np.einsum("nw,nw->n", field.integrand[:, i, :], bundle_1d.states[i + 1] - bundle_1d.states[i])
             resid = (
-                field.y[:, i + 1]
-                - field.y[:, i]
-                + drv.evaluate(bundle_1d, i, field.y[:, i], field.z[:, i, :]) * bundle_1d.dA[i]
+                y[:, i + 1]
+                - y[:, i]
+                + drv.evaluate(bundle_1d, i, y[:, i], field.z[:, i, :]) * bundle_1d.dA[i]
                 - hedge
             )
             # the regression part is centered in-sample, so the statistic's
@@ -201,33 +213,34 @@ def solved_with_variance(bundle, driver, xi, config=None, checks=()):
     return field, y_var.T
 
 
-def truncated_fields(bundle, driver, xi, levels, config=None):
-    """The ladder's truncated problems, each solved and stored by ``solve_backward``
-    with the untruncated xi as the basis feature, as every ladder level has it:
-    (field, variance surface) per level."""
+def truncated_surfaces(bundle, driver, xi, levels, config=None):
+    """The ladder's truncated problems, each swept alone with the untruncated xi
+    as the basis feature, as every ladder level has it: (Y surface, variance
+    surface) per level, each (n_paths, K+1)."""
     regression_at = solver._regression_at
     with mock.patch.object(solver, "_regression_at", lambda b, c, _: regression_at(b, c, xi)):
-        return [solved_with_variance(solver._stopped_clock(bundle, driver, float(level)), driver,
-                                     solver._truncated_terminal(xi, float(level)), config) for level in levels]
+        problems = [(solver._stopped_clock(bundle, driver, float(level)),
+                     solver._truncated_terminal(xi, float(level))) for level in levels]
+        return [(y_surface(b, driver, x, config), solved_with_variance(b, driver, x, config)[1]) for b, x in problems]
 
 
-def surface_monotonicity(fields, tol):
-    """The ladder's monotonicity report computed from whole stored fields and variance surfaces."""
-    ses = [np.sqrt(y_var) for _, y_var in fields]
+def surface_monotonicity(surfaces, tol):
+    """The ladder's monotonicity report computed from whole Y and variance surfaces."""
+    ses = [np.sqrt(y_var) for _, y_var in surfaces]
     worst, violations, total = -np.inf, 0, 0
-    for a in range(len(fields)):
-        for c in range(a + 1, len(fields)):
-            gap = fields[a][0].y - fields[c][0].y
+    for a in range(len(surfaces)):
+        for c in range(a + 1, len(surfaces)):
+            gap = surfaces[a][0] - surfaces[c][0]
             worst = max(worst, float(np.max(gap)))
             violations += int(np.count_nonzero(gap > tol + 3.0 * np.hypot(ses[a], ses[c])))
             total += gap.size
     return {"violation_fraction": violations / max(total, 1), "worst_gap": worst, "tol": tol, "pairs": total}
 
 
-def assert_ladder_is(ladder, fields, tol=0.0):
-    """The lockstep ladder reports exactly what the stored fields give."""
-    assert ladder.y0 == tuple(f.y0 for f, _ in fields)
-    assert ladder.monotonicity == surface_monotonicity(fields, tol)
+def assert_ladder_is(ladder, surfaces, tol=0.0):
+    """The lockstep ladder reports exactly what the levels' surfaces give."""
+    assert ladder.y0 == tuple(float(np.mean(y[:, 0])) for y, _ in surfaces)
+    assert ladder.monotonicity == surface_monotonicity(surfaces, tol)
 
 
 class TestLadder:
@@ -235,9 +248,9 @@ class TestLadder:
         xi = q.terminal_abs(0.0, [0.4])  # bounded well below the levels
         zero = q.make_builtin("zero")
         ladder = q.solve_ladder(bundle_1d, zero, xi, [4, 8])
-        fields = truncated_fields(bundle_1d, zero, xi, [4, 8])
-        assert np.array_equal(fields[0][0].y, fields[1][0].y)
-        assert_ladder_is(ladder, fields)
+        surfaces = truncated_surfaces(bundle_1d, zero, xi, [4, 8])
+        assert np.array_equal(surfaces[0][0], surfaces[1][0])
+        assert_ladder_is(ladder, surfaces)
         assert ladder.monotonicity["violation_fraction"] == 0.0
 
     def test_sigma_gate_from_running_integral(self):
@@ -255,13 +268,13 @@ class TestLadder:
         b = q.simulate_scenario(q.build_grid(1.0, 40), 1, 0, 2000, source=q.RandomSource(23))
         xi = q.terminal_abs(0.0, [1.0])
         drivers = [linear_driver(a=0.8, b0=0.5), q.make_builtin("zero")]
-        (linear,), (zero,) = (truncated_fields(b, drv, xi, [0.5]) for drv in drivers)
+        (linear,), (zero,) = (truncated_surfaces(b, drv, xi, [0.5]) for drv in drivers)
         for drv, f in zip(drivers, (linear, zero)):
             assert_ladder_is(q.solve_ladder(b, drv, xi, [0.5]), [f])
         (linear, linear_var), (zero, zero_var) = linear, zero
-        assert np.array_equal(linear.y[:, 20:], zero.y[:, 20:])
+        assert np.array_equal(linear[:, 20:], zero[:, 20:])
         assert np.array_equal(linear_var[:, 20:], zero_var[:, 20:])
-        assert not np.array_equal(linear.y[:, 19], zero.y[:, 19])
+        assert not np.array_equal(linear[:, 19], zero[:, 19])
 
     def test_lambda_declared_driver_stops_at_level(self):
         # power utility declares lambda: alpha = ||B lam||^2 = 0.16, so level 0.08 stops the clock at t = 0.5
@@ -270,11 +283,11 @@ class TestLadder:
                                                "constraint": {"kind": "box", "lower": [-1.0], "upper": [1.0]}})
         xi = q.terminal_constant(0.0, 1)
         ladder = q.solve_ladder(b, drv, xi, [0.08])
-        [field] = truncated_fields(b, drv, xi, [0.08])
-        [(zero, _)] = truncated_fields(b, q.make_builtin("zero"), xi, [0.08])
-        assert_ladder_is(ladder, [field])
+        [level] = truncated_surfaces(b, drv, xi, [0.08])
+        [(zero, _)] = truncated_surfaces(b, q.make_builtin("zero"), xi, [0.08])
+        assert_ladder_is(ladder, [level])
         assert ladder.alpha_l1[0] == pytest.approx(0.08, abs=1e-12)
-        assert np.array_equal(field[0].y[:, 10:], zero.y[:, 10:])
+        assert np.array_equal(level[0][:, 10:], zero[:, 10:])
         # F = q |lam / (1 - p)|^2 = 0.08 at Z = 0 acts on [0, 0.5] only
         assert ladder.y0[0] == pytest.approx(0.04, abs=1e-9)
 
@@ -292,15 +305,15 @@ class TestLadder:
         cfg = q.SolverConfig(basis_kind="binned", bins=12, terminal_feature=False)
         drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0])
         ladder = q.solve_ladder(b, drv, xi, [0.5, 1, 2], cfg, tol)
-        assert_ladder_is(ladder, truncated_fields(b, drv, xi, [0.5, 1, 2], cfg), tol)
+        assert_ladder_is(ladder, truncated_surfaces(b, drv, xi, [0.5, 1, 2], cfg), tol)
         assert tol < 0 or ladder.monotonicity["violation_fraction"] < 1e-3
         assert tol == 0 or ladder.monotonicity["violation_fraction"] > 0
 
     def test_signed_terminal_double_truncation(self, bundle_1d):
         zero, xi = q.make_builtin("zero"), q.terminal_affine(0.0, [2.0])
-        [field] = truncated_fields(bundle_1d, zero, xi, [1.0])
-        assert_ladder_is(q.solve_ladder(bundle_1d, zero, xi, [1.0]), [field])
-        capped = field[0].y[:, -1]
+        [level] = truncated_surfaces(bundle_1d, zero, xi, [1.0])
+        assert_ladder_is(q.solve_ladder(bundle_1d, zero, xi, [1.0]), [level])
+        capped = level[0][:, -1]
         assert capped.max() <= 1.0 + 1e-12
         assert capped.min() >= -1.0 - 1e-12
 
@@ -317,7 +330,7 @@ class TestLadder:
 
 def assert_node_major(field):
     """The node axis is outermost in memory: every node's rows are contiguous."""
-    assert field.y.T.flags.c_contiguous
+    assert field.y_export.flags.c_contiguous
     assert field.integrand.transpose(1, 0, 2).flags.c_contiguous
 
 
@@ -355,7 +368,8 @@ def test_binned_basis_has_one_backend(bundle_1d):
     assert len(built) == bundle_1d.grid.n_steps
     assert all(type(reg) is q.regression.BinnedRegression for reg in built)
     plain = q.solve_backward(bundle_1d, drv, xi, q.SolverConfig(basis_kind="binned", terminal_feature=False))
-    assert np.array_equal(default.y, plain.y)
+    assert np.array_equal(y_surface(bundle_1d, drv, xi, q.SolverConfig(basis_kind="binned")),
+                          y_surface(bundle_1d, drv, xi, q.SolverConfig(basis_kind="binned", terminal_feature=False)))
     assert np.array_equal(default.integrand, plain.integrand)
 
 
@@ -368,6 +382,40 @@ class TestOutputs:
         assert lines[0] == "node,t,path,y,z0,zorth0"
         n = min(solver.EXPORT_PATHS, bundle_orth.n_paths)
         assert len(lines) == 1 + n * (bundle_orth.grid.n_steps + 1)
+
+    @pytest.mark.parametrize("n_paths", [37, 150])
+    @pytest.mark.parametrize("dim_orth", [0, 1])
+    def test_field_keeps_the_parts_of_y_that_are_read(self, n_paths, dim_orth):
+        # Y_0, Y* = max_i |Y_i| and the first EXPORT_PATHS paths of the sweep's
+        # rows, bit for bit, and no (n, K+1) attribute
+        b = q.simulate_scenario(q.build_grid(1.0, 6), 1, dim_orth, n_paths, source=q.RandomSource(31))
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.2, [1.0] * (1 + dim_orth))
+        field = q.solve_backward(b, drv, xi, q.SolverConfig(degree=2))
+        y = y_surface(b, drv, xi, q.SolverConfig(degree=2))
+        m = min(solver.EXPORT_PATHS, n_paths)
+        assert np.array_equal(field.y_start, y[:, 0])
+        assert np.array_equal(field.y_sup, np.max(np.abs(y), axis=1))
+        assert np.array_equal(field.y_export, y[:m].T)
+        assert field.y0 == float(np.mean(y[:, 0]))
+        assert (field.n_paths, field.n_steps) == (n_paths, 6)
+        assert (n_paths, 7) not in [np.shape(v) for v in vars(field).values()]
+
+    @pytest.mark.parametrize("n_paths", [37, 150])
+    @pytest.mark.parametrize("dim_orth", [0, 1])
+    def test_csv_is_the_first_paths_of_the_sweep(self, tmp_path, n_paths, dim_orth):
+        b = q.simulate_scenario(q.build_grid(1.0, 5), 1, dim_orth, n_paths, source=q.RandomSource(32))
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(-0.1, [1.0, 0.5][: 1 + dim_orth])
+        rows = {i: (y, zeta) for i, y, zeta, _ in solver._backward_steps(b, drv, xi, q.SolverConfig())}
+        K, m = b.grid.n_steps, min(solver.EXPORT_PATHS, n_paths)
+        lines = [",".join(["node", "t", "path", "y", "z0"] + ["zorth0"] * dim_orth)]
+        for i in range(K + 1):
+            zeta = rows[min(i, K - 1)][1]  # node K repeats the last step's integrand
+            for p in range(m):
+                values = [rows[i][0][p], *zeta[p]]
+                lines.append(",".join([str(i), f"{b.grid.nodes[i]:.12g}", str(p)] + [f"{v:.12g}" for v in values]))
+        out = tmp_path / "field.csv"
+        q.solve_backward(b, drv, xi).to_csv(out, grid_nodes=b.grid.nodes)
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_y0_with_se_deterministic_problem(self, bundle_1d):
         y0, se, vals = q.y0_with_se(bundle_1d, q.make_builtin("constant", {"value": 1.0}),
@@ -433,8 +481,8 @@ class TestSharedSweep:
             checked, _ = solved_with_variance(bundle, driver, xi, config)
             assert sweep.call_args.kwargs["variance"] is True and spies[0].call_count == bundle.grid.n_steps
             assert sweep.call_count == 2
-        assert np.array_equal(plain.y, checked.y)
-        assert np.array_equal(plain.integrand, checked.integrand)
+        for part in ("y_start", "y_sup", "y_export", "integrand"):
+            assert np.array_equal(getattr(plain, part), getattr(checked, part))
 
 
 class TestSweepContract:
