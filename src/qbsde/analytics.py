@@ -11,17 +11,20 @@ randomized sampling over a probe box; violations are reported with margins,
 never raised.
 
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
-reads, and no solution holds a Y surface (``SolutionField``).  The a priori
+reads, and no solution holds one (``SolutionField``).  The a priori
 check streams through the backward sweep: the sweep hands it each node's Y
 row and variance row as it makes them, and the check asks the bound's row
 function (``apriori_bound``) for the same node's row, an exact closed form;
 it keeps only running maxima.  Comparison and stability read the Y rows of
 two problems node by node from their sweeps run in lockstep
 (``solver.lockstep_sweeps``).  The other checks reduce a field's stored
-parts: Y* and the integrand; each first checks that the integrand lies on
-the bundle's paths and steps (``GridMismatchError`` otherwise).  A value
-that a report cannot define is None (JSON null), never a NaN or infinite
-sentinel.
+parts: Y*, the terminal value of Z.M + N and its quadratic variation, and
+the per-step means of Z; Kazamaki's statistic, which needs Z.M + N at every
+node, evaluates Z afresh from the field's coefficients one step at a time.
+Each check that is handed a bundle beside the field first checks that it
+is the bundle the field was solved on (``GridMismatchError`` otherwise).  A
+value that a report cannot define is None (JSON null), never a NaN or
+infinite sentinel.
 
 Every sample mean of exp(.) over the paths comes from ``_exponential_mean``:
 unless every value, the mean and its SE are finite, both are inf and every
@@ -93,8 +96,8 @@ def _exponential_mean(exponent: np.ndarray) -> ExpMartingaleEstimate:
 
 
 def _require_grid(bundle: ScenarioBundle, shape: tuple[int, ...]) -> None:
-    """``GridMismatchError`` unless ``shape``, an integrand's, starts with the
-    bundle's (n_paths, n_steps)."""
+    """``GridMismatchError`` unless ``shape``, the sweeps' rows', starts with
+    the bundle's (n_paths, n_steps)."""
     if tuple(shape[:2]) != (bundle.n_paths, bundle.grid.n_steps):
         raise GridMismatchError(f"an integrand on {tuple(shape[:2])} (paths, steps) is not on the bundle's "
                                 f"{(bundle.n_paths, bundle.grid.n_steps)}")
@@ -124,9 +127,11 @@ def anchor_check(
     gap = abs(estimate - y0)
     passed = gap <= tol and gap <= 3.0 * estimate_se + 1e-12
     extra = {"expected_y0": float(y0), "y0": estimate, "y0_se": estimate_se}
-    for target, integrand, key in ((z_mean, solution.z, "z_gap"), (z_orth_mean, solution.z_orth, "z_orth_gap")):
+    d = solution.dim_m
+    for target, means, key in ((z_mean, solution.z_mean[:, :d], "z_gap"),
+                               (z_orth_mean, solution.z_mean[:, d:], "z_orth_gap")):
         if target is not None:
-            z_gap = float(np.max(np.abs(np.mean(integrand, axis=0) - np.asarray(target, dtype=float)[None, :])))
+            z_gap = float(np.max(np.abs(means - np.asarray(target, dtype=float)[None, :])))
             passed = passed and z_gap <= 0.05
             extra[key] = z_gap
             extra["z_tol"] = 0.05
@@ -347,15 +352,14 @@ def norm_bound_checks(
     The first check is the Doob-type inequality with explicit constant
     (p/(p-1))^p.  The second has no named constant; the report carries the
     implied ratio (None if undefined) and flags non-finiteness.  Y* and
-    <Z.M + N>_T do not depend on p: Y* is the field's ``y_sup``, kept by the
-    sweep, and the quadratic variation one reduction of its integrand.
+    <Z.M + N>_T do not depend on p: both are the field's, ``y_sup`` and
+    ``qv``, kept by the sweep.
     """
     if any(p <= 1 for p in orders):
         raise ValueError("norm bound needs p > 1")
-    _require_grid(bundle, solution.integrand.shape)
+    solution.require_bundle(bundle)
     gamma, bstar = params.gamma, params.beta_star
-    sup_y = solution.y_sup
-    qv = np.einsum("nkw,nkw,k->n", solution.integrand, solution.integrand, bundle.dt)
+    sup_y, qv = solution.y_sup, solution.qv
     out = []
     for p in map(float, orders):
         order = p * gamma * math.exp(bstar * bundle.grid.horizon)
@@ -666,25 +670,18 @@ def stability_check(
 # ---------------------------------------------------------------------------
 
 
-def _terminal_integral(bundle: ScenarioBundle, solution: SolutionField) -> tuple[np.ndarray, np.ndarray]:
-    """(Z.M + N)_T and its quadratic variation, per path: the last pair of ``integral_by_node``.
-    ``GridMismatchError`` unless the integrand lies on the bundle's paths and steps."""
-    _require_grid(bundle, solution.integrand.shape)
-    steps = (solution.integrand[:, i] for i in range(bundle.grid.n_steps))
-    return deque(integral_by_node(bundle, steps), maxlen=1)[0]
-
-
 def stochastic_exponential_mean(bundle: ScenarioBundle, solution: SolutionField, q: float) -> ExpMartingaleEstimate:
     """Monte Carlo mean of E(q (Z.M + N))_T; unit mean certifies the measure change."""
-    integral, qv = _terminal_integral(bundle, solution)
-    return _exponential_mean(q * integral - 0.5 * q * q * qv)
+    solution.require_bundle(bundle)
+    return _exponential_mean(q * solution.integral - 0.5 * q * q * solution.qv)
 
 
 def exp_martingale_check(bundle: ScenarioBundle, solution: SolutionField, qs) -> list[CheckReport]:
     """Per q in ``qs``: the mean of E(q (Z.M + N))_T is finite and within 3 SE
-    of 1.  The integral and its quadratic variation do not depend on q, so
-    they are computed once."""
-    integral, qv = _terminal_integral(bundle, solution)
+    of 1.  The integral and its quadratic variation do not depend on q: both
+    are the field's, kept by the sweep."""
+    solution.require_bundle(bundle)
+    integral, qv = solution.integral, solution.qv
     out = []
     for q in map(float, qs):
         est = _exponential_mean(q * integral - 0.5 * q * q * qv)
@@ -707,16 +704,17 @@ def kazamaki_statistic(
     of it.
 
     Each node needs only its own mean, so Mt and <Mt> stream from
-    ``integral_by_node`` one (n,) row at a time, with the integrand scaled
-    step by step: no (n, K+1) surface of either is built.  The first node
-    with the largest mean is the sup's.  The integrand must lie on the
-    bundle's paths and steps (``GridMismatchError``).
+    ``integral_by_node`` one (n,) row at a time, with the field's Z
+    evaluated afresh and scaled step by step (``SolutionField.zeta_rows``):
+    no (n, K+1) surface of either is built.  The first node with the largest
+    mean is the sup's.  The field must have been solved on the bundle
+    (``GridMismatchError``).
     """
     if eta == 1.0:
         raise ValueError("the criterion needs eta != 1")
-    _require_grid(bundle, solution.integrand.shape)
+    solution.require_bundle(bundle)
 
-    steps = (q_tilde * solution.integrand[:, i] for i in range(bundle.grid.n_steps))
+    steps = (np.multiply(zeta, q_tilde, out=zeta) for zeta in solution.zeta_rows(bundle))
     sup, sup_se, sup_node = -math.inf, 0.0, 0
     for i, (mt, qv) in enumerate(integral_by_node(bundle, steps)):
         m, s, _ = _exponential_mean(eta * mt + (0.5 - eta) * qv)

@@ -9,12 +9,20 @@ basis kind, each serving its step's value and martingale-increment fits:
 matrix below ``RCOND`` times the largest, so rank-deficient designs (the
 constant state at t = 0, a terminal feature collinear with a polynomial
 column) fall back to the minimum-norm projection instead of failing.
+
+A backend's ``coef(targets)`` is the fitted function itself, small and
+detached from the samples: ``BinnedFit`` (cell edges and per-cell intercept
+and slope) or ``PolyFit`` (the column scale and the p x m coefficient
+block), callable on the state rows of any bundle.  ``fit`` is that function
+evaluated at the backend's own samples, so a fit and a later evaluation of
+its coefficients on the same states are the same floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +30,11 @@ import numpy as np
 from .errors import DegenerateBasisError
 
 RCOND = 1e-12
+# sample rows whose (p, rows) or (rank, rows) block a polynomial projection
+# builds at once when it evaluates a fit on other states or takes leverages:
+# a reader's peak stays a few rows, and the floats are those of one product
+# over every row
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,8 @@ def n_columns(config: SolverConfig, width: int) -> int:
     return math.comb(width + config.degree, config.degree) + int(config.terminal_feature)
 
 
-def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
-    """Cell index of every sample and the cell count.
+def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of every sample and the cell edges; there is one more cell than edges.
 
     A sample's cell is the number of edges at or below it: the distinct
     sample quantiles, read off one sort with numpy's "linear" rule (virtual
@@ -90,12 +103,18 @@ def _quantile_cells(w: np.ndarray, bins: int) -> tuple[np.ndarray, int]:
     g = vi - lo
     a, b = s[lo], s[np.minimum(lo + 1, s.size - 1)]
     edges = np.unique(np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g))
+    return _cells(w, edges), edges
+
+
+def _cells(w: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The cell of each value of ``w``: the number of ``edges`` at or below it."""
     # counted in the narrowest type that holds the cell count, widened once
-    # for bincount and take
+    # for bincount and take; one comparison per edge, where a binary search
+    # per value took ten times as long
     idx = np.zeros(w.size, dtype=np.min_scalar_type(edges.size))
     for edge in edges:
         idx += w >= edge
-    return idx.astype(np.intp), edges.size + 1
+    return idx.astype(np.intp)
 
 
 def make_regression(config: SolverConfig, state: np.ndarray, feature=None):
@@ -105,13 +124,72 @@ def make_regression(config: SolverConfig, state: np.ndarray, feature=None):
     state, else ``ValueError``.  A polynomial basis projects on a fresh
     ``design``, which it consumes; if ``config.terminal_feature``, its last
     column is ``feature(state)``, the terminal's ``fn``, called only then.
+    Its fits rebuild the design the same way on other states.
     """
     state = np.atleast_2d(np.asarray(state, dtype=float))
     if config.basis_kind == "binned":
         if state.shape[1] != 1:
             raise ValueError("binned basis supports a one-dimensional state only")
         return BinnedRegression(state[:, 0], config.bins)
-    return NodeRegression(design(config, state, feature(state) if config.terminal_feature else None))
+
+    def basis(s):
+        return design(config, s, feature(s) if config.terminal_feature else None)
+
+    return NodeRegression(basis(state), basis)
+
+
+@dataclass(frozen=True)
+class BinnedFit:
+    """A binned fit: c0 + c1 w in the cell of w, the cells cut at ``edges``.
+
+    ``c0`` and ``c1`` are (cells,) for one target, (cells, m) for m; a state
+    below the first edge falls in cell 0.  Called on (n, 1) state rows, into
+    ``out`` if given.
+    """
+
+    edges: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+
+    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        w = np.atleast_2d(np.asarray(state, dtype=float))[:, 0]
+        return self.at(w, _cells(w, self.edges), out)
+
+    def at(self, w: np.ndarray, cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The fit at the scalar states ``w`` in the given ``cells``."""
+        if self.c0.ndim == 2:
+            w = w[:, None]
+        return np.add(self.c0.take(cells, axis=0), self.c1.take(cells, axis=0) * w, out=out)
+
+
+@dataclass(frozen=True)
+class PolyFit:
+    """A polynomial fit: the coefficients ``coef``, (p,) for one target or
+    (p, m) for m, of the design columns divided by ``scale``.
+
+    Called on state rows, into ``out`` if given, it rebuilds their design
+    through ``basis``, ``BLOCK_ROWS`` rows at a time (``basis`` is None for a
+    projection handed a bare design, which is then evaluated only at its own
+    samples).
+    """
+
+    basis: Callable[[np.ndarray], np.ndarray] | None
+    scale: np.ndarray
+    coef: np.ndarray
+
+    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        state = np.atleast_2d(np.asarray(state, dtype=float))
+        out = np.empty(state.shape[:1] + self.coef.shape[1:]) if out is None else out
+        for lo in range(0, state.shape[0], BLOCK_ROWS):
+            columns = self.basis(state[lo : lo + BLOCK_ROWS])
+            columns /= self.scale
+            out[lo : lo + BLOCK_ROWS] = self.at(columns.T)
+        return out
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """The fit on the scaled, transposed design ``s`` (p, n)."""
+        # (c^T S)^T, not S^T c: the long product runs along the rows of S
+        return (self.coef.T @ s).T
 
 
 class _Projection:
@@ -138,7 +216,8 @@ class BinnedRegression(_Projection):
             raise DegenerateBasisError("non-finite values in regression design")
         if w.size == 0:
             raise DegenerateBasisError("empty regression design")
-        self._idx, self.n_cells = _quantile_cells(w, bins)
+        self._idx, self._edges = _quantile_cells(w, bins)
+        self.n_cells = self._edges.size + 1
         self._w = w
         self.n_samples = w.size
         self.n_features = 2 * self.n_cells
@@ -160,19 +239,27 @@ class BinnedRegression(_Projection):
         if self.rank == 0:
             raise DegenerateBasisError("regression design has rank zero")
 
-    def fit(self, targets: np.ndarray) -> np.ndarray:
+    def coef(self, targets: np.ndarray) -> BinnedFit:
+        """The fit of targets (n,) or (n, m) as a function of the state."""
         t = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(t)):
             raise DegenerateBasisError("non-finite regression target")
-        squeeze = t.ndim == 1
-        t = t.reshape(self.n_samples, -1)
-        out = np.empty_like(t)
-        for j in range(t.shape[1]):
-            t0 = np.bincount(self._idx, weights=t[:, j], minlength=self.n_cells)
-            t1 = np.bincount(self._idx, weights=t[:, j] * self._w, minlength=self.n_cells)
-            c0, c1 = self._p00 * t0 + self._p01 * t1, self._p10 * t0 + self._p11 * t1
-            out[:, j] = c0.take(self._idx) + c1.take(self._idx) * self._w
-        return out[:, 0] if squeeze else out
+        cols = t.reshape(self.n_samples, -1)
+        c0, c1 = np.empty((2, self.n_cells, cols.shape[1]))
+        for j in range(cols.shape[1]):
+            t0 = np.bincount(self._idx, weights=cols[:, j], minlength=self.n_cells)
+            t1 = np.bincount(self._idx, weights=cols[:, j] * self._w, minlength=self.n_cells)
+            c0[:, j], c1[:, j] = self._p00 * t0 + self._p01 * t1, self._p10 * t0 + self._p11 * t1
+        if t.ndim == 1:
+            c0, c1 = c0[:, 0], c1[:, 0]
+        return BinnedFit(self._edges, c0, c1)
+
+    def fitted(self, fit: BinnedFit) -> np.ndarray:
+        """``fit`` at the samples."""
+        return fit.at(self._w, self._idx)
+
+    def fit(self, targets: np.ndarray) -> np.ndarray:
+        return self.fitted(self.coef(targets))
 
     def fit_variance(self, sigma2: float) -> np.ndarray:
         """Variance of the fitted value at the sample points."""
@@ -189,9 +276,10 @@ class NodeRegression(_Projection):
     G = S S^T, P = V diag(1/lam) V^T over the eigenvalues above ``RCOND``
     times the largest, and every fit is S^T (P (S t)).  ``eigh``, not
     Cholesky: the terminal feature makes most designs rank-deficient.
+    ``basis``, if given, makes the design of other states for ``coef``'s fits.
     """
 
-    def __init__(self, design: np.ndarray):
+    def __init__(self, design: np.ndarray, basis: Callable[[np.ndarray], np.ndarray] | None = None):
         design = np.asarray(design, dtype=float)
         if design.ndim != 2 or design.size == 0:
             raise DegenerateBasisError("empty regression design")
@@ -203,6 +291,7 @@ class NodeRegression(_Projection):
         # scaled before the product, so columns far from unit size neither
         # underflow nor overflow in the normal matrix
         design /= scale
+        self._basis, self._scale = basis, scale
         self._s = design.T
         lam, v = np.linalg.eigh(self._s @ design)
         keep = lam > RCOND * lam[-1]
@@ -213,17 +302,28 @@ class NodeRegression(_Projection):
         self._p = self._w @ self._w.T
         self.n_samples, self.n_features = design.shape
 
-    def fit(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted values of the LS projection; targets (n,) or (n, m)."""
+    def coef(self, targets: np.ndarray) -> PolyFit:
+        """The LS fit of targets (n,) or (n, m) as a function of the state."""
         t = np.asarray(targets, dtype=float)
         if not np.all(np.isfinite(t)):
             raise DegenerateBasisError("non-finite regression target")
-        # (c^T S)^T, not S^T c: the long product runs along the rows of S
-        return ((self._p @ (self._s @ t)).T @ self._s).T
+        return PolyFit(self._basis, self._scale, self._p @ (self._s @ t))
+
+    def fitted(self, fit: PolyFit) -> np.ndarray:
+        """``fit`` at the samples."""
+        return fit.at(self._s)
+
+    def fit(self, targets: np.ndarray) -> np.ndarray:
+        """Fitted values of the LS projection; targets (n,) or (n, m)."""
+        return self.fitted(self.coef(targets))
 
     def leverage(self) -> np.ndarray:
         """Diagonal of the hat matrix at the sample points: column sums of (W^T S)^2."""
-        return np.square(self._w.T @ self._s).sum(axis=0)
+        out = np.empty(self.n_samples)
+        for lo in range(0, self.n_samples, BLOCK_ROWS):
+            ws = self._w.T @ self._s[:, lo : lo + BLOCK_ROWS]
+            np.square(ws, out=ws).sum(axis=0, out=out[lo : lo + BLOCK_ROWS])
+        return out
 
     def fit_variance(self, sigma2: float) -> np.ndarray:
         """Variance of the fitted value at the sample points."""

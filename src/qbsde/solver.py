@@ -17,16 +17,22 @@ monotonicity across levels.
 
 The regression scheme is one backward sweep, ``_backward_steps``, that
 yields the rows of one node at a time, t_K first.  No solution field holds
-a Y surface: a (K+1, n) float64 surface is 81 MB at 100,000 paths and 101
-nodes, and the paper reads Y only through Y_0, the pathwise supremum
-Y* = sup_t |Y_t| and the node-by-node gap between two solutions.  So
-``solve_backward`` keeps the integrand, its only surface, and of Y the row
-at t_0, the running Y* and the first ``EXPORT_PATHS`` paths for the CSV
-(the oracle, on at most 4 nodes, takes the same parts from its small Y);
-``y0_with_se`` keeps the last row of each path batch alone; and
-``lockstep_sweeps`` runs several problems on the same states side by side,
-sharing each step's regression, so that ``solve_ladder`` and the comparison
-and stability checks read their Y rows node by node as the sweeps make them.
+a surface.  The paper reads Y only through Y_0, the pathwise supremum
+Y* = sup_t |Y_t| and the node-by-node gap between two solutions, and Z only
+through the martingale part Z.M + N: its quadratic variation, its
+stochastic exponential and Kazamaki's stopped means.  So ``solve_backward``
+keeps, of Y, the row at t_0, the running Y* and the first ``EXPORT_PATHS``
+paths for the CSV; of Z, each step's regression coefficients, from which Z
+is evaluated afresh on any state rows, and what the sweep sums as it goes:
+(Z.M + N)_T and its quadratic variation per path, the path mean of Z and
+Z_orth per step and the export paths' rows.  At 100,000 paths and 100
+steps a float64 (K+1, n) Y surface is 81 MB, and a one-column integrand
+80 MB.  The oracle, on at most 4 nodes, takes the same parts from
+its small Y and integrand (``field_from_rows``); ``y0_with_se`` keeps the
+last row of each path batch alone; and ``lockstep_sweeps`` runs several
+problems on the same states side by side, sharing each step's regression,
+so that ``solve_ladder`` and the comparison and stability checks read their
+Y rows node by node as the sweeps make them.
 
 The sweep's error bars, the pointwise variance of each Y row by first-order
 error propagation, are computed only when the sweep is asked for them: by
@@ -44,15 +50,16 @@ import logging
 import math
 import os
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drivers import DriverSpec, TerminalCondition
-from .errors import CapacityError, DegenerateBasisError, SolverDivergenceError
+from .errors import CapacityError, DegenerateBasisError, GridMismatchError, SolverDivergenceError
 # NodeRegression is unused here but stays bound: the benchmark's tracing patches solver.NodeRegression
-from .regression import NodeRegression, SolverConfig, make_regression
+from .regression import BinnedFit, NodeRegression, PolyFit, SolverConfig, make_regression
 from .scenarios import ScenarioBundle, mean_se
 
 ORACLE_CHUNK_BUDGET = 1 << 16
@@ -74,33 +81,54 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolutionField:
-    """The integrand of the martingale part Z.M + N, and the parts of Y that are read.
+    """The parts of a solution (Y, Z) that are read, and Z as a function of the state.
 
-    ``integrand`` has shape (n_paths, K, dim_m + dim_orth) and holds
-    (Z, Z_orth) on [t_i, t_{i+1}), where N = Z_orth.W_orth; it is the only
-    stored copy of both, and the field's only surface.  ``z`` and ``z_orth``
-    are views of its first ``dim_m`` and of its remaining columns.  Of Y the
-    field keeps two (n_paths,) rows, ``y_start`` (Y at t_0) and ``y_sup``
-    (Y* = max_i |Y_i| over the nodes), and ``y_export``, the (K+1, m) rows of
-    the first m = min(``EXPORT_PATHS``, n_paths) paths that ``to_csv``
-    writes.  The integrand is a transposed view of a node-major buffer and
-    ``y_export`` is node-major, so the node axis is outermost in memory, as
-    in ``ScenarioBundle.states``.  ``meta`` holds what a solver reports
-    beside the field: the oracle's ``y0_se``, and nothing for the other
-    solvers.
+    Of Y the field keeps two (n_paths,) rows, ``y_start`` (Y at t_0) and
+    ``y_sup`` (Y* = max_i |Y_i| over the nodes), and ``y_export``, the
+    (K+1, m) rows of the first m = min(``EXPORT_PATHS``, n_paths) paths that
+    ``to_csv`` writes.  Of the martingale part Z.M + N, N = Z_orth.W_orth,
+    with (Z, Z_orth) on [t_i, t_{i+1}) of width w = dim_m + dim_orth, it
+    keeps what was summed step by step as the rows were made: ``integral``
+    and ``qv``, per path (Z.M + N)_T and its quadratic variation;
+    ``z_mean``, (K, w), the path means of Z and of Z_orth on each step; and
+    ``z_export``, (K, m, w), the rows of the export paths.  ``steps[i]``
+    gives step i's (Z, Z_orth) on any (n, dim) state rows at t_i: the
+    regression's coefficients (``ZFit``), or, for the oracle, its rows on
+    the paths it was solved on.  ``meta`` holds what a solver reports beside
+    the field: the oracle's ``y0_se``, and nothing for the other solvers.
 
-    The field holds no error bars and no other Y: the regression sweep hands
-    its Y and variance rows, one node at a time, to the checks that
-    ``solve_backward`` is given, and ``lockstep_sweeps`` hands them to
-    checks that compare two problems.
+    ``solved_on`` is a weak reference to the states of the bundle the field
+    was solved on; a reader of the sums is handed that bundle
+    (``require_bundle``).  ``integrand``, (n_paths, K, w), and its views
+    ``z`` and ``z_orth`` are evaluated from ``steps`` on those states at
+    their first read into one node-major buffer and kept; no reader in the
+    package reads them.  The field holds no error bars and no other Y: the
+    regression sweep hands its Y and variance rows, one node at a time, to
+    the checks that ``solve_backward`` is given, and ``lockstep_sweeps``
+    hands them to checks that compare two problems.
     """
 
     y_start: np.ndarray
     y_sup: np.ndarray
     y_export: np.ndarray
-    integrand: np.ndarray
+    integral: np.ndarray
+    qv: np.ndarray
+    z_mean: np.ndarray
+    z_export: np.ndarray
+    steps: tuple
     dim_m: int
+    solved_on: weakref.ref
     meta: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def integrand(self) -> np.ndarray:
+        states = self.solved_on()
+        if states is None:
+            raise GridMismatchError("the states this field was solved on are gone: its integrand cannot be evaluated")
+        buf = np.empty((self.n_steps, self.n_paths, self.z_mean.shape[1]))
+        for i, step in enumerate(self.steps):
+            step(states[i], out=buf[i])
+        return buf.transpose(1, 0, 2)
 
     @property
     def z(self) -> np.ndarray:
@@ -112,25 +140,111 @@ class SolutionField:
 
     @property
     def n_paths(self) -> int:
-        return self.integrand.shape[0]
+        return self.y_start.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.integrand.shape[1]
+        return self.z_mean.shape[0]
 
     @property
     def y0(self) -> float:
         return float(np.mean(self.y_start))
 
+    def require_bundle(self, bundle: ScenarioBundle) -> None:
+        """``GridMismatchError`` unless ``bundle`` carries the states the field was solved on."""
+        if self.solved_on() is bundle.states:
+            return
+        mine, theirs = (self.n_paths, self.n_steps), (bundle.n_paths, bundle.grid.n_steps)
+        raise GridMismatchError(f"a field on {mine} (paths, steps) is not on the bundle's {theirs}" if mine != theirs
+                                else "a field is read only beside the bundle whose paths it was solved on")
+
+    def zeta_rows(self, bundle: ScenarioBundle):
+        """(Z, Z_orth) on the states of ``bundle`` from ``steps``, one (n, w)
+        row per step, t_0 first; each row is overwritten by the next.  The
+        oracle's steps are rows of its own paths, so they need its bundle."""
+        row = np.empty((bundle.n_paths, self.z_mean.shape[1]))
+        for i, step in enumerate(self.steps):
+            yield step(bundle.state(i), out=row)
+
     def to_csv(self, path, grid_nodes: np.ndarray) -> None:
-        n, K, d, w = self.y_export.shape[1], self.n_steps, self.dim_m, self.integrand.shape[2]
+        n, K, d, w = self.y_export.shape[1], self.n_steps, self.dim_m, self.z_export.shape[2]
         # node-major rows of the first n paths; node K repeats the last step's integrand
         node, p = np.divmod(np.arange((K + 1) * n), n)
         table = np.column_stack([node, grid_nodes[node], p, self.y_export[node, p],
-                                 self.integrand[p, np.minimum(node, K - 1)]])
+                                 self.z_export[np.minimum(node, K - 1), p]])
         header = ["node", "t", "path", "y"] + [f"z{j}" for j in range(d)] + [f"zorth{j}" for j in range(w - d)]
         np.savetxt(path, table, fmt=["%d", "%.12g", "%d"] + ["%.12g"] * (w + 1), delimiter=",",
                    header=",".join(header), comments="")
+
+
+@dataclass(frozen=True)
+class ZFit:
+    """Step i's (Z, Z_orth) as a function of the state at t_i: the fit of the
+    step's noise-weighted target (``regression.BinnedFit`` or ``PolyFit``)
+    over dt_i, the sweep's own arithmetic, so on the sweep's states it gives
+    the sweep's rows bit for bit."""
+
+    fit: BinnedFit | PolyFit
+    dt: float
+
+    def __call__(self, state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(Z, Z_orth) on the (n, dim) state rows, into ``out`` if given."""
+        out = self.fit(state, out)
+        out /= self.dt
+        return out
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A step's (Z, Z_orth) known only on the paths it was computed on: the oracle's."""
+
+    rows: np.ndarray
+
+    def __call__(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if state.shape[0] != self.rows.shape[0]:
+            raise GridMismatchError(f"integrand rows of {self.rows.shape[0]} paths are not on {state.shape[0]} paths")
+        out[...] = self.rows
+        return out
+
+
+class _FieldParts:
+    """What a ``SolutionField`` keeps of Z, added one step at a time in any step order."""
+
+    def __init__(self, bundle: ScenarioBundle):
+        K, n, w = bundle.grid.n_steps, bundle.n_paths, bundle.states.shape[2]
+        self.bundle = bundle
+        self.integral, self.qv = np.zeros(n), np.zeros(n)
+        self.z_mean = np.empty((K, w))
+        self.z_export = np.empty((K, min(EXPORT_PATHS, n), w))
+        self.steps = [None] * K
+
+    def add(self, i: int, zeta: np.ndarray, step) -> None:
+        """Step i's rows ``zeta`` (n, w) and its function of the state ``step``."""
+        states, dim_m = self.bundle.states, self.bundle.dim_m
+        self.integral += np.einsum("nw,nw->n", zeta, states[i + 1] - states[i])
+        self.qv += np.einsum("nw,nw->n", zeta, zeta) * self.bundle.dt[i]
+        # each over its own columns: a mean over both rounds differently
+        self.z_mean[i, :dim_m] = np.mean(zeta[:, :dim_m], axis=0)
+        self.z_mean[i, dim_m:] = np.mean(zeta[:, dim_m:], axis=0)
+        self.z_export[i] = zeta[: self.z_export.shape[1]]
+        self.steps[i] = step
+
+    def field(self, y_start, y_sup, y_export, meta=None) -> SolutionField:
+        return SolutionField(y_start, y_sup, y_export, self.integral, self.qv, self.z_mean, self.z_export,
+                             tuple(self.steps), self.bundle.dim_m, weakref.ref(self.bundle.states), meta or {})
+
+
+def field_from_rows(bundle: ScenarioBundle, y: np.ndarray, integrand, meta=None) -> SolutionField:
+    """The field of Y's (K+1, n) node rows and the integrand's K (n, w) step
+    rows on the paths of ``bundle``, t_0 first: the oracle's route, where Z
+    has no coefficients and its rows are kept as its steps.  The sums run
+    forward, as ``scenarios.integral_by_node`` runs them."""
+    if len(integrand) != bundle.grid.n_steps:
+        raise ValueError(f"integrand has {len(integrand)} steps, the bundle {bundle.grid.n_steps}")
+    parts = _FieldParts(bundle)
+    for i, zeta in enumerate(integrand):
+        parts.add(i, zeta, _Rows(zeta))
+    return parts.field(y[0].copy(), np.abs(y).max(axis=0), y[:, :EXPORT_PATHS].copy(), meta)
 
 
 def _solve_y(ey, zeta, driver, bundle, i):
@@ -185,6 +299,7 @@ def _backward_steps(
     config: SolverConfig,
     regression=None,
     variance: bool = False,
+    fits: list | None = None,
 ):
     """The regression scheme's backward sweep, one node at a time from i = K down to 0.
 
@@ -203,8 +318,10 @@ def _backward_steps(
     has advanced two more nodes; a consumer stores what it needs.
     ``regression(i)`` gives step i's regression, by default from
     ``_regression_at`` with ``xi.fn`` as the feature; problems on the same
-    states with the same feature can share it.  A non-finite row y_i raises
-    ``DegenerateBasisError`` at its step.
+    states with the same feature can share it.  With ``fits``, a list of K
+    entries, step i's Z as a function of the state (``ZFit``, whose rows on
+    the bundle's states are zeta_i) is stored at ``fits[i]``.  A non-finite
+    row y_i raises ``DegenerateBasisError`` at its step.
     """
     _require_dim_m(driver, bundle)
 
@@ -221,7 +338,10 @@ def _backward_steps(
         target = y
         ey = reg.fit(target)
         # (Z, Z_orth): projections of the centred target times the step's noise
-        zeta = reg.fit((target - ey)[:, None] * (bundle.states[i + 1] - bundle.states[i])) / dt[i]
+        z_fit = reg.coef((target - ey)[:, None] * (bundle.states[i + 1] - bundle.states[i]))
+        zeta = reg.fitted(z_fit) / dt[i]
+        if fits is not None:
+            fits[i] = ZFit(z_fit, float(dt[i]))
         y = _solve_y(ey, zeta, driver, bundle, i)
         # min and max allocate no row; an isfinite row here raised the peak RSS by 4 MB
         if not (math.isfinite(y.min()) and math.isfinite(y.max())):
@@ -232,7 +352,7 @@ def _backward_steps(
             amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
             y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
         yield i, y, zeta, y_var[i % 2]
-        del reg, target, ey, zeta
+        del reg, target, ey, z_fit, zeta
 
 
 def solve_backward(
@@ -244,10 +364,13 @@ def solve_backward(
 ) -> SolutionField:
     """Regression-based backward recursion from Y_K = xi.
 
-    Stores the integrand of every step and, of Y, what a ``SolutionField``
-    keeps: the row at t_0, the running per-path supremum of |Y| (the
-    terminal value, pinned exactly path by path, included) and the rows of
-    the first ``EXPORT_PATHS`` paths; no (K+1, n) array is made.  Each of
+    Keeps what a ``SolutionField`` holds: of Y, the row at t_0, the running
+    per-path supremum of |Y| (the terminal value, pinned exactly path by
+    path, included) and the rows of the first ``EXPORT_PATHS`` paths; of Z,
+    each step's coefficients (``ZFit``) and the sums of the field, added as
+    the sweep makes each step's rows, t_{K-1} first.  No (K+1, n) or
+    (n, K, w) array is made, and each step's rows are released when the
+    sweep moves on.  Each of
     ``checks`` is called with every node's ``(i, y_i, y_var_i)`` as the sweep
     makes it, the terminal row first (its variance a zero row), where
     ``y_var_i`` is the row's variance by first-order error propagation; a
@@ -257,21 +380,20 @@ def solve_backward(
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
 
-    # node-major, like the bundle: each step writes contiguous rows
-    integrand = np.empty((K, n, bundle.states.shape[2]))
     y_export = np.empty((K + 1, min(EXPORT_PATHS, n)))
     y_sup = np.zeros(n)
+    parts, fits = _FieldParts(bundle), [None] * K
 
-    for i, y_i, zeta, y_var_i in _backward_steps(bundle, driver, xi, config, variance=bool(checks)):
+    for i, y_i, zeta, y_var_i in _backward_steps(bundle, driver, xi, config, variance=bool(checks), fits=fits):
         np.maximum(y_sup, np.abs(y_i), out=y_sup)
         y_export[i] = y_i[: y_export.shape[1]]
         if i < K:
-            integrand[i] = zeta
+            parts.add(i, zeta, fits[i])
         for check in checks:
             check(i, y_i, y_var_i)
 
     # the sweep makes every row afresh, so node 0's is kept as it is
-    return SolutionField(y_i, y_sup, y_export, integrand.transpose(1, 0, 2), bundle.dim_m)
+    return parts.field(y_i, y_sup, y_export)
 
 
 def lockstep_sweeps(
@@ -314,7 +436,7 @@ def y0_with_se(
 
     Each batch runs the sweep of ``solve_backward`` and keeps only its
     current row: a batch Y_0 equals ``solve_backward`` on that batch's
-    ``slice_paths`` exactly, without the integrand surface or the error
+    ``slice_paths`` exactly, without the field's parts or the error
     propagation that only a stored solution needs.
     """
     config = config or SolverConfig()
@@ -458,8 +580,9 @@ def nested_mc_oracle(
     is the standard error of the branching/2 pair means.  It is the only
     key of ``meta``, 0 when the paths do not share one state at node 0.
     ``branching ** n_steps`` above ``ORACLE_CAPACITY`` raises ``CapacityError``.
-    The field's parts of Y come from the oracle's own (K+1, n) Y, at most
-    four rows.
+    The field comes from the oracle's own (K+1, n) Y, at most four rows, and
+    its K integrand rows, summed forward (``field_from_rows``); the rows are
+    the field's Z, which has no coefficients.
 
     ``xi.fn`` runs on one worker thread per core at once, each call on a
     block of about 2^16 float32 leaf states, when ``xi.affine`` is set: the
@@ -481,7 +604,7 @@ def nested_mc_oracle(
 
     n, K = bundle.n_paths, bundle.grid.n_steps
     y = np.empty((K + 1, n))
-    integrand = np.zeros((K, n, bundle.dim_m + bundle.dim_orth))
+    integrand = []
     y[K] = xi.evaluate(bundle.terminal_state)
     y0_se = 0.0
 
@@ -495,7 +618,9 @@ def nested_mc_oracle(
             roots = states[:1] if shared else states
             start = time.perf_counter()
             run = _OracleRun(bundle, driver, xi, branching, root=i)
-            y[i], integrand[i], se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
+            y[i], zeta, se = run.value(i, roots, 0, True, want_se=shared, pool=pool)
+            # a shared root's single row, copied to every path
+            integrand.append(np.broadcast_to(zeta, (n, zeta.shape[1])).copy())
             seconds = time.perf_counter() - start
             leaves = roots.shape[0] * branching ** (K - i)
             _log.debug("oracle node %d: %d states, %d leaves in %.2f s (%.3g leaves/s)",
@@ -503,8 +628,7 @@ def nested_mc_oracle(
             if i == 0 and shared:
                 y0_se = float(se[0])
 
-    return SolutionField(y[0].copy(), np.abs(y).max(axis=0), y[:, :EXPORT_PATHS].copy(),
-                         integrand.transpose(1, 0, 2), bundle.dim_m, meta={"y0_se": y0_se})
+    return field_from_rows(bundle, y, integrand, meta={"y0_se": y0_se})
 
 
 # ---------------------------------------------------------------------------

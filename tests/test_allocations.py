@@ -1,9 +1,12 @@
 """Allocation guard: the node-wise reductions stream (n,) rows instead of building (K+1, n) or (n, K, w) surfaces.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one call
-is the most memory it held at once.  The bounds are a fixed number of (n,)
-float64 rows, independent of the K + 1 = 51 nodes of the grid; building any
-one surface of the inputs' size would exceed them.
+is the most memory it held at once, and what it holds after the call is
+what its result keeps.  The bounds are a fixed number of (n,) float64 rows,
+independent of the K + 1 = 51 nodes of the grid; building any one surface of
+the inputs' size would exceed them.  A solved field keeps four (n,) rows
+(Y_0, Y*, and (Z.M + N)_T with its quadratic variation), the export blocks
+of its first paths and each step's coefficients: no integrand surface.
 """
 
 import tracemalloc
@@ -51,7 +54,7 @@ def checked_sweep(bundle, driver, xi, config, check):
     return check.report()
 
 
-# measured 32 (the variance sweep itself 31), 7, 54 (three levels), 1, 2, 10, 5 and 5
+# measured 32 (the variance sweep itself 31), 7, 54 (three levels), 1, 2, 10, 4 and 3
 # rows, comparison and stability on node pairs made beforehand; a single
 # (K+1, n) surface is 51, each stored input or ladder level would add at
 # least one, and an (n, K, w) integrand surface is 100
@@ -105,29 +108,33 @@ def test_apriori_check_keeps_no_row_of_its_own(problem):
     assert retained_rows(fed) <= 1.1
 
 
-# measured 16 rows above the solution (its integrand, two Y rows and the
-# export block), 7 of them the step's design; a projection that kept a
-# scaled copy of the design and an orthonormal basis beside it, alive into
-# the next step's build, measured 34
+def solution_size(field) -> int:
+    """Floats of a solved field's arrays: its four (n,) rows and its export blocks."""
+    return 4 * N_PATHS + field.y_export.size + field.z_export.size
+
+
+# measured 16 rows above the solution (four rows and the export blocks), 7 of
+# them the step's design; a projection that kept a scaled copy of the design
+# and an orthonormal basis beside it, alive into the next step's build,
+# measured 34, and a solve that stored its integrand 113
 def test_unchecked_solve_peak_is_the_solution_plus_one_design(problem):
     bundle, driver, xi, config, field, _ = problem
-    solution = field.integrand.size + 2 * N_PATHS + field.y_export.size
     rows = peak_rows(lambda: q.solve_backward(bundle, driver, xi, config))
-    assert rows < solution / N_PATHS + n_columns(config, bundle.states.shape[2]) + 12
+    assert rows < solution_size(field) / N_PATHS + n_columns(config, bundle.states.shape[2]) + 12
 
 
 def solution_rows(config) -> int:
-    """Rows of the bundle plus one stored solution: states, then the integrand.
-    The solution's two Y rows and export block sit in the bound's slack."""
+    """Rows of the bundle plus one stored solution: states, then the field's
+    four rows.  The solution's export blocks sit in the bound's slack."""
     K = config.scenario["steps"]
     w = config.scenario.get("dim_m", 1) + config.scenario.get("dim_orth", 0)
-    return (K + 1) * w + K * w
+    return (K + 1) * w + 4
 
 
-# measured 16 rows above the bundle and the integrand on quadratic-gaussian and
-# 38 on truncation-ladder (four levels).  A solution with a Y surface measured
-# 115 and 77 rows above, and one that stored its variance surface as well 216
-# and 118
+# measured 17 rows above the bundle and the solution on quadratic-gaussian and
+# 36 on truncation-ladder (four levels).  A solution with its integrand
+# measured 112 and 74 rows above these, one with a Y surface as well 211
+# and 113, and one that stored its variance surface too 312 and 154
 @pytest.mark.parametrize("name", ["quadratic-gaussian", "truncation-ladder"])
 def test_run_peak_is_the_bundle_plus_one_solution(name):
     config = q.load_config(name)
@@ -136,11 +143,30 @@ def test_run_peak_is_the_bundle_plus_one_solution(name):
 
 
 def test_solved_field_keeps_its_integrand_and_a_few_rows_of_y(problem):
-    # the integrand, Y_0, Y* and the export block of the first EXPORT_PATHS
-    # paths; a stored Y surface would add K + 1 = 51 rows
+    # Y_0, Y*, the two sums and the export blocks of the first EXPORT_PATHS
+    # paths, with the coefficients (under 0.3 rows) in the slack; a stored
+    # integrand would add K w = 100 rows, a stored Y surface K + 1 = 51
     bundle, driver, xi, config, field, _ = problem
-    kept = field.integrand.size + 2 * N_PATHS + field.y_export.size
-    assert retained_rows(lambda: q.solve_backward(bundle, driver, xi, config)) <= kept / N_PATHS + 0.1
+    assert retained_rows(lambda: q.solve_backward(bundle, driver, xi, config)) <= solution_size(field) / N_PATHS + 0.5
+
+
+def test_solved_field_retains_its_rows_exports_and_coefficients_alone(problem):
+    # everything the solve leaves allocated is an array of the field, or the
+    # few hundred bytes of Python objects that hold one step's fit; the
+    # integrand is not among them until it is read
+    bundle, driver, xi, config, _, _ = problem
+    kept = {}
+
+    def solve():
+        kept["field"] = q.solve_backward(bundle, driver, xi, config)
+
+    retained = retained_rows(solve) * ROW_BYTES
+    field = kept["field"]
+    arrays = [field.y_start, field.y_sup, field.integral, field.qv, field.y_export, field.z_export, field.z_mean]
+    arrays += [a for step in field.steps for a in (step.fit.scale, step.fit.coef)]
+    assert all(a.shape[0] == N_PATHS for a in arrays[:4])
+    assert "integrand" not in vars(field)
+    assert retained <= sum(a.nbytes for a in arrays) + 1024 * N_STEPS
 
 
 def test_simulate_peak_is_the_bundle_plus_one_block():

@@ -29,10 +29,10 @@ def lockstep(bundle, xi, *problems):
     return q.lockstep_sweeps(bundle, xi, [(bundle, drv, x) for drv, x in problems])
 
 
-def integrand_field(zeta, dim_m):
-    """A field with the integrand ``zeta`` and Y = 0."""
+def integrand_field(bundle, zeta):
+    """A field on the bundle with the integrand ``zeta`` (n, K, w) and Y = 0."""
     n, K = zeta.shape[:2]
-    return q.SolutionField(np.zeros(n), np.zeros(n), np.zeros((K + 1, min(q.solver.EXPORT_PATHS, n))), zeta, dim_m)
+    return q.solver.field_from_rows(bundle, np.zeros((K + 1, n)), zeta.transpose(1, 0, 2))
 
 
 def checked(bundle, drv, xi, cfg=None, **keys):
@@ -59,7 +59,7 @@ def overflow_field(n_steps, n_paths, paths):
     bundle = q.simulate_scenario(q.build_grid(1.0, n_steps), 1, 0, n_paths, source=q.RandomSource(4))
     zeta = np.zeros((n_paths, n_steps, 1))
     zeta[paths] = (np.diff(bundle.states, axis=0) / bundle.dt[:, None, None]).transpose(1, 0, 2)[paths]
-    return bundle, integrand_field(zeta, 1)
+    return bundle, integrand_field(bundle, zeta)
 
 
 def x0(row):
@@ -428,7 +428,7 @@ class TestMeasureChange:
     def test_constant_integrand_unit_mean(self, bundle_1d, qq):
         # E(q c W) has unit mean for any constant integrand
         K, d = bundle_1d.grid.n_steps, bundle_1d.dim_m
-        field = integrand_field(np.full((bundle_1d.n_paths, K, d), 0.8), d)
+        field = integrand_field(bundle_1d, np.full((bundle_1d.n_paths, K, d), 0.8))
         est = q.stochastic_exponential_mean(bundle_1d, field, q=qq)
         assert abs(est.mean - 1.0) <= 3.0 * est.se
 
@@ -480,7 +480,7 @@ def test_one_level_ladder_report_is_strict_json(bundle_1d):
 class TestKazamaki:
     def unit_field(self, bundle):
         K, d = bundle.grid.n_steps, bundle.dim_m
-        return integrand_field(np.ones((bundle.n_paths, K, d)), d)
+        return integrand_field(bundle, np.ones((bundle.n_paths, K, d)))
 
     def test_zero_martingale(self, bundle_1d):
         drv, field = solved(bundle_1d, "zero", {}, q.terminal_constant(0.0, 1))
@@ -554,3 +554,17 @@ class TestGridGuard:
         off = q.simulate_scenario(q.build_grid(1.0, steps_k), 1, 0, paths, source=q.RandomSource(42))
         with pytest.raises(GridMismatchError):
             self.CHECKS[check](off, field, steps, drv, xi)
+
+    @pytest.mark.parametrize("check", [name for name in CHECKS if name != "stability_metrics"])
+    def test_same_shaped_bundle_of_other_paths_is_refused(self, check):
+        # the field's sums belong to its own paths: on 4,000 paths x 20 steps a
+        # seed-1 field's exp_martingale check passed q = 2 beside a seed-2 bundle
+        # (mean 0.9951) and failed it beside its own (0.8162)
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_affine(0.0, [1.0])
+        grid = q.build_grid(1.0, 8)
+        bundle = q.simulate_scenario(grid, 1, 0, 500, source=q.RandomSource(41))
+        field = q.solve_backward(bundle, drv, xi)
+        other = q.simulate_scenario(grid, 1, 0, 500, source=q.RandomSource(43))
+        with pytest.raises(GridMismatchError):
+            self.CHECKS[check](other, field, None, drv, xi)
+        self.CHECKS[check](bundle, field, None, drv, xi)

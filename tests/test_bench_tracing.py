@@ -36,3 +36,15 @@ def test_workloads_construct(monkeypatch):
 
     workloads.Oracle()
     workloads.SolverScale()
+
+
+def test_solver_scale_round_raises_nowhere(monkeypatch):
+    # the round reads field.z, field.z_orth, n_paths and n_steps, evaluated on
+    # demand from the field's coefficients, and stochastic_exponential_mean
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    monkeypatch.setattr(workloads, "SCALE_PATHS", 4096)
+    rnd = workloads.SolverScale().round(None)
+    assert [op for op, _ in rnd.outcomes] == ["solve", "y0_with_se", "measure_change"]
+    assert all(outcome != "raised" for _, outcome in rnd.outcomes), rnd.errors

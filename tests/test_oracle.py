@@ -175,3 +175,14 @@ def test_agreement_with_regression_on_two_steps():
     y0, se, _ = q.y0_with_se(reg_bundle, drv, xi)
     combined = np.hypot(se, oracle.meta["y0_se"])
     assert abs(oracle.y0 - y0) <= 3.0 * combined
+
+
+def test_field_sums_are_the_integral_of_its_integrand():
+    """The oracle sums its rows forward, as ``integral_by_node`` does: the same floats."""
+    b = q.simulate_scenario(q.build_grid(1.0, 2), 1, 1, 32, source=q.RandomSource(12))
+    field = q.nested_mc_oracle(b, q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_abs(0.0, [1.0, 0.5]),
+                               branching=1000)
+    *_, (integral, qv) = q.scenarios.integral_by_node(b, (field.integrand[:, i] for i in range(2)))
+    assert np.array_equal(field.integral, integral) and np.array_equal(field.qv, qv)
+    # the means the anchor check reads: of Z and of Z_orth, each over its own columns
+    assert np.array_equal(field.z_mean, np.hstack([field.z.mean(axis=0), field.z_orth.mean(axis=0)]))

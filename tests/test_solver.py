@@ -508,3 +508,57 @@ class TestSweepContract:
             assert y_i.shape == (n,) and zeta_i.shape == (n, w)
             assert (y_var_i is not None) == variance
         assert nodes == list(range(K, -1, -1))
+
+
+class TestZFromCoefficients:
+    """A solution keeps each step's Z as its regression coefficients: evaluated
+    afresh on the sweep's states they give the sweep's rows bit for bit, and
+    they evaluate Z on the states of any other bundle."""
+
+    CASES = {
+        # the constant state at t_0 merges the quantile cells
+        "binned": ("bundle_1d", q.terminal_abs(0.0, [1.0]), q.SolverConfig(basis_kind="binned", bins=12)),
+        # an affine terminal's feature lies in the span of the degree-1 columns
+        "poly_rank_deficient": ("bundle_orth", q.terminal_affine(0.0, [1.0, 0.5]), q.SolverConfig(degree=3)),
+    }
+    DRIVER = q.make_builtin("pure_quadratic", {"gamma": 1.0})
+
+    def solved(self, request, case):
+        name, xi, config = self.CASES[case]
+        bundle = request.getfixturevalue(name)
+        return bundle, xi, config, q.solve_backward(bundle, self.DRIVER, xi, config)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reevaluated_rows_are_the_sweeps(self, request, case):
+        bundle, xi, config, field = self.solved(request, case)
+        K = bundle.grid.n_steps
+        fits = [None] * K
+        sweep = {i: zeta for i, _, zeta, _ in solver._backward_steps(bundle, self.DRIVER, xi, config, fits=fits)}
+        for i, zeta in enumerate(field.zeta_rows(bundle)):
+            assert np.array_equal(zeta, sweep[i])
+            assert np.array_equal(fits[i](bundle.state(i)), sweep[i])
+        # the cases are what they claim: merged cells at t_0, a rank-deficient design
+        reg = q.regression.make_regression(config, bundle.state(0 if config.basis_kind == "binned" else K // 2), xi.fn)
+        assert reg.rank < reg.n_features
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_coefficients_run_on_other_paths(self, request, case):
+        bundle, _, _, field = self.solved(request, case)
+        rows = [zeta.copy() for zeta in field.zeta_rows(bundle)]
+        # a function of the state: on a slice of the paths it is the slice of the rows
+        part = bundle.slice_paths(100, 7100)
+        for i, zeta in enumerate(field.zeta_rows(part)):
+            assert np.array_equal(zeta, rows[i][100:7100])
+        # fresh paths, another count: the path means of Z and Z_orth stay near the sweep's
+        fresh = q.simulate_scenario(bundle.grid, bundle.dim_m, bundle.dim_orth, 3000, source=q.RandomSource(5))
+        for i, zeta in enumerate(field.zeta_rows(fresh)):
+            assert zeta.shape == (3000, bundle.states.shape[2]) and np.all(np.isfinite(zeta))
+            assert np.max(np.abs(np.mean(zeta, axis=0) - field.z_mean[i])) < 0.05
+
+    def test_surface_is_evaluated_once_on_first_read(self, bundle_orth):
+        _, xi, config = self.CASES["poly_rank_deficient"]
+        field = q.solve_backward(bundle_orth, self.DRIVER, xi, config)
+        assert "integrand" not in vars(field)
+        assert field.z.base is field.z_orth.base is field.integrand.base
+        rows = np.stack([zeta.copy() for zeta in field.zeta_rows(bundle_orth)])
+        assert np.array_equal(field.integrand, rows.transpose(1, 0, 2))
