@@ -13,14 +13,23 @@ never raised.
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
 reads, and no solution holds one (``SolutionField``).  The a priori
 check streams through the backward sweep: the sweep hands it each node's Y
-row and variance row as it makes them, and the check asks the bound's row
-function (``apriori_bound``) for the same node's row, an exact closed form;
-it keeps only running maxima.  Comparison and stability read the Y rows of
-two problems node by node from their sweeps run in lockstep
-(``solver.lockstep_sweeps``).  The other checks reduce a field's stored
-parts: Y*, the terminal value of Z.M + N and its quadratic variation, and
-the per-step means of Z; Kazamaki's statistic, which needs Z.M + N at every
-node, evaluates Z afresh from the field's coefficients one step at a time.
+row and variance row as it makes them, and the check keeps only running
+maxima of the gap |Y| - X over the paths.  The bound X (``apriori_bound``)
+is an exact closed form, evaluated only on the paths that can hold a row's
+maximum.  X increases in the modulus of the terminal's conditional mean,
+so its exact values at ``KNOTS`` uniform knots of the modulus bracket
+every path's X; the bracket is widened by 1e-12 (1 + the largest knot
+value), far more than the rounding of the closed form's float evaluation,
+which need not be monotone.  A path whose gap, bounded from above, stays
+below both the running maximum and its row's largest bound from below
+cannot hold the maximum, so the maxima, their argmax and its ties are
+those over every path, bit for bit.
+Comparison and stability read the Y rows of two problems node by node
+from their sweeps run in lockstep (``solver.lockstep_sweeps``).  The other
+checks reduce a field's stored parts: Y*, the terminal value of Z.M + N
+and its quadratic variation, and the per-step means of Z; Kazamaki's
+statistic, which needs Z.M + N at every node, evaluates Z afresh from the
+field's coefficients one step at a time.
 Each check that is handed a bundle beside the field first checks that it
 is the bundle the field was solved on (``GridMismatchError`` otherwise).  A
 value that a report cannot define is None (JSON null), never a NaN or
@@ -168,36 +177,127 @@ def ladder_check(ladder: TruncationLadder, y0: float, y0_se: float, n_paths: int
 # ---------------------------------------------------------------------------
 
 
+# Cephes ndtr.c (Moshier 1989, Methods and Programs for Mathematical Functions):
+# erf(x) = x T(x^2) / U(x^2) on [0, 1], erfc(z) = exp(-z^2) P(z) / Q(z) on
+# [1, 8) and exp(-z^2) R(z) / S(z) beyond
+_P = (2.46196981473530512524e-10, 5.64189564831068821794e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # erfc(z) is 0 where z^2 exceeds it
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _poly(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule as Cephes' polevl; with a leading 1, as its p1evl."""
+    y = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _poly(z, _T) / _poly(z, _U)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, vectorized: Cephes ``ndtr`` with its tables and branches, 0.5 + 0.5 erf(x)
+    for |x| = |a|/sqrt(2) below sqrt(1/2), else 0.5 erfc(|x|), complemented for x > 0; a NaN stays NaN."""
+    x = np.multiply(a, _SQRT1_2)
+    z = np.abs(x)
+    y = np.empty_like(z)
+    inner, below_one, below_eight = z < _SQRT1_2, z < 1.0, z < 8.0
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    near = below_one & ~inner
+    y[near] = 1.0 - _erf(z[near])
+    for part, num, den in ((below_eight & ~below_one, _P, _Q), (~below_eight, _R, _S)):
+        w = z[part]
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge z overflows to 0 * inf, zeroed below
+            tail = np.exp(-w * w) * _poly(w, num) / _poly(w, den)
+            tail[w * w > _MAXLOG] = 0.0
+        y[part] = tail
+    outer = ~inner
+    y[outer] *= 0.5
+    flip = outer & (x > 0)
+    y[flip] = 1.0 - y[flip]
+    return y
+
+
+def _chi2_isf(u: float, dof: int) -> float:
+    """The chi-square quantile of upper tail ``u`` at integer ``dof``, bisected down to adjacent floats on the
+    survival function [erfc(sqrt(h)) if dof is odd] + sum_j e^{-h} h^g / Gamma(g + 1), h = x/2, over the
+    dof // 2 values g = dof % 2 / 2 + j (none for dof 1)."""
+    def survival(x: float) -> float:
+        h, g = 0.5 * x, 0.5 * (dof % 2)
+        total = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+        term = math.exp(-h) * h ** g / math.gamma(g + 1.0)
+        for _ in range(dof // 2):
+            total += term
+            g += 1.0
+            term *= h / g
+        return total
+
+    lo, hi = 0.0, float(dof)
+    while survival(hi) > u:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if survival(mid) > u else (lo, mid)
+    return hi
+
+
 def _folded_log_mgf(c: float, mean: np.ndarray, var: float) -> np.ndarray:
     """log E[exp(c |X|)] for X ~ N(mean, var) and c >= 0, vectorized over the mean.
 
     With m = |mean| and s = sqrt(var) it is
     c m + c^2 s^2 / 2 + log(Phi(m/s + c s) + e^{-2cm} Phi(-m/s + c s)),
-    whose log argument lies in [1/2, 2], so no term overflows.
+    whose log argument lies in [1/2, 2], so no term overflows; Phi is ``_ndtr``.
+    It increases in m: a folded normal is stochastically increasing in the
+    modulus of its mean.
     """
-    from scipy.special import ndtr  # imported on use: it doubles the package's import time
     m = np.abs(mean)
     if var <= 0:
         return c * m
     sd = math.sqrt(var)
-    # in place, so that at most four (n,) rows are alive at once
     hi = m / sd
     lo = np.subtract(c * sd, hi)
     hi += c * sd
     tail = np.multiply(m, -2.0 * c)
     np.exp(tail, out=tail)
-    tail *= ndtr(lo, out=lo)
-    tail += ndtr(hi, out=hi)
+    tail *= _ndtr(lo)
+    tail += _ndtr(hi)
     m *= c
     m += 0.5 * c * c * var
     m += np.log(tail, out=tail)
     return m
 
 
+# exact evaluations of the bound that bracket one node row: uniform knots of
+# the modulus |a0 + a.state| on [0, its maximum over the paths]
+KNOTS = 1025
+
+
 def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSet) -> Callable[[int], np.ndarray]:
     """The row function ``row(i)`` of the bound X, computing its (n_paths,) row
     (1/gamma) log E[exp(gamma e^{b*(T-t)} |xi| + gamma int_t^T e^{b*(r-t)} alpha dA) | F_t]
     at node t_i on every call, so rows may be asked for in any order.
+
+    ``row.bracket(i)`` is ``(lo, hi, exact)``: lo <= X_i <= hi on every path,
+    from X_i at ``KNOTS`` knots of the modulus |a0 + a.state_i|, and
+    ``exact(paths)`` is ``row(i)[paths]`` bit for bit, computed on those paths
+    alone.  It is (-inf, inf) at nodes 0 and K, on a constant modulus and where
+    a knot's X is not finite.
 
     xi must have an affine form (constant, affine or its absolute value;
     ``ValueError`` otherwise): |xi| given F_t is then a folded normal,
@@ -228,13 +328,36 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
     a0, a = xi.affine
     a = np.broadcast_to(np.asarray(a, dtype=float), (bundle.dim_m + bundle.dim_orth,))
 
+    def x_at(i, mean):
+        return _folded_log_mgf(float(c[i]), mean, float(a @ a) * (T - nodes[i])) / gamma + R[i]
+
     def row(i):
         if i == K:
             return np.abs(xi_vals)
-        mean = a0 + bundle.state(i) @ a
-        var = float(a @ a) * (T - nodes[i])
-        return _folded_log_mgf(float(c[i]), mean, var) / gamma + R[i]
+        return x_at(i, a0 + bundle.state(i) @ a)
 
+    def bracket(i):
+        if i == K:
+            return -np.inf, np.inf, lambda paths: np.abs(xi_vals[paths])
+        mean = a0 + bundle.state(i) @ a
+        exact = lambda paths: x_at(i, mean[paths])  # noqa: E731
+        modulus = np.abs(mean)
+        top = float(np.max(modulus))
+        if i == 0 or not (math.isfinite(top) and top > np.min(modulus)):
+            return -np.inf, np.inf, exact
+        knots = np.linspace(0.0, top, KNOTS)
+        x_knots = x_at(i, knots)
+        if not np.all(np.isfinite(x_knots)):
+            return -np.inf, np.inf, exact
+        # the float evaluation need not be monotone; it is off by far less than the slack
+        slack = 1e-12 * (1.0 + float(np.max(np.abs(x_knots))))
+        # a scaled floor is off by at most one knot: knots[at - 1] <= modulus <= knots[at + 2]
+        at = np.multiply(modulus, (KNOTS - 1) / top).astype(np.intp)
+        lo = np.concatenate((x_knots[:1], x_knots[:-1])) - slack
+        hi = np.concatenate((x_knots[2:], x_knots[-1:], x_knots[-1:])) + slack
+        return lo[at], hi[at], exact
+
+    row.bracket = bracket
     return row
 
 
@@ -242,17 +365,23 @@ class AprioriCheck:
     """The running state of ``check_apriori``, fed one node row at a time.
 
     A call ``check(i, y_i, y_var_i)`` takes node i's (n_paths,) row of Y and
-    its variance row, in any node order, and asks ``row(i)`` for the bound's
-    row; ``shape`` is (n_paths, K+1).  ``solve_backward(..., checks=[check])``
-    makes the calls; a caller feeding rows by hand may pass the scalar 0 for
-    an exact row.  The check keeps the largest raw gap and the largest
-    adjusted gap as (gap, -path, -node) with its SE: tuple order takes the
-    first maximum in path-major order, as a flat argmax over the surfaces would.
+    its variance row, in any node order; ``shape`` is (n_paths, K+1).
+    ``solve_backward(..., checks=[check])`` makes the calls; a caller feeding
+    rows by hand may pass the scalar 0 for an exact row.  The check keeps the
+    largest raw gap and the largest adjusted gap as (gap, -path, -node) with
+    its SE: tuple order takes the first maximum in path-major order, as a
+    flat argmax over the surfaces would.
+
+    Each row's maxima are taken over the paths that ``row.bracket(i)`` leaves
+    able to reach them (see the module docstring), in path order, so the
+    maxima, their ties and a NaN come out as over every path.  A row function
+    without a bracket, built by hand, makes every path a candidate.
     """
 
     def __init__(self, row: Callable[[int], np.ndarray], shape: tuple[int, int], band: float,
                  tight: float | None, x0: float | None):
-        self.row, self.shape, self.band, self.tight, self.x0 = row, shape, band, tight, x0
+        self.shape, self.band, self.tight, self.x0 = shape, band, tight, x0
+        self.bracket = getattr(row, "bracket", lambda i: (-np.inf, np.inf, row(i).__getitem__))
         self.worst, self.worst_se, self.raw = None, 0.0, -np.inf
         self.seen = np.zeros(shape[1], dtype=bool)
         self.bound_x0 = None  # from node 0's row
@@ -261,18 +390,32 @@ class AprioriCheck:
         n, nodes = self.shape
         if np.shape(y_i) != (n,) or not 0 <= i < nodes:
             raise GridMismatchError(f"row {i} of {np.shape(y_i)} paths is not a row of the bound process {self.shape}")
-        x_i = self.row(i)
-        if i == 0:
-            self.bound_x0 = float(np.mean(x_i))
-        gap = np.abs(y_i) - x_i
-        se = np.broadcast_to(np.sqrt(y_var_i), gap.shape)
-        adjusted = gap - 3.0 * self.band * se
-        path = int(np.argmax(adjusted))
-        worst = (float(adjusted[path]), -path, -i)
-        # a NaN compares False with everything, so it is taken explicitly and then kept
-        if self.worst is None or math.isnan(worst[0]) or worst > self.worst:
-            self.worst, self.worst_se = worst, float(se[path])
-        self.raw = np.maximum(self.raw, np.max(gap))
+        lo, hi, exact = self.bracket(i)
+        y_abs = np.abs(y_i)
+        se = np.broadcast_to(np.sqrt(y_var_i), y_abs.shape)
+        cut = 3.0 * self.band * se
+        # a NaN bound keeps its path and a NaN maximum every path; a whole
+        # bracket keeps every path, its upper bound being inf
+        with np.errstate(invalid="ignore"):
+            up, down = y_abs - lo, y_abs - hi
+            far = up < np.maximum(self.raw, np.max(down))
+            up -= cut
+            down -= cut
+            far &= up < np.maximum(-np.inf if self.worst is None else self.worst[0], np.max(down))
+        paths = np.flatnonzero(~far)
+        if paths.size:
+            x_i = exact(paths)
+            if i == 0:
+                self.bound_x0 = float(np.mean(x_i))
+            gap = y_abs[paths] - x_i
+            adjusted = gap - cut[paths]
+            k = int(np.argmax(adjusted))
+            path = int(paths[k])
+            worst = (float(adjusted[k]), -path, -i)
+            # a NaN compares False with everything, so it is taken explicitly and then kept
+            if self.worst is None or math.isnan(worst[0]) or worst > self.worst:
+                self.worst, self.worst_se = worst, float(se[path])
+            self.raw = np.maximum(self.raw, np.max(gap))
         self.seen[i] = True
 
     def report(self) -> CheckReport:
@@ -326,10 +469,8 @@ def check_apriori(
     With ``tight``, the raw maximum must also be within ``tight`` of zero;
     with ``x0``, the bound's X_0 must be within 1e-12 of it.
     """
-    # chi2.ppf(u, dof) as 2 * gammaincinv(dof / 2, u), imported on use like ``_folded_log_mgf``'s ndtr
-    from scipy.special import gammaincinv
     dof = n_columns(config, bundle.states.shape[2])
-    band = math.sqrt(2.0 * gammaincinv(dof / 2.0, 1.0 - 0.003)) / 3.0
+    band = math.sqrt(_chi2_isf(0.003, dof)) / 3.0
     shape = (bundle.n_paths, bundle.grid.n_steps + 1)
     return AprioriCheck(apriori_bound(bundle, xi, params), shape, band, tight, x0)
 

@@ -86,7 +86,7 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
 
 def retained_rows(fn) -> float:
     """Rows still allocated by ``fn`` while what it returns is alive."""
-    fn()  # first call outside the trace: scipy's first import allocates
+    fn()  # first call outside the trace: lazy imports and caches
     tracemalloc.start()
     try:
         kept = fn()  # alive while the memory is read

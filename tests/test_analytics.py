@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr
+from scipy.stats import chi2, norm
 
 import qbsde as q
-from qbsde.analytics import _folded_log_mgf
+from qbsde.analytics import _chi2_isf, _folded_log_mgf, _ndtr
 from qbsde.drivers import ParamSet
 from qbsde.errors import GridMismatchError, MomentFailureError
 from qbsde.scenarios import mean_se
@@ -78,6 +81,47 @@ class TestFoldedMgf:
 
     def test_degenerate_variance(self):
         assert _folded_log_mgf(2.0, np.array([-1.5]), 0.0)[0] == pytest.approx(3.0)
+
+
+class TestPorts:
+    """The package's normal CDF and chi-square quantile against scipy's."""
+
+    def test_ndtr_is_cephes(self):
+        a = np.concatenate([np.linspace(-38.0, 38.0, 1_000_001), np.random.default_rng(0).normal(0.0, 5.0, 10**6)])
+        ours, theirs = _ndtr(a), ndtr(a)
+        assert not np.isnan(ours).any()
+        rel = np.abs(ours - theirs) / np.maximum(np.abs(theirs), np.finfo(float).tiny)
+        assert rel.max() <= 4 * np.finfo(float).eps
+
+    def test_ndtr_tails_and_nan(self):
+        out = _ndtr(np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan]))
+        assert np.array_equal(out[:5], [0.0, 0.0, 0.5, 1.0, 1.0]) and np.isnan(out[5])
+
+    @pytest.mark.parametrize("dof", range(1, 65))
+    def test_chi2_quantile(self, dof):
+        # dof 1 is the erfc term alone, an odd dof the erfc term and half-integer powers
+        assert _chi2_isf(0.003, dof) == pytest.approx(chi2.isf(0.003, dof), rel=1e-14, abs=0)
+
+
+def full_row_report(row, band, y, y_var):
+    """The a priori check's report from the bound's whole rows ``row(i)``: the
+    (K+1, n) rows of Y and of its variance fed from t_K down, each row's first
+    largest adjusted gap kept unless a later row's is larger or NaN, and the
+    running maximum of the raw gap."""
+    worst, worst_se, raw = None, 0.0, -np.inf
+    for i in range(y.shape[0] - 1, -1, -1):
+        gap = np.abs(y[i]) - row(i)
+        se = np.sqrt(y_var[i])
+        adjusted = gap - 3.0 * band * se
+        path = int(np.argmax(adjusted))
+        candidate = (float(adjusted[path]), -path, -i)
+        if worst is None or math.isnan(candidate[0]) or candidate > worst:
+            worst, worst_se = candidate, float(se[path])
+        raw = np.maximum(raw, np.max(gap))
+    margin, path, node = worst
+    extra = {"argmax_node": -node, "argmax_path": -path, "raw_margin": float(raw), "band_factor": band,
+             "x0": float(np.mean(row(0))), "x0_se": 0.0}
+    return q.CheckReport("apriori_bound", margin <= 1e-6, margin, 1e-6, y.shape[1], band * worst_se, extra).to_dict()
 
 
 class TestAprioriBound:
@@ -232,6 +276,78 @@ class TestAprioriBound:
         assert report.margin == adjusted[path, node]
         assert report.se == band * se[path, node]
         assert report.extra["raw_margin"] == np.max(gap)
+
+    def test_bracket_holds_the_row_at_and_beside_the_knots(self, bundle_1d):
+        # states on knots of the modulus and one float either side, where the
+        # scaled floor that finds a path's knots may be off by one
+        node, top = 7, 1.9
+        states = bundle_1d.states.copy()
+        knots = np.linspace(0.0, top, q.analytics.KNOTS)
+        on = knots[1:-1:3]
+        sitting = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf), [top]])
+        states[node, :, 0] = np.resize(sitting * np.where(np.arange(sitting.size) % 2, -1.0, 1.0), bundle_1d.n_paths)
+        bundle = dataclasses.replace(bundle_1d, states=states)
+        for xi in (q.terminal_affine(0.0, [1.0]), q.terminal_abs(0.0, [1.0])):
+            row = q.apriori_bound(bundle, xi, ParamSet(gamma=1.0))
+            lo, hi, exact = row.bracket(node)
+            x = row(node)
+            assert np.all(lo <= x) and np.all(x <= hi) and np.all(hi - lo < 1e-2)
+            paths = np.arange(0, bundle.n_paths, 7)
+            assert np.array_equal(exact(paths), x[paths])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(1, 0), (1, 1), (2, 0)]), kind=st.sampled_from(["affine", "abs", "constant"]),
+           gamma=st.sampled_from([1.0, 2.0]), seed=st.integers(0, 2**16), closeness=st.integers(0, 15),
+           on_bound=st.integers(0, 30), bad=st.sampled_from([None, math.nan, math.inf]))
+    def test_streamed_check_is_the_full_row_report(self, dims, kind, gamma, seed, closeness, on_bound, bad):
+        # |Y| at and within 10^-closeness of X, so that the brackets hold many
+        # paths and the exact evaluations break ties; a few points on the bound
+        # with zero variance tie at the maximum, and a NaN variance fails it
+        rng = np.random.default_rng(seed)
+        bundle = q.simulate_scenario(q.build_grid(1.0, 6), *dims, 300, source=q.RandomSource(seed))
+        slope = rng.uniform(-1.5, 1.5, sum(dims))
+        xi = {"affine": q.terminal_affine(0.2, slope), "abs": q.terminal_abs(-0.3, slope),
+              "constant": q.terminal_constant(0.7, sum(dims))}[kind]
+        params = ParamSet(gamma=gamma)
+        row = q.apriori_bound(bundle, xi, params)
+        x = np.stack(rows(row, bundle.grid.n_steps + 1))
+        y = x * rng.choice([-1.0, 1.0], x.shape) * (1.0 + 10.0 ** -closeness * rng.uniform(-1.0, 0.01, x.shape))
+        y_var = rng.uniform(0.0, 1e-6, x.shape)
+        hit = rng.integers(0, x.size, on_bound)
+        y.flat[hit], y_var.flat[hit] = x.flat[hit], 0.0
+        if bad is not None:
+            y_var.flat[rng.integers(0, x.size)] = bad
+        check = q.check_apriori(bundle, xi, params, q.SolverConfig())
+        for i in range(bundle.grid.n_steps, -1, -1):
+            check(i, y[i], y_var[i])
+        expected = full_row_report(row, check.band, y, y_var)
+        assert json.dumps(check.report().to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_exact_evaluations_are_a_few_paths(self, monkeypatch):
+        # below 20 % of the paths at nodes 1..K-1, where the bound's brackets
+        # apply; nodes 0 and K take every path
+        bound, counted = q.analytics.apriori_bound, {}
+
+        def counting_bound(*args):
+            row = bound(*args)
+            bracket = row.bracket
+
+            def counting_bracket(i):
+                lo, hi, exact = bracket(i)
+                counted[i] = 0
+
+                def counting_exact(paths):
+                    counted[i] += paths.size
+                    return exact(paths)
+                return lo, hi, counting_exact
+            row.bracket = counting_bracket
+            return row
+        monkeypatch.setattr(q.analytics, "apriori_bound", counting_bound)
+        cfg, n = q.load_config("quadratic-gaussian"), 20_000
+        q.run_experiment(cfg, n_paths=n)
+        K = cfg.scenario["steps"]
+        assert sorted(counted) == list(range(K + 1)) and counted[0] == counted[K] == n
+        assert sum(counted[i] for i in range(1, K)) < 0.2 * (K - 1) * n
 
 
 class TestNormBounds:

@@ -440,8 +440,16 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.special alone takes about 0.3 s to import; the two checks that call it import it on use
+    # scipy.special alone takes about 0.3 s to import and 20 MB; the package needs none of it
     proc = run_python("-c", "import sys, qbsde; qbsde.bundled_configs(); print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_run_leaves_scipy_unloaded():
+    # the a priori check's normal CDF and chi-square quantile are the package's own
+    proc = run_python("-c", "import sys, qbsde; qbsde.run_experiment(qbsde.load_config('quadratic-gaussian'), "
+                            "n_paths=2000); print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
