@@ -12,11 +12,12 @@ __version__ = "0.1.0"
 
 from .analytics import (
     CheckReport,
+    ComparisonCheck,
     ExpMartingaleEstimate,
+    StabilityMetrics,
     anchor_check,
     apriori_bound,
     check_apriori,
-    comparison_check,
     exp_martingale_check,
     exponential_moment_estimate,
     kazamaki_statistic,
@@ -25,7 +26,6 @@ from .analytics import (
     norm_bound_checks,
     sample_ordering,
     stability_check,
-    stability_metrics,
     stochastic_exponential_mean,
     validate_assumptions,
 )
@@ -70,7 +70,6 @@ from .solver import (
     SolutionField,
     SolverConfig,
     TruncationLadder,
-    lockstep_sweeps,
     nested_mc_oracle,
     solve_backward,
     solve_ladder,

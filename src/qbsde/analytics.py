@@ -11,25 +11,25 @@ randomized sampling over a probe box; violations are reported with margins,
 never raised.
 
 No check builds a (K+1, n) or an (n, K, w) surface beside the solutions it
-reads, and no solution holds one (``SolutionField``).  The a priori
-check streams through the backward sweep: the sweep hands it each node's Y
-row and variance row as it makes them, and the check keeps only running
-maxima of the gap |Y| - X over the paths.  The bound X (``apriori_bound``)
-is an exact closed form, evaluated only on the paths that can hold a row's
-maximum.  X increases in the modulus of the terminal's conditional mean,
-so its exact values at ``KNOTS`` uniform knots of the modulus bracket
-every path's X; the bracket is widened by 1e-12 (1 + the largest knot
-value), far more than the rounding of the closed form's float evaluation,
-which need not be monotone.  A path whose gap, bounded from above, stays
-below both the running maximum and its row's largest bound from below
-cannot hold the maximum, so the maxima, their argmax and its ties are
-those over every path, bit for bit.
-Comparison and stability read the Y rows of two problems node by node
-from their sweeps run in lockstep (``solver.lockstep_sweeps``).  The other
-checks reduce a field's stored parts: Y*, the terminal value of Z.M + N
-and its quadratic variation, and the per-step means of Z; Kazamaki's
-statistic, which needs Z.M + N at every node, evaluates Z afresh from the
-field's coefficients one step at a time.
+reads, and no solution holds one (``SolutionField``).  The a priori,
+comparison and stability checks read the experiment's one backward pass
+(``solver.solve_backward``) node by node, with the problems they name swept
+beside it, and report after it.  The a priori check reads the pass's Y and
+variance rows and keeps only running maxima of the gap |Y| - X over the
+paths.  The bound X (``apriori_bound``) is an exact closed form, evaluated
+only on the paths that can hold a row's maximum.  X increases in the modulus
+of the terminal's conditional mean, so its exact values at ``KNOTS`` uniform
+knots of the modulus bracket every path's X; the bracket is widened by 1e-12
+(1 + the largest knot value), far more than the rounding of the closed
+form's float evaluation, which need not be monotone.  A path whose gap,
+bounded from above, stays below both the running maximum and its row's
+largest bound from below cannot hold the maximum, so the maxima, their
+argmax and its ties are those over every path, bit for bit.  Where the
+modulus is one value, as at t_0, X is evaluated once.  The other checks
+reduce a field's stored parts: Y*, the terminal value of Z.M + N and its
+quadratic variation, and the per-step means of Z; Kazamaki's statistic,
+which needs Z.M + N at every node, evaluates Z afresh from the field's
+coefficients one step at a time.
 Each check that is handed a bundle beside the field first checks that it
 is the bundle the field was solved on (``GridMismatchError`` otherwise).  A
 value that a report cannot define is None (JSON null), never a NaN or
@@ -296,8 +296,9 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
     ``row.bracket(i)`` is ``(lo, hi, exact)``: lo <= X_i <= hi on every path,
     from X_i at ``KNOTS`` knots of the modulus |a0 + a.state_i|, and
     ``exact(paths)`` is ``row(i)[paths]`` bit for bit, computed on those paths
-    alone.  It is (-inf, inf) at nodes 0 and K, on a constant modulus and where
-    a knot's X is not finite.
+    alone, or once and broadcast where the modulus is one value.  It is
+    (-inf, inf) at nodes 0 and K, on a constant modulus and where a knot's X
+    is not finite.
 
     xi must have an affine form (constant, affine or its absolute value;
     ``ValueError`` otherwise): |xi| given F_t is then a folded normal,
@@ -340,10 +341,14 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
         if i == K:
             return -np.inf, np.inf, lambda paths: np.abs(xi_vals[paths])
         mean = a0 + bundle.state(i) @ a
-        exact = lambda paths: x_at(i, mean[paths])  # noqa: E731
         modulus = np.abs(mean)
         top = float(np.max(modulus))
-        if i == 0 or not (math.isfinite(top) and top > np.min(modulus)):
+        if top == np.min(modulus):
+            # X depends on the modulus alone: one value, evaluated once
+            x = x_at(i, mean[:1])
+            return -np.inf, np.inf, lambda paths: np.broadcast_to(x, paths.shape)
+        exact = lambda paths: x_at(i, mean[paths])  # noqa: E731
+        if i == 0 or not math.isfinite(top):
             return -np.inf, np.inf, exact
         knots = np.linspace(0.0, top, KNOTS)
         x_knots = x_at(i, knots)
@@ -362,21 +367,24 @@ def apriori_bound(bundle: ScenarioBundle, xi: TerminalCondition, params: ParamSe
 
 
 class AprioriCheck:
-    """The running state of ``check_apriori``, fed one node row at a time.
+    """The running state of ``check_apriori``, a reader of the backward pass fed one node row at a time.
 
-    A call ``check(i, y_i, y_var_i)`` takes node i's (n_paths,) row of Y and
-    its variance row, in any node order; ``shape`` is (n_paths, K+1).
-    ``solve_backward(..., checks=[check])`` makes the calls; a caller feeding
-    rows by hand may pass the scalar 0 for an exact row.  The check keeps the
-    largest raw gap and the largest adjusted gap as (gap, -path, -node) with
-    its SE: tuple order takes the first maximum in path-major order, as a
-    flat argmax over the surfaces would.
+    A call ``check(step)`` takes the pass's step ``(i, y_i, zeta_i, y_var_i)``:
+    node i's (n_paths,) row of Y and its variance row, in any node order;
+    ``shape`` is (n_paths, K+1).  ``solve_backward(..., readers=[check])``
+    makes the calls; a caller feeding rows by hand may pass None for the
+    unread integrand and the scalar 0 for an exact row.  The check keeps
+    the largest raw gap and the largest adjusted gap as (gap, -path, -node)
+    with its SE: tuple order takes the first maximum in path-major order, as
+    a flat argmax over the surfaces would.
 
     Each row's maxima are taken over the paths that ``row.bracket(i)`` leaves
     able to reach them (see the module docstring), in path order, so the
     maxima, their ties and a NaN come out as over every path.  A row function
     without a bracket, built by hand, makes every path a candidate.
     """
+
+    problems, variance = (), True
 
     def __init__(self, row: Callable[[int], np.ndarray], shape: tuple[int, int], band: float,
                  tight: float | None, x0: float | None):
@@ -386,7 +394,8 @@ class AprioriCheck:
         self.seen = np.zeros(shape[1], dtype=bool)
         self.bound_x0 = None  # from node 0's row
 
-    def __call__(self, i: int, y_i: np.ndarray, y_var_i: np.ndarray | float) -> None:
+    def __call__(self, step: tuple) -> None:
+        i, y_i, _, y_var_i = step
         n, nodes = self.shape
         if np.shape(y_i) != (n,) or not 0 <= i < nodes:
             raise GridMismatchError(f"row {i} of {np.shape(y_i)} paths is not a row of the bound process {self.shape}")
@@ -452,8 +461,8 @@ def check_apriori(
     x0: float | None = None,
 ) -> AprioriCheck:
     """Worst violation of |Y| <= X, X = ``apriori_bound(bundle, xi, params)``,
-    over all nodes and paths, as a check that the backward sweep feeds
-    (``AprioriCheck``); its ``report()`` is the verdict.
+    over all nodes and paths, as a reader of the backward pass
+    (``AprioriCheck``); its ``report()`` after the pass is the verdict.
 
     Both surfaces are compared at every (node, path) point, with a
     statistical allowance applied pointwise before taking the maximum.
@@ -668,41 +677,38 @@ def sample_ordering(
 # ---------------------------------------------------------------------------
 
 
-def comparison_check(steps, gaps: tuple[float, float]) -> CheckReport:
+class ComparisonCheck:
     """Worst signed violation of Y <= Y' given ordered data (F <= F', xi <= xi'),
     with ``gaps`` from ``sample_ordering``; unordered data make it vacuous.
     It passes iff the data are ordered and the violation is at most 1e-9.
 
-    ``steps`` yields, node by node in any order, the pair of sweep steps
-    ``(i, y_i, zeta_i, y_var_i)`` of the two problems, as
-    ``solver.lockstep_sweeps`` runs them.  The margin is a maximum over the
-    nodes, so it is taken one node row at a time: no (n, K+1) difference
-    surface, and no stored Y.
+    A reader of a backward pass (``solver.solve_backward``): Y solves
+    (``driver``, ``xi``) on ``bundle``, swept beside the pass, whose own
+    problem Y' solves.  ``check(base, other)`` takes one node's steps of the
+    two, in any node order, and keeps the running maximum: no (n, K+1)
+    difference surface and no stored Y.
     """
-    max_f_gap, max_xi_gap = gaps
-    margin, y0 = -math.inf, None
-    for (i, y, _, _), (_, y_prime, _, _) in steps:
-        if y.shape != y_prime.shape:
-            raise GridMismatchError("comparison requires solutions on the same bundle")
-        margin = max(margin, float(np.max(y - y_prime)))
+
+    variance = False
+
+    def __init__(self, bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, gaps: tuple[float, float]):
+        self.problems, self.gaps = ((bundle, driver, xi),), gaps
+        self.margin, self.y0 = -math.inf, None
+
+    def __call__(self, base: tuple, other: tuple) -> None:
+        i, y_prime, _, _ = base
+        y = other[1]
+        self.margin = max(self.margin, float(np.max(y - y_prime)))
         if i == 0:
-            y0 = (float(np.mean(y)), float(np.mean(y_prime)))
-    vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
-    return CheckReport(
-        name="comparison",
-        passed=(not vacuous) and margin <= 1e-9,
-        margin=margin,
-        tol=1e-9,
-        n_paths=y.size,
-        se=0.0,
-        extra={
-            "vacuous": vacuous,
-            "max_f_gap": max_f_gap,
-            "max_xi_gap": max_xi_gap,
-            "y0": y0[0],
-            "y0_prime": y0[1],
-        },
-    )
+            self.y0 = (float(np.mean(y)), float(np.mean(y_prime)))
+
+    def report(self) -> CheckReport:
+        (max_f_gap, max_xi_gap), margin = self.gaps, self.margin
+        vacuous = not (max_f_gap <= PROBE_TOL and max_xi_gap <= PROBE_TOL)
+        extra = {"vacuous": vacuous, "max_f_gap": max_f_gap, "max_xi_gap": max_xi_gap, "y0": self.y0[0],
+                 "y0_prime": self.y0[1]}
+        n_paths = self.problems[0][0].n_paths
+        return CheckReport("comparison", not vacuous and margin <= 1e-9, margin, 1e-9, n_paths, 0.0, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -710,62 +716,62 @@ def comparison_check(steps, gaps: tuple[float, float]) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def stability_metrics(
-    bundle: ScenarioBundle,
-    steps,
-    driver_n: DriverSpec,
-    driver_0: DriverSpec,
-    xi_n: TerminalCondition,
-    xi_0: TerminalCondition,
-    orders,
-) -> list[dict]:
+class StabilityMetrics:
     """Hypothesis statistic |xi_n - xi_0| + int |F_n - F_0|(t, Y^0, Z^0) dA and
     the two conclusion statistics at each order p, all per-path then averaged:
-    one dict per order.
+    ``report()`` gives one dict per order.
 
-    ``steps`` yields, node by node from t_K down, the pair of sweep steps
-    ``(i, y_i, zeta_i, y_var_i)`` of the member (F_n, xi_n) and the base
-    (F_0, xi_0), as ``solver.lockstep_sweeps`` runs them.  The sup gap is a
-    maximum, taken as the rows arrive.  The hypothesis and the quadratic
-    variation of the integrand difference are sums over the nodes from t_0
-    on, and a different order would change their rounding, so the check
-    keeps each step's base Y and Z rows and the member's integrand rows, and
-    sums forward once the sweep is done.  None of them depends on p.
+    A reader of a backward pass (``solver.solve_backward``): the member
+    (``driver_n``, ``xi_n``) is swept on ``bundle`` beside the pass, whose
+    own problem is the base (``driver_0``, ``xi_0``).  ``metrics(base,
+    member)`` takes one node's steps of the two, from t_K down, and keeps
+    the running sup gap.  The hypothesis and the quadratic variation of the
+    integrand difference are sums from t_0 on, which another order would
+    round differently, so it keeps each step's base Y and Z rows and the
+    member's integrand rows (K n w floats per member; the members of one
+    pass share the base's) and sums forward in ``report()``.
     """
-    sup_gap, kept = None, []
-    for (_, y_n, zeta_n, _), (_, y_0, zeta_0, _) in steps:
-        gap = np.abs(y_n - y_0)
-        sup_gap = gap if sup_gap is None else np.maximum(sup_gap, gap, out=sup_gap)
-        if zeta_n is not None:
-            kept.append((y_0, zeta_0, zeta_n))
-    kept.reverse()
-    _require_grid(bundle, (sup_gap.size, len(kept)))
-    dA, m = bundle.dA, bundle.dim_m
 
-    hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
-    for i, (y0, zeta0, _) in enumerate(kept):
-        if dA[i] != 0:
-            z0 = zeta0[:, :m]
-            hyp = hyp + np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0)) * dA[i]
-    _, qv = deque(integral_by_node(bundle, (zeta_n - zeta_0 for _, zeta_0, zeta_n in kept)), maxlen=1)[0]
-    h_m, h_se = mean_se(hyp)
-    out = []
-    for p in map(float, orders):
-        e_m, e_se, _ = _exponential_mean(p * sup_gap)
-        m_m, m_se = mean_se(qv ** (p / 2.0))
-        out.append({
-            "p": p,
-            "hypothesis_mean": h_m,
-            "hypothesis_se": h_se,
-            "sup_gap_mean": float(np.mean(sup_gap)),
-            "sup_gap_max": float(np.max(sup_gap)),
-            "exp_sup_p_mean": e_m,
-            "exp_sup_p_se": e_se,
-            "martingale_gap_p_mean": m_m,
-            "martingale_gap_p_se": m_se,
-            "n_paths": int(bundle.n_paths),
-        })
-    return out
+    variance = False
+
+    def __init__(self, bundle: ScenarioBundle, driver_n: DriverSpec, driver_0: DriverSpec, xi_n: TerminalCondition,
+                 xi_0: TerminalCondition, orders):
+        self.problems, self.base, self.orders = ((bundle, driver_n, xi_n),), (driver_0, xi_0), orders
+        self.sup_gap, self.kept = None, []
+
+    def __call__(self, base: tuple, member: tuple) -> None:
+        _, y_0, zeta_0, _ = base
+        _, y_n, zeta_n, _ = member
+        gap = np.abs(y_n - y_0)
+        self.sup_gap = gap if self.sup_gap is None else np.maximum(self.sup_gap, gap, out=self.sup_gap)
+        if zeta_n is not None:
+            self.kept.append((y_0, zeta_0, zeta_n))
+
+    def report(self) -> list[dict]:
+        (bundle, driver_n, xi_n), (driver_0, xi_0) = self.problems[0], self.base
+        sup_gap, kept = self.sup_gap, self.kept[::-1]
+        _require_grid(bundle, (sup_gap.size, len(kept)))
+        dA, m = bundle.dA, bundle.dim_m
+
+        hyp = np.abs(xi_n.evaluate(bundle.terminal_state) - xi_0.evaluate(bundle.terminal_state))
+        for i, (y0, zeta0, _) in enumerate(kept):
+            if dA[i] != 0:
+                z0 = zeta0[:, :m]
+                hyp = hyp + np.abs(driver_n.evaluate(bundle, i, y0, z0) - driver_0.evaluate(bundle, i, y0, z0)) * dA[i]
+        _, qv = deque(integral_by_node(bundle, (zeta_n - zeta_0 for _, zeta_0, zeta_n in kept)), maxlen=1)[0]
+        h_m, h_se = mean_se(hyp)
+        out = []
+        for p in map(float, self.orders):
+            e_m, e_se, _ = _exponential_mean(p * sup_gap)
+            m_m, m_se = mean_se(qv ** (p / 2.0))
+            out.append({"p": p, "hypothesis_mean": h_m, "hypothesis_se": h_se, "sup_gap_mean": float(np.mean(sup_gap)),
+                        "sup_gap_max": float(np.max(sup_gap)), "exp_sup_p_mean": e_m, "exp_sup_p_se": e_se,
+                        "martingale_gap_p_mean": m_m, "martingale_gap_p_se": m_se, "n_paths": int(bundle.n_paths)})
+        return out
+
+
+# unused here but stay bound: the benchmark's tracing patches analytics.comparison_check and stability_metrics
+comparison_check, stability_metrics = ComparisonCheck, StabilityMetrics
 
 
 def stability_check(
@@ -774,7 +780,7 @@ def stability_check(
     expected_hypothesis: float | None = None,
     expected_sup: float | None = None,
 ) -> CheckReport:
-    """The stability theorem on one member, from its ``stability_metrics``.
+    """The stability theorem on one member, from its ``StabilityMetrics`` report.
 
     With ``expected_hypothesis``, the hypothesis statistic must be within
     1e-6 + 3 SE of it.  A member without ``expected_sup`` converges: it must

@@ -11,9 +11,10 @@ key that no bundled experiment sets:
 * ``solver``: ``basis_kind`` and the ``degree`` or ``bins`` it reads;
 * ``checks``: a list of check blocks, each a ``type`` and the keys its
   runner reads (the ``_CHECKS`` table).  A runner only maps the block's keys
-  to the arguments of an ``analytics`` check, which returns the report; an
-  ``apriori`` block's check is built by one ``check_apriori`` call before the
-  solve, which feeds it, and its runner reads the report.  The slack of each
+  to the arguments of an ``analytics`` check, which returns the report.  An
+  ``apriori``, ``comparison``, ``stability`` or ``ladder`` block's readers
+  (``_READERS``) are built before the solve, the one backward pass, which
+  feeds them, and its runner reads their reports.  The slack of each
   verdict is fixed there, not a key: 1e-6 for the a priori bound and
   stability, 1e-9 for comparison, a 1e-3 violation fraction for the ladder,
   0.05 for the anchor's mean Z, and 10,000 assumption probes.
@@ -44,7 +45,9 @@ from .analytics import validate_assumptions
 from .drivers import DriverSpec, TerminalCondition, make_builtin, terminal_abs, terminal_affine, terminal_constant
 from .errors import ConfigValidationError
 from .scenarios import RandomSource, ScenarioBundle, build_grid, simulate_scenario
-from .solver import SolutionField, SolverConfig, lockstep_sweeps, solve_backward, solve_ladder, y0_with_se
+from .solver import SolutionField, SolverConfig, TruncationLadder, solve_backward, y0_with_se
+# unused here but stays bound: the benchmark's tracing patches experiments.solve_ladder
+from .solver import solve_ladder  # noqa: F401
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -400,53 +403,53 @@ class _RunContext:
     driver: DriverSpec
     xi: TerminalCondition
     solver_cfg: SolverConfig
-    field: SolutionField
     y0: float
     y0_se: float
-    # the streamed checks of the apriori blocks, in block order, fed by the solve of ``field``
-    apriori: Iterator[analytics.AprioriCheck]
+    # set by the solve: its field, and the readers of each block read off it, in block order
+    field: SolutionField | None = None
+    readers: Iterator[list] | None = None
 
 
 def _run_anchor(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     return [analytics.anchor_check(ctx.field, ctx.y0, ctx.y0_se, **_keys(check))]
 
 
-def _run_apriori(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    return [next(ctx.apriori).report()]
+def _run_reports(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
+    return [reader.report() for reader in next(ctx.readers)]
 
 
 def _run_norm_bounds(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
     return analytics.norm_bound_checks(ctx.bundle, ctx.field, ctx.xi, ctx.driver.params, check["p"])
 
 
-def _lockstep_with_base(ctx: _RunContext, driver: DriverSpec):
-    """The sweeps of ``driver`` and of the experiment's own driver, both with
-    its terminal, side by side: the Y rows of both, node by node."""
-    return lockstep_sweeps(ctx.bundle, ctx.xi, [(ctx.bundle, driver, ctx.xi), (ctx.bundle, ctx.driver, ctx.xi)],
-                           ctx.solver_cfg)
-
-
-def _run_comparison(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    # the other problem, the same terminal under the other driver, is the lower one
-    lo_driver = build_driver(check["other"]["driver"])
-    gaps = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
-    return [analytics.comparison_check(_lockstep_with_base(ctx, lo_driver), gaps)]
-
-
 def _run_stability(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    out = []
-    for j, member in enumerate(check["members"]):
-        m_driver = build_driver(member["driver"])
-        metrics = analytics.stability_metrics(ctx.bundle, _lockstep_with_base(ctx, m_driver), m_driver, ctx.driver,
-                                              ctx.xi, ctx.xi, check["p"])
-        label = member.get("label", f"member{j}")
-        out.append(analytics.stability_check(metrics, label, **_keys(member, "driver", "label")))
-    return out
+    return [analytics.stability_check(metrics.report(), member.get("label", f"member{j}"),
+                                      **_keys(member, "driver", "label"))
+            for j, (member, metrics) in enumerate(zip(check["members"], next(ctx.readers)))]
 
 
 def _run_ladder(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
-    ladder = solve_ladder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], ctx.solver_cfg, tol=3.0 * ctx.y0_se)
-    return [analytics.ladder_check(ladder, ctx.y0, ctx.y0_se, ctx.bundle.n_paths)]
+    [ladder] = next(ctx.readers)
+    return [analytics.ladder_check(ladder.report(), ctx.y0, ctx.y0_se, ctx.bundle.n_paths)]
+
+
+def _read_comparison(ctx: _RunContext, check: dict) -> list:
+    # the other problem, the same terminal under the other driver, is the lower one
+    lo_driver = build_driver(check["other"]["driver"])
+    gaps = analytics.sample_ordering(ctx.bundle, lo_driver, ctx.driver, ctx.xi, ctx.xi)
+    return [analytics.ComparisonCheck(ctx.bundle, lo_driver, ctx.xi, gaps)]
+
+
+# check type -> the readers of its block, handed to the solve with the problems they name
+_READERS = {
+    "apriori": lambda ctx, check: [analytics.check_apriori(ctx.bundle, ctx.xi, ctx.driver.params, ctx.solver_cfg,
+                                                           **_keys(check))],
+    "comparison": _read_comparison,
+    "stability": lambda ctx, check: [analytics.StabilityMetrics(ctx.bundle, build_driver(m["driver"]), ctx.driver,
+                                                                ctx.xi, ctx.xi, check["p"]) for m in check["members"]],
+    # the ladder's tolerance is 3 SE of Y0
+    "ladder": lambda ctx, check: [TruncationLadder(ctx.bundle, ctx.driver, ctx.xi, check["levels"], 3.0 * ctx.y0_se)],
+}
 
 
 def _run_exp_martingale(ctx: _RunContext, check: dict) -> list[analytics.CheckReport]:
@@ -491,9 +494,9 @@ _STABILITY_MEMBER = {
 # "type" and these keys only, each value in its domain
 _CHECKS = {
     "anchor": (_run_anchor, ["y0"], {"y0": _NUMBER, "tol": _TOL, "z_mean": _NONEMPTY, "z_orth_mean": _NONEMPTY}),
-    "apriori": (_run_apriori, [], {"tight": _TOL, "x0": _NUMBER}),
+    "apriori": (_run_reports, [], {"tight": _TOL, "x0": _NUMBER}),
     "norm_bounds": (_run_norm_bounds, ["p"], {"p": _orders(1)}),
-    "comparison": (_run_comparison, ["other"], {
+    "comparison": (_run_reports, ["other"], {
         "other": {"type": "object", "additionalProperties": False, "required": ["driver"],
                   "properties": {"driver": _DRIVER_SCHEMA}},
     }),
@@ -542,13 +545,13 @@ def run_experiment(
     driver = build_driver(config.driver)
     xi = build_terminal(config.terminal, bundle.dim_m + bundle.dim_orth)
     cfg = SolverConfig(**config.solver)
-    # each a priori check streams through the solve, so it is built first
-    apriori = [analytics.check_apriori(bundle, xi, driver.params, cfg, **_keys(block))
-               for block in config.checks if block["type"] == "apriori"]
-    field_ = solve_backward(bundle, driver, xi, cfg, checks=apriori)
+    # Y0's SE comes first: the ladder reader's tolerance is 3 SE, and every
+    # reader is built before the one backward pass that feeds them all
     y0, y0_se, _ = y0_with_se(bundle, driver, xi, cfg)
-    ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, field=field_, y0=y0, y0_se=y0_se,
-                      apriori=iter(apriori))
+    ctx = _RunContext(bundle=bundle, driver=driver, xi=xi, solver_cfg=cfg, y0=y0, y0_se=y0_se)
+    readers = [_READERS[block["type"]](ctx, block) for block in config.checks if block["type"] in _READERS]
+    ctx.field = field_ = solve_backward(bundle, driver, xi, cfg, [r for block in readers for r in block])
+    ctx.readers = iter(readers)
 
     checks: list[analytics.CheckReport] = []
     for check in config.checks:

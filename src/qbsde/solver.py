@@ -10,14 +10,9 @@ Two routes to the same object:
   from every node/path state; exponential cost, tiny grids only.  Serves as
   the independent check on the regression route, whose Y-step it shares.
 
-``solve_ladder`` runs the truncated problems used by the existence
-construction (xi capped at n, the clock A stopped once the running integral
-of alpha dA exceeds n, so the driver acts only before that time) and reports
-monotonicity across levels.
-
-The regression scheme is one backward sweep, ``_backward_steps``, that
-yields the rows of one node at a time, t_K first.  No solution field holds
-a surface.  The paper reads Y only through Y_0, the pathwise supremum
+The regression scheme sweeps a problem backward with ``_backward_steps``,
+which yields the rows of one node at a time, t_K first.  No solution field
+holds a surface.  The paper reads Y only through Y_0, the pathwise supremum
 Y* = sup_t |Y_t| and the node-by-node gap between two solutions, and Z only
 through the martingale part Z.M + N: its quadratic variation, its
 stochastic exponential and Kazamaki's stopped means.  So ``solve_backward``
@@ -28,17 +23,17 @@ is evaluated afresh on any state rows, and what the sweep sums as it goes:
 Z_orth per step and the export paths' rows.  At 100,000 paths and 100
 steps a float64 (K+1, n) Y surface is 81 MB, and a one-column integrand
 80 MB.  The oracle, on at most 4 nodes, takes the same parts from
-its small Y and integrand (``field_from_rows``); ``y0_with_se`` keeps the
-last row of each path batch alone; and ``lockstep_sweeps`` runs several
-problems on the same states side by side, sharing each step's regression,
-so that ``solve_ladder`` and the comparison and stability checks read their
-Y rows node by node as the sweeps make them.
+its small Y and integrand (``field_from_rows``), and ``y0_with_se`` keeps
+the last row of each path batch alone.
 
-The sweep's error bars, the pointwise variance of each Y row by first-order
-error propagation, are computed only when the sweep is asked for them: by
-the ladder's comparison, and by ``solve_backward`` when it is handed checks
-(the a priori bound's).  The sweep then keeps the variance rows of the
-current and the next node; no solver stores a variance surface.
+``solve_backward`` is an experiment's one backward pass: beside its own
+problem it sweeps every problem its readers name (the comparison's other
+driver, the stability members, the levels of the existence construction's
+``TruncationLadder``), on one regression per step, and hands each node's
+rows to the readers, which report after it.  Error bars, the pointwise
+variance of each Y row by first-order error propagation, are propagated
+only for a reader that asks, two rows at a time; no solver stores a
+variance surface.
 """
 
 from __future__ import annotations
@@ -103,9 +98,8 @@ class SolutionField:
     ``z`` and ``z_orth`` are evaluated from ``steps`` on those states at
     their first read into one node-major buffer and kept; no reader in the
     package reads them.  The field holds no error bars and no other Y: the
-    regression sweep hands its Y and variance rows, one node at a time, to
-    the checks that ``solve_backward`` is given, and ``lockstep_sweeps``
-    hands them to checks that compare two problems.
+    pass of ``solve_backward`` hands its Y and variance rows, and those of
+    the problems swept beside it, one node at a time to its readers.
     """
 
     y_start: np.ndarray
@@ -278,10 +272,15 @@ def _solve_y(ey, zeta, driver, bundle, i):
 
 def _regression_at(bundle: ScenarioBundle, config: SolverConfig, feature_source: TerminalCondition):
     """Step i's regression as a function of i: ``make_regression`` on the
-    Markov state at t_i, handed ``feature_source.fn`` as the feature."""
+    Markov state at t_i, handed ``feature_source.fn`` as the feature, built
+    once for the sweeps that share it and released before the next build."""
+    held = {}
 
     def regression(i: int):
-        return make_regression(config, bundle.state(i), feature_source.fn)
+        if i not in held:
+            held.clear()
+            held[i] = make_regression(config, bundle.state(i), feature_source.fn)
+        return held[i]
 
     return regression
 
@@ -317,8 +316,8 @@ def _backward_steps(
     the next node, so a yielded variance row is overwritten once the sweep
     has advanced two more nodes; a consumer stores what it needs.
     ``regression(i)`` gives step i's regression, by default from
-    ``_regression_at`` with ``xi.fn`` as the feature; problems on the same
-    states with the same feature can share it.  With ``fits``, a list of K
+    ``_regression_at`` with ``xi.fn`` as the feature; sweeps on the same
+    states handed one ``_regression_at`` share it.  With ``fits``, a list of K
     entries, step i's Z as a function of the state (``ZFit``, whose rows on
     the bundle's states are zeta_i) is stored at ``fits[i]``.  A non-finite
     row y_i raises ``DegenerateBasisError`` at its step.
@@ -333,7 +332,8 @@ def _backward_steps(
     regression = regression or _regression_at(bundle, config, xi)
     for i in range(K - 1, -1, -1):
         # the step's regression and rows are released before the next build,
-        # the sweep's peak, and its other temporaries stay unnamed
+        # the sweep's peak, even while the sweep waits suspended in a pass,
+        # and its other temporaries stay unnamed
         reg = regression(i)
         target = y
         ey = reg.fit(target)
@@ -348,11 +348,12 @@ def _backward_steps(
             raise DegenerateBasisError(f"non-finite Y at step {i}")
         if variance:
             sigma2_y = reg.residual_variance(target, ey)
-            inherited = np.maximum(reg.fit(y_var[(i + 1) % 2]), 0.0)
             amp = 1.0 / (1.0 - driver.params.beta_bar * dA[i])
-            y_var[i % 2] = (reg.fit_variance(sigma2_y) + inherited) * amp**2
+            # the inherited variance, smoothed: no row of it outlives the line
+            y_var[i % 2] = (reg.fit_variance(sigma2_y) + np.maximum(reg.fit(y_var[(i + 1) % 2]), 0.0)) * amp**2
+        del reg, target, ey, z_fit
         yield i, y, zeta, y_var[i % 2]
-        del reg, target, ey, z_fit, zeta
+        del zeta
 
 
 def solve_backward(
@@ -360,9 +361,9 @@ def solve_backward(
     driver: DriverSpec,
     xi: TerminalCondition,
     config: SolverConfig | None = None,
-    checks=(),
+    readers=(),
 ) -> SolutionField:
-    """Regression-based backward recursion from Y_K = xi.
+    """Regression-based backward recursion from Y_K = xi: an experiment's one backward pass.
 
     Keeps what a ``SolutionField`` holds: of Y, the row at t_0, the running
     per-path supremum of |Y| (the terminal value, pinned exactly path by
@@ -370,55 +371,43 @@ def solve_backward(
     each step's coefficients (``ZFit``) and the sums of the field, added as
     the sweep makes each step's rows, t_{K-1} first.  No (K+1, n) or
     (n, K, w) array is made, and each step's rows are released when the
-    sweep moves on.  Each of
-    ``checks`` is called with every node's ``(i, y_i, y_var_i)`` as the sweep
-    makes it, the terminal row first (its variance a zero row), where
-    ``y_var_i`` is the row's variance by first-order error propagation; a
-    row is valid only during the call.  Without checks the sweep propagates
-    no variance.
+    sweep moves on.
+
+    ``readers`` read the pass.  A reader's ``problems`` are the (bundle,
+    driver, terminal) triples it needs swept beside this one, on ``bundle``'s
+    states (``GridMismatchError`` otherwise; the clocks may differ), each
+    step's regression built once for all with ``xi.fn`` as the feature, so a
+    problem whose terminal is ``xi`` gets the rows of its own solve.  At
+    every node, t_K first, ``reader(base, *steps)`` gets this problem's
+    ``_backward_steps`` step ``(i, y_i, zeta_i, y_var_i)``, then its
+    problems'; ``y_var_i``, valid during the call only, is None unless a
+    reader's ``variance`` asks for error bars.  Its ``report()`` follows.
     """
     config = config or SolverConfig()
     n, K = bundle.n_paths, bundle.grid.n_steps
+    if any(b.states is not bundle.states for reader in readers for b, _, _ in reader.problems):
+        raise GridMismatchError("a problem swept in lockstep must be on the states of the pass")
 
     y_export = np.empty((K + 1, min(EXPORT_PATHS, n)))
     y_sup = np.zeros(n)
     parts, fits = _FieldParts(bundle), [None] * K
+    regression = _regression_at(bundle, config, xi)
+    variance = any(reader.variance for reader in readers)
+    sweep = _backward_steps(bundle, driver, xi, config, regression, variance=variance, fits=fits)
+    # each reader's own sweeps, advanced after this one, which builds the step's regression
+    own = [[_backward_steps(*problem, config, regression, variance=reader.variance) for problem in reader.problems]
+           for reader in readers]
 
-    for i, y_i, zeta, y_var_i in _backward_steps(bundle, driver, xi, config, variance=bool(checks), fits=fits):
+    for i, y_i, zeta, y_var_i in sweep:
         np.maximum(y_sup, np.abs(y_i), out=y_sup)
         y_export[i] = y_i[: y_export.shape[1]]
         if i < K:
             parts.add(i, zeta, fits[i])
-        for check in checks:
-            check(i, y_i, y_var_i)
+        for reader, sweeps in zip(readers, own):
+            reader((i, y_i, zeta, y_var_i), *[next(s) for s in sweeps])
 
     # the sweep makes every row afresh, so node 0's is kept as it is
     return parts.field(y_i, y_sup, y_export)
-
-
-def lockstep_sweeps(
-    bundle: ScenarioBundle,
-    xi: TerminalCondition,
-    problems,
-    config: SolverConfig | None = None,
-    variance: bool = False,
-):
-    """The backward sweeps of several problems on the states of ``bundle``, run side by side.
-
-    ``problems`` are (bundle, driver, terminal) triples whose bundles share
-    ``bundle``'s states; their clocks may differ.  Yields one tuple per node,
-    t_K first, of each problem's ``_backward_steps`` step ``(i, y_i, zeta_i,
-    y_var_i)``.  Each step's regression is built once, on the states of
-    ``bundle`` with ``xi.fn`` as the feature, by the first sweep to reach
-    the step, and is kept until the next step's is built; a problem whose
-    terminal is ``xi`` therefore gets exactly the rows of its own
-    ``solve_backward``.  Every Y and integrand row is made afresh, so a
-    consumer may keep it; a variance row is overwritten two nodes on.
-    """
-    config = config or SolverConfig()
-    regression = functools.lru_cache(maxsize=1)(_regression_at(bundle, config, xi))
-    return zip(*(_backward_steps(b, driver, terminal, config, regression, variance)
-                 for b, driver, terminal in problems))
 
 
 def y0_with_se(
@@ -650,21 +639,59 @@ def _truncated_terminal(xi: TerminalCondition, level: float) -> TerminalConditio
                              tag=f"{xi.tag}|trunc {level:g}")
 
 
-@dataclass(frozen=True)
 class TruncationLadder:
-    """Per-level Y_0 of the truncated problems and their pathwise monotonicity.
+    """The truncated problems of ``levels``: a reader of ``solve_backward``'s pass, then its own report.
 
     Level n solves the problem with xi capped at +-n on the bundle whose
     clock A stops once the running integral of alpha dA would exceed n; the
-    driver itself is unchanged, it only acts where dA > 0.  ``y0[k]`` is the
-    path mean of level k's Y_0, ``alpha_l1[k]`` is |alpha|_1 on its stopped
-    clock, and ``monotonicity`` is the report of ``solve_ladder``.
+    driver itself is unchanged, it only acts where dA > 0.  The levels,
+    positive and strictly increasing, are swept with error bars beside the
+    untruncated problem, whose xi is their feature; common random numbers
+    make the comparison-theorem monotonicity visible pathwise.  Each node
+    compares every pair of levels row by row, so no level keeps a row.
+    After the pass ``y0[k]`` is the path mean of level k's Y_0 and
+    ``monotonicity`` holds the fraction of (node, path) points where a lower
+    level exceeds a higher one by more than ``tol`` plus 3 combined
+    pointwise standard errors, the worst gap, ``tol`` and the number of
+    points compared (``pairs``); ``alpha_l1[k]`` is |alpha|_1 on level k's
+    stopped clock.
     """
 
-    levels: tuple[float, ...]
-    y0: tuple[float, ...]
-    alpha_l1: tuple[float, ...]
-    monotonicity: dict
+    variance = True
+
+    def __init__(self, bundle: ScenarioBundle, driver: DriverSpec, xi: TerminalCondition, levels: list[float],
+                 tol: float = 0.0):
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
+        if any(level <= 0 for level in levels):
+            raise ValueError("truncation levels must be positive")
+        stopped = [_stopped_clock(bundle, driver, float(level)) for level in levels]
+        self.problems = tuple((b, driver, _truncated_terminal(xi, float(level))) for b, level in zip(stopped, levels))
+        self.levels = tuple(float(v) for v in levels)
+        self.alpha_l1 = tuple(driver.params.alpha_l1(b) for b in stopped)
+        self.y0, self.tol, self.worst, self.violations, self.total = (), tol, -np.inf, 0, 0
+
+    def __call__(self, base, *levels) -> None:
+        tol = self.tol
+        for a in range(len(levels)):
+            for b in range(a + 1, len(levels)):
+                gap = levels[a][1] - levels[b][1]
+                self.worst = max(self.worst, float(np.max(gap)))
+                # the allowance is at least tol, so only the points past tol can exceed it
+                over = gap > tol
+                se_a, se_b = np.sqrt(levels[a][3][over]), np.sqrt(levels[b][3][over])
+                self.violations += int(np.count_nonzero(gap[over] > tol + 3.0 * np.hypot(se_a, se_b)))
+                self.total += gap.size
+        if base[0] == 0:
+            self.y0 = tuple(float(np.mean(y)) for _, y, _, _ in levels)
+
+    @property
+    def monotonicity(self) -> dict:
+        return {"violation_fraction": self.violations / max(self.total, 1), "worst_gap": self.worst, "tol": self.tol,
+                "pairs": self.total}
+
+    def report(self) -> TruncationLadder:
+        return self
 
 
 def solve_ladder(
@@ -675,45 +702,8 @@ def solve_ladder(
     config: SolverConfig | None = None,
     tol: float = 0.0,
 ) -> TruncationLadder:
-    """Solve the truncated problems for each level on the same scenario bundle.
-
-    Common random numbers across levels make the comparison-theorem
-    monotonicity visible pathwise rather than only in distribution.  The
-    levels must be positive and strictly increasing.  The report holds the
-    fraction of (node, path) points where a lower level exceeds a higher one
-    by more than ``tol`` plus 3 combined pointwise standard errors, the worst
-    gap, ``tol`` and the number of points compared (``pairs``).
-
-    The sweeps, each with its error propagation, run in lockstep
-    (``lockstep_sweeps``, with the untruncated xi as every level's feature)
-    and the levels are compared node row by node row, terminal row first:
-    every statistic is a count or a maximum, so no level stores a field.
-    """
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"truncation levels must be strictly increasing, got {list(levels)}")
-    if any(level <= 0 for level in levels):
-        raise ValueError("truncation levels must be positive")
-    stopped = [_stopped_clock(bundle, driver, float(level)) for level in levels]
-    problems = [(b, driver, _truncated_terminal(xi, float(level))) for b, level in zip(stopped, levels)]
-    worst, violations, total = -np.inf, 0, 0
-
-    def compare(ys, y_vars):
-        nonlocal worst, violations, total
-        for a in range(len(ys)):
-            for b in range(a + 1, len(ys)):
-                gap = ys[a] - ys[b]
-                worst = max(worst, float(np.max(gap)))
-                # the allowance is at least tol, so only the points past tol can exceed it
-                over = gap > tol
-                se_a, se_b = np.sqrt(y_vars[a][over]), np.sqrt(y_vars[b][over])
-                violations += int(np.count_nonzero(gap[over] > tol + 3.0 * np.hypot(se_a, se_b)))
-                total += gap.size
-
-    ys = []
-    for steps in lockstep_sweeps(bundle, xi, problems, config, variance=True):
-        ys = [y for _, y, _, _ in steps]
-        compare(ys, [y_var for *_, y_var in steps])
-        del steps  # a level that advances releases this node's rows
-    report = {"violation_fraction": violations / max(total, 1), "worst_gap": worst, "tol": tol, "pairs": total}
-    return TruncationLadder(tuple(float(v) for v in levels), tuple(float(np.mean(y)) for y in ys),
-                            tuple(driver.params.alpha_l1(b) for b in stopped), report)
+    """The ``TruncationLadder`` of ``levels``, read off a pass of the
+    untruncated problem; an experiment hands the ladder to its own pass."""
+    ladder = TruncationLadder(bundle, driver, xi, levels, tol)
+    solve_backward(bundle, driver, xi, config, [ladder])
+    return ladder

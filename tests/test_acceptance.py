@@ -194,12 +194,15 @@ def test_criterion_6_comparison(catalogue):
     zero = q.make_builtin("zero")
     const = q.make_builtin("constant", {"value": 0.7})
 
-    ev = q.sample_ordering(bundle, zero, zero, xi0, xi1)
-    pair1 = q.comparison_check(q.lockstep_sweeps(bundle, xi0, [(bundle, zero, xi0), (bundle, zero, xi1)]), ev)
+    # each pair's upper problem is the pass, its lower one the comparison's reader
+    pair1 = q.ComparisonCheck(bundle, zero, xi0, q.sample_ordering(bundle, zero, zero, xi0, xi1))
+    q.solve_backward(bundle, zero, xi1, readers=[pair1])
+    pair1 = pair1.report()
 
-    ev2 = q.sample_ordering(bundle, zero, const, xi0, xi0)
-    pair2 = q.comparison_check(q.lockstep_sweeps(bundle, xi0, [(bundle, zero, xi0), (bundle, const, xi0)]), ev2)
-    # each Y0 of a lockstep pair is its own solve_backward's
+    pair2 = q.ComparisonCheck(bundle, zero, xi0, q.sample_ordering(bundle, zero, const, xi0, xi0))
+    q.solve_backward(bundle, const, xi0, readers=[pair2])
+    pair2 = pair2.report()
+    # each Y0 of a pair is its own solve_backward's
     gap_err = abs((pair2.extra["y0_prime"] - pair2.extra["y0"]) - 0.7)
 
     pair3 = [c for c in catalogue["counterexample-n2"].checks if c.name == "comparison"][0]

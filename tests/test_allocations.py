@@ -17,6 +17,7 @@ import pytest
 import qbsde as q
 from qbsde import solver
 from qbsde.regression import n_columns
+from tests.test_solver import Recorder, fed
 
 N_PATHS, N_STEPS = 20_000, 50
 ROW_BYTES = 8 * N_PATHS
@@ -30,10 +31,11 @@ def problem():
     xi = q.terminal_abs(0.0, [1.0, 0.5])
     config = q.SolverConfig(degree=2)
     field = q.solve_backward(bundle, driver, xi, config)
-    # the node pairs of the sweeps of the driver and of the zero driver, made
-    # here so that a check that reads them is measured alone
-    pairs = list(q.lockstep_sweeps(bundle, xi, [(bundle, driver, xi), (bundle, q.make_builtin("zero"), xi)], config))
-    return bundle, driver, xi, config, field, pairs
+    # the node pairs of the pass of the driver and the sweep of the zero
+    # driver beside it, made here so that a reader of them is measured alone
+    record = Recorder((bundle, q.make_builtin("zero"), xi), variance=False)
+    q.solve_backward(bundle, driver, xi, config, [record])
+    return bundle, driver, xi, config, field, record.steps
 
 
 def peak_rows(fn) -> float:
@@ -48,16 +50,17 @@ def peak_rows(fn) -> float:
 
 def checked_sweep(bundle, driver, xi, config, check):
     """The sweep of a checked ``solve_backward``, storing no row: it hands the
-    check every node's Y and variance rows, the terminal row first."""
-    for i, y, _, y_var in solver._backward_steps(bundle, driver, xi, config, variance=True):
-        check(i, y, y_var)
+    check every node's step, the terminal row first."""
+    for step in solver._backward_steps(bundle, driver, xi, config, variance=True):
+        check(step)
     return check.report()
 
 
-# measured 32 (the variance sweep itself 31), 7, 54 (three levels), 1, 2, 10, 4 and 3
-# rows, comparison and stability on node pairs made beforehand; a single
-# (K+1, n) surface is 51, each stored input or ladder level would add at
-# least one, and an (n, K, w) integrand surface is 100
+# measured 22 (the variance sweep itself 20), 7, 39 (three levels beside the
+# untruncated pass), 1, 2, 9, 4 and 3 rows, the comparison and stability
+# readers fed node pairs made beforehand; a single (K+1, n) surface is 51,
+# each stored input or ladder level would add at least one, and an
+# (n, K, w) integrand surface is 100
 @pytest.mark.parametrize("call,rows", [
     ("apriori", 48),
     ("kazamaki_statistic", 12),
@@ -75,9 +78,9 @@ def test_peak_allocation_is_a_few_rows(problem, call, rows):
         "apriori": lambda: checked_sweep(bundle, driver, xi, config, q.check_apriori(bundle, xi, driver.params, config)),
         "kazamaki_statistic": lambda: q.kazamaki_statistic(bundle, field, eta=2.0, q_tilde=0.7),
         "solve_ladder": lambda: q.solve_ladder(bundle, driver, xi, LEVELS, config, tol=0.01),
-        "comparison_check": lambda: q.comparison_check(pairs, (0.0, 0.0)),
+        "comparison_check": lambda: fed(q.ComparisonCheck(bundle, zero, xi, (0.0, 0.0)), pairs),
         "y0_with_se": lambda: q.y0_with_se(bundle, driver, xi, config),
-        "stability_metrics": lambda: q.stability_metrics(bundle, pairs, driver, zero, xi, xi, [1.5, 2.0]),
+        "stability_metrics": lambda: fed(q.StabilityMetrics(bundle, zero, driver, xi, xi, [1.5, 2.0]), pairs),
         "norm_bound_checks": lambda: q.norm_bound_checks(bundle, field, xi, driver.params, [1.5, 2.0]),
         "exp_martingale_check": lambda: q.exp_martingale_check(bundle, field, [0.5, 1.0]),
     }
@@ -103,7 +106,7 @@ def test_apriori_check_keeps_no_row_of_its_own(problem):
 
     def fed():
         check = q.check_apriori(bundle, xi, driver.params, config)
-        check(0, y, y_var)
+        check((0, y, None, y_var))
         return check
     assert retained_rows(fed) <= 1.1
 
@@ -131,10 +134,11 @@ def solution_rows(config) -> int:
     return (K + 1) * w + 4
 
 
-# measured 17 rows above the bundle and the solution on quadratic-gaussian and
-# 36 on truncation-ladder (four levels).  A solution with its integrand
-# measured 112 and 74 rows above these, one with a Y surface as well 211
-# and 113, and one that stored its variance surface too 312 and 154
+# measured 19 rows above the bundle and the solution on quadratic-gaussian and
+# 31 on truncation-ladder (four levels, in the run's one backward pass).  A
+# solution with its integrand measured 112 and 74 rows above these, one with
+# a Y surface as well 211 and 113, and one that stored its variance surface
+# too 312 and 154
 @pytest.mark.parametrize("name", ["quadratic-gaussian", "truncation-ladder"])
 def test_run_peak_is_the_bundle_plus_one_solution(name):
     config = q.load_config(name)

@@ -18,7 +18,7 @@ from qbsde.analytics import _chi2_isf, _folded_log_mgf, _ndtr
 from qbsde.drivers import ParamSet
 from qbsde.errors import GridMismatchError, MomentFailureError
 from qbsde.scenarios import mean_se
-from tests.test_solver import linear_driver, solved_with_variance, y_surface
+from tests.test_solver import Recorder, fed, linear_driver, solved_with_variance, y_surface
 
 
 def solved(bundle, name, options, xi, cfg=None):
@@ -26,10 +26,16 @@ def solved(bundle, name, options, xi, cfg=None):
     return drv, q.solve_backward(bundle, drv, xi, cfg)
 
 
-def lockstep(bundle, xi, *problems):
-    """The sweeps of (driver, terminal) ``problems`` on the bundle, side by
-    side, sharing each step's regression with ``xi`` as its feature."""
-    return q.lockstep_sweeps(bundle, xi, [(bundle, drv, x) for drv, x in problems])
+def read(bundle, base, reader):
+    """``reader``'s report off the backward pass of the ``base`` (driver,
+    terminal) on the bundle, whose terminal is every sweep's feature."""
+    q.solve_backward(bundle, *base, readers=[reader])
+    return reader.report()
+
+
+def stability(bundle, member, base, xi, orders):
+    """The stability metrics of the ``member`` driver against the ``base`` one, both with terminal ``xi``."""
+    return read(bundle, (base, xi), q.StabilityMetrics(bundle, member, base, xi, xi, orders))
 
 
 def integrand_field(bundle, zeta):
@@ -198,6 +204,13 @@ class TestAprioriBound:
         with pytest.raises(MomentFailureError):
             q.apriori_bound(bundle_1d, q.terminal_affine(0.0, [300.0]), ParamSet(gamma=2.0))
 
+    def test_constant_modulus_is_evaluated_once(self, bundle_1d):
+        # every path sits at one state at t_0: X_0 is one value, broadcast,
+        # and equals the row bit for bit
+        row = q.apriori_bound(bundle_1d, q.terminal_abs(0.1, [1.0]), ParamSet(gamma=1.0))
+        x = row.bracket(0)[2](np.arange(bundle_1d.n_paths))
+        assert x.strides == (0,) and np.array_equal(x, row(0))
+
     def test_gamma_below_one_rejected(self, bundle_1d):
         with pytest.raises(ValueError):
             q.apriori_bound(bundle_1d, q.terminal_constant(0.0, 1), ParamSet(gamma=0.5))
@@ -220,7 +233,7 @@ class TestAprioriBound:
         sweep does: terminal row first, exact rows (variance 0)."""
         check = q.analytics.AprioriCheck(lambda i: np.ones(y.shape[1]), y.shape[::-1], 1.0, None, None)
         for i in range(y.shape[0] - 1, -1, -1):
-            check(i, y[i], 0.0)
+            check((i, y[i], None, 0.0))
         return check.report()
 
     def test_argmax_is_first_in_path_major_order(self):
@@ -253,10 +266,10 @@ class TestAprioriBound:
         drv, xi = q.make_builtin("zero"), q.terminal_constant(0.0, 1)
         other = q.simulate_scenario(q.build_grid(1.0, 5), 1, 0, 8, source=q.RandomSource(9))
         with pytest.raises(GridMismatchError):
-            q.solve_backward(bundle_1d, drv, xi, checks=[q.check_apriori(other, xi, drv.params, q.SolverConfig())])
+            q.solve_backward(bundle_1d, drv, xi, readers=[q.check_apriori(other, xi, drv.params, q.SolverConfig())])
         # a check handed only some of the bound's node rows has no report
         check = q.check_apriori(bundle_1d, xi, drv.params, q.SolverConfig())
-        check(0, np.zeros(bundle_1d.n_paths), 0.0)
+        check((0, np.zeros(bundle_1d.n_paths), None, 0.0))
         with pytest.raises(GridMismatchError):
             check.report()
 
@@ -319,7 +332,7 @@ class TestAprioriBound:
             y_var.flat[rng.integers(0, x.size)] = bad
         check = q.check_apriori(bundle, xi, params, q.SolverConfig())
         for i in range(bundle.grid.n_steps, -1, -1):
-            check(i, y[i], y_var[i])
+            check((i, y[i], None, y_var[i]))
         expected = full_row_report(row, check.band, y, y_var)
         assert json.dumps(check.report().to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
@@ -399,7 +412,7 @@ class TestComparison:
         zero = q.make_builtin("zero")
         lo, hi = (zero, q.terminal_constant(0.0, 1)), (zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        rep = q.comparison_check(lockstep(bundle_1d, lo[1], lo, hi), ev)
+        rep = read(bundle_1d, hi, q.ComparisonCheck(bundle_1d, *lo, ev))
         assert rep.passed
         assert rep.margin == pytest.approx(-1.0, abs=1e-12)
 
@@ -414,7 +427,7 @@ class TestComparison:
         expected = a * (1.0 - bundle_1d.grid.nodes)
         assert np.abs(gap - expected[None, :]).max() < 1e-12
         ev = q.sample_ordering(bundle_1d, zero, const, xi, xi)
-        rep = q.comparison_check(lockstep(bundle_1d, xi, (zero, xi), (const, xi)), ev)
+        rep = read(bundle_1d, (const, xi), q.ComparisonCheck(bundle_1d, zero, xi, ev))
         assert rep.passed
         assert hi.y0 - lo.y0 == pytest.approx(a, abs=1e-10)
         assert (rep.extra["y0"], rep.extra["y0_prime"]) == (lo.y0, hi.y0)
@@ -422,15 +435,15 @@ class TestComparison:
     def test_streamed_margin_is_the_surface_maximum(self, bundle_orth):
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         zero, quad = q.make_builtin("zero"), q.make_builtin("pure_quadratic", {"gamma": 1.0})
-        rep = q.comparison_check(lockstep(bundle_orth, xi, (quad, xi), (zero, xi)), (0.0, 0.0))
+        rep = read(bundle_orth, (zero, xi), q.ComparisonCheck(bundle_orth, quad, xi, (0.0, 0.0)))
         assert rep.margin == np.max(y_surface(bundle_orth, quad, xi) - y_surface(bundle_orth, zero, xi)) > 0
 
     def test_antisymmetry_of_margin(self, bundle_1d):
         zero = q.make_builtin("zero")
         lo, hi = (zero, q.terminal_constant(0.0, 1)), (zero, q.terminal_constant(1.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(0.0, 1), q.terminal_constant(1.0, 1))
-        fwd = q.comparison_check(lockstep(bundle_1d, lo[1], lo, hi), ev)
-        rev = q.comparison_check(lockstep(bundle_1d, lo[1], hi, lo), ev)
+        fwd = read(bundle_1d, hi, q.ComparisonCheck(bundle_1d, *lo, ev))
+        rev = read(bundle_1d, lo, q.ComparisonCheck(bundle_1d, *hi, ev))
         assert rev.margin == pytest.approx(-fwd.margin, abs=1e-12)
         assert rev.margin > 0
 
@@ -452,7 +465,7 @@ class TestComparison:
         hi, lo = (zero, q.terminal_constant(1.0, 1)), (zero, q.terminal_constant(0.0, 1))
         ev = q.sample_ordering(bundle_1d, zero, zero, q.terminal_constant(1.0, 1), q.terminal_constant(0.0, 1))
         assert ev == (0.0, 1.0)
-        rep = q.comparison_check(lockstep(bundle_1d, hi[1], hi, lo), ev)
+        rep = read(bundle_1d, lo, q.ComparisonCheck(bundle_1d, *hi, ev))
         assert rep.extra["vacuous"]
         assert not rep.passed
 
@@ -460,8 +473,7 @@ class TestComparison:
 class TestStability:
     def test_identical_problems(self, bundle_1d):
         drv, xi = q.make_builtin("constant", {"value": 1.0}), q.terminal_constant(0.0, 1)
-        [m] = q.stability_metrics(bundle_1d, lockstep(bundle_1d, xi, (drv, xi), (drv, xi)), drv, drv,
-                                  q.terminal_constant(0.0, 1), q.terminal_constant(0.0, 1), [2.0])
+        [m] = stability(bundle_1d, drv, drv, xi, [2.0])
         assert m["p"] == 2.0
         assert m["hypothesis_mean"] == 0.0
         assert m["exp_sup_p_mean"] == 1.0
@@ -472,8 +484,7 @@ class TestStability:
         xi = q.terminal_constant(0.0, 1)
         base = q.make_builtin("constant", {"value": 1.0})
         member = q.make_builtin("constant", {"value": 1.0 + 1.0 / n})
-        steps = lockstep(bundle_1d, xi, (member, xi), (base, xi))
-        for p, m in zip((1.0, 2.0), q.stability_metrics(bundle_1d, steps, member, base, xi, xi, [1.0, 2.0])):
+        for p, m in zip((1.0, 2.0), stability(bundle_1d, member, base, xi, [1.0, 2.0])):
             assert m["p"] == p
             assert m["hypothesis_mean"] == pytest.approx(1.0 / n, abs=1e-9)
             assert m["sup_gap_max"] == pytest.approx(1.0 / n, abs=1e-9)
@@ -483,8 +494,7 @@ class TestStability:
     def test_member_without_expected_sup_converges(self, bundle_1d):
         xi = q.terminal_constant(0.0, 1)
         base, member = q.make_builtin("constant", {"value": 1.0}), q.make_builtin("constant", {"value": 1.25})
-        metrics = q.stability_metrics(bundle_1d, lockstep(bundle_1d, xi, (member, xi), (base, xi)), member, base,
-                                      xi, xi, [1.0, 2.0])
+        metrics = stability(bundle_1d, member, base, xi, [1.0, 2.0])
         rep = q.stability_check(metrics, "n4")
         assert rep.passed
         assert set(rep.extra) >= {"exp_sup_excess_p1", "exp_sup_excess_p2"}
@@ -497,7 +507,7 @@ class TestStability:
         b = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 64, source=q.RandomSource(3))
         xi = q.terminal_constant(0.0, 1)
         base, member = q.make_builtin("constant", {"value": 0.0}), q.make_builtin("constant", {"value": 800.0})
-        [m] = q.stability_metrics(b, lockstep(b, xi, (member, xi), (base, xi)), member, base, xi, xi, [1.0])
+        [m] = stability(b, member, base, xi, [1.0])
         assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == (math.inf, math.inf)
         rep = q.stability_check([m], "big", expected_hypothesis=800.0)
         assert not rep.passed
@@ -509,8 +519,7 @@ class TestStability:
         xi = q.terminal_abs(0.0, [1.0, 0.5])
         zero, f0 = solved(bundle_orth, "zero", {}, xi)
         quad, fn = solved(bundle_orth, "pure_quadratic", {"gamma": 1.0}, xi)
-        [m] = q.stability_metrics(bundle_orth, lockstep(bundle_orth, xi, (quad, xi), (zero, xi)), quad, zero, xi, xi,
-                                  [2.0])
+        [m] = stability(bundle_orth, quad, zero, xi, [2.0])
         sup_gap = np.max(np.abs(y_surface(bundle_orth, quad, xi) - y_surface(bundle_orth, zero, xi)), axis=1)
         assert (m["sup_gap_max"], m["sup_gap_mean"]) == (np.max(sup_gap), float(np.mean(sup_gap)))
         assert (m["exp_sup_p_mean"], m["exp_sup_p_se"]) == mean_se(np.exp(2.0 * sup_gap))
@@ -524,8 +533,7 @@ class TestStability:
         b = q.simulate_scenario(grid, 1, 0, 64, source=q.RandomSource(7))
         xi = q.terminal_constant(0.0, 1)
         zero, stepd = q.make_builtin("zero"), q.make_builtin("step_family", {"n": 2})
-        steps = lockstep(b, xi, (stepd, xi), (zero, xi))
-        for p, m in zip((1.0, 2.0), q.stability_metrics(b, steps, stepd, zero, xi, xi, [1.0, 2.0])):
+        for p, m in zip((1.0, 2.0), stability(b, stepd, zero, xi, [1.0, 2.0])):
             assert m["hypothesis_mean"] == pytest.approx(1.0, abs=1e-6)
             assert m["sup_gap_max"] == pytest.approx(1.0, abs=1e-12)
             assert m["exp_sup_p_mean"] == pytest.approx(math.exp(p), abs=1e-6)
@@ -656,7 +664,8 @@ class TestGridGuard:
         "stochastic_exponential_mean": lambda b, field, steps, drv, xi: q.stochastic_exponential_mean(b, field, 1.0),
         "exp_martingale_check": lambda b, field, steps, drv, xi: q.exp_martingale_check(b, field, [1.0]),
         "kazamaki_statistic": lambda b, field, steps, drv, xi: q.kazamaki_statistic(b, field, eta=2.0, q_tilde=1.0),
-        "stability_metrics": lambda b, field, steps, drv, xi: q.stability_metrics(b, steps, drv, drv, xi, xi, [2.0]),
+        "stability_metrics": lambda b, field, steps, drv, xi: fed(q.StabilityMetrics(b, drv, drv, xi, xi, [2.0]),
+                                                                  steps),
     }
 
     @pytest.mark.parametrize("other", [(8, 300), (6, 500)], ids=["paths", "steps"])
@@ -664,12 +673,24 @@ class TestGridGuard:
     def test_field_off_the_bundle_is_refused(self, check, other):
         drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_affine(0.0, [1.0])
         bundle = q.simulate_scenario(q.build_grid(1.0, 8), 1, 0, 500, source=q.RandomSource(41))
-        field = q.solve_backward(bundle, drv, xi)
-        steps = lockstep(bundle, xi, (drv, xi), (drv, xi))
+        record = Recorder((bundle, drv, xi), variance=False)
+        field = q.solve_backward(bundle, drv, xi, readers=[record])
         steps_k, paths = other
         off = q.simulate_scenario(q.build_grid(1.0, steps_k), 1, 0, paths, source=q.RandomSource(42))
         with pytest.raises(GridMismatchError):
-            self.CHECKS[check](off, field, steps, drv, xi)
+            self.CHECKS[check](off, field, record.steps, drv, xi)
+
+    @pytest.mark.parametrize("reader", ["ComparisonCheck", "StabilityMetrics"])
+    def test_problem_off_the_pass_is_refused(self, reader):
+        # a problem on other states than the pass's cannot share its regressions
+        drv, xi = q.make_builtin("pure_quadratic", {"gamma": 1.0}), q.terminal_affine(0.0, [1.0])
+        grid = q.build_grid(1.0, 8)
+        bundle = q.simulate_scenario(grid, 1, 0, 500, source=q.RandomSource(41))
+        other = q.simulate_scenario(grid, 1, 0, 500, source=q.RandomSource(43))
+        readers = {"ComparisonCheck": lambda: q.ComparisonCheck(other, drv, xi, (0.0, 0.0)),
+                   "StabilityMetrics": lambda: q.StabilityMetrics(other, drv, drv, xi, xi, [2.0])}
+        with pytest.raises(GridMismatchError):
+            q.solve_backward(bundle, drv, xi, readers=[readers[reader]()])
 
     @pytest.mark.parametrize("check", [name for name in CHECKS if name != "stability_metrics"])
     def test_same_shaped_bundle_of_other_paths_is_refused(self, check):

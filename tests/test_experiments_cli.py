@@ -381,7 +381,7 @@ class TestCatalogue:
         """Each defaulted argument of a check function is a key of its block that
         some bundled config sets to another value: one value in use is a constant."""
         functions = {"anchor": q.anchor_check, "apriori": q.check_apriori, "norm_bounds": q.norm_bound_checks,
-                     "comparison": q.comparison_check, "stability": q.stability_check, "ladder": q.ladder_check,
+                     "comparison": q.ComparisonCheck, "stability": q.stability_check, "ladder": q.ladder_check,
                      "exp_martingale": q.exp_martingale_check, "kazamaki": q.kazamaki_statistic,
                      "assumptions": q.validate_assumptions, "moments": q.moment_checks}
         assert set(functions) == set(_CHECKS)

@@ -7,16 +7,22 @@ left out, since they name the config and the environment, not the result.
 
 After a change that is meant to move a report, rewrite the stored copies with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
+
+The same runs count the backward sweeps and the regressions they build: one
+pass sweeps the config's own problem and every problem its checks name, each
+once and all on one regression per step, beside the Y0 batches.
 """
 
 import json
 import math
 import pathlib
+from unittest import mock
 
 import pytest
 
 import qbsde as q
-from qbsde.experiments import canonical_json
+from qbsde import solver
+from qbsde.experiments import build_grid_for, canonical_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_PATHS = 2048
@@ -45,12 +51,26 @@ def _mismatches(got, want, path="") -> list[str]:
     return [] if (type(got) is type(want) and got == want) else [f"{path}: {got!r} != {want!r}"]
 
 
+def _extra_problems(config) -> int:
+    """Problems the checks sweep beside the config's own: each comparison's
+    other driver, each stability member and each ladder level."""
+    return sum(("other" in c) + len(c.get("members", ())) + len(c.get("levels", ())) for c in config.checks)
+
+
 @pytest.mark.parametrize("config", q.bundled_configs(), ids=lambda c: c.name)
 def test_report_matches_golden(config):
     want = json.loads((DATA / f"{config.name}.json").read_text())
+    with mock.patch.object(solver, "_backward_steps", wraps=solver._backward_steps) as sweeps, \
+            mock.patch.object(solver, "make_regression", wraps=solver.make_regression) as builds:
+        report = _report(config)
     # the stored copy went through canonical_json, so compare like with like
-    got = json.loads(canonical_json(_report(config)))
+    got = json.loads(canonical_json(report))
     assert _mismatches(got, want) == []
+    # K builds for the pass and K for each Y0 batch; a problem swept apart
+    # from the pass, or a repeated sweep, would add K or a sweep
+    K = build_grid_for(config).n_steps
+    assert builds.call_count == (1 + solver.Y0_SE_BATCHES) * K
+    assert sweeps.call_count == 1 + solver.Y0_SE_BATCHES + _extra_problems(config)
 
 
 def test_stored_copies_hold_no_nan_or_infinity():

@@ -201,16 +201,31 @@ class TestQuadraticAnchor:
         assert errs[2] <= errs[0] + 0.005
 
 
-def solved_with_variance(bundle, driver, xi, config=None, checks=()):
-    """``solve_backward`` with a recorder beside ``checks``: the field and the
-    (n_paths, K+1) surface of the variance rows that the sweep hands its checks."""
-    y_var = np.empty((bundle.grid.n_steps + 1, bundle.n_paths))
+class Recorder:
+    """A reader of ``solve_backward``'s pass that keeps every node's steps, t_K
+    first: the pass's own and those of ``problems``, variance rows copied
+    (the sweep overwrites them two nodes on)."""
 
-    def record(i, y_i, y_var_i):
-        y_var[i] = y_var_i
+    def __init__(self, *problems, variance=True):
+        self.problems, self.variance, self.steps = problems, variance, []
 
-    field = q.solve_backward(bundle, driver, xi, config, checks=[record, *checks])
-    return field, y_var.T
+    def __call__(self, *steps):
+        self.steps.append(tuple((i, y, zeta, None if v is None else v.copy()) for i, y, zeta, v in steps))
+
+
+def fed(reader, steps):
+    """``reader``'s report after it is handed node steps made beforehand, such as a ``Recorder``'s."""
+    for node in steps:
+        reader(*node)
+    return reader.report()
+
+
+def solved_with_variance(bundle, driver, xi, config=None, readers=()):
+    """``solve_backward`` with a recorder beside ``readers``: the field and the
+    (n_paths, K+1) surface of the variance rows that the pass hands its readers."""
+    record = Recorder()
+    field = q.solve_backward(bundle, driver, xi, config, [record, *readers])
+    return field, np.stack([y_var for (_, _, _, y_var), in record.steps[::-1]]).T
 
 
 def truncated_surfaces(bundle, driver, xi, levels, config=None):
